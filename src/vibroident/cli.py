@@ -13,11 +13,13 @@ atomic rename, never partially.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
 import os
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -62,21 +64,122 @@ EXIT_IO = 5
 
 def _read_resource(kind: str, name: str) -> str:
     base = resources.files("vibroident") / "data"
-    path = {"model": "default_model.json", "layout": "default_layout.json"}.get(kind)
     if kind == "program":
-        path = f"programs/{name}.json"
-    return (base / path).read_text()
+        path = base / "programs" / f"{name or 'stepped_x'}.json"
+    elif not name:
+        path = base / f"default_{kind}.json"
+    else:
+        raise ConfigError(f"no bundled {kind} named {name!r}; use 'default'")
+    try:
+        return path.read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"no bundled {kind} named {name!r}") from None
 
 
 def _load_text(spec: str, kind: str) -> str:
     """'default' / 'default:stepped_x' resolve to bundled data; else a path."""
     if spec == "default" or spec.startswith("default:"):
-        name = spec.partition(":")[2] or "stepped_x"
-        return _read_resource(kind, name)
+        return _read_resource(kind, spec.partition(":")[2])
     p = Path(spec)
     if not p.exists():
         raise ConfigError(f"{kind} file not found: {spec}")
     return p.read_text()
+
+
+#: every key a run config may set, with its default
+_CONFIG_DEFAULTS = {
+    "model": "default",
+    "layout": "default",
+    "program": "default:stepped_x",
+    "seed": 42,
+    "noise_rms": 0.001,
+    "noise_tone_hz": None,
+    "noise_tone_amplitude": 0.0,
+    "response_rate": 200.0,
+    "force_rate": 512.0,
+    "integration_factor": 40.0,
+    "filter": {"order": 5, "f_low": 1.0, "f_high": 25.0},
+    "window": {"skip_cycles": 10.0, "max_len_s": 40.0},
+    "f_ref_force_kn": 6800.0,
+    "f_ref_torque_knm": 117000.0,
+    "rotation_lever_m": 16.5,
+    "damping_channel_floor": 0.2,
+    "force_low_freq_cut": None,
+    "strain": {"stations": ["T3SW", "T2S", "T3SE"], "fiber_m": 2.9},
+}
+
+
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_TEXT = (lambda v: isinstance(v, str), "a string")
+_NUMBER = (_real, "a number")
+_POSITIVE = (lambda v: _real(v) and v > 0, "a number > 0")
+_NON_NEGATIVE = (lambda v: _real(v) and v >= 0, "a number >= 0")
+_OPTIONAL = (lambda v: v is None or _real(v), "null or a number")
+
+#: what each config value must be, by dotted key
+_CONFIG_RULES = {
+    "model": _TEXT,
+    "layout": _TEXT,
+    "program": _TEXT,
+    "seed": (_integer, "an integer"),
+    "noise_rms": _NON_NEGATIVE,
+    "noise_tone_hz": _OPTIONAL,
+    "noise_tone_amplitude": _NON_NEGATIVE,
+    "response_rate": _POSITIVE,
+    "force_rate": _POSITIVE,
+    "integration_factor": _POSITIVE,
+    "filter.order": (_integer, "an integer"),
+    "filter.f_low": _NUMBER,
+    "filter.f_high": _NUMBER,
+    "window.skip_cycles": _NON_NEGATIVE,
+    "window.max_len_s": _POSITIVE,
+    "f_ref_force_kn": _POSITIVE,
+    "f_ref_torque_knm": _POSITIVE,
+    "rotation_lever_m": _NUMBER,
+    "damping_channel_floor": _NUMBER,
+    "force_low_freq_cut": _OPTIONAL,
+    "strain.stations": (
+        lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+        "a list of station ids",
+    ),
+    "strain.fiber_m": _POSITIVE,
+}
+
+
+def _check_keys(doc: dict, known, where: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+
+
+def _validate_config(doc: dict) -> dict:
+    """Merge a config document over _CONFIG_DEFAULTS; reject unknown keys
+    and values of the wrong type or range."""
+    _check_keys(doc, _CONFIG_DEFAULTS, "config")
+    cfg = copy.deepcopy(_CONFIG_DEFAULTS)
+    cfg.update(doc)
+    for section in ("filter", "window", "strain"):
+        value = doc.get(section)
+        if value is not None and not isinstance(value, dict):
+            raise ConfigError(f"config key {section!r} must be an object or null")
+        _check_keys(value or {}, _CONFIG_DEFAULTS[section], f"config section {section!r}")
+        if section != "strain":   # strain replaces its default whole; null disables it
+            cfg[section] = {**_CONFIG_DEFAULTS[section], **(value or {})}
+    for key, (ok, requirement) in _CONFIG_RULES.items():
+        section, _, sub = key.rpartition(".")
+        holder = cfg[section] if section else cfg
+        if holder is None or sub not in holder:
+            continue
+        if not ok(holder[sub]):
+            raise ConfigError(f"config key {key!r} must be {requirement}, got {holder[sub]!r}")
+    return cfg
 
 
 def load_run_config(path: str) -> dict:
@@ -88,37 +191,13 @@ def load_run_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    defaults = {
-        "model": "default",
-        "layout": "default",
-        "program": "default:stepped_x",
-        "seed": 42,
-        "noise_rms": 0.001,
-        "noise_tone_hz": None,
-        "noise_tone_amplitude": 0.0,
-        "response_rate": 200.0,
-        "force_rate": 512.0,
-        "integration_factor": 40.0,
-        "filter": {"order": 5, "f_low": 1.0, "f_high": 25.0},
-        "window": {"skip_cycles": 10.0, "max_len_s": 40.0},
-        "f_ref_force_kn": 6800.0,
-        "f_ref_torque_knm": 117000.0,
-        "rotation_lever_m": 16.5,
-        "damping_channel_floor": 0.2,
-        "force_low_freq_cut": None,
-        "strain": {"stations": ["T3SW", "T2S", "T3SE"], "fiber_m": 2.9},
-    }
-    cfg = {**defaults, **doc}
-    cfg["filter"] = {**defaults["filter"], **(doc.get("filter") or {})}
-    cfg["window"] = {**defaults["window"], **(doc.get("window") or {})}
+    cfg = _validate_config(doc)
     env_seed = os.environ.get("VIBROIDENT_SEED")
     if env_seed is not None:
         try:
             cfg["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"VIBROIDENT_SEED must be an integer, got {env_seed!r}") from None
-    if cfg["f_ref_force_kn"] <= 0 or cfg["f_ref_torque_knm"] <= 0:
-        raise ConfigError("reference force and torque must be positive")
     return cfg
 
 
@@ -142,9 +221,20 @@ def policy_from_config(cfg: dict) -> AnalysisPolicy:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write through a temp file unique to this call in the target's
+    directory, then rename it over the target."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        # mkstemp creates 0600; give the file the mode a plain open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def cmd_simulate(args) -> int:
@@ -333,7 +423,7 @@ def cmd_analyze(args) -> int:
     strain_stations = None
     strain_fiber = 2.9
     if strain_cfg:
-        ids = tuple(strain_cfg["stations"])
+        ids = tuple(strain_cfg.get("stations", ()))
         known = {s.id for s in layout.stations}
         if len(ids) == 3 and set(ids) <= known:
             strain_stations = ids
@@ -343,6 +433,12 @@ def cmd_analyze(args) -> int:
         response, force, program, layout, policy,
         strain_stations=strain_stations, strain_fiber_m=strain_fiber,
     )
+    if result.unconverged:
+        print(
+            f"warning: {len(result.unconverged)} channel fit(s) did not converge; "
+            "their best iterate was used",
+            file=sys.stderr,
+        )
 
     damping_doc = {
         "config_sha256": config_hash(cfg),

@@ -1,9 +1,16 @@
 """Signal conditioning and sinusoidal parameter estimation.
 
 Band-pass Butterworth design (bilinear transform with pre-warping,
-realized as second-order sections), zero-phase filtering, steady-state
-window selection, the three-stage sine least-squares fit, and removal of
-a dominant low-frequency component.
+realized as second-order sections), zero-phase filtering, the three-stage
+sine least-squares fit, and removal of a dominant low-frequency component.
+
+The sine fit is batched: :func:`fit_sines` fits every channel of a window
+in one pass, and :func:`fit_sine` is its one-row case.  On the uniform
+time axis, exp(i*w*t_k) is built from two-level powers (about 2*sqrt(n)
+exponentials per row, then one complex product per sample).  The linear
+stages project the samples onto those powers without forming the basis,
+take the sin/cos Gram terms from the closed-form Dirichlet sum and read
+the SSE off the normal equations.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from .errors import DesignError, FilterError, FitError, WindowError
+from .errors import DesignError, FilterError, FitError
 from .timeseries import TimeSeries
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -114,165 +121,297 @@ def filtfilt(coeffs: FilterCoefficients, ts: TimeSeries) -> TimeSeries:
     return ts.with_values(y)
 
 
+#: golden-section steps that take the +-10 % bracket below 1e-6 of the start
+#: frequency.  Each step shrinks a bracket by GOLDEN whichever side it keeps,
+#: so every channel of a batch needs the same number of steps.
+_GOLDEN_STEPS = math.ceil(math.log(1e-6 / 0.2) / math.log(GOLDEN))
+
+# 2*pi in three parts; the first two carry 26 significant bits, so their
+# products with any integer below 2**27 are exact (Cody-Waite reduction)
+_TWO_PI_HI = 6.283185243606567
+_TWO_PI_MID = 6.357301884918343e-08
+_TWO_PI_LO = 2.4492935982947064e-16
+
+
 @dataclass(frozen=True)
-class WindowPolicy:
-    skip_cycles: float = 10.0
-    max_len: float = 40.0   # seconds; use ~2 s windows for sweep data
+class SineFits:
+    """Row-wise fits of one window: u_c(t) = amplitude[c] * sin(omega[c] * t + phase[c]).
 
-    #: minimum usable window, in cycles of the forcing frequency
-    min_cycles: float = 3.0
-
-
-def extract_steady_window(ts: TimeSeries, f_force: float, policy: WindowPolicy = WindowPolicy()) -> tuple[float, float]:
-    """Bounds [t0, t1] that skip the transient and cap the window length."""
-    if f_force <= 0:
-        raise WindowError("forcing frequency must be positive")
-    t0 = ts.start_time + policy.skip_cycles / f_force
-    t1 = min(ts.end_time, t0 + policy.max_len)
-    if (t1 - t0) * f_force < policy.min_cycles:
-        raise WindowError(
-            f"only {(t1 - t0) * f_force:.2f} cycles left after skipping "
-            f"{policy.skip_cycles} transient cycles at {f_force} Hz"
-        )
-    return (t0, t1)
-
-
-def _linear_fit(t: np.ndarray, u: np.ndarray, omega: float) -> tuple[float, float, float]:
-    """LSF of a*sin(wt) + b*cos(wt); returns (amplitude, phase, sse).
-
-    Normal equations in closed form: the 2x2 system is well conditioned for
-    any window covering a few cycles.
+    ``converged`` is False where the Gauss-Newton polish ran out of
+    iterations; that row then holds the best iterate found.
     """
-    s = np.sin(omega * t)
-    c = np.cos(omega * t)
-    ss = s @ s
-    cc = c @ c
-    sc = s @ c
-    su = s @ u
-    cu = c @ u
+
+    amplitude: np.ndarray
+    omega: np.ndarray
+    phase: np.ndarray
+    residual_rms: np.ndarray
+    converged: np.ndarray
+    window: tuple[float, float]
+
+    @property
+    def frequency(self) -> np.ndarray:
+        return self.omega / (2.0 * math.pi)
+
+    @property
+    def phasor(self) -> np.ndarray:
+        return self.amplitude * np.exp(1j * self.phase)
+
+    def __getitem__(self, row: int) -> SineFit:
+        return SineFit(
+            amplitude=float(self.amplitude[row]),
+            omega=float(self.omega[row]),
+            phase=float(self.phase[row]),
+            residual_rms=float(self.residual_rms[row]),
+            window=self.window,
+        )
+
+
+def _veltkamp(x):
+    """Split into a 26-bit head and the exact remainder."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _phase_at(omega, t0: float) -> np.ndarray:
+    """omega * t0 reduced modulo 2*pi, to about 1e-15 rad.
+
+    The rounded product alone is off by up to half an ulp of omega*t0,
+    ~4e-12 rad at 6e4 rad (120 rad/s at 500 s); the exact two-term product
+    (Dekker) reduced against the three-part 2*pi keeps late windows exact.
+    """
+    omega = np.asarray(omega, dtype=float)
+    p = omega * t0
+    wh, wl = _veltkamp(omega)
+    th, tl = _veltkamp(t0)
+    err = ((wh * th - p) + wh * tl + wl * th) + wl * tl
+    q = np.rint(p / (2.0 * math.pi))
+    return ((p - q * _TWO_PI_HI) - q * _TWO_PI_MID) - q * _TWO_PI_LO + err
+
+
+def _wrap_phase(phi):
+    """Wrap to (-pi, pi]."""
+    out = phi - 2.0 * math.pi * np.rint(phi / (2.0 * math.pi))
+    return np.where(out <= -math.pi, out + 2.0 * math.pi, out)
+
+
+def _block_shape(n: int) -> tuple[int, int]:
+    """(rows, m) of the two-level split k = j*m + l, m = ceil(sqrt(n))."""
+    m = math.isqrt(n - 1) + 1
+    return -(-n // m), m
+
+
+def _powers(omega, phase, dt: float, n: int):
+    """Factors of exp(i*(phase + omega*k*dt)) for k = j*m + l < n.
+
+    ``inner[:, l]`` is exp(i*(phase + omega*l*dt)) and ``outer[:, j]`` is
+    exp(i*omega*j*m*dt); each sample is one product of the two, so a row
+    costs about 2*sqrt(n) exponentials instead of n sines and n cosines.
+    """
+    nj, m = _block_shape(n)
+    inner = np.exp(1j * (phase[:, None] + omega[:, None] * (dt * np.arange(m))))
+    outer = np.exp(1j * (omega[:, None] * (dt * m * np.arange(nj))))
+    return inner, outer
+
+
+def _phasors(omega, phase, dt: float, n: int) -> np.ndarray:
+    """exp(i*(phase + omega*k*dt)) for k < n, one row per entry of ``omega``."""
+    inner, outer = _powers(omega, phase, dt, n)
+    return (outer[:, :, None] * inner[:, None, :]).reshape(len(omega), -1)[:, :n]
+
+
+def _fold(U: np.ndarray) -> np.ndarray:
+    """Rows zero-padded to the two-level length and folded to (C, rows, m)."""
+    c, n = U.shape
+    nj, m = _block_shape(n)
+    blocks = np.zeros((c, nj * m))
+    blocks[:, :n] = U
+    return blocks.reshape(c, nj, m)
+
+
+def _linear_fits(blocks, uu, omega, dt: float, n: int) -> np.ndarray:
+    """LSF of a*sin(w*tau) + b*cos(w*tau), tau = k*dt, for each row at its
+    own frequency; returns (amplitude, phase, sse) stacked as (3, C).
+
+    The projections s.u and c.u run on the two-level powers without
+    forming the basis.  The Gram terms are Dirichlet sums in closed form,
+    and the SSE comes from the normal equations, uu - a*su - b*cu.
+    """
+    inner, outer = _powers(omega, np.zeros_like(omega), dt, n)
+    part = blocks @ np.stack([inner.real, inner.imag], axis=-1)
+    z = np.einsum("cj,cj->c", outer, part[..., 0] + 1j * part[..., 1])
+    cu, su = z.real, z.imag
+    d = omega * dt
+    # sum_k exp(2i*w*k*dt) = exp(i*(n-1)*d) * sin(n*d) / sin(d)
+    dirichlet = np.exp(1j * (n - 1) * d) * (np.sin(n * d) / np.sin(d))
+    ss = 0.5 * (n - dirichlet.real)
+    cc = 0.5 * (n + dirichlet.real)
+    sc = 0.5 * dirichlet.imag
     det = ss * cc - sc * sc
-    if det <= 1e-12 * max(ss * cc, 1e-300):
-        g = np.column_stack([s, c])
-        coef, *_ = np.linalg.lstsq(g, u, rcond=None)
-        a, b = float(coef[0]), float(coef[1])
-    else:
+    with np.errstate(divide="ignore", invalid="ignore"):
         a = (cc * su - sc * cu) / det
         b = (ss * cu - sc * su) / det
-    r = u - a * s - b * c
-    return float(np.hypot(a, b)), float(math.atan2(b, a)), float(r @ r)
+    flat = det <= 1e-12 * np.maximum(ss * cc, 1e-300)
+    if np.any(flat):
+        # sin and cos nearly collinear (w*dt near 0 or pi): minimum-norm fit
+        gram = np.stack([np.stack([ss, sc], -1), np.stack([sc, cc], -1)], -2)[flat]
+        rhs = np.stack([su, cu], -1)[flat]
+        a[flat], b[flat] = np.einsum("cij,cj->ic", np.linalg.pinv(gram), rhs)
+    return np.array([np.hypot(a, b), np.arctan2(b, a), uu - a * su - b * cu])
 
 
-def _wrap_phase(phi: float) -> float:
-    """Wrap to (-pi, pi]."""
-    out = math.remainder(phi, 2.0 * math.pi)
-    if out <= -math.pi:
-        out += 2.0 * math.pi
-    return out
+def _sse(U, params, dt: float) -> np.ndarray:
+    """Explicit residual sum of squares of A*sin(w*tau + psi), params (C, 3)."""
+    sines = _phasors(params[:, 1], params[:, 2], dt, U.shape[1]).imag
+    r = U - params[:, :1] * sines
+    return np.einsum("cn,cn->c", r, r)
+
+
+def _solve_upper(r, y):
+    """Back substitution on stacked upper-triangular systems."""
+    x = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(y.shape[1] - 1, -1, -1):
+            x[:, i] = (y[:, i] - np.einsum("cj,cj->c", r[:, i, i + 1:], x[:, i + 1:])) / r[:, i, i]
+    return x
+
+
+def _polish(U, params, sse, dt: float, t0: float, max_iter: int) -> np.ndarray:
+    """Gauss-Newton on (A, w, psi) of every row, with step halving per row.
+
+    Updates ``params`` and ``sse`` in place and returns the converged flags.
+    Rows leave the active set once a step no longer improves the residual
+    or shrinks below 1e-13 of the parameter scale (phase measured on the
+    absolute time axis, psi - w*t0).
+    """
+    n = U.shape[1]
+    tau = dt * np.arange(n)
+    converged = np.zeros(len(U), dtype=bool)
+    active = np.arange(len(U))
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        p = params[active]
+        basis = _phasors(p[:, 1], p[:, 2], dt, n)
+        amp = p[:, :1]
+        r = U[active] - amp * basis.imag
+        jac = np.stack([basis.imag, amp * tau * basis.real, amp * basis.real], axis=-1)
+        q, upper = np.linalg.qr(jac)
+        step = _solve_upper(upper, np.einsum("cnk,cn->ck", q, r))
+        # halve until the residual improves (keeps refinement monotone)
+        improved = np.zeros(active.size, dtype=bool)
+        pending = np.arange(active.size)
+        for _ in range(30):
+            rows = active[pending]
+            trial = params[rows] + step[pending]
+            sse_t = _sse(U[rows], trial, dt)
+            ok = sse_t <= sse[rows]
+            acc = rows[ok]
+            improved[pending[ok]] = sse[acc] - sse_t[ok] > 1e-12 * np.maximum(sse[acc], 1e-300)
+            params[acc] = trial[ok]
+            sse[acc] = sse_t[ok]
+            pending = pending[~ok]
+            step[pending] /= 2.0
+            if pending.size == 0:
+                break
+        # parameter scales: amplitude/frequency relative, phase in radians
+        p = params[active]
+        scale = np.column_stack([np.maximum(np.abs(p[:, 0]), 1e-300), np.abs(p[:, 1]), np.ones(len(p))])
+        rel = np.abs(np.column_stack([step[:, 0], step[:, 1], step[:, 2] - t0 * step[:, 1]])) / scale
+        done = (np.max(rel, axis=1) < 1e-13) | ~improved
+        finite = np.all(np.isfinite(step), axis=1)
+        converged[active[done & finite]] = True
+        active = active[~done & finite]
+    return converged
+
+
+def fit_sines(t, U, f_init: float, max_iter: int = 100) -> SineFits:
+    """Fit u_c(t) = A_c * sin(w_c * t + phi_c) to every row of ``U``.
+
+    ``U`` holds C channels sampled on the uniform axis ``t`` (n samples).
+    Each row goes through three stages: (i) linear fit of the
+    in-phase/quadrature pair at ``f_init``, (ii) golden-section refinement
+    of the frequency over +-10 %, re-solving the linear problem, run in
+    lock-step over all rows, (iii) Gauss-Newton polish of all three
+    parameters on the rows still active.  The fit runs on the local axis
+    tau = t - t[0]; phases are reported on the absolute axis.  The residual
+    RMS is that of the returned parameters and never exceeds the stage-(i)
+    residual.
+    """
+    t = np.asarray(t, dtype=float)
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    if f_init <= 0:
+        raise FitError("initial frequency must be positive")
+    span = float(t[-1] - t[0])
+    if span * f_init < 3.0:
+        raise FitError(f"window covers {span * f_init:.2f} cycles of {f_init} Hz; need >= 3")
+    c, n = U.shape
+    dt = span / (n - 1)
+    w0 = 2.0 * math.pi * f_init
+    blocks = _fold(U)
+    uu = np.einsum("cn,cn->c", U, U)
+
+    # stage (i): linear fit at the commanded frequency
+    first = _linear_fits(blocks, uu, np.full(c, w0), dt, n)
+    amp, omega, psi, sse = first[0], np.full(c, w0), first[1], first[2]
+    converged = np.ones(c, dtype=bool)
+
+    live = np.flatnonzero(amp > 0.0)
+    if live.size:
+        bl, uul, ul = blocks[live], uu[live], U[live]
+        # stage (ii): golden-section search on omega in +-10 %
+        lo = np.full(live.size, 0.9 * w0)
+        hi = np.full(live.size, 1.1 * w0)
+        x1 = hi - GOLDEN * (hi - lo)
+        x2 = lo + GOLDEN * (hi - lo)
+        f1 = _linear_fits(bl, uul, x1, dt, n)
+        f2 = _linear_fits(bl, uul, x2, dt, n)
+        for _ in range(_GOLDEN_STEPS):
+            left = f1[2] < f2[2]
+            hi = np.where(left, x2, hi)
+            lo = np.where(left, lo, x1)
+            x = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
+            fx = _linear_fits(bl, uul, x, dt, n)
+            x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+            f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
+        best_w, best = np.full(live.size, w0), first[:, live]
+        for x, fx in ((x1, f1), (x2, f2)):
+            better = fx[2] < best[2]
+            best_w = np.where(better, x, best_w)
+            best = np.where(better, fx, best)
+
+        # stage (iii): Gauss-Newton from the best linear fit, whose residual
+        # is evaluated explicitly so that every accepted step truly improves
+        params = np.column_stack([best[0], best_w, best[1]])
+        sse_live = _sse(ul, params, dt)
+        converged[live] = _polish(ul, params, sse_live, dt, float(t[0]), max_iter)
+        amp[live], omega[live], psi[live] = params.T
+        sse[live] = sse_live
+
+    psi = np.where(amp < 0.0, psi + math.pi, psi)
+    amp = np.abs(amp)
+    psi = np.where(omega < 0.0, math.pi - psi, psi)  # sin(-wt+psi) = sin(wt + pi - psi)
+    omega = np.abs(omega)
+    return SineFits(
+        amplitude=amp,
+        omega=omega,
+        phase=_wrap_phase(psi - _phase_at(omega, float(t[0]))),
+        residual_rms=np.sqrt(sse / n),
+        converged=converged,
+        window=(float(t[0]), float(t[-1])),
+    )
 
 
 def fit_sine(ts: TimeSeries, f_init: float, max_iter: int = 100) -> SineFit:
     """Fit amplitude/frequency/phase of a single sinusoid.
 
-    Three stages: (i) linear fit of the in-phase/quadrature pair at the
-    initial frequency, (ii) golden-section refinement of the frequency
-    over +-10 % re-solving the linear problem, (iii) Gauss-Newton polish
-    on all three parameters.  The reported residual never exceeds the
-    stage-(i) residual.
+    The one-row case of :func:`fit_sines`.  When the Gauss-Newton polish
+    does not converge, raises :class:`FitError` carrying the best fit.
     """
-    if f_init <= 0:
-        raise FitError("initial frequency must be positive")
-    t = ts.times()
-    u = ts.values
-    if (t[-1] - t[0]) * f_init < 3.0:
-        raise FitError(f"window covers {(t[-1] - t[0]) * f_init:.2f} cycles of {f_init} Hz; need >= 3")
-
-    w0 = 2.0 * math.pi * f_init
-
-    # stage (i): linear fit at the commanded frequency
-    amp, phase, sse = _linear_fit(t, u, w0)
-    best = (amp, w0, phase, sse)
-
-    if amp > 0.0:
-        # stage (ii): golden-section search on omega in +-10 %
-        lo, hi = 0.9 * w0, 1.1 * w0
-        x1 = hi - GOLDEN * (hi - lo)
-        x2 = lo + GOLDEN * (hi - lo)
-        f1 = _linear_fit(t, u, x1)
-        f2 = _linear_fit(t, u, x2)
-        for _ in range(60):
-            if f1[2] < f2[2]:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - GOLDEN * (hi - lo)
-                f1 = _linear_fit(t, u, x1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + GOLDEN * (hi - lo)
-                f2 = _linear_fit(t, u, x2)
-            if hi - lo < 1e-6 * w0:
-                break  # the Gauss-Newton polish finishes the refinement
-        for w, (a, p, s) in ((x1, f1), (x2, f2)):
-            if s < best[3]:
-                best = (a, w, p, s)
-
-        # stage (iii): Gauss-Newton on (A, w, phi) with step halving
-        a, w, p, sse = best
-        params = np.array([a, w, p])
-        converged = False
-        for _ in range(max_iter):
-            theta = params[1] * t + params[2]
-            sin_t = np.sin(theta)
-            cos_t = np.cos(theta)
-            r = u - params[0] * sin_t
-            jac = np.column_stack([sin_t, params[0] * t * cos_t, params[0] * cos_t])
-            try:
-                step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-            except np.linalg.LinAlgError:
-                break
-            # halve until the residual improves (keeps refinement monotone)
-            improved = False
-            for _ in range(30):
-                trial = params + step
-                rt = u - trial[0] * np.sin(trial[1] * t + trial[2])
-                sse_t = float(rt @ rt)
-                if sse_t <= sse:
-                    improved = sse - sse_t > 1e-12 * max(sse, 1e-300)
-                    params, sse = trial, sse_t
-                    break
-                step = step / 2.0
-            # parameter scales: amplitude/frequency relative, phase in radians
-            scale = np.array([max(abs(params[0]), 1e-300), abs(params[1]), 1.0])
-            if np.max(np.abs(step) / scale) < 1e-13:
-                converged = True
-                break
-            if not improved:
-                converged = True
-                break
-        a, w, p = params
-        if a < 0.0:
-            a, p = -a, p + math.pi
-        if w < 0.0:
-            w, p = -w, -p + math.pi  # sin(-wt+phi) = sin(wt + pi - phi)
-        best = (float(a), float(w), float(p), sse)
-        if not converged:
-            raise FitError(
-                f"no convergence after {max_iter} Gauss-Newton iterations",
-                best=SineFit(
-                    amplitude=best[0],
-                    omega=best[1],
-                    phase=_wrap_phase(best[2]),
-                    residual_rms=math.sqrt(best[3] / len(u)),
-                    window=(float(t[0]), float(t[-1])),
-                ),
-            )
-
-    amp, w, phase, sse = best
-    return SineFit(
-        amplitude=amp,
-        omega=w,
-        phase=_wrap_phase(phase),
-        residual_rms=math.sqrt(sse / len(u)),
-        window=(float(t[0]), float(t[-1])),
-    )
+    fits = fit_sines(ts.times(), ts.values[None, :], f_init, max_iter)
+    if not fits.converged[0]:
+        raise FitError(f"no convergence after {max_iter} Gauss-Newton iterations", best=fits[0])
+    return fits[0]
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,6 @@ from .timeseries import SensorLayout, TimeSeriesSet
 
 GENERALIZED_AXES = ("dx", "dy", "dz", "rx", "ry", "rz")
 
-#: rotations are reported as displacements at half the block length
-DEFAULT_ROTATION_LEVER_M = 16.5
-
 
 def displacement_amplitude(fit: SineFit) -> float:
     """Steady-state displacement amplitude from an acceleration fit: A/w^2."""

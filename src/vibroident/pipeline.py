@@ -25,7 +25,7 @@ from .modal import (
     StationPhasors,
 )
 from .simulator.excitation import ExcitationProgram
-from .timeseries import SensorLayout, TimeSeriesSet, extract_window
+from .timeseries import SensorLayout, TimeSeriesSet, extract_window, window_indices
 
 #: rigid-motion FRC axis measured for each excited DOF
 EXCITED_AXIS = {"X": "dx", "Y": "dy", "Z": "dz", "YAW": "rz"}
@@ -70,6 +70,8 @@ class AnalysisResult:
     amplification: float
     station_phasors: dict[float, dict[str, dict[str, complex]]] = field(default_factory=dict)
     strain: float | None = None
+    #: (window frequency, channel label) of every fit whose polish did not converge
+    unconverged: tuple[tuple[float, str], ...] = ()
 
 
 def _split_label(label: str) -> tuple[str, str]:
@@ -116,7 +118,8 @@ def analyze(
     dof = program.dof_excited.upper()
     windows = analysis_windows(program, policy)
     coeffs = dsp.design_bandpass(policy.filter_order, policy.f_low, policy.f_high, response.sample_rate)
-    filtered = {ts.label: dsp.filtfilt(coeffs, ts) for ts in response}
+    filtered = [dsp.filtfilt(coeffs, ts) for ts in response]
+    keys = [_split_label(ts.label) for ts in filtered]
 
     geometry = {
         fp.id: ForceGeometry(fp.location, fp.direction) for fp in program.force_points
@@ -126,26 +129,28 @@ def analyze(
     phasors: dict[float, dict[str, dict[str, complex]]] = {}
     force_estimates: dict[float, ForceEstimate] = {}
     forces_scalar: dict[float, float] = {}
+    unconverged: list[tuple[float, str]] = []
 
+    rate = response.sample_rate
     for f, t0, t1 in windows:
+        i0, i1 = window_indices(response.start_time, rate, len(filtered[0]), t0, t1)
+        t_first = response.start_time + i0 / rate
+        fits = dsp.fit_sines(
+            t_first + np.arange(i1 - i0) / rate,
+            np.stack([ts.values[i0:i1] for ts in filtered]),
+            f,
+        )
+        # channels with no coherent response (noise-only) may run out of
+        # polish iterations; their best iterate is kept and reported
+        unconverged.extend((f, filtered[c].label) for c in np.flatnonzero(~fits.converged))
+        # forward+backward filtering scales amplitudes by |H|^2; undo it
+        accel_phasors = fits.phasor / dsp.filter_gain(coeffs, fits.frequency) ** 2
+        disp_phasors = -accel_phasors / fits.omega**2
         amps: dict[tuple[str, str], float] = {}
         by_station: dict[str, dict[str, complex]] = {}
-        for label, ts in filtered.items():
-            try:
-                fit = dsp.fit_sine(extract_window(ts, t0, t1), f)
-            except dsp.FitError as exc:
-                # channels with no coherent response (noise-only) may run out
-                # of polish iterations; the carried best fit is valid there
-                if exc.best is None:
-                    raise
-                fit = exc.best
-            # forward+backward filtering scales amplitudes by |H|^2; undo it
-            gain2 = float(dsp.filter_gain(coeffs, fit.frequency)[0]) ** 2
-            accel_phasor = fit.phasor / gain2
-            disp_phasor = -accel_phasor / fit.omega**2
-            sid, axis = _split_label(label)
-            amps[(sid, axis)] = abs(disp_phasor)
-            by_station.setdefault(sid, {})[axis] = complex(disp_phasor)
+        for (sid, axis), disp in zip(keys, disp_phasors):
+            amps[(sid, axis)] = abs(disp)
+            by_station.setdefault(sid, {})[axis] = complex(disp)
         amplitudes[f] = amps
         phasors[f] = by_station
 
@@ -222,6 +227,7 @@ def analyze(
         amplification=amplification,
         station_phasors=phasors,
         strain=strain,
+        unconverged=tuple(unconverged),
     )
 
 

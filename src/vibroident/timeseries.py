@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -317,16 +318,44 @@ def synchronize(response: TimeSeriesSet, force: TimeSeriesSet, metadata: dict | 
     return AlignedRecord(TimeSeriesSet(resp_cut), TimeSeriesSet(force_rs), dict(metadata or {}))
 
 
-def extract_window(ts: TimeSeries, t0: float, t1: float) -> TimeSeries:
-    """Samples with timestamps in [t0, t1]; start_time updated."""
+def window_indices(start_time: float, sample_rate: float, n: int, t0: float, t1: float) -> tuple[int, int]:
+    """Half-open index range [i0, i1) of the samples with timestamps in [t0, t1].
+
+    Sample i sits at ``start_time + i / sample_rate``; a bound within 1e-12 s
+    of a sample keeps it.  The ends are computed from the bounds, then each
+    is stepped to the exact rule, so no time axis is built.
+    """
     if not t0 < t1:
         raise WindowError(f"empty window [{t0}, {t1}]")
-    t = ts.times()
-    keep = (t >= t0 - 1e-12) & (t <= t1 + 1e-12)
-    if not np.any(keep):
-        raise WindowError(f"window [{t0}, {t1}] selects no samples from [{ts.start_time}, {ts.end_time}]")
-    first = int(np.argmax(keep))
-    return TimeSeries(float(t[first]), ts.sample_rate, ts.values[keep], ts.unit, ts.label)
+    lo, hi = t0 - 1e-12, t1 + 1e-12
+
+    def time(i: int) -> float:
+        return start_time + i / sample_rate
+
+    i0 = math.ceil(min(max((lo - start_time) * sample_rate, 0.0), n))
+    while i0 > 0 and time(i0 - 1) >= lo:
+        i0 -= 1
+    while i0 < n and time(i0) < lo:
+        i0 += 1
+    i1 = math.floor(min(max((hi - start_time) * sample_rate + 1.0, 0.0), n))
+    while i1 < n and time(i1) <= hi:
+        i1 += 1
+    while i1 > 0 and time(i1 - 1) > hi:
+        i1 -= 1
+    if i0 >= i1:
+        raise WindowError(
+            f"window [{t0}, {t1}] selects no samples from "
+            f"[{start_time}, {time(n - 1)}]"
+        )
+    return i0, i1
+
+
+def extract_window(ts: TimeSeries, t0: float, t1: float) -> TimeSeries:
+    """Samples with timestamps in [t0, t1]; start_time updated."""
+    i0, i1 = window_indices(ts.start_time, ts.sample_rate, len(ts), t0, t1)
+    return TimeSeries(
+        ts.start_time + i0 / ts.sample_rate, ts.sample_rate, ts.values[i0:i1], ts.unit, ts.label
+    )
 
 
 def load_layout(source) -> SensorLayout:

@@ -1,8 +1,10 @@
 import json
+import stat
 
 import pytest
 
-from vibroident.cli import main
+from vibroident import dsp
+from vibroident.cli import _atomic_write, main
 
 MINI_PROGRAM = {
     "kind": "stepped",
@@ -76,6 +78,54 @@ class TestSimulate:
         assert main(["simulate", "-c", str(cfg), "-o", str(workdir / "x")]) == 2
 
 
+BAD_CONFIGS = {
+    "seed_not_integer": {"seed": "abc"},
+    "noise_not_number": {"noise_rms": "x"},
+    "negative_integration_factor": {"integration_factor": -1},
+    "unknown_bundled_program": {"program": "default:nope"},
+    "unknown_bundled_model": {"model": "default:nope"},
+    "top_level_typo": {"noise_rm": 0.5},
+    "filter_typo": {"filter": {"ordr": 3}},
+    "window_typo": {"window": {"max_len": 3.0}},
+    "strain_typo": {"strain": {"fiber": 2.0}},
+    "section_not_object": {"filter": [5, 1.0, 25.0]},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("doc", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
+def test_bad_config_exits_2_without_traceback(workdir, command, doc, capsys):
+    cfg = workdir / "bad_value.json"
+    cfg.write_text(json.dumps(doc))
+    args = ["-c", str(cfg), "-o", str(workdir / "never")]
+    if command == "analyze":
+        args += ["--response", "r.csv", "--force", "f.csv"]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (workdir / "never").exists()
+
+
+class TestAtomicWrite:
+    def test_replaces_target_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        _atomic_write(target, "one\n")
+        _atomic_write(target, "two\n")
+        assert target.read_text() == "two\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+    def test_failed_write_keeps_target_and_removes_temp_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("keep\n")
+        with pytest.raises(TypeError):
+            _atomic_write(target, None)
+        assert target.read_text() == "keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 @pytest.fixture(scope="module")
 def analyzed(workdir, simulated):
     out = workdir / "ana"
@@ -122,6 +172,37 @@ class TestAnalyze:
         assert rc == 0
         for f in sorted(analyzed.iterdir()):
             assert (out2 / f.name).read_bytes() == f.read_bytes(), f.name
+
+    def test_rerun_into_same_directory(self, workdir, simulated, analyzed):
+        before = {f.name: f.read_bytes() for f in analyzed.iterdir()}
+        rc = main([
+            "analyze", "-c", str(workdir / "cfg.json"),
+            "--response", str(simulated / "response.csv"),
+            "--force", str(simulated / "force.csv"),
+            "-o", str(analyzed),
+        ])
+        assert rc == 0
+        assert {f.name: f.read_bytes() for f in analyzed.iterdir()} == before
+
+    def test_unconverged_fits_counted_on_stderr(self, workdir, simulated, monkeypatch, capsys):
+        fit_sines = dsp.fit_sines
+
+        def starved(t, U, f_init, max_iter=100):
+            # no polish iterations for the response channels; force fits unchanged
+            return fit_sines(t, U, f_init, 0 if len(U) > 1 else max_iter)
+
+        monkeypatch.setattr(dsp, "fit_sines", starved)
+        rc = main([
+            "analyze", "-c", str(workdir / "cfg.json"),
+            "--response", str(simulated / "response.csv"),
+            "--force", str(simulated / "force.csv"),
+            "-o", str(workdir / "ana_starved"),
+        ])
+        assert rc == 0
+        channels = len((simulated / "response.csv").read_text().splitlines()[1].split(",")) - 1
+        windows = len(MINI_PROGRAM["stepped"]["frequencies"])
+        err = capsys.readouterr().err
+        assert f"{channels * windows} channel fit(s) did not converge" in err
 
     def test_empty_response_is_parse_error(self, workdir, simulated):
         empty = workdir / "empty.csv"

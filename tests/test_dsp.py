@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from vibroident.dsp import (
     FilterCoefficients,
-    WindowPolicy,
     design_bandpass,
-    extract_steady_window,
     filter_gain,
+    _phase_at,
+    _phasors,
     filtfilt,
     fit_sine,
+    fit_sines,
     subtract_low_freq,
 )
-from vibroident.errors import DesignError, FilterError, FitError, WindowError
+from vibroident.errors import DesignError, FilterError, FitError
 from vibroident.timeseries import TimeSeries
 
 
@@ -124,26 +125,6 @@ class TestFiltFilt:
         assert np.max(np.abs(lhs[interior] - rhs[interior])) < 1e-12
 
 
-class TestSteadyWindow:
-    def test_long_record_capped_at_40s(self):
-        ts = sine_series(10.0, dur=60.0)
-        assert extract_steady_window(ts, 10.0) == (1.0, 41.0)
-
-    def test_short_record_capped_by_end(self):
-        ts = sine_series(10.0, dur=3.0)
-        assert extract_steady_window(ts, 10.0) == (1.0, 3.0)
-
-    def test_too_short_raises(self):
-        ts = sine_series(10.0, dur=0.5)
-        with pytest.raises(WindowError):
-            extract_steady_window(ts, 10.0)
-
-    def test_sweep_policy(self):
-        ts = sine_series(10.0, dur=30.0)
-        t0, t1 = extract_steady_window(ts, 10.0, WindowPolicy(skip_cycles=0, max_len=2.0))
-        assert (t0, t1) == (0.0, 2.0)
-
-
 def grid_search_sine(t, u, f_fixed, a_span=(0.0, 2.0), rounds=6, n=81):
     """Brute-force (amplitude, phase) search at a fixed frequency."""
     w = 2 * np.pi * f_fixed
@@ -237,6 +218,82 @@ class TestFitSine:
         assert f2.amplitude == pytest.approx(s * f1.amplitude, rel=1e-9)
         assert f2.omega == pytest.approx(f1.omega, rel=1e-9)
         assert f2.phase == pytest.approx(f1.phase, abs=1e-9)
+
+
+def batch_rows(t, seed=17):
+    """Channels of one window: clean, noisy, off-frequency, noise-only,
+    zero and strongly scaled rows."""
+    rng = np.random.default_rng(seed)
+    w = 2 * np.pi * 8.0
+    return np.stack([
+        np.sin(w * t + 0.3),
+        2.5 * np.sin(1.04 * w * t - 2.0) + 0.2 * rng.standard_normal(t.size),
+        0.7 * np.sin(0.93 * w * t + 1.0) + 0.05 * np.sin(2 * w * t),
+        0.01 * rng.standard_normal(t.size),
+        np.zeros(t.size),
+        1e4 * np.sin(w * t) + 30.0 * rng.standard_normal(t.size),
+        0.3 * np.sin(1.08 * w * t + 3.0) + 0.3 * rng.standard_normal(t.size),
+    ])
+
+
+class TestFitSines:
+    @pytest.mark.parametrize("max_iter", [100, 2, 0])
+    def test_rows_match_single_row_fits(self, max_iter):
+        t = 312.4 + np.arange(1201) / 200.0
+        U = batch_rows(t)
+        fits = fit_sines(t, U, 8.0, max_iter=max_iter)
+        assert fits.amplitude.shape == (len(U),)
+        for row, u in enumerate(U):
+            try:
+                single = fit_sine(TimeSeries(t[0], 200.0, u), 8.0, max_iter=max_iter)
+                converged = True
+            except FitError as exc:
+                single, converged = exc.best, False
+            assert bool(fits.converged[row]) == converged
+            got = fits[row]
+            for name in ("amplitude", "omega", "residual_rms"):
+                assert getattr(got, name) == pytest.approx(getattr(single, name), rel=1e-12, abs=1e-300)
+            assert got.phase == pytest.approx(single.phase, rel=1e-12, abs=1e-12)
+
+    def test_flags_follow_the_iteration_budget(self):
+        t = np.arange(1201) / 200.0
+        U = batch_rows(t)
+        assert fit_sines(t, U, 8.0).converged.all()
+        starved = fit_sines(t, U, 8.0, max_iter=0)
+        # a zero row has nothing to polish; every other row needs iterations
+        assert starved.converged.tolist() == [not u.any() for u in U]
+
+    def test_residual_is_that_of_the_returned_parameters(self):
+        t = 40.0 + np.arange(801) / 200.0
+        U = batch_rows(t)
+        fits = fit_sines(t, U, 8.0)
+        for row, u in enumerate(U):
+            r = u - fits[row].evaluate(t)
+            assert fits.residual_rms[row] == pytest.approx(math.sqrt(np.mean(r * r)), rel=1e-6, abs=1e-12)
+
+    def test_short_window_raises(self):
+        t = np.arange(50) / 200.0
+        with pytest.raises(FitError):
+            fit_sines(t, np.zeros((3, 50)), 10.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended long double")
+    @given(
+        n=st.integers(min_value=1, max_value=10_000),
+        rate=st.floats(min_value=50.0, max_value=2000.0),
+        wdt=st.floats(min_value=1e-4, max_value=0.6),
+        t0=st.floats(min_value=0.0, max_value=500.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_basis_matches_exp(self, n, rate, wdt, t0):
+        dt = 1.0 / rate
+        omega = wdt / dt
+        got = _phasors(np.array([omega]), _phase_at(np.array([omega]), t0), dt, n)[0]
+        # reference phase omega*(t0 + k*dt) in extended precision, reduced mod 2*pi
+        two_pi = 8 * np.arctan(np.longdouble(1))
+        k = np.arange(n, dtype=np.longdouble)
+        theta = np.longdouble(omega) * (np.longdouble(t0) + k * np.longdouble(dt))
+        theta = (theta - two_pi * np.rint(theta / two_pi)).astype(float)
+        assert np.max(np.abs(got - np.exp(1j * theta))) < 1e-11
 
 
 class TestSubtractLowFreq:

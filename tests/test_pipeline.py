@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vibroident.errors import WindowError
 from vibroident.modal import linearity_rms, rigid_rows
 from vibroident.pipeline import AnalysisPolicy, analysis_windows, analyze
 from vibroident.simulator import (
@@ -116,6 +117,26 @@ class TestSteppedAnalysis:
     def test_peak_near_x_mode(self, stepped_run):
         res, *_ = stepped_run
         assert 6.0 <= res.natural_frequency_hz <= 9.0
+
+
+def single_dwell(f, duration):
+    return v_shape_program((f,), dur=duration, rest=1.0)
+
+
+class TestAnalysisWindows:
+    def test_long_dwell_capped_at_40s(self):
+        assert analysis_windows(single_dwell(10.0, 60.0), AnalysisPolicy()) == [(10.0, 1.0, 41.0)]
+
+    def test_short_dwell_capped_by_end(self):
+        assert analysis_windows(single_dwell(10.0, 3.0), AnalysisPolicy()) == [(10.0, 1.0, 3.0)]
+
+    def test_too_short_dwell_raises(self):
+        with pytest.raises(WindowError):
+            analysis_windows(single_dwell(10.0, 0.5), AnalysisPolicy())
+
+    def test_zero_skip_short_window_policy(self):
+        policy = AnalysisPolicy(skip_cycles=0.0, max_window_s=2.0)
+        assert analysis_windows(single_dwell(10.0, 30.0), policy) == [(10.0, 0.0, 2.0)]
 
 
 class TestSweepAnalysis:

@@ -164,6 +164,43 @@ def test_extract_window_idempotent_property(t0, width):
     assert np.array_equal(a.values, b.values) and a.start_time == b.start_time
 
 
+def mask_window(ts, t0, t1):
+    """The mask rule extract_window must reproduce: every sample whose
+    timestamp lies within 1e-12 s of [t0, t1]."""
+    t = ts.times()
+    keep = (t >= t0 - 1e-12) & (t <= t1 + 1e-12)
+    return np.flatnonzero(keep)
+
+
+_edge = st.sampled_from([0.0, 1e-12, -1e-12, 2e-12, -2e-12, 5e-13, -5e-13, 1e-9, -1e-9])
+
+
+@given(
+    start=st.floats(min_value=-100.0, max_value=1000.0),
+    rate=st.floats(min_value=0.5, max_value=2048.0),
+    n=st.integers(min_value=1, max_value=5000),
+    i0=st.integers(min_value=-20, max_value=5020),
+    width=st.integers(min_value=0, max_value=5000),
+    e0=_edge,
+    e1=_edge,
+    jitter=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_extract_window_matches_mask_rule(start, rate, n, i0, width, e0, e1, jitter):
+    ts = TimeSeries(start, rate, np.arange(n, dtype=float))
+    # bounds on, next to, or between sample times, inside and outside the record
+    t0 = start + i0 / rate + e0
+    t1 = start + (i0 + width) / rate + e1 + jitter / rate * (width == 0)
+    expected = mask_window(ts, t0, t1)
+    if not t0 < t1 or expected.size == 0:
+        with pytest.raises(WindowError):
+            extract_window(ts, t0, t1)
+        return
+    out = extract_window(ts, t0, t1)
+    assert np.array_equal(out.values, expected.astype(float))
+    assert out.start_time == ts.times()[expected[0]]
+
+
 def test_layout_roundtrip_and_validation():
     doc = """{
       "stations": [
