@@ -4,8 +4,9 @@
 The block geometry is fixed (the reaction-mass footprint); the free knobs
 are spring counts, stiffness totals, edge amplification, the dashpot
 tributary-mass rule, and actuator anchor heights.  Candidate configs are
-scored with a fast frequency-domain emulation of the full identification
-chain against the acceptance targets:
+scored by running the library's identification chain
+(``pipeline.identify``) on the exact steady-state station phasors, against
+the acceptance targets:
 
   * X-translation-dominant eigenfrequency inside [9, 11] Hz
   * grid FRC peak within 0.5 Hz of the matching eigenfrequency (X, Y, Z)
@@ -28,7 +29,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vibroident import modal
-from vibroident.pipeline import AnalysisPolicy, EXCITED_AXIS
+from vibroident.pipeline import AnalysisPolicy, AnalysisResult, identify
 from vibroident.simulator import (
     BlockSpec,
     ExcitationProgram,
@@ -154,53 +155,21 @@ def make_program(dof: str, kind: str, z_anchor: float, scale: float = 1.0) -> Ex
                              name=f"sweep_{dof.lower()}")
 
 
-# --- fast frequency-domain emulation of the pipeline -------------------------
-
-
-def emulate(model, program, layout, policy: AnalysisPolicy, rng=None, noise_rms=0.0):
-    """Exact steady-state version of what the pipeline recovers.
-
-    With ``noise_rms`` set, per-channel amplitude jitter emulates the sine
-    fit on noisy records (std = rms * sqrt(2/N_window) on the acceleration).
-    """
+def emulate(model, program, layout, policy: AnalysisPolicy) -> AnalysisResult:
+    """What the pipeline identifies from noise-free steady-state records."""
     sys = assemble_system(model)
     bf = program.generalized_amplitude().astype(complex)
-    freqs = np.array(program.stepped.frequencies)
-    dof = program.dof_excited
-
-    a_stack = np.vstack([modal.rigid_rows(st.position) for st in layout.stations])
-    amp = np.empty((len(freqs), a_stack.shape[0]))
-    rigid_amp = np.empty((len(freqs), 6))
-    for i, f in enumerate(freqs):
+    dof = program.dof_excited.upper()
+    # measured force resultant (kN), or torque about Z (kN*m) for YAW
+    force_kn = float(abs(bf[5]) if dof == "YAW" else np.linalg.norm(np.abs(bf[:3]))) / 1e3
+    phasors = {}
+    for f in program.stepped.frequencies:
         u6 = steady_state_response(sys, bf, 2 * math.pi * f)
-        amp[i] = np.abs(a_stack @ u6)
-        rigid_amp[i] = np.abs(u6)
-    if noise_rms > 0.0 and rng is not None:
-        dwell = program.stepped.step_duration(1.0)
-        for i, f in enumerate(freqs):
-            n_win = max((dwell - policy.skip_cycles / f), 3.0 / f) * 200.0
-            sigma_acc = noise_rms * math.sqrt(2.0 / n_win)
-            sigma_u = sigma_acc / (2 * math.pi * f) ** 2
-            amp[i] = np.abs(amp[i] + sigma_u * rng.standard_normal(amp.shape[1]))
-
-    axis_idx = {"dx": 0, "dy": 1, "dz": 2, "rz": 5}[EXCITED_AXIS[dof]]
-    f_peak = float(freqs[int(np.argmax(rigid_amp[:, axis_idx]))])
-
-    keep = amp.max(axis=0) >= policy.damping_channel_floor * amp.max()
-    u = amp[:, keep]
-    r = freqs / f_peak
-    sel = (r >= policy.damping_fit_range[0]) & (r <= policy.damping_fit_range[1])
-    grid = np.asarray(policy.xi_grid)
-    rd = np.array([modal.rd_curve(float(x), r[sel]) for x in grid])   # [nxi, npt]
-    target = u[sel] / np.mean(u[:2], axis=0)                          # [npt, nch]
-    errs = ((target.T[:, None, :] - rd[None, :, :]) ** 2).sum(axis=2) # [nch, nxi]
-    per = grid[np.argmin(errs, axis=1)]
-    labels = [
-        (st.id, ax) for st in layout.stations for ax in "xyz"
-    ]
-    kept_labels = [lab for lab, k in zip(labels, keep) if k]
-    per_map = dict(zip(kept_labels, per.tolist()))
-    return sys, f_peak, (float(per.min()), float(per.max())), per_map
+        phasors[float(f)] = {
+            st.id: dict(zip("xyz", modal.rigid_rows(st.position) @ u6)) for st in layout.stations
+        }
+    forces = dict.fromkeys(phasors, force_kn)
+    return identify(phasors, forces, dof, layout, policy)
 
 
 def local_grid_step(freqs, f_peak: float) -> float:
@@ -266,11 +235,12 @@ def score_config(kw, z_anchor, layout, policy):
     peak_tol = {}
     for dof in ("X", "Y", "Z"):
         prog = make_program(dof, "stepped", z_anchor)
-        _, f_peak, interval, per = emulate(model, prog, layout, policy)
+        result = emulate(model, prog, layout, policy)
+        f_peak = result.natural_frequency_hz
         peak_err[dof] = abs(f_peak - eig[dof])
         peak_tol[dof] = local_grid_step(prog.stepped.frequencies, f_peak)
         if dof == "X":
-            report["xi_interval"] = interval
+            report["xi_interval"] = (result.damping.xi_lo, result.damping.xi_hi)
             report["f_peak_x"] = f_peak
     report["peak_err"] = peak_err
     report["peak_tol"] = peak_tol

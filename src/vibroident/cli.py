@@ -36,7 +36,7 @@ from .errors import (
     WindowError,
 )
 from .modal import GENERALIZED_AXES
-from .pipeline import AnalysisPolicy, AnalysisResult, analyze
+from .pipeline import STRAIN_FIBER_M, AnalysisPolicy, AnalysisResult, analyze
 from .simulator import (
     NoiseSpec,
     assemble_system,
@@ -86,7 +86,10 @@ def _load_text(spec: str, kind: str) -> str:
     return p.read_text()
 
 
-#: every key a run config may set, with its default
+_POLICY = AnalysisPolicy()
+
+#: every key a run config may set, with its default; the analysis
+#: defaults are those of AnalysisPolicy
 _CONFIG_DEFAULTS = {
     "model": "default",
     "layout": "default",
@@ -98,14 +101,14 @@ _CONFIG_DEFAULTS = {
     "response_rate": 200.0,
     "force_rate": 512.0,
     "integration_factor": 40.0,
-    "filter": {"order": 5, "f_low": 1.0, "f_high": 25.0},
-    "window": {"skip_cycles": 10.0, "max_len_s": 40.0},
-    "f_ref_force_kn": 6800.0,
-    "f_ref_torque_knm": 117000.0,
-    "rotation_lever_m": 16.5,
-    "damping_channel_floor": 0.2,
-    "force_low_freq_cut": None,
-    "strain": {"stations": ["T3SW", "T2S", "T3SE"], "fiber_m": 2.9},
+    "filter": {"order": _POLICY.filter_order, "f_low": _POLICY.f_low, "f_high": _POLICY.f_high},
+    "window": {"skip_cycles": _POLICY.skip_cycles, "max_len_s": _POLICY.max_window_s},
+    "f_ref_force_kn": _POLICY.f_ref_force_kn,
+    "f_ref_torque_knm": _POLICY.f_ref_torque_knm,
+    "rotation_lever_m": _POLICY.rotation_lever_m,
+    "damping_channel_floor": _POLICY.damping_channel_floor,
+    "force_low_freq_cut": _POLICY.force_low_freq_cut,
+    "strain": {"stations": ["T3SW", "T2S", "T3SE"], "fiber_m": STRAIN_FIBER_M},
 }
 
 
@@ -146,8 +149,8 @@ _CONFIG_RULES = {
     "damping_channel_floor": _NUMBER,
     "force_low_freq_cut": _OPTIONAL,
     "strain.stations": (
-        lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-        "a list of station ids",
+        lambda v: isinstance(v, list) and len(v) == 3 and all(isinstance(s, str) for s in v),
+        "a list of three station ids",
     ),
     "strain.fiber_m": _POSITIVE,
 }
@@ -179,6 +182,8 @@ def _validate_config(doc: dict) -> dict:
             continue
         if not ok(holder[sub]):
             raise ConfigError(f"config key {key!r} must be {requirement}, got {holder[sub]!r}")
+    if cfg["strain"] is not None and "stations" not in cfg["strain"]:
+        raise ConfigError("config section 'strain' must set 'stations', or be null to turn strain off")
     return cfg
 
 
@@ -203,6 +208,20 @@ def load_run_config(path: str) -> dict:
 
 def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+
+
+def _load_layout(cfg: dict) -> SensorLayout:
+    """The configured layout, which must hold the configured strain stations."""
+    layout = load_layout(_load_text(cfg["layout"], "layout"))
+    if cfg["strain"] is not None:
+        known = {st.id for st in layout.stations}
+        unknown = [sid for sid in cfg["strain"]["stations"] if sid not in known]
+        if unknown:
+            raise ConfigError(
+                f"config key 'strain.stations' names station(s) not in the layout: "
+                f"{', '.join(map(repr, unknown))}"
+            )
+    return layout
 
 
 def policy_from_config(cfg: dict) -> AnalysisPolicy:
@@ -240,7 +259,7 @@ def _atomic_write(path: Path, text: str) -> None:
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     model = load_model(_load_text(cfg["model"], "model"))
-    layout = load_layout(_load_text(cfg["layout"], "layout"))
+    layout = _load_layout(cfg)
     program = load_program(_load_text(cfg["program"], "program"))
 
     fs_resp = float(cfg["response_rate"])
@@ -406,7 +425,7 @@ def _deformation_figures(result: AnalysisResult, layout: SensorLayout) -> dict[s
 
 def cmd_analyze(args) -> int:
     cfg = load_run_config(args.config)
-    layout = load_layout(_load_text(cfg["layout"], "layout"))
+    layout = _load_layout(cfg)
     program = load_program(_load_text(cfg["program"], "program"))
     policy = policy_from_config(cfg)
 
@@ -416,22 +435,14 @@ def cmd_analyze(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read input: {exc}") from exc
 
-    # establishes the shared timebase and overlap before analysis
+    # the records must overlap; each is windowed on its own time axis
     synchronize(response, force)
 
-    strain_cfg = cfg.get("strain")
-    strain_stations = None
-    strain_fiber = 2.9
-    if strain_cfg:
-        ids = tuple(strain_cfg.get("stations", ()))
-        known = {s.id for s in layout.stations}
-        if len(ids) == 3 and set(ids) <= known:
-            strain_stations = ids
-            strain_fiber = float(strain_cfg.get("fiber_m", 2.9))
-
+    strain = cfg["strain"] or {}
     result = analyze(
         response, force, program, layout, policy,
-        strain_stations=strain_stations, strain_fiber_m=strain_fiber,
+        strain_stations=tuple(strain["stations"]) if strain else None,
+        strain_fiber_m=float(strain.get("fiber_m", STRAIN_FIBER_M)),
     )
     if result.unconverged:
         print(

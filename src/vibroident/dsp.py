@@ -15,7 +15,6 @@ the SSE off the normal equations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,31 +29,19 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class FilterCoefficients:
-    """Band-pass IIR filter: expanded polynomials plus the SOS realization.
+    """Band-pass IIR filter as second-order sections, designed at rate ``fs``.
 
-    ``b``/``a`` have length 2n+1 for an order-n request; filtering always
-    runs on the second-order sections, the polynomials exist for export
-    and cross-implementation comparison.
+    A band-pass of order n has n sections; the transfer-function
+    polynomials are never formed, filtering runs on the sections.
     """
 
-    b: np.ndarray
-    a: np.ndarray
     sos: np.ndarray
-    design: dict
-
-    @property
-    def order(self) -> int:
-        return int(self.design["order"])
+    fs: float
 
     @property
     def pad_len(self) -> int:
-        return 3 * (2 * self.order + 1)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"b": self.b.tolist(), "a": self.a.tolist(), "design": self.design},
-            sort_keys=True,
-        )
+        """Edge padding of the zero-phase filter: three times 2n+1 taps."""
+        return 3 * (2 * len(self.sos) + 1)
 
 
 @dataclass(frozen=True)
@@ -65,7 +52,6 @@ class SineFit:
     omega: float            # rad/s
     phase: float            # rad, wrapped to (-pi, pi]
     residual_rms: float
-    window: tuple[float, float]
 
     @property
     def frequency(self) -> float:
@@ -89,19 +75,13 @@ def design_bandpass(order: int, f_low: float, f_high: float, fs: float) -> Filte
     if f_high >= fs / 2.0:
         raise DesignError(f"corner {f_high} Hz at or above Nyquist {fs / 2.0} Hz")
     sos = sps.butter(order, [f_low, f_high], btype="bandpass", fs=fs, output="sos")
-    b, a = sps.sos2tf(sos)
-    return FilterCoefficients(
-        b=b,
-        a=a,
-        sos=sos,
-        design={"order": order, "f_low": f_low, "f_high": f_high, "fs": fs},
-    )
+    return FilterCoefficients(sos=sos, fs=fs)
 
 
 def filter_gain(coeffs: FilterCoefficients, freqs) -> np.ndarray:
     """|H(f)| of the single-pass filter, evaluated from the sections."""
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    _, h = sps.sosfreqz(coeffs.sos, worN=freqs, fs=coeffs.design["fs"])
+    _, h = sps.sosfreqz(coeffs.sos, worN=freqs, fs=coeffs.fs)
     return np.abs(h)
 
 
@@ -111,9 +91,9 @@ def filtfilt(coeffs: FilterCoefficients, ts: TimeSeries) -> TimeSeries:
     Odd (reflective) edge padding of length 3*(2n+1) is applied and
     removed, so the output has the input's length and timestamps.
     """
-    if ts.sample_rate != coeffs.design["fs"]:
+    if ts.sample_rate != coeffs.fs:
         raise FilterError(
-            f"series rate {ts.sample_rate} Hz does not match design rate {coeffs.design['fs']} Hz"
+            f"series rate {ts.sample_rate} Hz does not match design rate {coeffs.fs} Hz"
         )
     if len(ts) <= coeffs.pad_len:
         raise FilterError(f"series length {len(ts)} <= padding requirement {coeffs.pad_len}")
@@ -146,7 +126,6 @@ class SineFits:
     phase: np.ndarray
     residual_rms: np.ndarray
     converged: np.ndarray
-    window: tuple[float, float]
 
     @property
     def frequency(self) -> np.ndarray:
@@ -162,7 +141,6 @@ class SineFits:
             omega=float(self.omega[row]),
             phase=float(self.phase[row]),
             residual_rms=float(self.residual_rms[row]),
-            window=self.window,
         )
 
 
@@ -398,7 +376,6 @@ def fit_sines(t, U, f_init: float, max_iter: int = 100) -> SineFits:
         phase=_wrap_phase(psi - _phase_at(omega, float(t[0]))),
         residual_rms=np.sqrt(sse / n),
         converged=converged,
-        window=(float(t[0]), float(t[-1])),
     )
 
 
@@ -421,7 +398,6 @@ class LowFreqRemoval:
 
     series: TimeSeries
     removed: bool
-    component: SineFit | None = None
 
 
 def _dominant_low_freq(ts: TimeSeries, f_cut: float) -> float | None:
@@ -454,4 +430,4 @@ def subtract_low_freq(ts: TimeSeries, f_cut: float) -> LowFreqRemoval:
         return LowFreqRemoval(ts, removed=False)
     fit = fit_sine(ts, f_low)
     cleaned = ts.with_values(ts.values - fit.evaluate(ts.times()))
-    return LowFreqRemoval(cleaned, removed=True, component=fit)
+    return LowFreqRemoval(cleaned, removed=True)

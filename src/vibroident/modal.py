@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import LowFreqRemoval, SineFit, fit_sine, subtract_low_freq
+from .dsp import fit_sine, subtract_low_freq
 from .errors import (
     BuildError,
     ComparisonError,
@@ -25,25 +25,12 @@ from .errors import (
     GeometryError,
     InfinityError,
     NormalizationError,
+    ParseError,
     RankError,
 )
 from .timeseries import SensorLayout, TimeSeriesSet
 
 GENERALIZED_AXES = ("dx", "dy", "dz", "rx", "ry", "rz")
-
-
-def displacement_amplitude(fit: SineFit) -> float:
-    """Steady-state displacement amplitude from an acceleration fit: A/w^2."""
-    if fit.omega <= 1e-9:
-        raise DomainError(f"fit frequency {fit.omega} rad/s too small to integrate twice")
-    return fit.amplitude / fit.omega**2
-
-
-def displacement_phasor(fit: SineFit) -> complex:
-    """Complex displacement phasor; u = -a/w^2 for a steady sinusoid."""
-    if fit.omega <= 1e-9:
-        raise DomainError(f"fit frequency {fit.omega} rad/s too small to integrate twice")
-    return -fit.phasor / fit.omega**2
 
 
 @dataclass(frozen=True)
@@ -69,7 +56,6 @@ class ForceEstimate:
     frequency_hz: float
     component_phasors: np.ndarray      # complex (3,), x/y/z force resultants
     torque_z_phasor: complex
-    channel_fits: dict[str, SineFit]
 
     @property
     def resultant(self) -> float:
@@ -95,29 +81,24 @@ def estimate_force_amplitude(
     """
     components = np.zeros(3, dtype=complex)
     torque = 0.0 + 0.0j
-    fits: dict[str, SineFit] = {}
     for label, geo in geometry.items():
         try:
             ts = force[label]
         except KeyError:
             raise ForceEstimationError(f"force channel {label!r} missing") from None
         if low_freq_cut is not None:
-            removal: LowFreqRemoval = subtract_low_freq(ts, low_freq_cut)
-            ts = removal.series
+            ts = subtract_low_freq(ts, low_freq_cut).series
         try:
             fit = fit_sine(ts, f)
         except FitError as exc:
             raise ForceEstimationError(f"sine fit failed on channel {label!r}: {exc}") from exc
-        fits[label] = fit
-        phasor = fit.phasor
-        fvec = phasor * geo.direction
+        fvec = fit.phasor * geo.direction
         components += fvec
         torque += geo.position[0] * fvec[1] - geo.position[1] * fvec[0]
     return ForceEstimate(
         frequency_hz=f,
         component_phasors=components,
         torque_z_phasor=complex(torque),
-        channel_fits=fits,
     )
 
 
@@ -213,24 +194,36 @@ def frc_to_csv(frc: FrequencyResponseCurve) -> str:
 
 
 def frc_from_csv(text: str) -> FrequencyResponseCurve:
+    """Inverse of :func:`frc_to_csv`; a malformed header or row raises
+    :class:`ParseError` carrying the file line number."""
     dof = "X"
-    rows = []
-    for line in text.splitlines():
+    header = None
+    points = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#"):
             if "dof_excited:" in line:
                 dof = line.split("dof_excited:", 1)[1].strip()
             continue
-        if line.strip():
-            rows.append(line)
-    reader = csv.reader(rows)
-    header = next(reader)
-    if tuple(header) != FRC_CSV_HEADER:
-        raise BuildError(f"unexpected FRC csv header: {header}")
-    points = tuple(
-        FrcPoint(float(r[0]), r[1], r[2], float(r[3]), float(r[4]), float(r[5]))
-        for r in reader
-    )
-    return FrequencyResponseCurve(points, dof)
+        if not line.strip():
+            continue
+        cells = next(csv.reader([line]))
+        if header is None:
+            header = tuple(cells)
+            if header != FRC_CSV_HEADER:
+                raise ParseError(f"row {lineno}: unexpected FRC csv header: {cells}", row=lineno)
+            continue
+        if len(cells) != len(FRC_CSV_HEADER):
+            raise ParseError(
+                f"row {lineno}: expected {len(FRC_CSV_HEADER)} cells, got {len(cells)}", row=lineno
+            )
+        try:
+            f, u, fm, fr = (float(cells[k]) for k in (0, 3, 4, 5))
+        except ValueError as exc:
+            raise ParseError(f"row {lineno}: {exc}", row=lineno) from None
+        points.append(FrcPoint(f, cells[1], cells[2], u, fm, fr))
+    if header is None:
+        raise ParseError("FRC csv has no header row")
+    return FrequencyResponseCurve(tuple(points), dof)
 
 
 # --- rigid body motion ------------------------------------------------------

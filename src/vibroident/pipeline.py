@@ -1,15 +1,18 @@
 """End-to-end analysis: records in, identified dynamics out.
 
-Band-pass filter the response, window each dwell (or sweep crossing),
-sine-fit every channel, estimate force amplitudes from the native-rate
-force records, scale to the reference force, then derive rigid-body
-motion, natural frequency, damping and amplification.
+Two steps.  :func:`analyze` band-pass filters the response, windows each
+dwell (or sweep crossing), sine-fits every channel into a station
+displacement phasor and estimates the force amplitude from the
+native-rate force records.  :func:`identify` turns those phasors and
+forces into the force-scaled FRCs, rigid-body motion, natural frequency,
+damping, amplification and strain; it runs as well on phasors from any
+other source, such as the exact steady-state response.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +33,12 @@ from .timeseries import SensorLayout, TimeSeriesSet, extract_window, window_indi
 #: rigid-motion FRC axis measured for each excited DOF
 EXCITED_AXIS = {"X": "dx", "Y": "dy", "Z": "dz", "YAW": "rz"}
 
+#: distance from the neutral axis to the strained fibre, metres
+STRAIN_FIBER_M = 2.9
+
+#: station phasors per frequency: {f_hz: {station id: {axis: phasor, m}}}
+Phasors = dict[float, dict[str, dict[str, complex]]]
+
 
 @dataclass(frozen=True)
 class AnalysisPolicy:
@@ -40,17 +49,11 @@ class AnalysisPolicy:
     f_high: float = 25.0
     skip_cycles: float = 10.0
     max_window_s: float = 40.0
-    sweep_window_min_s: float = 2.0
-    sweep_window_max_s: float = 5.0
-    sweep_grid_step: float = 1.0
     f_ref_force_kn: float = 6800.0
     f_ref_torque_knm: float = 117000.0
     rotation_lever_m: float = 16.5
-    xi_grid: tuple[float, ...] = modal.DEFAULT_XI_GRID
-    damping_fit_range: tuple[float, float] = (0.3, 1.5)
     damping_channel_floor: float = 0.2
     force_low_freq_cut: float | None = None
-    exclude_below_hz: float = 2.0      # linearity comparisons
 
     def f_ref(self, dof: str) -> float:
         return self.f_ref_torque_knm if dof.upper() == "YAW" else self.f_ref_force_kn
@@ -63,13 +66,14 @@ class AnalysisResult:
     frc_rigid: FrequencyResponseCurve
     rigid_motions: dict[float, RigidMotion]
     contributions: dict[float, dict[str, float | None]]
-    force_estimates: dict[float, ForceEstimate]
     damping: DampingEstimate
     natural_frequency_hz: float
     peak_flat: bool
     amplification: float
-    station_phasors: dict[float, dict[str, dict[str, complex]]] = field(default_factory=dict)
+    station_phasors: Phasors = field(default_factory=dict)
     strain: float | None = None
+    #: per-frequency force fits; set by :func:`analyze`
+    force_estimates: dict[float, ForceEstimate] = field(default_factory=dict)
     #: (window frequency, channel label) of every fit whose polish did not converge
     unconverged: tuple[tuple[float, str], ...] = ()
 
@@ -77,6 +81,13 @@ class AnalysisResult:
 def _split_label(label: str) -> tuple[str, str]:
     sid, _, axis = label.rpartition("_")
     return sid, axis
+
+
+#: sweep analysis points sit on this frequency grid, Hz
+SWEEP_GRID_STEP_HZ = 1.0
+#: a sweep window spans 3.5 cycles, clipped to these bounds, seconds
+SWEEP_WINDOW_MIN_S = 2.0
+SWEEP_WINDOW_MAX_S = 5.0
 
 
 def analysis_windows(program: ExcitationProgram, policy: AnalysisPolicy) -> list[tuple[float, float, float]]:
@@ -93,14 +104,14 @@ def analysis_windows(program: ExcitationProgram, policy: AnalysisPolicy) -> list
             out.append((f, t0, t1))
         return out
     sw = program.sweep
-    f = math.ceil(sw.f0 / policy.sweep_grid_step) * policy.sweep_grid_step
+    f = math.ceil(sw.f0 / SWEEP_GRID_STEP_HZ) * SWEEP_GRID_STEP_HZ
     while f <= sw.f1 + 1e-9:
-        width = min(max(3.5 / f, policy.sweep_window_min_s), policy.sweep_window_max_s)
+        width = min(max(3.5 / f, SWEEP_WINDOW_MIN_S), SWEEP_WINDOW_MAX_S)
         tc = sw.time_at_frequency(f)
         t0, t1 = tc - width / 2.0, tc + width / 2.0
         if t0 >= 0.0 and t1 <= sw.duration:
             out.append((float(f), t0, t1))
-        f += policy.sweep_grid_step
+        f += SWEEP_GRID_STEP_HZ
     if not out:
         raise WindowError("no sweep analysis window fits inside the run")
     return out
@@ -113,8 +124,9 @@ def analyze(
     layout: SensorLayout,
     policy: AnalysisPolicy = AnalysisPolicy(),
     strain_stations: tuple[str, str, str] | None = None,
-    strain_fiber_m: float = 2.9,
+    strain_fiber_m: float = STRAIN_FIBER_M,
 ) -> AnalysisResult:
+    """Fit the records into station phasors and forces, then :func:`identify`."""
     dof = program.dof_excited.upper()
     windows = analysis_windows(program, policy)
     coeffs = dsp.design_bandpass(policy.filter_order, policy.f_low, policy.f_high, response.sample_rate)
@@ -125,10 +137,8 @@ def analyze(
         fp.id: ForceGeometry(fp.location, fp.direction) for fp in program.force_points
     }
 
-    amplitudes: dict[float, dict[tuple[str, str], float]] = {}
-    phasors: dict[float, dict[str, dict[str, complex]]] = {}
+    phasors: Phasors = {}
     force_estimates: dict[float, ForceEstimate] = {}
-    forces_scalar: dict[float, float] = {}
     unconverged: list[tuple[float, str]] = []
 
     rate = response.sample_rate
@@ -146,25 +156,46 @@ def analyze(
         # forward+backward filtering scales amplitudes by |H|^2; undo it
         accel_phasors = fits.phasor / dsp.filter_gain(coeffs, fits.frequency) ** 2
         disp_phasors = -accel_phasors / fits.omega**2
-        amps: dict[tuple[str, str], float] = {}
         by_station: dict[str, dict[str, complex]] = {}
         for (sid, axis), disp in zip(keys, disp_phasors):
-            amps[(sid, axis)] = abs(disp)
             by_station.setdefault(sid, {})[axis] = complex(disp)
-        amplitudes[f] = amps
         phasors[f] = by_station
 
         windowed_force = TimeSeriesSet(
             tuple(extract_window(ts, t0, t1) for ts in force)
         )
-        est = modal.estimate_force_amplitude(
+        force_estimates[f] = modal.estimate_force_amplitude(
             windowed_force, geometry, f, low_freq_cut=policy.force_low_freq_cut
         )
-        force_estimates[f] = est
-        forces_scalar[f] = est.torque if dof == "YAW" else est.resultant
 
+    forces = {
+        f: est.torque if dof == "YAW" else est.resultant for f, est in force_estimates.items()
+    }
+    result = identify(phasors, forces, dof, layout, policy, strain_stations, strain_fiber_m)
+    return replace(result, force_estimates=force_estimates, unconverged=tuple(unconverged))
+
+
+def identify(
+    phasors: Phasors,
+    forces: dict[float, float],
+    dof: str,
+    layout: SensorLayout,
+    policy: AnalysisPolicy = AnalysisPolicy(),
+    strain_stations: tuple[str, str, str] | None = None,
+    strain_fiber_m: float = STRAIN_FIBER_M,
+) -> AnalysisResult:
+    """Identified dynamics from station displacement phasors.
+
+    ``forces`` holds the measured force (kN) or, for YAW, torque (kN*m)
+    per frequency; every response is scaled to the policy's reference.
+    """
+    dof = dof.upper()
+    amplitudes = {
+        f: {(sid, axis): abs(p) for sid, axes in by_station.items() for axis, p in axes.items()}
+        for f, by_station in phasors.items()
+    }
     f_ref = policy.f_ref(dof)
-    frc_stations = modal.build_frc(amplitudes, forces_scalar, f_ref, dof, layout)
+    frc_stations = modal.build_frc(amplitudes, forces, f_ref, dof, layout)
 
     rigid_motions: dict[float, RigidMotion] = {}
     contributions: dict[float, dict[str, float | None]] = {}
@@ -177,13 +208,13 @@ def analyze(
         rm = modal.fit_rigid_body(stations, f)
         rigid_motions[f] = rm
         contributions[f] = modal.rbm_contribution(stations, rm)
-        scale = f_ref / forces_scalar[f]
+        scale = f_ref / forces[f]
         for k, axis in enumerate(modal.GENERALIZED_AXES):
             value = abs(rm.delta[k])
             if axis.startswith("r"):
                 value *= policy.rotation_lever_m
             rigid_points.append(
-                FrcPoint(f, "rbm", axis, value * 1e3 * scale, forces_scalar[f], f_ref)
+                FrcPoint(f, "rbm", axis, value * 1e3 * scale, forces[f], f_ref)
             )
     frc_rigid = FrequencyResponseCurve(tuple(rigid_points), dof)
 
@@ -201,9 +232,7 @@ def analyze(
         key for key, p in peaks.items() if p >= policy.damping_channel_floor * peak_max
     }
     frc_damping = frc_stations.subset(lambda p: (p.id, p.axis) in relevant)
-    damping = modal.estimate_damping(
-        frc_damping, fn, policy.xi_grid, policy.damping_fit_range
-    )
+    damping = modal.estimate_damping(frc_damping, fn)
     amplification = modal.amplification_factor(
         frc_rigid.subset(lambda p: p.axis == EXCITED_AXIS[dof])
     )
@@ -220,19 +249,17 @@ def analyze(
         frc_rigid=frc_rigid,
         rigid_motions=rigid_motions,
         contributions=contributions,
-        force_estimates=force_estimates,
         damping=damping,
         natural_frequency_hz=fn,
         peak_flat=flat,
         amplification=amplification,
         station_phasors=phasors,
         strain=strain,
-        unconverged=tuple(unconverged),
     )
 
 
 def deformational_strain(
-    phasors: dict[float, dict[str, dict[str, complex]]],
+    phasors: Phasors,
     rigid_motions: dict[float, RigidMotion],
     layout: SensorLayout,
     station_ids: tuple[str, str, str],

@@ -80,9 +80,6 @@ class SweepSpec:
     def duration(self) -> float:
         return (self.f1 - self.f0) / self.rate
 
-    def instantaneous_frequency(self, t) -> np.ndarray:
-        return self.f0 + self.rate * np.asarray(t, dtype=float)
-
     def time_at_frequency(self, f: float) -> float:
         return (f - self.f0) / self.rate
 

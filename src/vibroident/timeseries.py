@@ -1,8 +1,10 @@
-"""Multi-channel, multi-rate time series: data model, CSV ingestion, alignment.
+"""Multi-channel, multi-rate time series: data model, CSV ingestion,
+the overlap check between records, index windows, and sensor layouts.
 
 CSV layout: first column ``t`` in seconds, remaining columns are channel
 labels; ``#`` lines are comments.  Timestamps must be uniform; the sample
-rate is inferred from the median delta.
+rate is inferred from the median delta.  Records of different rates are
+never resampled: each is windowed on its own time axis.
 """
 
 from __future__ import annotations
@@ -161,15 +163,6 @@ class SensorLayout:
         raise KeyError(sid)
 
 
-@dataclass(frozen=True)
-class AlignedRecord:
-    """Response channels plus force channels resampled onto the response timebase."""
-
-    response: TimeSeriesSet
-    force: TimeSeriesSet
-    metadata: dict = field(default_factory=dict)
-
-
 def _parse_rows(rows: list[str], row_idx: list[int], ncol: int) -> np.ndarray:
     """Bulk-convert data lines; on any defect, re-scan to report the exact row."""
     try:
@@ -282,40 +275,16 @@ def serialize_timeseries_csv(tss: TimeSeriesSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def synchronize(response: TimeSeriesSet, force: TimeSeriesSet, metadata: dict | None = None) -> AlignedRecord:
-    """Linearly interpolate force channels onto the response timebase.
+def synchronize(response: TimeSeriesSet, force: TimeSeriesSet) -> None:
+    """Check that the response and force records overlap by more than 1 s.
 
-    The response is restricted to the overlap window and left otherwise
-    untouched; force content is far below its Nyquist so linear
-    interpolation is effectively exact.
+    Both records keep their own rates; the analysis windows each on its
+    own time axis.
     """
     t0 = max(response.start_time, force.start_time)
     t1 = min(response.series[0].end_time, force.series[0].end_time)
     if t1 - t0 <= 1.0:
         raise AlignmentError(f"streams overlap for {max(t1 - t0, 0.0):.3f} s; need > 1 s")
-
-    resp_t = response.times()
-    keep = (resp_t >= t0 - 1e-12) & (resp_t <= t1 + 1e-12)
-    if not np.any(keep):
-        raise AlignmentError("no response samples inside the overlap window")
-    first = int(np.argmax(keep))
-    resp_cut = tuple(
-        TimeSeries(float(resp_t[first]), response.sample_rate, ts.values[keep], ts.unit, ts.label)
-        for ts in response
-    )
-    grid = resp_t[keep]
-    force_t = force.times()
-    force_rs = tuple(
-        TimeSeries(
-            float(grid[0]),
-            response.sample_rate,
-            np.interp(grid, force_t, ts.values),
-            ts.unit,
-            ts.label,
-        )
-        for ts in force
-    )
-    return AlignedRecord(TimeSeriesSet(resp_cut), TimeSeriesSet(force_rs), dict(metadata or {}))
 
 
 def window_indices(start_time: float, sample_rate: float, n: int, t0: float, t1: float) -> tuple[int, int]:

@@ -4,7 +4,7 @@ import stat
 import pytest
 
 from vibroident import dsp
-from vibroident.cli import _atomic_write, main
+from vibroident.cli import _atomic_write, config_hash, load_run_config, main
 
 MINI_PROGRAM = {
     "kind": "stepped",
@@ -89,6 +89,9 @@ BAD_CONFIGS = {
     "window_typo": {"window": {"max_len": 3.0}},
     "strain_typo": {"strain": {"fiber": 2.0}},
     "section_not_object": {"filter": [5, 1.0, 25.0]},
+    "strain_unknown_station": {"strain": {"stations": ["T3SW", "T2S", "NOPE"]}},
+    "strain_two_stations": {"strain": {"stations": ["T3SW", "T2S"]}},
+    "strain_without_stations": {"strain": {"fiber_m": 2.0}},
 }
 
 
@@ -104,6 +107,14 @@ def test_bad_config_exits_2_without_traceback(workdir, command, doc, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not (workdir / "never").exists()
+
+
+def test_empty_config_hash_is_pinned(tmp_path):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("{}")
+    assert config_hash(load_run_config(str(cfg))) == (
+        "525824c3bcf8289fad041c25897d9f152931f16630cd6c15a18dc8a81aec3faf"
+    )
 
 
 class TestAtomicWrite:
@@ -223,6 +234,25 @@ class TestLinearity:
         doc = json.loads(capsys.readouterr().out)
         assert doc["rms_mm"] == 0.0
         assert doc["shared_points"] > 0
+
+    @pytest.mark.parametrize(
+        "bad_row", ["5.0,S1,x,oops,6800.0,6800.0", "5.0,S1,x,0.1"], ids=["non_numeric", "short_row"]
+    )
+    def test_malformed_row_is_parse_error(self, workdir, analyzed, bad_row, capsys):
+        lines = (analyzed / "frc.csv").read_text().splitlines()
+        lines.insert(3, bad_row)
+        bad = workdir / "bad_frc.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["linearity", str(bad), str(analyzed / "frc.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: row 4:") and "Traceback" not in err
+
+    def test_wrong_header_is_parse_error(self, workdir, analyzed, capsys):
+        text = (analyzed / "frc.csv").read_text().replace("u_scaled_mm", "u_mm", 1)
+        bad = workdir / "bad_header_frc.csv"
+        bad.write_text(text)
+        assert main(["linearity", str(bad), str(analyzed / "frc.csv")]) == 3
+        assert capsys.readouterr().err.startswith("input error: row 2:")
 
 
 class TestVs:

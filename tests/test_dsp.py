@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
 from vibroident.dsp import (
     FilterCoefficients,
@@ -30,17 +31,20 @@ def sine_series(f, fs=200.0, dur=10.0, amp=1.0, phase=0.0, t0=0.0, extra=None):
 
 def gain_from_polynomials(coeffs: FilterCoefficients, f: float) -> float:
     # independent of sosfreqz: evaluate B(z)/A(z) on the unit circle
-    z = np.exp(-1j * 2 * np.pi * f / coeffs.design["fs"])
-    num = np.polyval(coeffs.b[::-1], z)
-    den = np.polyval(coeffs.a[::-1], z)
+    b, a = sps.sos2tf(coeffs.sos)
+    z = np.exp(-1j * 2 * np.pi * f / coeffs.fs)
+    num = np.polyval(b[::-1], z)
+    den = np.polyval(a[::-1], z)
     return abs(num / den)
 
 
 class TestDesign:
     def test_coefficient_count(self):
         c = design_bandpass(5, 1.0, 25.0, 200.0)
-        assert len(c.b) == 11 and len(c.a) == 11
-        assert c.a[0] == pytest.approx(1.0)
+        b, a = sps.sos2tf(c.sos)
+        assert len(b) == 11 and len(a) == 11
+        assert a[0] == pytest.approx(1.0)
+        assert c.pad_len == 3 * len(b)
 
     def test_corner_magnitudes_minus_3db(self):
         c = design_bandpass(5, 1.0, 25.0, 200.0)
@@ -70,14 +74,6 @@ class TestDesign:
         for section in c.sos:
             poles = np.roots(section[3:])
             assert np.all(np.abs(poles) < 1.0)
-
-    def test_json_export_roundtrip(self):
-        import json
-
-        c = design_bandpass(3, 2.0, 20.0, 200.0)
-        doc = json.loads(c.to_json())
-        assert doc["design"]["order"] == 3
-        assert np.allclose(doc["b"], c.b) and np.allclose(doc["a"], c.a)
 
 
 class TestFiltFilt:

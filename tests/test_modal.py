@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from vibroident.dsp import SineFit
 from vibroident.errors import (
     BuildError,
     ComparisonError,
@@ -26,8 +25,6 @@ from vibroident.modal import (
     amplification_factor,
     build_frc,
     curvature_strain,
-    displacement_amplitude,
-    displacement_phasor,
     estimate_damping,
     estimate_force_amplitude,
     fit_rigid_body,
@@ -40,35 +37,6 @@ from vibroident.modal import (
     rigid_rows,
 )
 from vibroident.timeseries import SensorLayout, Station, TimeSeries, TimeSeriesSet
-
-
-def make_fit(amplitude, f_hz, phase=0.0):
-    return SineFit(amplitude, 2 * math.pi * f_hz, phase, 0.0, (0.0, 1.0))
-
-
-class TestDisplacementAmplitude:
-    def test_direct_value(self):
-        # 1 / (2*pi*10)^2, evaluated independently
-        assert displacement_amplitude(make_fit(1.0, 10.0)) == pytest.approx(
-            2.5330295910584444e-4, rel=1e-12
-        )
-
-    def test_zero_amplitude(self):
-        assert displacement_amplitude(make_fit(0.0, 10.0)) == 0.0
-
-    def test_quarter_at_double_frequency(self):
-        u1 = displacement_amplitude(make_fit(1.0, 10.0))
-        u2 = displacement_amplitude(make_fit(1.0, 20.0))
-        assert u2 == pytest.approx(u1 / 4)
-
-    def test_near_zero_frequency_rejected(self):
-        with pytest.raises(DomainError):
-            displacement_amplitude(SineFit(1.0, 0.0, 0.0, 0.0, (0, 1)))
-
-    def test_phasor_sign(self):
-        ph = displacement_phasor(make_fit(1.0, 10.0, phase=0.3))
-        assert abs(ph) == pytest.approx(2.5330295910584444e-4, rel=1e-12)
-        assert np.angle(-ph) == pytest.approx(0.3)
 
 
 def force_set(channels, fs=512.0, dur=10.0):

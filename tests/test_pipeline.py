@@ -5,7 +5,7 @@ import pytest
 
 from vibroident.errors import WindowError
 from vibroident.modal import linearity_rms, rigid_rows
-from vibroident.pipeline import AnalysisPolicy, analysis_windows, analyze
+from vibroident.pipeline import AnalysisPolicy, analysis_windows, analyze, identify
 from vibroident.simulator import (
     BlockSpec,
     ExcitationProgram,
@@ -89,6 +89,36 @@ class TestSteppedAnalysis:
                     meas_mm = u_arr[np.argmin(np.abs(f_arr - f))]
                     scale = 6800.0 / res.force_estimates[f].resultant
                     assert meas_mm / 1e3 == pytest.approx(abs(truth[k]) * scale, rel=0.02)
+
+    def test_displacement_phasor_matches_transfer_function(self, stepped_run):
+        # u = -a/w^2 in sign and size: displacement over the x force is the
+        # complex transfer function of the steady-state solution.  Magnitudes
+        # agree within 0.6 %; the 1.5 Hz window, six cycles after the dwell
+        # starts, lags by 0.02 rad, hence 2.5 % on the complex difference
+        res, prog, sys, layout = stepped_run
+        bf = prog.generalized_amplitude().astype(complex)
+        for f, by_station in res.station_phasors.items():
+            u6 = steady_state_response(sys, bf, 2 * math.pi * f)
+            fx_n = res.force_estimates[f].component_phasors[0] * 1e3
+            truth = {st.id: rigid_rows(st.position) @ u6 / bf[0] for st in layout.stations}
+            peak = max(np.max(np.abs(h)) for h in truth.values())
+            for sid, h in truth.items():
+                for k, ax in enumerate("xyz"):
+                    if abs(h[k]) < 0.1 * peak:
+                        continue
+                    measured = by_station[sid][ax] / fx_n
+                    assert abs(measured - h[k]) <= 0.025 * abs(h[k])
+
+    def test_identify_reproduces_analysis(self, stepped_run):
+        res, _, _, layout = stepped_run
+        forces = {f: est.resultant for f, est in res.force_estimates.items()}
+        policy = AnalysisPolicy(f_low=1.0, f_high=25.0, skip_cycles=6.0)
+        again = identify(res.station_phasors, forces, "X", layout, policy)
+        assert again.frc_stations == res.frc_stations
+        assert again.frc_rigid == res.frc_rigid
+        assert again.damping == res.damping
+        assert again.natural_frequency_hz == res.natural_frequency_hz
+        assert again.force_estimates == {} and again.unconverged == ()
 
     def test_force_estimate_matches_injected(self, stepped_run):
         # the V-shape actuator resultant must reproduce the generalized
