@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import DesignError, FilterError, FitError
 from .timeseries import TimeSeries
@@ -74,12 +73,17 @@ def design_bandpass(order: int, f_low: float, f_high: float, fs: float) -> Filte
         raise DesignError(f"need 0 < f_low < f_high, got {f_low}, {f_high}")
     if f_high >= fs / 2.0:
         raise DesignError(f"corner {f_high} Hz at or above Nyquist {fs / 2.0} Hz")
+    # imported where used: scipy.signal takes ~1 s to import, and simulate never filters
+    from scipy import signal as sps
+
     sos = sps.butter(order, [f_low, f_high], btype="bandpass", fs=fs, output="sos")
     return FilterCoefficients(sos=sos, fs=fs)
 
 
 def filter_gain(coeffs: FilterCoefficients, freqs) -> np.ndarray:
     """|H(f)| of the single-pass filter, evaluated from the sections."""
+    from scipy import signal as sps
+
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     _, h = sps.sosfreqz(coeffs.sos, worN=freqs, fs=coeffs.fs)
     return np.abs(h)
@@ -97,6 +101,8 @@ def filtfilt(coeffs: FilterCoefficients, ts: TimeSeries) -> TimeSeries:
         )
     if len(ts) <= coeffs.pad_len:
         raise FilterError(f"series length {len(ts)} <= padding requirement {coeffs.pad_len}")
+    from scipy import signal as sps
+
     y = sps.sosfiltfilt(coeffs.sos, ts.values, padtype="odd", padlen=coeffs.pad_len)
     return ts.with_values(y)
 

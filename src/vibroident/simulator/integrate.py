@@ -25,6 +25,35 @@ class StateHistory:
         return 1.0 / float(self.t[1] - self.t[0])
 
 
+#: samples per block of the matrix recurrence
+BLOCK = 256
+
+
+def _step_map(sys: SystemMatrices, bf: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One average-acceleration Newmark step as ``x1 = A x0 + B drive1``
+    on the state ``x = (u, v, a)``."""
+    gamma, beta = 0.5, 0.25
+    a0 = 1.0 / (beta * dt * dt)
+    a1 = gamma / (beta * dt)
+    a2 = 1.0 / (beta * dt)
+    a3 = 1.0 / (2.0 * beta) - 1.0
+    a4 = gamma / beta - 1.0
+    a5 = dt / 2.0 * (gamma / beta - 2.0)
+    a6 = dt * (1.0 - gamma)
+    a7 = gamma * dt
+
+    M, C, K = sys.M, sys.C, sys.K
+    eye, zero = np.eye(6), np.zeros((6, 6))
+    keff_inv = np.linalg.inv(K + a0 * M + a1 * C)
+    # u1 = keff_inv (bf d1 + M (a0 u + a2 v + a3 a) + C (a1 u + a4 v + a5 a))
+    Au = keff_inv @ np.hstack([a0 * M + a1 * C, a2 * M + a4 * C, a3 * M + a5 * C])
+    # a1 = a0 (u1 - u) - a2 v - a3 a;  v1 = v + a6 a + a7 a1
+    Aa = a0 * (Au - np.hstack([eye, zero, zero])) - np.hstack([zero, a2 * eye, a3 * eye])
+    Av = np.hstack([zero, eye, a6 * eye]) + a7 * Aa
+    Bu = keff_inv @ bf
+    return np.vstack([Au, Av, Aa]), np.concatenate([Bu, a7 * a0 * Bu, a0 * Bu])
+
+
 def integrate(
     sys: SystemMatrices,
     program: ExcitationProgram,
@@ -33,10 +62,30 @@ def integrate(
     u0: np.ndarray | None = None,
     v0: np.ndarray | None = None,
 ) -> StateHistory:
-    """Average-acceleration Newmark (gamma=1/2, beta=1/4), zero ICs.
+    """Average-acceleration Newmark (gamma=1/2, beta=1/4) from rest, or from
+    the initial displacement ``u0`` and velocity ``v0``.
 
     Unconditionally stable and free of algorithmic damping, so identified
     damping ratios are not contaminated by the integrator.
+
+    One step is the linear map ``x[i] = A x[i-1] + B drive[i]`` on the
+    18-state ``x = (u, v, a)``.  The record is stepped in blocks of
+    ``BLOCK`` samples: from the state ``x[k]`` before a block,
+
+        x[k+j] = A^j x[k] + sum_{i=1..j} A^(j-i) B drive[k+i],   j = 1..m,
+
+    i.e. ``X = P[1:m+1] @ x[k] + T @ H`` with the powers ``P[j] = A^j`` and
+    responses ``H[j] = A^j B`` built once, and ``T`` the lower-triangular
+    Toeplitz matrix of the block's drive.  The ``T @ H`` terms do not depend
+    on the state, so those of all blocks are one product with the block
+    drives; the state is then carried from block to block, one Python
+    iteration per block.  Only matrix products are used: no
+    eigendecomposition, so nothing depends on the conditioning of A's
+    eigenvectors and no step-by-step fallback is needed.  Rounding grows
+    with j as in a step loop, and the two agree to ~1e-13 of each DOF's peak.
+
+    Raises IntegrationError at the first sample whose displacement exceeds
+    1e6 x the static deflection under the program's force amplitude.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -49,19 +98,7 @@ def integrate(
     n = int(round(duration / dt)) + 1
     t = np.arange(n) * dt
 
-    gamma, beta = 0.5, 0.25
-    a0 = 1.0 / (beta * dt * dt)
-    a1 = gamma / (beta * dt)
-    a2 = 1.0 / (beta * dt)
-    a3 = 1.0 / (2.0 * beta) - 1.0
-    a4 = gamma / beta - 1.0
-    a5 = dt / 2.0 * (gamma / beta - 2.0)
-    a6 = dt * (1.0 - gamma)
-    a7 = gamma * dt
-
     M, C, K = sys.M, sys.C, sys.K
-    keff_inv = np.linalg.inv(K + a0 * M + a1 * C)
-
     bf = program.generalized_amplitude()
     drive = program.drive(t)
 
@@ -71,27 +108,40 @@ def integrate(
     ic_scale = float(np.max(np.abs(u0))) if u0 is not None else 0.0
     u_limit = 1e6 * max(float(np.max(static)), ic_scale, 1e-12)
 
-    u = np.zeros((n, 6))
-    v = np.zeros((n, 6))
-    a = np.zeros((n, 6))
-    if u0 is not None:
-        u[0] = np.asarray(u0, dtype=float).reshape(6)
-    if v0 is not None:
-        v[0] = np.asarray(v0, dtype=float).reshape(6)
-    a[0] = np.linalg.solve(M, bf * drive[0] - C @ v[0] - K @ u[0])
+    u_0 = np.zeros(6) if u0 is None else np.asarray(u0, dtype=float).reshape(6)
+    v_0 = np.zeros(6) if v0 is None else np.asarray(v0, dtype=float).reshape(6)
+    a_0 = np.linalg.solve(M, bf * drive[0] - C @ v_0 - K @ u_0)
 
-    un, vn, an = u[0].copy(), v[0].copy(), a[0].copy()
-    for i in range(1, n):
-        feff = bf * drive[i] + M @ (a0 * un + a2 * vn + a3 * an) + C @ (a1 * un + a4 * vn + a5 * an)
-        u1 = keff_inv @ feff
-        a1n = a0 * (u1 - un) - a2 * vn - a3 * an
-        v1 = vn + a6 * an + a7 * a1n
-        u[i], v[i], a[i] = u1, v1, a1n
-        un, vn, an = u1, v1, a1n
-        if i % 2000 == 0 and np.max(np.abs(u1)) > u_limit:
-            raise IntegrationError(
-                f"response exceeded 1e6 x static estimate at t={t[i]:.3f} s"
-            )
-    if np.max(np.abs(u[-1])) > u_limit:
-        raise IntegrationError("response exceeded 1e6 x static estimate at end of run")
+    A, B = _step_map(sys, bf, dt)
+    m = max(min(BLOCK, n - 1), 1)
+    P = np.empty((m + 1, 18, 18))
+    P[0] = np.eye(18)
+    for j in range(1, m + 1):
+        P[j] = A @ P[j - 1]
+    # G[s, r] = H[r - s] for r >= s, else 0: the response at block sample r
+    # to a unit drive at block sample s.  Row b of D @ G is T_b @ H.
+    H = P[:m] @ B
+    G = np.zeros((m, m, 18))
+    for s in range(m):
+        G[s, s:] = H[: m - s]
+    nb = -(-(n - 1) // m)
+    D = np.zeros((nb, m))
+    D.reshape(-1)[: n - 1] = drive[1:]
+    X = np.empty((1 + nb * m, 18))
+    X[0] = np.concatenate([u_0, v_0, a_0])
+    blocks = X[1:].reshape(nb, m, 18)
+    np.matmul(D, G.reshape(m, m * 18), out=X[1:].reshape(nb, m * 18))
+
+    # add the free response to each block's state and carry it on
+    powers = P[1:].reshape(m * 18, 18)
+    for b in range(nb):
+        block = blocks[b]
+        block += (powers @ X[b * m]).reshape(m, 18)
+        over = ~(np.abs(block[: n - 1 - b * m, :6]) <= u_limit)   # NaN counts as over
+        if over.any():
+            i = 1 + b * m + int(np.argmax(over.any(axis=1)))
+            raise IntegrationError(f"response exceeded 1e6 x static estimate at t={t[i]:.3f} s")
+    u = np.ascontiguousarray(X[:n, :6])
+    v = np.ascontiguousarray(X[:n, 6:12])
+    a = np.ascontiguousarray(X[:n, 12:])
     return StateHistory(t=t, u=u, v=v, a=a)

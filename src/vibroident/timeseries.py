@@ -9,7 +9,8 @@ never resampled: each is windowed on its own time axis.
 
 from __future__ import annotations
 
-import io
+import array
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -163,46 +164,18 @@ class SensorLayout:
         raise KeyError(sid)
 
 
-def _parse_rows(rows: list[str], row_idx: list[int], ncol: int) -> np.ndarray:
-    """Bulk-convert data lines; on any defect, re-scan to report the exact row."""
-    try:
-        data = np.loadtxt(io.StringIO("\n".join(rows)), delimiter=",", ndmin=2)
-        if data.shape[1] != ncol:
-            raise ValueError("column count mismatch")
-    except ValueError:
-        data = np.empty((len(rows), ncol))
-        for i, (line, lineno) in enumerate(zip(rows, row_idx)):
-            cells = [c.strip() for c in line.split(",")]
-            if len(cells) != ncol:
-                raise ParseError(
-                    f"row {lineno}: expected {ncol} cells, got {len(cells)}", row=lineno
-                ) from None
-            for j, cell in enumerate(cells):
-                try:
-                    data[i, j] = float(cell)
-                except ValueError:
-                    raise ParseError(f"row {lineno}: cannot parse {cell!r}", row=lineno) from None
-    if np.isnan(data).any():
-        bad = int(np.argwhere(np.isnan(data))[0][0])
-        raise ParseError(f"row {row_idx[bad]}: NaN cell", row=row_idx[bad])
-    return data
-
-
-def parse_timeseries_csv(text, units: dict[str, str] | None = None) -> TimeSeriesSet:
-    """Parse a CSV stream into one TimeSeries per data column.
-
-    ``units`` optionally maps column labels to physical units; a
-    ``# units: a=kN,b=m/s^2`` comment line in the file serves the same
-    purpose (explicit argument wins).
-    """
-    if isinstance(text, str):
-        text = io.StringIO(text)
-    file_units: dict[str, str] = {}
-    header: list[str] | None = None
-    rows: list[str] = []
-    row_idx: list[int] = []
-    for lineno, raw in enumerate(text, start=1):
-        line = raw.strip()
+def _content_lines(text: str, units: dict[str, str]):
+    """(line number, stripped line) of every line that is neither blank nor
+    a ``#`` comment, sliced from ``text`` one at a time; ``# units:``
+    comments are read into ``units`` on the way."""
+    lineno, start = 0, 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        lineno += 1
+        line = text[start:end].strip()
+        start = end + 1
         if not line:
             continue
         if line.startswith("#"):
@@ -211,23 +184,69 @@ def parse_timeseries_csv(text, units: dict[str, str] | None = None) -> TimeSerie
                 for pair in body[len("units:"):].split(","):
                     if "=" in pair:
                         k, v = pair.split("=", 1)
-                        file_units[k.strip()] = v.strip()
+                        units[k.strip()] = v.strip()
             continue
-        if header is None:
-            header = [c.strip() for c in line.split(",")]
-            continue
-        rows.append(line)
-        row_idx.append(lineno)
+        yield lineno, line
 
+
+def _data_row_lineno(text: str, k: int) -> int:
+    """Line number of data row ``k`` (0-based, after the header)."""
+    lines = itertools.islice(_content_lines(text, {}), k + 1, None)
+    return next(lines)[0]
+
+
+def _parse_cells(rows, ncol: int) -> np.ndarray:
+    """Cell-by-cell conversion of ``(line number, line)`` rows, raising
+    ParseError at the first short row or unparsable cell."""
+    data = array.array("d")
+    for lineno, line in rows:
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != ncol:
+            raise ParseError(f"row {lineno}: expected {ncol} cells, got {len(cells)}", row=lineno)
+        for cell in cells:
+            try:
+                data.append(float(cell))
+            except ValueError:
+                raise ParseError(f"row {lineno}: cannot parse {cell!r}", row=lineno) from None
+    return np.array(data, dtype=float).reshape(-1, ncol)
+
+
+def parse_timeseries_csv(text, units: dict[str, str] | None = None) -> TimeSeriesSet:
+    """Parse CSV text (or a text stream) into one TimeSeries per data column.
+
+    ``units`` optionally maps column labels to physical units; a
+    ``# units: a=kN,b=m/s^2`` comment line in the file serves the same
+    purpose (explicit argument wins).  The data lines go to ``np.loadtxt``
+    one at a time, so no second copy of the text is built; row numbers are
+    found by a re-scan on the error paths only.
+    """
+    if not isinstance(text, str):
+        text = text.read()
+    file_units: dict[str, str] = {}
+    content = _content_lines(text, file_units)
+    first = next(content, None)
+    header = None if first is None else [c.strip() for c in first[1].split(",")]
     if header is None or len(header) < 2:
         raise ParseError("header row must name the time column and at least one data column")
     if header[0] != "t":
         raise ParseError(f"first column must be 't', got {header[0]!r}")
-    if not rows:
+    second = next(content, None)
+    if second is None:
         raise ParseError("no data rows")
+    rows = itertools.chain([second], content)
 
     ncol = len(header)
-    data = _parse_rows(rows, row_idx, ncol)
+    try:
+        data = np.loadtxt((line for _, line in rows), delimiter=",", ndmin=2)
+        if data.shape[1] != ncol:
+            raise ValueError("column count mismatch")
+    except ValueError:
+        # re-scan: report the exact row, or accept what float() accepts
+        data = _parse_cells(itertools.islice(_content_lines(text, file_units), 1, None), ncol)
+    if np.isnan(data).any():
+        bad = int(np.argwhere(np.isnan(data))[0][0])
+        lineno = _data_row_lineno(text, bad)
+        raise ParseError(f"row {lineno}: NaN cell", row=lineno)
 
     t = data[:, 0]
     if len(t) < 2:
@@ -235,14 +254,15 @@ def parse_timeseries_csv(text, units: dict[str, str] | None = None) -> TimeSerie
     dt = np.diff(t)
     if np.any(dt <= 0):
         bad = int(np.argmax(dt <= 0))
-        raise SpacingError(f"row {row_idx[bad + 1]}: timestamps not increasing", row=row_idx[bad + 1])
+        lineno = _data_row_lineno(text, bad + 1)
+        raise SpacingError(f"row {lineno}: timestamps not increasing", row=lineno)
     dt_med = float(np.median(dt))
     if np.any(np.abs(dt - dt_med) > SPACING_RTOL * dt_med):
         bad = int(np.argmax(np.abs(dt - dt_med) > SPACING_RTOL * dt_med))
+        lineno = _data_row_lineno(text, bad + 1)
         raise SpacingError(
-            f"row {row_idx[bad + 1]}: non-uniform spacing "
-            f"(dt={dt[bad]:.9g} vs median {dt_med:.9g})",
-            row=row_idx[bad + 1],
+            f"row {lineno}: non-uniform spacing (dt={dt[bad]:.9g} vs median {dt_med:.9g})",
+            row=lineno,
         )
     rate = 1.0 / dt_med
     # snap to an integer rate when the inferred value is within spacing tolerance

@@ -1,8 +1,13 @@
 import json
+import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vibroident
 from vibroident import dsp
 from vibroident.cli import _atomic_write, config_hash, load_run_config, main
 
@@ -227,6 +232,18 @@ class TestAnalyze:
         assert rc == 3
 
 
+    def test_header_only_response_is_parse_error(self, workdir, simulated):
+        header_only = workdir / "header_only.csv"
+        header_only.write_text("# units: a=m/s^2\nt,a\n")
+        rc = main([
+            "analyze", "-c", str(workdir / "cfg.json"),
+            "--response", str(header_only),
+            "--force", str(simulated / "force.csv"),
+            "-o", str(workdir / "nope3"),
+        ])
+        assert rc == 3
+
+
 class TestLinearity:
     def test_identical_curves(self, workdir, analyzed, capsys):
         rc = main(["linearity", str(analyzed / "frc.csv"), str(analyzed / "frc.csv")])
@@ -282,3 +299,12 @@ class TestVs:
         bad = workdir / "bad_cpt.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["vs", str(bad)]) == 3
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # simulate never filters; scipy.signal costs ~1 s of start-up
+    src = Path(vibroident.__file__).resolve().parents[1]
+    code = "import sys, vibroident.cli; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from vibroident.errors import AssemblyError, SolveError
+from vibroident.errors import AssemblyError, IntegrationError, SolveError
 from vibroident.simulator import (
     BlockSpec,
     ExcitationProgram,
@@ -13,6 +14,7 @@ from vibroident.simulator import (
     SpringElement,
     SteppedSpec,
     SweepSpec,
+    SystemMatrices,
     assemble_system,
     build_block_model,
     dump_model,
@@ -25,6 +27,7 @@ from vibroident.simulator import (
     sensor_kinematics,
     steady_state_response,
 )
+from vibroident.simulator.integrate import BLOCK
 from vibroident.timeseries import SensorLayout, Station, extract_window
 
 
@@ -249,6 +252,102 @@ class TestIntegrate:
         sys = assemble_system(small_block())
         with pytest.raises(ValueError):
             integrate(sys, x_program(freqs=(20.0,)), dt=0.01)
+
+
+
+def newmark_loop(sys, program, dt, duration=None, u0=None, v0=None):
+    """Reference: average-acceleration Newmark, one Python step at a time."""
+    n = int(round((program.duration if duration is None else duration) / dt)) + 1
+    t = np.arange(n) * dt
+    gamma, beta = 0.5, 0.25
+    a0, a1, a2 = 1 / (beta * dt * dt), gamma / (beta * dt), 1 / (beta * dt)
+    a3, a4, a5 = 1 / (2 * beta) - 1, gamma / beta - 1, dt / 2 * (gamma / beta - 2)
+    a6, a7 = dt * (1 - gamma), gamma * dt
+    M, C, K = sys.M, sys.C, sys.K
+    keff_inv = np.linalg.inv(K + a0 * M + a1 * C)
+    bf, drive = program.generalized_amplitude(), program.drive(t)
+    u, v, a = np.zeros((n, 6)), np.zeros((n, 6)), np.zeros((n, 6))
+    if u0 is not None:
+        u[0] = u0
+    if v0 is not None:
+        v[0] = v0
+    a[0] = np.linalg.solve(M, bf * drive[0] - C @ v[0] - K @ u[0])
+    for i in range(1, n):
+        feff = (bf * drive[i] + M @ (a0 * u[i - 1] + a2 * v[i - 1] + a3 * a[i - 1])
+                + C @ (a1 * u[i - 1] + a4 * v[i - 1] + a5 * a[i - 1]))
+        u[i] = keff_inv @ feff
+        a[i] = a0 * (u[i] - u[i - 1]) - a2 * v[i - 1] - a3 * a[i - 1]
+        v[i] = v[i - 1] + a6 * a[i - 1] + a7 * a[i]
+    return t, u, v, a
+
+
+def oblique_force():
+    # off-centre and off-axis, so all six DOFs respond
+    d = np.array([1.0, 0.4, 0.3])
+    return (ForcePoint("act", [1.0, 0.7, 0.5], d / np.linalg.norm(d), 1e5),)
+
+
+def oblique_stepped(duration=1.5):
+    return ExcitationProgram(
+        kind="stepped",
+        force_points=oblique_force(),
+        stepped=SteppedSpec(frequencies=(2.0, 5.0, 10.0), duration_per_step=duration, rest_gap=0.5),
+    )
+
+
+def undamped(sys):
+    return SystemMatrices(sys.M, np.zeros((6, 6)), sys.K)
+
+
+U0 = np.array([1e-3, -2e-3, 5e-4, 1e-4, -3e-4, 2e-4])
+V0 = np.array([0.02, 0.01, -0.03, 4e-3, 1e-3, -2e-3])
+DT = 1e-3
+
+#: name -> (system, program, duration, u0, v0)
+RECURRENCE_CASES = {
+    "stepped": lambda: (assemble_system(small_block()), oblique_stepped(), None, None, None),
+    "sweep": lambda: (
+        assemble_system(small_block()),
+        ExcitationProgram(kind="sweep", force_points=oblique_force(), sweep=SweepSpec(1.0, 12.0, 2.0)),
+        None, None, None,
+    ),
+    "free_undamped": lambda: (undamped(assemble_system(small_block())), x_program(amp=0.0), 2.0, U0, V0),
+    "free_damped": lambda: (assemble_system(small_block()), x_program(amp=0.0), 2.0, U0, V0),
+    "steps_not_multiple_of_block": lambda: (
+        assemble_system(small_block()), oblique_stepped(), (3 * BLOCK + 132) * DT, None, None,
+    ),
+    "shorter_than_block": lambda: (
+        assemble_system(small_block()), oblique_stepped(), (BLOCK // 2) * DT, U0, V0,
+    ),
+    "two_samples": lambda: (assemble_system(small_block()), oblique_stepped(), DT, U0, V0),
+}
+
+
+class TestBlockRecurrence:
+    @pytest.mark.parametrize("case", sorted(RECURRENCE_CASES))
+    def test_matches_step_loop(self, case):
+        sys, prog, duration, u0, v0 = RECURRENCE_CASES[case]()
+        hist = integrate(sys, prog, dt=DT, duration=duration, u0=u0, v0=v0)
+        t, *ref = newmark_loop(sys, prog, DT, duration, u0, v0)
+        assert np.array_equal(hist.t, t)
+        for got, want in zip((hist.u, hist.v, hist.a), ref):
+            assert got.flags.c_contiguous and got.shape == want.shape
+            peak = np.max(np.abs(want), axis=0)
+            assert np.all(peak > 0)
+            assert np.all(np.abs(got - want) <= 1e-11 * peak)
+
+    def test_runaway_raises_at_first_sample_over_limit(self):
+        sys = assemble_system(small_block())
+        unstable = SystemMatrices(sys.M, -sys.C, sys.K)     # negative damping grows
+        prog = x_program(amp=1e5, duration=8.0)
+        with pytest.raises(IntegrationError) as exc:
+            integrate(unstable, prog, dt=DT)
+        t_raise = float(re.search(r"t=([0-9.]+) s", str(exc.value)).group(1))
+        assert t_raise < prog.duration
+        t, u, _, _ = newmark_loop(unstable, prog, DT)
+        u_limit = 1e6 * np.max(np.abs(np.linalg.solve(sys.K, prog.generalized_amplitude())))
+        first = int(np.argmax(np.any(np.abs(u) > u_limit, axis=1)))
+        assert f"{t_raise:.3f}" == f"{t[first]:.3f}"
 
 
 def two_station_layout():

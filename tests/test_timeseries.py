@@ -77,6 +77,74 @@ class TestParse:
         assert serialize_timeseries_csv(again) == serialize_timeseries_csv(tss)
 
 
+def ramp_csv(n, fs=200.0):
+    return "t,a,b\n" + "".join(f"{i / fs!r},{i},{-i}\n" for i in range(n))
+
+
+class TestParseEdges:
+    """Streaming-parse edge cases: rows are counted as lines of the text."""
+
+    def test_bad_cell_beyond_first_loadtxt_chunk_reports_row(self):
+        lines = ramp_csv(60_000).splitlines()
+        lines[55_001] = lines[55_001].replace(",55000,", ",oops,")
+        with pytest.raises(ParseError) as exc:
+            parse_timeseries_csv("\n".join(lines))
+        assert exc.value.row == 55_002
+        assert "'oops'" in str(exc.value)
+
+    def test_short_row_beyond_first_loadtxt_chunk_reports_row(self):
+        lines = ramp_csv(60_000).splitlines()
+        lines[50_500] = lines[50_500].rsplit(",", 1)[0]
+        with pytest.raises(ParseError) as exc:
+            parse_timeseries_csv("\n".join(lines))
+        assert exc.value.row == 50_501
+
+    def test_crlf(self):
+        tss = parse_timeseries_csv("# units: a=kN\r\nt,a\r\n0,1\r\n0.5,2\r\n1.0,3\r\n")
+        assert tss["a"].unit == "kN"
+        assert tss["a"].sample_rate == 2.0
+        assert np.array_equal(tss["a"].values, [1.0, 2.0, 3.0])
+
+    def test_whitespace_padded_cells(self):
+        tss = parse_timeseries_csv(" t , a \n 0 , 1 \n0.5,\t2\n 1.0 ,3 \n")
+        assert tss.labels == ("a",)
+        assert np.array_equal(tss["a"].values, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("text", ["t,a\n", "# c\nt,a\n\n# units: a=kN\n  \n"])
+    def test_header_only_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="no data rows"):
+            parse_timeseries_csv(text)
+
+    def test_nan_after_comments_and_blank_lines_reports_row(self):
+        text = "# c\n\nt,a\n0,0\n# mid\n\n0.005,nan\n0.01,0\n"
+        with pytest.raises(ParseError) as exc:
+            parse_timeseries_csv(text)
+        assert exc.value.row == 7
+
+    def test_spacing_error_row_counts_comment_lines(self):
+        text = "t,a\n0,0\n# gap\n0.005,1\n\n0.011,0\n0.016,1\n"
+        with pytest.raises(SpacingError) as exc:
+            parse_timeseries_csv(text)
+        assert exc.value.row == 6
+
+    def test_cells_loadtxt_rejects_but_float_accepts(self):
+        # "1_0" fails np.loadtxt; the cell-by-cell re-scan reads every row
+        text = "# units: a=kN\nt,a\n0,1_0\n\n0.5,2\n1.0,3\n"
+        ts = parse_timeseries_csv(text)["a"]
+        assert np.array_equal(ts.values, [10.0, 2.0, 3.0])
+        assert ts.unit == "kN" and ts.sample_rate == 2.0
+
+    def test_units_comment_after_data_applies(self):
+        ts = parse_timeseries_csv("t,a\n0,0\n0.5,1\n# units: a=kN\n")["a"]
+        assert ts.unit == "kN"
+
+    def test_stream_and_text_agree(self):
+        text = ramp_csv(1000)
+        a, b = parse_timeseries_csv(text), parse_timeseries_csv(io.StringIO(text))
+        for x, y in zip(a, b):
+            assert np.array_equal(x.values, y.values) and x.sample_rate == y.sample_rate
+
+
 class TestSynchronize:
     def test_overlap_of_different_rates_accepted(self):
         resp = TimeSeriesSet((make_series(dur=4.0, label="r"),))
