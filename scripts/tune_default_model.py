@@ -3,7 +3,7 @@
 
 The block geometry is fixed (the reaction-mass footprint); the free knobs
 are spring counts, stiffness totals, edge amplification, the dashpot
-tributary-mass rule, and actuator anchor heights.  Candidate configs are
+tributary-mass shares, and actuator anchor heights.  Candidate configs are
 scored by running the library's identification chain
 (``pipeline.identify``) on the exact steady-state station phasors, against
 the acceptance targets:
@@ -288,7 +288,7 @@ def scan(write: bool):
             length=L, width=W, height=H, mass=MASS,
             nx_bottom=9, ny_bottom=5, n_end=9, n_side=17,
             edge_amplification=eamp, zeta=0.37,
-            tributary="shares", trib_shares=(sx, sy, sz),
+            trib_shares=(sx, sy, sz),
             name="reaction-block-default",
         )
         try:

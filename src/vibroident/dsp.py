@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignError, FilterError, FitError
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, TimeSeriesSet
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -89,22 +89,24 @@ def filter_gain(coeffs: FilterCoefficients, freqs) -> np.ndarray:
     return np.abs(h)
 
 
-def filtfilt(coeffs: FilterCoefficients, ts: TimeSeries) -> TimeSeries:
-    """Forward-backward zero-phase filtering; effective magnitude |H|^2.
-
-    Odd (reflective) edge padding of length 3*(2n+1) is applied and
-    removed, so the output has the input's length and timestamps.
-    """
-    if ts.sample_rate != coeffs.fs:
+def filtfilt(coeffs: FilterCoefficients, record: TimeSeries | TimeSeriesSet):
+    """Forward-backward zero-phase filtering of a TimeSeries or of each row
+    of a TimeSeriesSet, one row at a time into one output (so the scratch
+    memory is one row's); effective magnitude |H|^2.  Odd (reflective) edge
+    padding of length 3*(2n+1) is applied and removed."""
+    n = record.values.shape[-1]
+    if record.sample_rate != coeffs.fs:
         raise FilterError(
-            f"series rate {ts.sample_rate} Hz does not match design rate {coeffs.fs} Hz"
+            f"series rate {record.sample_rate} Hz does not match design rate {coeffs.fs} Hz"
         )
-    if len(ts) <= coeffs.pad_len:
-        raise FilterError(f"series length {len(ts)} <= padding requirement {coeffs.pad_len}")
+    if n <= coeffs.pad_len:
+        raise FilterError(f"series length {n} <= padding requirement {coeffs.pad_len}")
     from scipy import signal as sps
 
-    y = sps.sosfiltfilt(coeffs.sos, ts.values, padtype="odd", padlen=coeffs.pad_len)
-    return ts.with_values(y)
+    out = np.empty(record.values.shape)
+    for x, y in zip(record.values.reshape(-1, n), out.reshape(-1, n)):
+        y[:] = sps.sosfiltfilt(coeffs.sos, x, padtype="odd", padlen=coeffs.pad_len)
+    return record.with_values(out)
 
 
 #: golden-section steps that take the +-10 % bracket below 1e-6 of the start

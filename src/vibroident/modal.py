@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,23 +121,27 @@ class FrequencyResponseCurve:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
 
-    def ids(self) -> list[tuple[str, str]]:
-        seen = []
+    @cached_property
+    def _series(self) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+        """Read-only (f, u) sorted by f per (id, axis), in order of first appearance."""
+        grouped: dict[tuple[str, str], list[tuple[float, float]]] = {}
         for p in self.points:
-            key = (p.id, p.axis)
-            if key not in seen:
-                seen.append(key)
-        return seen
+            grouped.setdefault((p.id, p.axis), []).append((p.f_hz, p.u_scaled_mm))
+        out = {}
+        for key, pts in grouped.items():
+            fu = np.array(sorted(pts)).T.copy()
+            fu.flags.writeable = False
+            out[key] = (fu[0], fu[1])
+        return out
+
+    def ids(self) -> list[tuple[str, str]]:
+        return list(self._series)
 
     def series(self, sid: str, axis: str) -> tuple[np.ndarray, np.ndarray]:
-        pts = sorted(
-            ((p.f_hz, p.u_scaled_mm) for p in self.points if p.id == sid and p.axis == axis)
-        )
-        if not pts:
-            raise KeyError((sid, axis))
-        f = np.array([p[0] for p in pts])
-        u = np.array([p[1] for p in pts])
-        return f, u
+        try:
+            return self._series[(sid, axis)]
+        except KeyError:
+            raise KeyError((sid, axis)) from None
 
     def subset(self, keep) -> "FrequencyResponseCurve":
         return FrequencyResponseCurve(
@@ -156,6 +161,10 @@ def build_frc(
     Adds one averaged series per layout group.  Frequencies must have a
     matching measured force; amplitudes scale by f_ref / f_measured.
     """
+    groups_of: dict[str, list[str]] = {}
+    for gname, members in (layout.groups if layout is not None else {}).items():
+        for sid in dict.fromkeys(members):
+            groups_of.setdefault(sid, []).append(gname)
     points: list[FrcPoint] = []
     for f in sorted(amplitudes):
         if f not in forces:
@@ -168,10 +177,8 @@ def build_frc(
         for (sid, axis), u_m in sorted(amplitudes[f].items()):
             u_mm = u_m * 1e3 * scale
             points.append(FrcPoint(f, sid, axis, u_mm, fm, f_ref))
-            if layout is not None:
-                for gname, members in layout.groups.items():
-                    if sid in members:
-                        by_group.setdefault((gname, axis), []).append(u_mm)
+            for gname in groups_of.get(sid, ()):
+                by_group.setdefault((gname, axis), []).append(u_mm)
         for (gname, axis), vals in sorted(by_group.items()):
             points.append(FrcPoint(f, gname, axis, float(np.mean(vals)), fm, f_ref))
     return FrequencyResponseCurve(tuple(points), dof_excited)
@@ -341,17 +348,20 @@ def rbm_contribution(
 # --- SDOF amplification and damping -----------------------------------------
 
 
-def rd_curve(xi: float, r) -> np.ndarray | float:
-    """Dynamic amplification of an SDOF oscillator: peak of ~1/(2 xi) near r=1."""
-    if not 0.0 <= xi < 1.0:
+def rd_curve(xi, r) -> np.ndarray | float:
+    """Dynamic amplification of an SDOF oscillator: peak of ~1/(2 xi) near r=1.
+
+    ``xi`` and ``r`` broadcast; a float comes back when both are scalars."""
+    xi_arr = np.asarray(xi, dtype=float)
+    if not np.all((xi_arr >= 0.0) & (xi_arr < 1.0)):
         raise DomainError(f"damping ratio {xi} outside [0, 1)")
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise DomainError("frequency ratio must be non-negative")
-    if xi == 0.0 and np.any(r_arr == 1.0):
+    if np.any((xi_arr == 0.0) & (r_arr == 1.0)):
         raise InfinityError("undamped oscillator at resonance")
-    out = 1.0 / np.sqrt((1.0 - r_arr**2) ** 2 + (2.0 * xi * r_arr) ** 2)
-    return float(out) if np.isscalar(r) else out
+    out = 1.0 / np.sqrt((1.0 - r_arr**2) ** 2 + (2.0 * xi_arr * r_arr) ** 2)
+    return float(out) if np.isscalar(r) and np.isscalar(xi) else out
 
 
 DEFAULT_XI_GRID = tuple(np.arange(0.05, 0.95 + 1e-9, 0.025))
@@ -409,9 +419,8 @@ def estimate_damping(
                 f"series {sid}/{axis} has fewer than 3 points in the fit range"
             )
         target = u[sel] / norm
-        errs = [
-            float(np.sum((target - rd_curve(float(xi), r[sel])) ** 2)) for xi in xi_grid
-        ]
+        # one row per grid value
+        errs = np.sum((target - rd_curve(xi_grid[:, None], r[sel])) ** 2, axis=1)
         best = int(np.argmin(errs))
         if best in (0, len(xi_grid) - 1):
             boundary = True

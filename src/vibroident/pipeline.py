@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dsp, modal
-from .errors import WindowError
+from .errors import ParseError, WindowError
 from .modal import (
     DampingEstimate,
     ForceEstimate,
@@ -28,7 +28,8 @@ from .modal import (
     StationPhasors,
 )
 from .simulator.excitation import ExcitationProgram
-from .timeseries import SensorLayout, TimeSeriesSet, extract_window, window_indices
+from .simulator.sensors import AXIS_NAMES
+from .timeseries import SensorLayout, TimeSeriesSet, extract_window
 
 #: rigid-motion FRC axis measured for each excited DOF
 EXCITED_AXIS = {"X": "dx", "Y": "dy", "Z": "dz", "YAW": "rz"}
@@ -78,9 +79,17 @@ class AnalysisResult:
     unconverged: tuple[tuple[float, str], ...] = ()
 
 
-def _split_label(label: str) -> tuple[str, str]:
-    sid, _, axis = label.rpartition("_")
-    return sid, axis
+def _channel_keys(labels, layout: SensorLayout) -> list[tuple[str, str]]:
+    """(station id, axis) of each response channel; a label that is not
+    ``<station>_<x|y|z>`` for a station of the layout is a ParseError."""
+    stations = {st.id for st in layout.stations}
+    keys = []
+    for label in labels:
+        sid, _, axis = label.rpartition("_")
+        if sid not in stations or axis not in AXIS_NAMES:
+            raise ParseError(f"response column {label!r} is not <layout station>_<x|y|z>")
+        keys.append((sid, axis))
+    return keys
 
 
 #: sweep analysis points sit on this frequency grid, Hz
@@ -128,10 +137,10 @@ def analyze(
 ) -> AnalysisResult:
     """Fit the records into station phasors and forces, then :func:`identify`."""
     dof = program.dof_excited.upper()
+    keys = _channel_keys(response.labels, layout)
     windows = analysis_windows(program, policy)
     coeffs = dsp.design_bandpass(policy.filter_order, policy.f_low, policy.f_high, response.sample_rate)
-    filtered = [dsp.filtfilt(coeffs, ts) for ts in response]
-    keys = [_split_label(ts.label) for ts in filtered]
+    filtered = dsp.filtfilt(coeffs, response)
 
     geometry = {
         fp.id: ForceGeometry(fp.location, fp.direction) for fp in program.force_points
@@ -141,18 +150,12 @@ def analyze(
     force_estimates: dict[float, ForceEstimate] = {}
     unconverged: list[tuple[float, str]] = []
 
-    rate = response.sample_rate
     for f, t0, t1 in windows:
-        i0, i1 = window_indices(response.start_time, rate, len(filtered[0]), t0, t1)
-        t_first = response.start_time + i0 / rate
-        fits = dsp.fit_sines(
-            t_first + np.arange(i1 - i0) / rate,
-            np.stack([ts.values[i0:i1] for ts in filtered]),
-            f,
-        )
+        window = extract_window(filtered, t0, t1)
+        fits = dsp.fit_sines(window.times(), window.values, f)
         # channels with no coherent response (noise-only) may run out of
         # polish iterations; their best iterate is kept and reported
-        unconverged.extend((f, filtered[c].label) for c in np.flatnonzero(~fits.converged))
+        unconverged.extend((f, window.labels[c]) for c in np.flatnonzero(~fits.converged))
         # forward+backward filtering scales amplitudes by |H|^2; undo it
         accel_phasors = fits.phasor / dsp.filter_gain(coeffs, fits.frequency) ** 2
         disp_phasors = -accel_phasors / fits.omega**2
@@ -161,11 +164,8 @@ def analyze(
             by_station.setdefault(sid, {})[axis] = complex(disp)
         phasors[f] = by_station
 
-        windowed_force = TimeSeriesSet(
-            tuple(extract_window(ts, t0, t1) for ts in force)
-        )
         force_estimates[f] = modal.estimate_force_amplitude(
-            windowed_force, geometry, f, low_freq_cut=policy.force_low_freq_cut
+            extract_window(force, t0, t1), geometry, f, low_freq_cut=policy.force_low_freq_cut
         )
 
     forces = {

@@ -32,12 +32,11 @@ class BlockSpec:
     n_side: int = 7               # y-springs per long side
     edge_amplification: float = 2.0
     zeta: float = 0.37
-    tributary: str = "group"      # "group" | "global" | "shares"
-    #: per-direction fraction of the block mass engaged by that spring set;
-    #: soil radiation damping differs for horizontal, vertical and rocking
-    #: motion, so the shares are direction-dependent tuning constants
+    #: per-direction fraction of the block mass engaged by that spring set,
+    #: shared evenly by its springs; soil radiation damping differs for
+    #: horizontal, vertical and rocking motion, so the shares are
+    #: direction-dependent tuning constants
     trib_shares: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    damping_scale: float = 1.0
     name: str = "block"
 
     def inertia(self) -> np.ndarray:
@@ -83,21 +82,12 @@ def build_block_model(spec: BlockSpec) -> RigidBlockModel:
             pos = np.array([x, sy * spec.width / 2.0, z_edge])
             groups["y"].append((pos, np.array([0.0, 1.0, 0.0]), spec.kh_y_total / (2 * spec.n_side)))
 
-    n_total = sum(len(g) for g in groups.values())
     shares = dict(zip("xyz", spec.trib_shares))
     springs = []
     for gname, elems in groups.items():
-        n_group = len(elems)
+        m_trib = shares[gname] * spec.mass / len(elems)
         for pos, direction, k in elems:
-            if spec.tributary == "group":
-                m_trib = spec.mass / n_group
-            elif spec.tributary == "global":
-                m_trib = spec.mass / n_total
-            elif spec.tributary == "shares":
-                m_trib = shares[gname] * spec.mass / n_group
-            else:
-                raise ValueError(f"unknown tributary rule {spec.tributary!r}")
-            c = 2.0 * spec.zeta * np.sqrt(k * m_trib) * spec.damping_scale
+            c = 2.0 * spec.zeta * np.sqrt(k * m_trib)
             springs.append(SpringElement(attach=pos, direction=direction, k=k, c=c))
 
     return RigidBlockModel(

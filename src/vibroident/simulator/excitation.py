@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..timeseries import TimeSeries, TimeSeriesSet
+from ..timeseries import TimeSeriesSet
 
 
 @dataclass(frozen=True)
@@ -153,12 +153,9 @@ def force_timeseries(program: ExcitationProgram, fs: float, duration: float | No
         duration = program.duration
     n = int(round(duration * fs)) + 1
     t = np.arange(n) / fs
-    s = program.drive(t)
-    series = tuple(
-        TimeSeries(0.0, fs, fp.amplitude * 1e-3 * s, "kN", fp.id)
-        for fp in program.force_points
-    )
-    return TimeSeriesSet(series)
+    kn = np.array([fp.amplitude * 1e-3 for fp in program.force_points])
+    labels = [fp.id for fp in program.force_points]
+    return TimeSeriesSet(0.0, fs, kn[:, None] * program.drive(t), labels, ["kN"] * len(labels))
 
 
 def load_program(source) -> ExcitationProgram:

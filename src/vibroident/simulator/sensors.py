@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..timeseries import SensorLayout, TimeSeries, TimeSeriesSet
+from ..timeseries import SensorLayout, TimeSeriesSet
 from .integrate import StateHistory
 
 AXIS_NAMES = ("x", "y", "z")
@@ -59,16 +59,15 @@ def sensor_kinematics(
 
     rng = np.random.default_rng(noise.seed)
     t_out = history.t[idx]
-    series = []
-    for st in layout.stations:
+    values = np.empty((3 * len(layout.stations), len(idx)))
+    for s, st in enumerate(layout.stations):
         a_st = acc_tr + np.cross(acc_rot, st.position[None, :])
         for axis in range(3):
-            vals = a_st @ st.axes[axis]
+            vals = values[3 * s + axis]
+            vals[:] = a_st @ st.axes[axis]
             if noise.tone_hz is not None and noise.tone_amplitude > 0.0:
-                vals = vals + noise.tone_amplitude * np.sin(2.0 * np.pi * noise.tone_hz * t_out)
+                vals += noise.tone_amplitude * np.sin(2.0 * np.pi * noise.tone_hz * t_out)
             if noise.rms > 0.0:
-                vals = vals + rng.normal(0.0, noise.rms, size=vals.shape)
-            series.append(
-                TimeSeries(t0, output_rate, vals, "m/s^2", channel_label(st.id, axis))
-            )
-    return TimeSeriesSet(tuple(series))
+                vals += rng.normal(0.0, noise.rms, size=vals.shape)
+    labels = [channel_label(st.id, axis) for st in layout.stations for axis in range(3)]
+    return TimeSeriesSet(t0, output_rate, values, labels, ["m/s^2"] * len(labels))

@@ -1,6 +1,10 @@
 """Multi-channel, multi-rate time series: data model, CSV ingestion,
 the overlap check between records, index windows, and sensor layouts.
 
+A record (:class:`TimeSeriesSet`) is one ``(channels, samples)`` matrix
+on a uniform time axis, with a label and a unit per row; it is
+simulated, written, parsed, filtered and windowed whole.
+
 CSV layout: first column ``t`` in seconds, remaining columns are channel
 labels; ``#`` lines are comments.  Timestamps must be uniform; the sample
 rate is inferred from the median delta.  Records of different rates are
@@ -35,13 +39,30 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """Uniformly sampled single-channel record.
+class _UniformAxis:
+    """Time axis of a channel or a record: sample i of the last axis of
+    ``values`` lives at ``start_time + i / sample_rate``, in seconds from
+    the record epoch."""
 
-    ``start_time`` is an offset in seconds from the record epoch; sample i
-    lives at ``start_time + i / sample_rate``.
-    """
+    @property
+    def duration(self) -> float:
+        """(samples - 1) / sample_rate, exactly."""
+        return (self.values.shape[-1] - 1) / self.sample_rate
+
+    @property
+    def end_time(self) -> float:
+        return self.start_time + self.duration
+
+    def times(self) -> np.ndarray:
+        return self.start_time + np.arange(self.values.shape[-1]) / self.sample_rate
+
+    def with_values(self, values: np.ndarray):
+        return replace(self, values=values)
+
+
+@dataclass(frozen=True)
+class TimeSeries(_UniformAxis):
+    """Uniformly sampled single-channel record."""
 
     start_time: float
     sample_rate: float
@@ -59,65 +80,50 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    @property
-    def duration(self) -> float:
-        """(len - 1) / sample_rate, exactly."""
-        return (len(self) - 1) / self.sample_rate
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
-    def times(self) -> np.ndarray:
-        return self.start_time + np.arange(len(self)) / self.sample_rate
-
-    def with_values(self, values: np.ndarray, unit: str | None = None) -> "TimeSeries":
-        return replace(self, values=values, unit=self.unit if unit is None else unit)
-
 
 @dataclass(frozen=True)
-class TimeSeriesSet:
-    """Channels sharing one start time and sample rate."""
+class TimeSeriesSet(_UniformAxis):
+    """Channels sharing one time axis, held as one read-only C-ordered
+    ``(channels, samples)`` matrix: row c is channel ``labels[c]`` (unique)
+    in ``units[c]``.  Iteration and ``tss[label]`` give :class:`TimeSeries`
+    views of the rows; filtering and windowing act on the whole matrix."""
 
-    series: tuple[TimeSeries, ...]
+    start_time: float
+    sample_rate: float
+    values: np.ndarray
+    labels: tuple[str, ...]
+    units: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.series:
-            raise ValueError("empty channel set")
-        t0 = self.series[0].start_time
-        fs = self.series[0].sample_rate
-        n = len(self.series[0])
-        for ts in self.series[1:]:
-            if ts.start_time != t0 or ts.sample_rate != fs or len(ts) != n:
-                raise ValueError("channels must share start_time, rate and length")
-        object.__setattr__(self, "series", tuple(self.series))
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
+        values = _freeze(self.values)
+        labels, units = tuple(self.labels), tuple(self.units)
+        if values.ndim != 2 or values.size == 0:
+            raise ValueError("values must be a non-empty (channels, samples) matrix")
+        if not len(labels) == len(units) == len(values):
+            raise ValueError(f"{len(values)} channels need as many labels and units")
+        duplicates = sorted({lab for lab in labels if labels.count(lab) > 1})
+        if duplicates:
+            raise ValueError(f"duplicate channel label(s): {', '.join(duplicates)}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "units", units)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def _row(self, c: int) -> TimeSeries:
+        return TimeSeries(self.start_time, self.sample_rate, self.values[c], self.units[c], self.labels[c])
 
     def __iter__(self):
-        return iter(self.series)
-
-    def __len__(self):
-        return len(self.series)
-
-    @property
-    def start_time(self) -> float:
-        return self.series[0].start_time
-
-    @property
-    def sample_rate(self) -> float:
-        return self.series[0].sample_rate
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(ts.label for ts in self.series)
+        return map(self._row, range(len(self)))
 
     def __getitem__(self, label: str) -> TimeSeries:
-        for ts in self.series:
-            if ts.label == label:
-                return ts
-        raise KeyError(label)
-
-    def times(self) -> np.ndarray:
-        return self.series[0].times()
+        try:
+            return self._row(self.labels.index(label))
+        except ValueError:
+            raise KeyError(label) from None
 
 
 @dataclass(frozen=True)
@@ -212,7 +218,7 @@ def _parse_cells(rows, ncol: int) -> np.ndarray:
 
 
 def parse_timeseries_csv(text, units: dict[str, str] | None = None) -> TimeSeriesSet:
-    """Parse CSV text (or a text stream) into one TimeSeries per data column.
+    """Parse CSV text (or a text stream) into a record of the data columns.
 
     ``units`` optionally maps column labels to physical units; a
     ``# units: a=kN,b=m/s^2`` comment line in the file serves the same
@@ -270,28 +276,26 @@ def parse_timeseries_csv(text, units: dict[str, str] | None = None) -> TimeSerie
         rate = float(round(rate))
 
     units = {**file_units, **(units or {})}
-    series = tuple(
-        TimeSeries(
-            start_time=float(t[0]),
-            sample_rate=rate,
-            values=data[:, j],
-            unit=units.get(header[j], "1"),
-            label=header[j],
+    try:
+        return TimeSeriesSet(
+            float(t[0]), rate, data[:, 1:].T, header[1:], [units.get(h, "1") for h in header[1:]]
         )
-        for j in range(1, ncol)
-    )
-    return TimeSeriesSet(series)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
+
+#: samples per block the CSV writer turns into Python floats at once
+_WRITE_BLOCK = 256
 
 def serialize_timeseries_csv(tss: TimeSeriesSet) -> str:
-    """Inverse of :func:`parse_timeseries_csv`; round-trips values bit-exactly."""
-    units = ",".join(f"{ts.label}={ts.unit}" for ts in tss)
-    lines = [f"# units: {units}"]
-    lines.append(",".join(["t", *tss.labels]))
+    """Inverse of :func:`parse_timeseries_csv`; round-trips values bit-exactly
+    (``repr`` of each cell, from row blocks of the transposed matrix)."""
+    units = ",".join(f"{label}={unit}" for label, unit in zip(tss.labels, tss.units))
+    lines = [f"# units: {units}", ",".join(["t", *tss.labels])]
     t = tss.times()
-    cols = [ts.values for ts in tss]
-    for i in range(len(t)):
-        lines.append(",".join([repr(float(t[i]))] + [repr(float(c[i])) for c in cols]))
+    for i in range(0, len(t), _WRITE_BLOCK):
+        block = np.vstack([t[i : i + _WRITE_BLOCK], tss.values[:, i : i + _WRITE_BLOCK]])
+        lines.extend(",".join(map(repr, row)) for row in block.T.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -302,20 +306,23 @@ def synchronize(response: TimeSeriesSet, force: TimeSeriesSet) -> None:
     own time axis.
     """
     t0 = max(response.start_time, force.start_time)
-    t1 = min(response.series[0].end_time, force.series[0].end_time)
+    t1 = min(response.end_time, force.end_time)
     if t1 - t0 <= 1.0:
         raise AlignmentError(f"streams overlap for {max(t1 - t0, 0.0):.3f} s; need > 1 s")
 
 
-def window_indices(start_time: float, sample_rate: float, n: int, t0: float, t1: float) -> tuple[int, int]:
-    """Half-open index range [i0, i1) of the samples with timestamps in [t0, t1].
+def extract_window(record: TimeSeries | TimeSeriesSet, t0: float, t1: float):
+    """Samples with timestamps in [t0, t1] of a TimeSeries, or of every
+    channel of a TimeSeriesSet; start_time updated.
 
-    Sample i sits at ``start_time + i / sample_rate``; a bound within 1e-12 s
-    of a sample keeps it.  The ends are computed from the bounds, then each
-    is stepped to the exact rule, so no time axis is built.
+    A bound within 1e-12 s of a sample keeps it.  The index ends are
+    computed from the bounds, then each is stepped to that exact rule, so
+    no time axis is built.
     """
     if not t0 < t1:
         raise WindowError(f"empty window [{t0}, {t1}]")
+    start_time, sample_rate = record.start_time, record.sample_rate
+    n = record.values.shape[-1]
     lo, hi = t0 - 1e-12, t1 + 1e-12
 
     def time(i: int) -> float:
@@ -336,15 +343,7 @@ def window_indices(start_time: float, sample_rate: float, n: int, t0: float, t1:
             f"window [{t0}, {t1}] selects no samples from "
             f"[{start_time}, {time(n - 1)}]"
         )
-    return i0, i1
-
-
-def extract_window(ts: TimeSeries, t0: float, t1: float) -> TimeSeries:
-    """Samples with timestamps in [t0, t1]; start_time updated."""
-    i0, i1 = window_indices(ts.start_time, ts.sample_rate, len(ts), t0, t1)
-    return TimeSeries(
-        ts.start_time + i0 / ts.sample_rate, ts.sample_rate, ts.values[i0:i1], ts.unit, ts.label
-    )
+    return replace(record, start_time=time(i0), values=record.values[..., i0:i1])
 
 
 def load_layout(source) -> SensorLayout:

@@ -244,6 +244,34 @@ class TestAnalyze:
         assert rc == 3
 
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("T1C_y", "T1C_x", "duplicate channel label(s): T1C_x"),
+            ("T1C_x", "ZZZ_x", "response column 'ZZZ_x'"),
+            ("T1C_x", "T1C_q", "response column 'T1C_q'"),
+        ],
+        ids=["duplicate", "unknown_station", "bad_axis"],
+    )
+    def test_bad_response_label_is_parse_error(self, workdir, simulated, old, new, message, capsys):
+        lines = (simulated / "response.csv").read_text().split("\n")
+        header = lines[1].split(",")
+        header[header.index(old)] = new
+        lines[1] = ",".join(header)
+        renamed = workdir / f"renamed_{new}.csv"
+        renamed.write_text("\n".join(lines))
+        rc = main([
+            "analyze", "-c", str(workdir / "cfg.json"),
+            "--response", str(renamed),
+            "--force", str(simulated / "force.csv"),
+            "-o", str(workdir / "nope_label"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (workdir / "nope_label").exists()
+
+
 class TestLinearity:
     def test_identical_curves(self, workdir, analyzed, capsys):
         rc = main(["linearity", str(analyzed / "frc.csv"), str(analyzed / "frc.csv")])

@@ -18,7 +18,7 @@ from vibroident.dsp import (
     subtract_low_freq,
 )
 from vibroident.errors import DesignError, FilterError, FitError
-from vibroident.timeseries import TimeSeries
+from vibroident.timeseries import TimeSeries, TimeSeriesSet
 
 
 def sine_series(f, fs=200.0, dur=10.0, amp=1.0, phase=0.0, t0=0.0, extra=None):
@@ -119,6 +119,16 @@ class TestFiltFilt:
         margin = int(20 * 200)
         interior = slice(margin, -margin)
         assert np.max(np.abs(lhs[interior] - rhs[interior])) < 1e-12
+
+
+    def test_record_rows_equal_channel_filtering(self):
+        c = design_bandpass(5, 1.0, 25.0, 200.0)
+        rng = np.random.default_rng(5)
+        tss = TimeSeriesSet(1.5, 200.0, rng.standard_normal((3, 4000)), ("a", "b", "c"), ("m",) * 3)
+        out = filtfilt(c, tss)
+        assert out.labels == tss.labels and out.start_time == tss.start_time
+        for row, ts in zip(out, tss):
+            assert np.array_equal(row.values, filtfilt(c, ts).values)
 
 
 def grid_search_sine(t, u, f_fixed, a_span=(0.0, 2.0), rounds=6, n=81):

@@ -17,6 +17,7 @@ from vibroident.errors import (
     RankError,
 )
 from vibroident.modal import (
+    DEFAULT_XI_GRID,
     ForceGeometry,
     FrequencyResponseCurve,
     FrcPoint,
@@ -36,16 +37,13 @@ from vibroident.modal import (
     rd_curve,
     rigid_rows,
 )
-from vibroident.timeseries import SensorLayout, Station, TimeSeries, TimeSeriesSet
+from vibroident.timeseries import SensorLayout, Station, TimeSeriesSet
 
 
 def force_set(channels, fs=512.0, dur=10.0):
     t = np.arange(int(fs * dur) + 1) / fs
-    series = tuple(
-        TimeSeries(0.0, fs, amp * np.sin(2 * np.pi * f * t + ph), "kN", label)
-        for label, (amp, f, ph) in channels.items()
-    )
-    return TimeSeriesSet(series)
+    values = [amp * np.sin(2 * np.pi * f * t + ph) for amp, f, ph in channels.values()]
+    return TimeSeriesSet(0.0, fs, values, tuple(channels), ("kN",) * len(channels))
 
 
 class TestForceAmplitude:
@@ -76,7 +74,7 @@ class TestForceAmplitude:
         fs, dur = 512.0, 40.0
         t = np.arange(int(fs * dur) + 1) / fs
         vals = 200.0 * np.sin(2 * np.pi * 8.0 * t) + 80.0 * np.sin(2 * np.pi * 0.5 * t)
-        force = TimeSeriesSet((TimeSeries(0.0, fs, vals, "kN", "a0"),))
+        force = TimeSeriesSet(0.0, fs, vals[None, :], ("a0",), ("kN",))
         geo = {"a0": ForceGeometry([0, 0, 0], [1, 0, 0])}
         est = estimate_force_amplitude(force, geo, 8.0, low_freq_cut=1.0)
         assert est.resultant == pytest.approx(200.0, rel=1e-4)
@@ -126,6 +124,22 @@ class TestBuildFrc:
         again = frc_from_csv(frc_to_csv(frc))
         assert again.dof_excited == "Y"
         assert again.points == frc.points
+
+    def test_series_grouped_in_first_appearance_order(self):
+        pts = [
+            FrcPoint(8.0, "S2", "x", 4.0, 1.0, 1.0),
+            FrcPoint(5.0, "S1", "z", 2.0, 1.0, 1.0),
+            FrcPoint(3.0, "S2", "x", 1.0, 1.0, 1.0),
+            FrcPoint(6.0, "S2", "x", 3.0, 1.0, 1.0),
+        ]
+        frc = FrequencyResponseCurve(tuple(pts))
+        assert frc.ids() == [("S2", "x"), ("S1", "z")]
+        f, u = frc.series("S2", "x")
+        assert f.tolist() == [3.0, 6.0, 8.0] and u.tolist() == [1.0, 3.0, 4.0]
+        assert not f.flags.writeable and not u.flags.writeable
+        assert frc.points == tuple(pts)
+        with pytest.raises(KeyError):
+            frc.series("S1", "x")
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=25, deadline=None)
@@ -315,6 +329,15 @@ class TestRdCurve:
             rd_curve(1.0, 0.5)
         with pytest.raises(DomainError):
             rd_curve(-0.1, 0.5)
+        with pytest.raises(DomainError):
+            rd_curve(np.array([[0.3], [1.0]]), np.array([0.5, 0.6]))
+
+    def test_grid_rows_equal_scalar_calls(self):
+        grid = np.asarray(DEFAULT_XI_GRID)
+        r = np.linspace(0.3, 1.5, 23)
+        rows = rd_curve(grid[:, None], r)
+        for xi, row in zip(grid, rows):
+            assert np.array_equal(row, rd_curve(float(xi), r))
 
 
 def sdof_frc(xi, fn=10.0, freqs=None, sid="S1", axis="x"):
@@ -353,6 +376,21 @@ class TestEstimateDamping:
         est = estimate_damping(FrequencyResponseCurve(points, "X"), fn_hint=10.0)
         assert est.poor_fit
         assert est.xi_hi == pytest.approx(0.475, abs=1e-9)
+
+    def test_grid_pick_matches_per_value_loop(self):
+        # reference: one rd_curve call and one sum per grid value
+        rng = np.random.default_rng(9)
+        grid = np.asarray(DEFAULT_XI_GRID)
+        f = np.arange(0.5, 15.01, 0.5)
+        for k in range(20):
+            u = rd_curve(rng.uniform(0.1, 0.8), f / 10.0) * rng.uniform(0.9, 1.1, f.size)
+            frc = FrequencyResponseCurve(tuple(FrcPoint(float(a), "S1", "x", float(b), 1.0, 1.0) for a, b in zip(f, u)))
+            r = f / 10.0
+            sel = (r >= 0.3) & (r <= 1.5)
+            target = u[sel] / np.mean(u[:2])
+            errs = [float(np.sum((target - rd_curve(float(xi), r[sel])) ** 2)) for xi in grid]
+            est = estimate_damping(frc, fn_hint=10.0)
+            assert est.xi_lo == float(grid[int(np.argmin(errs))])
 
     def test_missing_normalization_points(self):
         frc = sdof_frc(0.3, freqs=np.arange(8.0, 15.0, 0.5))

@@ -32,7 +32,7 @@ def small_setup():
         kh_x_total=2e5 * (2 * math.pi * 8.0) ** 2,
         kh_y_total=2e5 * (2 * math.pi * 9.0) ** 2,
         nx_bottom=5, ny_bottom=3, n_end=3, n_side=5,
-        zeta=0.3, tributary="shares", trib_shares=(0.8, 0.5, 0.3),
+        zeta=0.3, trib_shares=(0.8, 0.5, 0.3),
     )
     model = build_block_model(spec)
     sys = assemble_system(model)

@@ -23,6 +23,12 @@ def make_series(f=5.0, fs=200.0, dur=10.0, t0=0.0, label="a", unit="m/s^2"):
     return TimeSeries(t0, fs, np.sin(2 * np.pi * f * t), unit, label)
 
 
+def make_set(**kw):
+    """One-channel record of :func:`make_series`."""
+    ts = make_series(**kw)
+    return TimeSeriesSet(ts.start_time, ts.sample_rate, ts.values[None, :], (ts.label,), (ts.unit,))
+
+
 class TestParse:
     def test_three_row_readback(self):
         tss = parse_timeseries_csv("t,a\n0,0\n0.005,1\n0.01,0\n")
@@ -62,11 +68,7 @@ class TestParse:
 
     def test_roundtrip_bit_exact(self):
         rng = np.random.default_rng(7)
-        series = tuple(
-            TimeSeries(0.25, 200.0, rng.standard_normal(64), "m/s^2", lab)
-            for lab in ("n1", "n2")
-        )
-        tss = TimeSeriesSet(series)
+        tss = TimeSeriesSet(0.25, 200.0, rng.standard_normal((2, 64)), ("n1", "n2"), ("m/s^2",) * 2)
         again = parse_timeseries_csv(serialize_timeseries_csv(tss))
         for a, b in zip(tss, again):
             assert np.array_equal(a.values, b.values)
@@ -75,6 +77,59 @@ class TestParse:
             assert a.unit == b.unit and a.label == b.label
         # parse -> serialize -> parse is a fixed point
         assert serialize_timeseries_csv(again) == serialize_timeseries_csv(tss)
+
+
+    def test_serializer_writes_repr_of_every_cell(self):
+        values = np.array([
+            [0.0, -0.0, 1e-300, 5e-324, 1.0 / 3.0],
+            [2.0**53, -1.5e17, 0.1 + 0.2, np.pi, -7.0],
+        ])
+        tss = TimeSeriesSet(0.1, 3.0, values, ("p", "q"), ("kN", "m"))
+        t = tss.times()
+        rows = [
+            ",".join([repr(float(t[i]))] + [repr(float(v[i])) for v in values])
+            for i in range(values.shape[1])
+        ]
+        expected = "\n".join(["# units: p=kN,q=m", "t,p,q", *rows]) + "\n"
+        assert serialize_timeseries_csv(tss) == expected
+
+
+class TestRecord:
+    def test_rows_are_read_only_views_of_one_matrix(self):
+        tss = TimeSeriesSet(0.0, 10.0, np.arange(12.0).reshape(3, 4), ("a", "b", "c"), ("m", "s", "N"))
+        assert not tss.values.flags.writeable
+        rows = list(tss)
+        assert [ts.label for ts in rows] == ["a", "b", "c"]
+        assert [ts.unit for ts in rows] == ["m", "s", "N"]
+        for c, ts in enumerate(rows):
+            assert np.shares_memory(ts.values, tss.values)
+            assert np.array_equal(ts.values, tss.values[c])
+        assert np.array_equal(tss["b"].values, [4.0, 5.0, 6.0, 7.0])
+        assert np.array_equal(tss.times(), rows[0].times())
+        assert tss.end_time == rows[0].end_time == 0.3
+        with pytest.raises(KeyError):
+            tss["z"]
+
+    def test_duplicate_label_rejected(self):
+        with pytest.raises(ValueError, match="duplicate channel label"):
+            TimeSeriesSet(0.0, 1.0, np.zeros((2, 3)), ("a", "a"), ("m", "m"))
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ValueError):
+            TimeSeriesSet(0.0, 1.0, np.zeros((2, 3)), ("a",), ("m",))
+
+    def test_duplicate_column_is_parse_error(self):
+        with pytest.raises(ParseError, match="duplicate channel label"):
+            parse_timeseries_csv("t,a,b,a\n0,1,2,3\n0.5,1,2,3\n")
+
+    def test_window_of_record_equals_window_of_each_channel(self):
+        tss = TimeSeriesSet(0.25, 200.0, np.random.default_rng(2).standard_normal((3, 900)), ("a", "b", "c"), ("m",) * 3)
+        out = extract_window(tss, 1.0, 2.5)
+        assert out.labels == tss.labels and out.units == tss.units
+        for row, ts in zip(out, tss):
+            ref = extract_window(ts, 1.0, 2.5)
+            assert np.array_equal(row.values, ref.values)
+            assert row.start_time == ref.start_time
 
 
 def ramp_csv(n, fs=200.0):
@@ -147,19 +202,19 @@ class TestParseEdges:
 
 class TestSynchronize:
     def test_overlap_of_different_rates_accepted(self):
-        resp = TimeSeriesSet((make_series(dur=4.0, label="r"),))
-        force = TimeSeriesSet((make_series(fs=512.0, t0=2.5, dur=4.0, label="f"),))
+        resp = make_set(dur=4.0, label="r")
+        force = make_set(fs=512.0, t0=2.5, dur=4.0, label="f")
         assert synchronize(resp, force) is None
 
     def test_no_overlap_raises(self):
-        resp = TimeSeriesSet((make_series(t0=0.0, dur=2.0, label="r"),))
-        force = TimeSeriesSet((make_series(t0=10.0, dur=2.0, label="f"),))
+        resp = make_set(t0=0.0, dur=2.0, label="r")
+        force = make_set(t0=10.0, dur=2.0, label="f")
         with pytest.raises(AlignmentError):
             synchronize(resp, force)
 
     def test_short_overlap_raises(self):
-        resp = TimeSeriesSet((make_series(t0=0.0, dur=2.0, label="r"),))
-        force = TimeSeriesSet((make_series(t0=1.5, dur=2.0, label="f"),))
+        resp = make_set(t0=0.0, dur=2.0, label="r")
+        force = make_set(t0=1.5, dur=2.0, label="f")
         with pytest.raises(AlignmentError):
             synchronize(resp, force)
 
