@@ -147,7 +147,7 @@ _CONFIG_RULES = {
     "f_ref_torque_knm": _POSITIVE,
     "rotation_lever_m": _NUMBER,
     "damping_channel_floor": _NUMBER,
-    "force_low_freq_cut": _OPTIONAL,
+    "force_low_freq_cut": (lambda v: v is None or (_real(v) and v > 0), "null or a number > 0"),
     "strain.stations": (
         lambda v: isinstance(v, list) and len(v) == 3 and all(isinstance(s, str) for s in v),
         "a list of three station ids",

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import IntegrationError
+from ..recurrence import block_operators
 from .excitation import ExcitationProgram
 from .model import SystemMatrices
 
@@ -114,16 +115,8 @@ def integrate(
 
     A, B = _step_map(sys, bf, dt)
     m = max(min(BLOCK, n - 1), 1)
-    P = np.empty((m + 1, 18, 18))
-    P[0] = np.eye(18)
-    for j in range(1, m + 1):
-        P[j] = A @ P[j - 1]
-    # G[s, r] = H[r - s] for r >= s, else 0: the response at block sample r
-    # to a unit drive at block sample s.  Row b of D @ G is T_b @ H.
-    H = P[:m] @ B
-    G = np.zeros((m, m, 18))
-    for s in range(m):
-        G[s, s:] = H[: m - s]
+    # G[s, r] = H[r - s]: row b of D @ G is T_b @ H
+    P, G = block_operators(A, B, m)
     nb = -(-(n - 1) // m)
     D = np.zeros((nb, m))
     D.reshape(-1)[: n - 1] = drive[1:]

@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from ..errors import AssemblyError, ConfigError, EigenError, SolveError
 
@@ -38,11 +37,13 @@ class SpringElement:
         object.__setattr__(self, "attach", attach)
         object.__setattr__(self, "direction", direction)
 
-    def influence_row(self) -> np.ndarray:
-        """Maps generalized coordinates to displacement along the spring axis."""
-        d = self.direction
-        r = self.attach
-        return np.concatenate([d, np.cross(r, d)])
+
+def influence_matrix(springs) -> np.ndarray:
+    """Row s, (d_s, r_s x d_s), maps the generalized coordinates to the
+    displacement along the axis d_s of spring s attached at r_s."""
+    attach = np.array([s.attach for s in springs]).reshape(-1, 3)
+    direction = np.array([s.direction for s in springs]).reshape(-1, 3)
+    return np.hstack([direction, np.cross(attach, direction)])
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class RigidBlockModel:
         inertia = np.asarray(self.inertia, dtype=float).reshape(3, 3)
         if not np.allclose(inertia, inertia.T, rtol=1e-10, atol=0.0):
             raise ValueError("inertia tensor must be symmetric")
-        if np.any(sla.eigvalsh(inertia) <= 0):
+        if np.any(np.linalg.eigvalsh(inertia) <= 0):
             raise ValueError("inertia tensor must be positive definite")
         cg = np.asarray(self.cg, dtype=float).reshape(3)
         inertia.flags.writeable = False
@@ -85,23 +86,20 @@ class SystemMatrices:
 
 
 def assemble_system(model: RigidBlockModel) -> SystemMatrices:
-    """Sum k * B^T B over springs (c likewise); M = diag(m, m, m) + inertia."""
-    K = np.zeros((6, 6))
-    C = np.zeros((6, 6))
-    for spring in model.springs:
-        b = spring.influence_row()
-        outer = np.outer(b, b)
-        K += spring.k * outer
-        C += spring.c * outer
+    """K = B^T diag(k) B and C = B^T diag(c) B with B the springs'
+    influence matrix; M = diag(m, m, m) + inertia."""
+    B = influence_matrix(model.springs)
+    K = B.T @ (np.array([s.k for s in model.springs]).reshape(-1, 1) * B)
+    C = B.T @ (np.array([s.c for s in model.springs]).reshape(-1, 1) * B)
     M = np.zeros((6, 6))
     M[:3, :3] = model.mass * np.eye(3)
     M[3:, 3:] = model.inertia
 
     K = 0.5 * (K + K.T)
     C = 0.5 * (C + C.T)
-    eig = sla.eigvalsh(K)
+    eig, vec = np.linalg.eigh(K)
     if eig[0] <= 1e-9 * max(eig[-1], 1.0):
-        w = sla.eigh(K)[1][:, 0]
+        w = vec[:, 0]
         dof = DOF_NAMES[int(np.argmax(np.abs(w)))]
         raise AssemblyError(f"stiffness is singular: mechanism along {dof}")
     return SystemMatrices(M=M, C=C, K=K)
@@ -120,11 +118,17 @@ class Mode:
 
 
 def modal_properties(sys: SystemMatrices) -> list[Mode]:
-    """Solve K phi = w^2 M phi; frequencies ascending, shapes mass-normalized."""
+    """Solve K phi = w^2 M phi; frequencies ascending, shapes mass-normalized.
+
+    With M = L L^T (Cholesky), the standard symmetric problem
+    L^-1 K L^-T y = w^2 y has orthonormal y, and phi = L^-T y.
+    """
     try:
-        lam, phi = sla.eigh(sys.K, sys.M)
-    except sla.LinAlgError as exc:
+        inv_l = np.linalg.inv(np.linalg.cholesky(sys.M))
+        lam, y = np.linalg.eigh(inv_l @ sys.K @ inv_l.T)
+    except np.linalg.LinAlgError as exc:
         raise EigenError(f"generalized eigensolve failed: {exc}") from exc
+    phi = inv_l.T @ y
     if np.any(lam <= 0):
         raise EigenError("non-positive eigenvalue; stiffness not positive definite")
     freqs = np.sqrt(lam) / (2.0 * np.pi)

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vibroident
 from vibroident import dsp
@@ -329,10 +334,177 @@ class TestVs:
         assert main(["vs", str(bad)]) == 3
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    # simulate never filters; scipy.signal costs ~1 s of start-up
+NO_SCIPY_RUN = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy import refused: {name}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy  # noqa: F401
+except ImportError:
+    blocked = True
+else:
+    blocked = False
+
+from vibroident.cli import main
+
+cfg, sim, ana = sys.argv[1:4]
+codes = [
+    main(["simulate", "-c", cfg, "-o", sim]),
+    main(["analyze", "-c", cfg, "--response", sim + "/response.csv", "--force", sim + "/force.csv", "-o", ana]),
+]
+print(blocked, codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_simulate_and_analyze_run_with_scipy_imports_refused(tmp_path):
+    # scipy is a test dependency only: the program must run without it
+    prog = tmp_path / "program.json"
+    prog.write_text(json.dumps({
+        **MINI_PROGRAM,
+        "stepped": {"frequencies": [2.0, 3.0, 9.0, 10.0], "duration_per_step": 8.0, "rest_gap": 1.0},
+    }))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"program": str(prog), "seed": 5}))
     src = Path(vibroident.__file__).resolve().parents[1]
-    code = "import sys, vibroident.cli; print('scipy.signal' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    argv = [sys.executable, "-c", NO_SCIPY_RUN, str(cfg), str(tmp_path / "sim"), str(tmp_path / "ana")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "True [0, 0] []", out.stderr
+    assert (tmp_path / "ana" / "damping.json").exists()
+
+
+# --- exit-code contract under fuzzed input -------------------------------
+
+#: two short dwells: a record of 6.5 s, windowed, fitted and filtered like
+#: a real one; without dwells below 4.5 Hz it ends in a damping error (4)
+FUZZ_PROGRAM = {
+    **MINI_PROGRAM,
+    "stepped": {"frequencies": [6.0, 9.0], "duration_per_step": 3.0, "rest_gap": 0.5},
+}
+EXIT_CODES = {0, 2, 3, 4, 5}
+FUZZ_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def fuzz_record(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    prog = root / "program.json"
+    prog.write_text(json.dumps(FUZZ_PROGRAM))
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"program": str(prog), "seed": 2}))
+    assert main(["simulate", "-c", str(cfg), "-o", str(root / "sim")]) == 0
+    return str(prog), (root / "sim" / "response.csv").read_text(), (root / "sim" / "force.csv").read_text()
+
+
+def run_analyze(doc, response: str, force: str) -> tuple[int, str]:
+    """``main(["analyze", ...])`` on the given config document and record
+    text, in a scratch directory; returns the exit code and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name for name in ("cfg.json", "response.csv", "force.csv")}
+        paths["cfg.json"].write_text(json.dumps(doc))
+        paths["response.csv"].write_text(response)
+        paths["force.csv"].write_text(force)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([
+                "analyze", "-c", str(paths["cfg.json"]), "--response", str(paths["response.csv"]),
+                "--force", str(paths["force.csv"]), "-o", str(Path(tmp) / "out"),
+            ])
+    return rc, err.getvalue()
+
+
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+
+
+def mostly(valid):
+    """``valid`` three times in four, else any JSON value."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else ANY_VALUE)
+
+
+CONFIG_EXTRAS = st.fixed_dictionaries({}, optional={
+    "filter": mostly(st.fixed_dictionaries({}, optional={
+        "order": mostly(st.integers(-2, 16)),
+        "f_low": mostly(st.one_of(st.floats(-1.0, 120.0), st.floats(0.0, 1e-3))),
+        "f_high": mostly(st.floats(0.0, 120.0)),
+    })),
+    "window": mostly(st.fixed_dictionaries({}, optional={
+        "skip_cycles": mostly(st.floats(0.0, 40.0)),
+        "max_len_s": mostly(st.floats(0.0, 10.0)),
+    })),
+    "layout": st.sampled_from(["default", "default", "default:nope", "missing_layout.json"]),
+    "damping_channel_floor": mostly(st.floats(-1.0, 2.0)),
+    "f_ref_force_kn": mostly(st.floats(0.0, 1e4)),
+    "rotation_lever_m": mostly(st.floats(-10.0, 10.0)),
+    "force_low_freq_cut": mostly(st.one_of(st.none(), st.floats(-1.0, 20.0))),
+    "strain": mostly(st.one_of(st.none(), st.fixed_dictionaries(
+        {"stations": st.lists(st.sampled_from(["T3SW", "T2S", "T3SE", "T1C", "NOPE"]), max_size=4)},
+        optional={"fiber_m": mostly(st.floats(-1.0, 5.0))},
+    ))),
+})
+
+
+@FUZZ_SETTINGS
+@given(extras=CONFIG_EXTRAS)
+@example(extras={"force_low_freq_cut": 0.0})       # reached dsp.subtract_low_freq's ValueError
+@example(extras={"filter": {"order": 10**9}})      # must be refused before any allocation
+@example(extras={"filter": {"f_low": 5e-324}})
+def test_fuzzed_config_exits_with_a_contract_code(fuzz_record, extras):
+    program, response, force = fuzz_record
+    rc, err = run_analyze({"program": program, **extras}, response, force)
+    assert rc in EXIT_CODES and "Traceback" not in err
+
+
+TOKENS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e309", "-0", "0x10", "1,2", "abc", "#", " "]),
+    st.floats().map(repr), st.text(max_size=6),
+)
+EDIT = st.tuples(
+    st.sampled_from(["cell", "drop_line", "repeat_line", "truncate", "header", "units"]),
+    st.integers(0, 10**6), st.integers(0, 10**6), TOKENS,
+)
+
+
+def edit_record(text: str, kind: str, i: int, j: int, token: str) -> str:
+    lines = text.split("\n")
+    row = i % len(lines)
+    if kind == "cell":
+        cells = lines[row].split(",")
+        cells[j % len(cells)] = token
+        lines[row] = ",".join(cells)
+    elif kind == "drop_line":
+        del lines[row]
+    elif kind == "repeat_line":
+        lines.insert(row, lines[row])
+    elif kind == "truncate":
+        return text[: i % (len(text) + 1)]
+    elif kind == "header":
+        row = min(1, len(lines) - 1)
+        cells = lines[row].split(",")
+        cells[j % len(cells)] = token
+        lines[row] = ",".join(cells)
+    else:
+        lines[0] = "# units: " + token
+    return "\n".join(lines)
+
+
+@FUZZ_SETTINGS
+@given(target=st.sampled_from(["response", "force"]), edits=st.lists(EDIT, min_size=1, max_size=3))
+def test_fuzzed_record_exits_with_a_contract_code(fuzz_record, target, edits):
+    program, response, force = fuzz_record
+    record = {"response": response, "force": force}
+    for edit in edits:
+        record[target] = edit_record(record[target], *edit)
+    rc, err = run_analyze({"program": program}, record["response"], record["force"])
+    assert rc in EXIT_CODES and "Traceback" not in err

@@ -68,6 +68,14 @@ class TestDesign:
         with pytest.raises(DesignError):
             design_bandpass(5, -1.0, 25.0, 200.0)
 
+    @pytest.mark.parametrize(
+        "order, f_low", [(0, 1.0), (13, 1.0), (10**9, 1.0), (5, 5e-324)],
+        ids=["order_0", "order_13", "order_1e9", "corner_underflows"],
+    )
+    def test_order_and_degenerate_corner_rejected(self, order, f_low):
+        with pytest.raises(DesignError):
+            design_bandpass(order, f_low, 25.0, 200.0)
+
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 8])
     def test_poles_inside_unit_circle(self, order):
         c = design_bandpass(order, 1.0, 25.0, 200.0)
@@ -129,6 +137,61 @@ class TestFiltFilt:
         assert out.labels == tss.labels and out.start_time == tss.start_time
         for row, ts in zip(out, tss):
             assert np.array_equal(row.values, filtfilt(c, ts).values)
+
+
+#: (fs, f_low, f_high): the analysis default, the same band at 512 Hz, and
+#: two low corners at f_low/fs <= 1/512, where the poles crowd z = 1
+REFERENCE_BANDS = [
+    (200.0, 1.0, 25.0),
+    (512.0, 1.0, 25.0),
+    (200.0, 200.0 / 512.0, 50.0),
+    (512.0, 0.5, 128.0),
+]
+REFERENCE_CASES = [(order, *band) for order in range(1, 7) for band in REFERENCE_BANDS]
+
+
+def butterworth_magnitude(order, f_low, f_high, fs, f):
+    """|H| of the digital Butterworth band-pass in closed form, on the
+    pre-warped axis Omega = tan(pi f / fs)."""
+    w, lo, hi = (np.tan(np.pi * np.asarray(v) / fs) for v in (f, f_low, f_high))
+    return 1.0 / np.sqrt(1.0 + ((w * w - lo * hi) / ((hi - lo) * w)) ** (2 * order))
+
+
+@pytest.mark.parametrize("order, fs, f_low, f_high", REFERENCE_CASES)
+class TestScipyReference:
+    def test_sections_match_butter(self, order, fs, f_low, f_high):
+        c = design_bandpass(order, f_low, f_high, fs)
+        ref = sps.butter(order, [f_low, f_high], btype="bandpass", fs=fs, output="sos")
+        assert c.sos.shape == ref.shape
+        assert np.max(np.abs(c.sos - ref)) < 1e-12
+
+    def test_gain_matches_sosfreqz_and_closed_form(self, order, fs, f_low, f_high):
+        c = design_bandpass(order, f_low, f_high, fs)
+        ref = sps.butter(order, [f_low, f_high], btype="bandpass", fs=fs, output="sos")
+        f = np.geomspace(f_low / 2.0, min(2.0 * f_high, 0.45 * fs), 4001)
+        _, h = sps.sosfreqz(ref, worN=f, fs=fs)
+        gain = filter_gain(c, f)
+        assert np.max(np.abs(gain / np.abs(h) - 1.0)) < 1e-10
+        exact = butterworth_magnitude(order, f_low, f_high, fs, f)
+        assert np.max(np.abs(gain / exact - 1.0)) < 1e-10
+
+    def test_rows_match_sosfiltfilt(self, order, fs, f_low, f_high):
+        # bench length (24,796 samples); offset, sub-corner drift, in-band tone, noise
+        c = design_bandpass(order, f_low, f_high, fs)
+        ref_sos = sps.butter(order, [f_low, f_high], btype="bandpass", fs=fs, output="sos")
+        rng = np.random.default_rng(order)
+        t = np.arange(24796) / fs
+        values = (
+            rng.standard_normal((4, t.size))
+            + rng.uniform(-3.0, 3.0, (4, 1))
+            + 2.0 * np.sin(2 * np.pi * 0.4 * f_low * t)
+            + 5.0 * np.sin(2 * np.pi * math.sqrt(f_low * f_high) * t)
+        )
+        record = TimeSeriesSet(0.0, fs, values, ("a", "b", "c", "d"), ("m",) * 4)
+        out = filtfilt(c, record).values
+        for row, x in zip(out, values):
+            ref = sps.sosfiltfilt(ref_sos, x, padtype="odd", padlen=c.pad_len)
+            assert np.max(np.abs(row - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
 def grid_search_sine(t, u, f_fixed, a_span=(0.0, 2.0), rounds=6, n=81):

@@ -3,7 +3,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from vibroident.cli import _load_text
 from vibroident.errors import AssemblyError, IntegrationError, SolveError
 from vibroident.simulator import (
     BlockSpec,
@@ -28,6 +30,7 @@ from vibroident.simulator import (
     steady_state_response,
 )
 from vibroident.simulator.integrate import BLOCK
+from vibroident.simulator.model import influence_matrix
 from vibroident.timeseries import SensorLayout, Station, extract_window
 
 
@@ -69,16 +72,14 @@ class TestAssemble:
         with pytest.raises(AssemblyError):
             assemble_system(m)  # five unsupported DOFs -> mechanism
         # inspect the raw contribution instead
-        b = m.springs[0].influence_row()
+        b = influence_matrix(m.springs)[0]
         K = 123.0 * np.outer(b, b)
         assert K[2, 2] == 123.0
         assert np.count_nonzero(K) == 1
 
     def test_symmetric_pair_cancels_coupling(self):
         a, k = 1.5, 200.0
-        rows = [
-            SpringElement([sx * a, 0, 0], [0, 0, 1], k).influence_row() for sx in (-1, 1)
-        ]
+        rows = influence_matrix([SpringElement([sx * a, 0, 0], [0, 0, 1], k) for sx in (-1, 1)])
         K = sum(k * np.outer(b, b) for b in rows)
         assert K[2, 2] == pytest.approx(2 * k)
         assert K[4, 4] == pytest.approx(2 * k * a**2)
@@ -89,7 +90,7 @@ class TestAssemble:
         # matrix, measure the spring force, compare with -K @ q
         a, k, eps = 2.0, 50.0, 1e-7
         spring = SpringElement([a, 0, 0], [0, 0, 1], k)
-        b = spring.influence_row()
+        b = influence_matrix([spring])[0]
         K = k * np.outer(b, b)
         assert K[2, 4] == pytest.approx(-k * a)
         assert K[4, 2] == pytest.approx(K[2, 4])
@@ -108,6 +109,18 @@ class TestAssemble:
         predicted = -K @ q
         assert predicted[2] == pytest.approx(force_vec[2], rel=1e-6)
         assert predicted[4] == pytest.approx(moment_vec[1], rel=1e-6)
+
+    def test_stacked_sum_matches_per_spring_loop(self):
+        # B^T diag(k) B sums in another order than the loop over springs
+        model = small_block()
+        sys = assemble_system(model)
+        K, C = np.zeros((6, 6)), np.zeros((6, 6))
+        for spring in model.springs:
+            b = influence_matrix([spring])[0]
+            K += spring.k * np.outer(b, b)
+            C += spring.c * np.outer(b, b)
+        assert np.max(np.abs(sys.K - K)) < 1e-14 * np.max(np.abs(K))
+        assert np.max(np.abs(sys.C - C)) < 1e-14 * np.max(np.abs(C))
 
     def test_output_symmetric_and_positive(self):
         sys = assemble_system(small_block())
@@ -144,6 +157,27 @@ class TestModal:
         modes = modal_properties(sys)
         for mode in modes:
             assert mode.shape @ sys.M @ mode.shape == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "make, dominant",
+        [
+            (lambda: load_model(_load_text("default", "model")), ["dx", "dy", "rz", "dz", "dx", "dy"]),
+            (small_block, ["dx", "dy", "rz", "dz", "ry", "rx"]),
+            (lambda: skewed_inertia(small_block()), ["dx", "dy", "rz", "dz", "ry", "rx"]),
+        ],
+        ids=["bundled", "small_block", "skewed_inertia"],
+    )
+    def test_matches_scipy_generalized_eigh(self, make, dominant):
+        sys = assemble_system(make())
+        lam, phi = sla.eigh(sys.K, sys.M)
+        modes = modal_properties(sys)
+        freqs = np.array([m.frequency_hz for m in modes])
+        assert np.max(np.abs(freqs / (np.sqrt(lam) / (2 * np.pi)) - 1.0)) < 1e-12
+        shapes = np.column_stack([m.shape for m in modes])
+        signs = np.sign(np.sum(shapes * phi, axis=0))
+        assert np.max(np.abs(shapes - phi * signs)) < 1e-12 * np.max(np.abs(phi))
+        assert np.max(np.abs(shapes.T @ sys.M @ shapes - np.eye(6))) < 1e-12
+        assert [m.dominant_dof for m in modes] == dominant
 
     def test_stiffness_scaling_sqrt2(self):
         rng = np.random.default_rng(42)
@@ -195,6 +229,14 @@ class TestSteadyState:
         F[2] = 1.0
         with pytest.raises(SolveError):
             steady_state_response(sys, F, omega=w_exact)
+
+
+def skewed_inertia(model):
+    """The model with products of inertia, so that M's Cholesky factor is
+    not diagonal."""
+    skew = np.array([[0.0, 0.1, 0.05], [0.1, 0.0, -0.08], [0.05, -0.08, 0.0]])
+    inertia = model.inertia + skew * np.max(model.inertia)
+    return RigidBlockModel(mass=model.mass, inertia=inertia, springs=model.springs, cg=model.cg)
 
 
 def x_program(freqs=(10.0,), amp=1e5, duration=6.0, rest=2.0):
