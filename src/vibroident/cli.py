@@ -131,7 +131,7 @@ _CONFIG_RULES = {
     "model": _TEXT,
     "layout": _TEXT,
     "program": _TEXT,
-    "seed": (_integer, "an integer"),
+    "seed": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
     "noise_rms": _NON_NEGATIVE,
     "noise_tone_hz": _OPTIONAL,
     "noise_tone_amplitude": _NON_NEGATIVE,
@@ -199,10 +199,13 @@ def load_run_config(path: str) -> dict:
     cfg = _validate_config(doc)
     env_seed = os.environ.get("VIBROIDENT_SEED")
     if env_seed is not None:
+        bad = ConfigError(f"VIBROIDENT_SEED must be an integer >= 0, got {env_seed!r}")
         try:
             cfg["seed"] = int(env_seed)
         except ValueError:
-            raise ConfigError(f"VIBROIDENT_SEED must be an integer, got {env_seed!r}") from None
+            raise bad from None
+        if cfg["seed"] < 0:
+            raise bad
     return cfg
 
 
@@ -256,6 +259,38 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+#: most values one buffer of ``simulate`` may hold: the integrator's
+#: (u, v, a) history, or the response or force record with its time
+#: column.  The bundled programs at the default config need at most
+#: 9.5 M (stepped_z); 40 M values are 320 MB as float64 and about 0.8 GB
+#: as CSV text.
+MAX_RECORD_CELLS = 40_000_000
+
+
+def _integration_rate(cfg: dict, program, layout: SensorLayout) -> float:
+    """The Newmark rate: the least multiple of the response rate at or
+    above ``integration_factor`` x the program's top frequency.  Raises
+    ConfigError if a buffer the run would fill holds more than
+    MAX_RECORD_CELLS values."""
+
+    def check(name: str, cells: float) -> None:
+        if cells > MAX_RECORD_CELLS:
+            raise ConfigError(
+                f"the {name} would hold {cells:.3g} values, above the cap of "
+                f"{MAX_RECORD_CELLS:,}; lower the rates or integration_factor"
+            )
+
+    fs_resp, duration = float(cfg["response_rate"]), program.duration
+    factor = cfg["integration_factor"] * program.f_max / fs_resp
+    # the history before the rate is rounded up, so the rounding cannot overflow
+    check("integration history (u, v, a)", 18 * factor * fs_resp * duration)
+    rate = fs_resp * math.ceil(factor)
+    check("integration history (u, v, a)", 18 * rate * duration)
+    check("response record", (3 * len(layout.stations) + 1) * fs_resp * duration)
+    check("force record", (len(program.force_points) + 1) * float(cfg["force_rate"]) * duration)
+    return rate
+
+
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     model = load_model(_load_text(cfg["model"], "model"))
@@ -268,8 +303,8 @@ def cmd_simulate(args) -> int:
             f"program reaches {program.f_max} Hz, above {fs_resp / 2.0 / 2.5:.1f} Hz "
             f"(response Nyquist / 2.5)"
         )
+    rate = _integration_rate(cfg, program, layout)
     sys_m = assemble_system(model)
-    rate = fs_resp * math.ceil(cfg["integration_factor"] * program.f_max / fs_resp)
     hist = integrate(sys_m, program, dt=1.0 / rate)
     noise = NoiseSpec(
         rms=float(cfg["noise_rms"]),

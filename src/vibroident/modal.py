@@ -236,14 +236,30 @@ def frc_from_csv(text: str) -> FrequencyResponseCurve:
 # --- rigid body motion ------------------------------------------------------
 
 
+#: the map of :func:`rigid_rows` is _RIGID_BASE + position @ _RIGID_LEVER:
+#: the translations, and theta x position for the rotations
+_RIGID_BASE = np.hstack([np.eye(3), np.zeros((3, 3))])
+_RIGID_LEVER = np.zeros((3, 3, 6))      # [coordinate, row, column]
+_RIGID_LEVER[2, 0, 4] = _RIGID_LEVER[0, 1, 5] = _RIGID_LEVER[1, 2, 3] = 1.0
+_RIGID_LEVER[1, 0, 5] = _RIGID_LEVER[2, 1, 3] = _RIGID_LEVER[0, 2, 4] = -1.0
+_RIGID_LEVER = _RIGID_LEVER.reshape(3, 18)
+
+
 def rigid_rows(position: np.ndarray) -> np.ndarray:
-    """3x6 map from {dx,dy,dz,rx,ry,rz} to station displacement (small angles)."""
-    x, y, z = position
-    return np.array([
-        [1.0, 0.0, 0.0, 0.0, z, -y],
-        [0.0, 1.0, 0.0, -z, 0.0, x],
-        [0.0, 0.0, 1.0, y, -x, 0.0],
-    ])
+    """3x6 map from {dx,dy,dz,rx,ry,rz} to station displacement (small angles),
+
+        [[1, 0, 0,  0,  z, -y],
+         [0, 1, 0, -z,  0,  x],
+         [0, 0, 1,  y, -x,  0]];
+
+    a ``(..., 3)`` stack of positions gives the ``(..., 3, 6)`` stack of maps
+    from one product."""
+    p = np.asarray(position, dtype=float)
+    return _RIGID_BASE + (p @ _RIGID_LEVER).reshape(p.shape[:-1] + (3, 6))
+
+
+def _positions(stations: list[StationPhasors]) -> np.ndarray:
+    return np.array([st.position for st in stations], dtype=float).reshape(-1, 3)
 
 
 AXIS_ROW = {"x": 0, "y": 1, "z": 2}
@@ -278,22 +294,22 @@ class RigidMotion:
         object.__setattr__(self, "delta", d)
 
     def predict(self, position: np.ndarray) -> np.ndarray:
-        """Rigid displacement phasor (3,) at a point."""
-        return rigid_rows(np.asarray(position, dtype=float)) @ self.delta
+        """Rigid displacement phasor (3,) at a point, or (n, 3) at n points,
+        from one product."""
+        return rigid_rows(position) @ self.delta
 
 
 def fit_rigid_body(stations: list[StationPhasors], frequency_hz: float = 0.0) -> RigidMotion:
     """Least-squares 6-parameter rigid motion explaining all station phasors."""
-    rows = []
-    values = []
-    for st in stations:
-        alpha = rigid_rows(st.position)
-        for axis, phasor in sorted(st.phasors.items()):
-            rows.append(alpha[AXIS_ROW[axis]])
-            values.append(phasor)
-    if len(rows) < 6:
-        raise RankError(f"only {len(rows)} measured components; need at least 6")
-    A = np.array(rows)
+    picks = [
+        (s, AXIS_ROW[axis], phasor)
+        for s, st in enumerate(stations)
+        for axis, phasor in sorted(st.phasors.items())
+    ]
+    if len(picks) < 6:
+        raise RankError(f"only {len(picks)} measured components; need at least 6")
+    station, row, values = zip(*picks)
+    A = rigid_rows(_positions(stations))[list(station), list(row)]
     b = np.array(values, dtype=complex)
     _, sv, vt = np.linalg.svd(A)
     if sv[-1] <= 1e-10 * sv[0]:
@@ -329,15 +345,18 @@ def rbm_contribution(
         (abs(p) for st in stations for p in st.phasors.values()), default=0.0
     )
     floor = floor_ratio * max_amp
+    predicted = rigid.predict(_positions(stations))
+    # hypot, as abs() of one complex is; np.abs can differ in the last bit
+    predicted = np.hypot(predicted.real, predicted.imag)
     out: dict[str, float | None] = {}
     for axis in ("x", "y", "z"):
         meas = []
         pred = []
-        for st in stations:
+        for st, p in zip(stations, predicted):
             if axis not in st.phasors or abs(st.phasors[axis]) < floor:
                 continue
             meas.append(abs(st.phasors[axis]))
-            pred.append(abs(rigid.predict(st.position)[AXIS_ROW[axis]]))
+            pred.append(p[AXIS_ROW[axis]])
         if not meas:
             out[axis] = None
         else:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vibroident
-from vibroident import dsp
+from vibroident import cli, dsp
 from vibroident.cli import _atomic_write, config_hash, load_run_config, main
 
 MINI_PROGRAM = {
@@ -77,6 +77,38 @@ class TestSimulate:
         cfg.write_text(json.dumps({"program": str(p)}))
         assert main(["simulate", "-c", str(cfg), "-o", str(workdir / "nope")]) == 4
 
+    def test_negative_env_seed_is_config_error(self, workdir, monkeypatch):
+        monkeypatch.setenv("VIBROIDENT_SEED", "-3")
+        assert main(["simulate", "-c", str(workdir / "cfg.json"), "-o", str(workdir / "x")]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"integration_factor": 1e308},
+        {"integration_factor": 4e5},
+        {"response_rate": 1e5},
+        {"force_rate": 2e6},
+    ], ids=["factor_overflows", "integration_history", "response_record", "force_record"])
+    def test_record_over_the_cap_exits_2_before_integration(self, workdir, monkeypatch, doc, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("integrate ran")
+
+        monkeypatch.setattr(cli, "integrate", never)
+        cfg = workdir / "huge_cfg.json"
+        cfg.write_text(json.dumps({"program": str(workdir / "mini_program.json"), **doc}))
+        assert main(["simulate", "-c", str(cfg), "-o", str(workdir / "never")]) == 2
+        assert "cap" in capsys.readouterr().err
+        assert not (workdir / "never").exists()
+
+    @pytest.mark.parametrize("program", sorted(
+        p.stem for p in (Path(vibroident.__file__).parent / "data" / "programs").glob("*.json")
+    ))
+    def test_bundled_programs_stay_well_inside_the_cap(self, monkeypatch, program, tmp_path):
+        # a quarter of the cap still admits every bundled program at the default config
+        monkeypatch.setattr(cli, "MAX_RECORD_CELLS", cli.MAX_RECORD_CELLS // 4)
+        (tmp_path / "cfg.json").write_text("{}")
+        cfg = load_run_config(str(tmp_path / "cfg.json"))
+        prog = cli.load_program(cli._load_text(f"default:{program}", "program"))
+        assert cli._integration_rate(cfg, prog, cli._load_layout(cfg)) > 0
+
     def test_bad_config_exit_code(self, workdir):
         bad = workdir / "bad.json"
         bad.write_text("{not json")
@@ -90,6 +122,7 @@ class TestSimulate:
 
 BAD_CONFIGS = {
     "seed_not_integer": {"seed": "abc"},
+    "seed_negative": {"seed": -1},
     "noise_not_number": {"noise_rms": "x"},
     "negative_integration_factor": {"integration_factor": -1},
     "unknown_bundled_program": {"program": "default:nope"},
@@ -497,6 +530,66 @@ def edit_record(text: str, kind: str, i: int, j: int, token: str) -> str:
     else:
         lines[0] = "# units: " + token
     return "\n".join(lines)
+
+
+WRONG_TYPE = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(-3, 3), max_size=3))
+
+
+def mostly_number(small, huge):
+    """A number that gives a small record, or one far past the record cap,
+    or (one time in five) a value of the wrong type or sign; never one
+    in between, which would be slow to simulate."""
+    return st.integers(0, 4).flatmap(
+        lambda k: [WRONG_TYPE, st.floats(-1e3, 0.0), small, small, huge][k]
+    )
+
+
+SIMULATE_EXTRAS = st.fixed_dictionaries({}, optional={
+    "integration_factor": mostly_number(st.floats(1e-3, 200.0), st.floats(1e7, 1e300)),
+    "response_rate": mostly_number(st.floats(1.0, 300.0), st.floats(1e6, 1e300)),
+    "force_rate": mostly_number(st.floats(1e-3, 1024.0), st.floats(1e7, 1e300)),
+    "noise_rms": mostly_number(st.floats(0.0, 1e3), st.floats(1e3, 1e300)),
+    "seed": st.one_of(WRONG_TYPE, st.integers(-5, 2**80)),
+})
+
+
+@FUZZ_SETTINGS
+@given(extras=SIMULATE_EXTRAS)
+@example(extras={"integration_factor": 1e308})     # overflowed the step count before the cap
+@example(extras={"seed": -1})                      # reached numpy's seed ValueError
+def test_fuzzed_simulate_exits_with_a_contract_code(extras):
+    with tempfile.TemporaryDirectory() as tmp:
+        prog, cfg = Path(tmp) / "program.json", Path(tmp) / "cfg.json"
+        prog.write_text(json.dumps(FUZZ_PROGRAM))
+        cfg.write_text(json.dumps({"program": str(prog), **extras}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["simulate", "-c", str(cfg), "-o", str(Path(tmp) / "out")])
+    assert rc in EXIT_CODES and "Traceback" not in err.getvalue()
+
+
+def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processes, tmp_path):
+    # criterion 10 across worker counts: one process, then three (two forked workers)
+    prog = tmp_path / "program.json"
+    prog.write_text(json.dumps({
+        **MINI_PROGRAM,
+        "stepped": {"frequencies": [2.0, 3.0, 9.0, 10.0], "duration_per_step": 8.0, "rest_gap": 1.0},
+    }))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"program": str(prog), "seed": 3}))
+    for n in (1, 3):
+        forks = record_io_processes(n)
+        forks.clear()
+        sim, ana = tmp_path / f"sim{n}", tmp_path / f"ana{n}"
+        assert main(["simulate", "-c", str(cfg), "-o", str(sim)]) == 0
+        assert main(["analyze", "-c", str(cfg), "--response", str(sim / "response.csv"),
+                     "--force", str(sim / "force.csv"), "-o", str(ana)]) == 0
+        assert len(forks) == 4 * (n - 1)
+    for name in ("sim", "ana"):
+        one, three = tmp_path / f"{name}1", tmp_path / f"{name}3"
+        assert sorted(p.name for p in one.iterdir()) == sorted(p.name for p in three.iterdir())
+        for path in one.iterdir():
+            assert path.read_bytes() == (three / path.name).read_bytes(), path.name
 
 
 @FUZZ_SETTINGS

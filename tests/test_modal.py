@@ -17,6 +17,7 @@ from vibroident.errors import (
     RankError,
 )
 from vibroident.modal import (
+    AXIS_ROW,
     DEFAULT_XI_GRID,
     ForceGeometry,
     FrequencyResponseCurve,
@@ -175,6 +176,15 @@ def synthesize(positions, delta):
 
 
 class TestRigidBody:
+    def test_rigid_rows_of_one_point_and_of_a_stack(self):
+        points = np.array([[1.0, 2.0, 3.0], [-4.0, 0.0, 0.5]])
+        maps = [
+            [[1, 0, 0, 0, 3, -2], [0, 1, 0, -3, 0, 1], [0, 0, 1, 2, -1, 0]],
+            [[1, 0, 0, 0, 0.5, 0], [0, 1, 0, -0.5, 0, -4], [0, 0, 1, 0, 4, 0]],
+        ]
+        assert np.array_equal(rigid_rows(points[0]), maps[0])
+        assert np.array_equal(rigid_rows(points), maps)
+
     def test_pure_translation(self):
         delta = np.array([1e-4 + 2e-5j, 0, 0, 0, 0, 0], dtype=complex)
         stations = synthesize(station_grid(), delta)
@@ -288,6 +298,32 @@ class TestRbmContribution:
         out = rbm_contribution(contaminated, rm)
         assert out["z"] == pytest.approx(100.0 / 1.3, rel=1e-9)
         assert out["x"] == pytest.approx(100.0, rel=1e-9)
+
+    def test_stacked_maps_equal_the_per_station_loop_bit_for_bit(self):
+        # reference: one 3x6 map and one abs() per station and axis, as the
+        # fit and the contribution were first written
+        rng = np.random.default_rng(8)
+        positions = [rng.uniform(-15.0, 15.0, 3) for _ in range(11)]
+        for _ in range(50):
+            stations = [
+                StationPhasors(f"S{i}", p, {
+                    a: complex(*rng.standard_normal(2)) * 1e-4
+                    for a in rng.choice(list("xyz"), size=rng.integers(1, 4), replace=False)
+                })
+                for i, p in enumerate(positions)
+            ]
+            rm = fit_rigid_body(stations)
+            A = np.array([rigid_rows(st.position)[AXIS_ROW[a]] for st in stations for a in sorted(st.phasors)])
+            b = np.array([st.phasors[a] for st in stations for a in sorted(st.phasors)])
+            ref = np.linalg.lstsq(A, b.real, rcond=None)[0] + 1j * np.linalg.lstsq(A, b.imag, rcond=None)[0]
+            assert rm.delta.tobytes() == ref.tobytes()
+            floor = 1e-3 * max(abs(v) for st in stations for v in st.phasors.values())
+            out = rbm_contribution(stations, rm)
+            for axis in "xyz":
+                used = [st for st in stations if axis in st.phasors and abs(st.phasors[axis]) >= floor]
+                pred = [abs((rigid_rows(st.position) @ rm.delta)[AXIS_ROW[axis]]) for st in used]
+                meas = [abs(st.phasors[axis]) for st in used]
+                assert out[axis] == (100.0 * float(np.mean(pred)) / float(np.mean(meas)) if used else None)
 
     def test_axis_below_floor_is_undefined(self):
         delta = np.array([1e-4, 0, 0, 0, 0, 0], dtype=complex)

@@ -1,10 +1,13 @@
 import io
+import os
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vibroident import timeseries
 from vibroident.errors import AlignmentError, ParseError, SpacingError, WindowError
 from vibroident.timeseries import (
     TimeSeries,
@@ -198,6 +201,121 @@ class TestParseEdges:
         a, b = parse_timeseries_csv(text), parse_timeseries_csv(io.StringIO(text))
         for x, y in zip(a, b):
             assert np.array_equal(x.values, y.values) and x.sample_rate == y.sample_rate
+
+
+#: 589 samples: not a multiple of the 256-sample write block, nor of 2 or 3
+WORKER_ROWS = 2 * 256 + 77
+
+
+def worker_record() -> TimeSeriesSet:
+    """Three channels with awkward cells in the first, middle and last rows."""
+    values = np.random.default_rng(5).standard_normal((3, WORKER_ROWS))
+    for i in (3, 300, WORKER_ROWS - 2):
+        values[:, i] = [-0.0, 5e-324, 2.0**53]
+        values[0, i + 1] = 0.1 + 0.2
+    return TimeSeriesSet(0.125, 200.0, values, ("a", "b", "c"), ("m/s^2", "kN", "m"))
+
+
+def messy_csv() -> str:
+    """CRLF lines, comments and blank lines among the data, and a units
+    line after the last row."""
+    lines = ["# units: a=kN", "t,a,b"]
+    for i in range(WORKER_ROWS):
+        lines.append(f"{i / 200!r},{float(np.sin(i))!r},{-i}")
+        if i % 97 == 50:
+            lines.append("# a comment")
+        if i % 131 == 60:
+            lines.append("   ")
+    lines.append("# units: b=mm")
+    return "\r\n".join(lines) + "\r\n"
+
+
+def broken_csv(kind: str) -> str:
+    """A 589-row ramp with one fault near the end, inside the last range of
+    a 2- or 3-way split."""
+    lines = ramp_csv(WORKER_ROWS).splitlines()
+    k = len(lines) - 20
+    t, a, b = lines[k].split(",")
+    lines[k] = {
+        "bad_cell": f"{t},oops,{b}",
+        "short_row": f"{t},{a}",
+        "nan": f"{t},nan,{b}",
+        "spacing": f"{float(t) + 0.001!r},{a},{b}",
+    }[kind]
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(text):
+    try:
+        tss = parse_timeseries_csv(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.row
+    return tss.values.tobytes(), tss.labels, tss.units, tss.sample_rate, tss.start_time
+
+
+class TestRecordIOWorkers:
+    """A record written or parsed over forked workers is the same, byte for
+    byte, as in one process, on every path."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_writer_bytes_match_one_process(self, record_io_processes, n):
+        tss = worker_record()
+        record_io_processes(1)
+        serial = serialize_timeseries_csv(tss)
+        forks = record_io_processes(n)
+        assert serialize_timeseries_csv(tss) == serial
+        assert len(forks) == n - 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_parse_matches_one_process(self, record_io_processes, n):
+        text = messy_csv()
+        record_io_processes(1)
+        serial = parse_timeseries_csv(text)
+        assert serial.units == ("kN", "mm")
+        forks = record_io_processes(n)
+        parallel = parse_timeseries_csv(text)
+        assert len(forks) == n - 1
+        assert parallel.values.tobytes() == serial.values.tobytes()
+        assert (parallel.labels, parallel.units) == (serial.labels, serial.units)
+        assert (parallel.sample_rate, parallel.start_time) == (serial.sample_rate, serial.start_time)
+
+    @pytest.mark.parametrize("kind", ["bad_cell", "short_row", "nan", "spacing"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_error_in_a_worker_range_matches_one_process(self, record_io_processes, kind, n):
+        text = broken_csv(kind)
+        record_io_processes(1)
+        serial = parse_outcome(text)
+        assert serial[0] in (ParseError, SpacingError) and serial[2] == WORKER_ROWS - 18
+        forks = record_io_processes(n)
+        assert parse_outcome(text) == serial
+        assert len(forks) == n - 1
+
+    @pytest.mark.parametrize("fault", ["exit_1_after_all_bytes", "exit_1_after_half", "sigkill"])
+    def test_failed_worker_never_yields_a_partial_result(self, record_io_processes, monkeypatch, fault):
+        tss = worker_record()
+        record_io_processes(1)
+        text = serialize_timeseries_csv(tss)
+        values = parse_timeseries_csv(text).values.tobytes()
+        forked = timeseries._forked
+
+        def faulty(ranges, send):
+            def failing_send(lo, hi, out):
+                buf = io.BytesIO()
+                send(lo, hi, buf)
+                data = buf.getvalue()
+                out.write(data[: len(data) // 2] if fault == "exit_1_after_half" else data)
+                out.flush()
+                if fault == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("worker fails after writing")
+
+            return forked(ranges, failing_send)
+
+        monkeypatch.setattr(timeseries, "_forked", faulty)
+        forks = record_io_processes(3)
+        assert serialize_timeseries_csv(tss) == text
+        assert parse_timeseries_csv(text).values.tobytes() == values
+        assert len(forks) == 4
 
 
 class TestSynchronize:
