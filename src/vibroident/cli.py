@@ -96,8 +96,6 @@ _CONFIG_DEFAULTS = {
     "program": "default:stepped_x",
     "seed": 42,
     "noise_rms": 0.001,
-    "noise_tone_hz": None,
-    "noise_tone_amplitude": 0.0,
     "response_rate": 200.0,
     "force_rate": 512.0,
     "integration_factor": 40.0,
@@ -107,7 +105,6 @@ _CONFIG_DEFAULTS = {
     "f_ref_torque_knm": _POLICY.f_ref_torque_knm,
     "rotation_lever_m": _POLICY.rotation_lever_m,
     "damping_channel_floor": _POLICY.damping_channel_floor,
-    "force_low_freq_cut": _POLICY.force_low_freq_cut,
     "strain": {"stations": ["T3SW", "T2S", "T3SE"], "fiber_m": STRAIN_FIBER_M},
 }
 
@@ -124,7 +121,6 @@ _TEXT = (lambda v: isinstance(v, str), "a string")
 _NUMBER = (_real, "a number")
 _POSITIVE = (lambda v: _real(v) and v > 0, "a number > 0")
 _NON_NEGATIVE = (lambda v: _real(v) and v >= 0, "a number >= 0")
-_OPTIONAL = (lambda v: v is None or _real(v), "null or a number")
 
 #: what each config value must be, by dotted key
 _CONFIG_RULES = {
@@ -133,8 +129,6 @@ _CONFIG_RULES = {
     "program": _TEXT,
     "seed": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
     "noise_rms": _NON_NEGATIVE,
-    "noise_tone_hz": _OPTIONAL,
-    "noise_tone_amplitude": _NON_NEGATIVE,
     "response_rate": _POSITIVE,
     "force_rate": _POSITIVE,
     "integration_factor": _POSITIVE,
@@ -147,7 +141,6 @@ _CONFIG_RULES = {
     "f_ref_torque_knm": _POSITIVE,
     "rotation_lever_m": _NUMBER,
     "damping_channel_floor": _NUMBER,
-    "force_low_freq_cut": (lambda v: v is None or (_real(v) and v > 0), "null or a number > 0"),
     "strain.stations": (
         lambda v: isinstance(v, list) and len(v) == 3 and all(isinstance(s, str) for s in v),
         "a list of three station ids",
@@ -238,7 +231,6 @@ def policy_from_config(cfg: dict) -> AnalysisPolicy:
         f_ref_torque_knm=float(cfg["f_ref_torque_knm"]),
         rotation_lever_m=float(cfg["rotation_lever_m"]),
         damping_channel_floor=float(cfg["damping_channel_floor"]),
-        force_low_freq_cut=cfg["force_low_freq_cut"],
     )
 
 
@@ -306,12 +298,7 @@ def cmd_simulate(args) -> int:
     rate = _integration_rate(cfg, program, layout)
     sys_m = assemble_system(model)
     hist = integrate(sys_m, program, dt=1.0 / rate)
-    noise = NoiseSpec(
-        rms=float(cfg["noise_rms"]),
-        seed=int(cfg["seed"]),
-        tone_hz=cfg["noise_tone_hz"],
-        tone_amplitude=float(cfg["noise_tone_amplitude"]),
-    )
+    noise = NoiseSpec(rms=float(cfg["noise_rms"]), seed=int(cfg["seed"]))
     response = sensor_kinematics(hist, layout, noise, output_rate=fs_resp)
     force = force_timeseries(program, fs=float(cfg["force_rate"]), duration=program.duration)
 

@@ -2,8 +2,8 @@
 
 Band-pass Butterworth design (bilinear transform with pre-warping,
 realized as second-order sections), zero-phase filtering as one blocked
-state recurrence, the three-stage sine least-squares fit, and removal of a
-dominant low-frequency component.  numpy is the only dependency.
+state recurrence, and the three-stage sine least-squares fit.  numpy is
+the only dependency.
 
 The sine fit is batched: :func:`fit_sines` fits every channel of a window
 in one pass, and :func:`fit_sine` is its one-row case.  On the uniform
@@ -62,9 +62,6 @@ class SineFit:
     def phasor(self) -> complex:
         """Complex amplitude: u(t) = Im(phasor * exp(i*omega*t))."""
         return self.amplitude * np.exp(1j * self.phase)
-
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.sin(self.omega * t + self.phase)
 
 
 #: highest band-pass order designed: on a 5-8 Hz band at 200 Hz, order 12
@@ -556,45 +553,3 @@ def fit_sine(ts: TimeSeries, f_init: float, max_iter: int = 100) -> SineFit:
     if not fits.converged[0]:
         raise FitError(f"no convergence after {max_iter} Gauss-Newton iterations", best=fits[0])
     return fits[0]
-
-
-@dataclass(frozen=True)
-class LowFreqRemoval:
-    """Outcome of subtract_low_freq; ``removed`` is False when no clear
-    sub-cutoff peak exists and the series is returned unchanged."""
-
-    series: TimeSeries
-    removed: bool
-
-
-def _dominant_low_freq(ts: TimeSeries, f_cut: float) -> float | None:
-    """Frequency of the strongest sub-cutoff spectral peak, if it clears
-    3x the spectral noise floor; Hann window keeps leakage from strong
-    in-band tones out of the low bins."""
-    x = ts.values - np.mean(ts.values)
-    win = np.hanning(len(x))
-    spec = np.abs(np.fft.rfft(x * win))
-    freqs = np.fft.rfftfreq(len(x), d=1.0 / ts.sample_rate)
-    sel = (freqs > 0.0) & (freqs < f_cut)
-    if not np.any(sel):
-        return None
-    floor = np.median(spec[1:])
-    peak_idx = np.argmax(np.where(sel, spec, -np.inf))
-    peak = spec[peak_idx]
-    if peak <= 3.0 * floor or peak < 1e-3 * np.max(spec):
-        return None
-    return float(freqs[peak_idx])
-
-
-def subtract_low_freq(ts: TimeSeries, f_cut: float) -> LowFreqRemoval:
-    """Fit and remove the dominant component below f_cut, if any."""
-    if f_cut <= 0:
-        raise ValueError("f_cut must be positive")
-    f_low = _dominant_low_freq(ts, f_cut)
-    if f_low is None:
-        return LowFreqRemoval(ts, removed=False)
-    if (ts.end_time - ts.start_time) * f_low < 3.0:
-        return LowFreqRemoval(ts, removed=False)
-    fit = fit_sine(ts, f_low)
-    cleaned = ts.with_values(ts.values - fit.evaluate(ts.times()))
-    return LowFreqRemoval(cleaned, removed=True)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dsp import fit_sine, subtract_low_freq
+from .dsp import fit_sine
 from .errors import (
     BuildError,
     ComparisonError,
@@ -72,13 +72,10 @@ def estimate_force_amplitude(
     force: TimeSeriesSet,
     geometry: dict[str, ForceGeometry],
     f: float,
-    low_freq_cut: float | None = None,
 ) -> ForceEstimate:
     """Combine per-actuator sine fits into resultant force and torque.
 
     Torque about Z comes from the X/Y components and their lever arms.
-    When ``low_freq_cut`` is set, a dominant sub-cutoff wave is subtracted
-    from each channel before fitting.
     """
     components = np.zeros(3, dtype=complex)
     torque = 0.0 + 0.0j
@@ -87,8 +84,6 @@ def estimate_force_amplitude(
             ts = force[label]
         except KeyError:
             raise ForceEstimationError(f"force channel {label!r} missing") from None
-        if low_freq_cut is not None:
-            ts = subtract_low_freq(ts, low_freq_cut).series
         try:
             fit = fit_sine(ts, f)
         except FitError as exc:

@@ -54,7 +54,6 @@ class AnalysisPolicy:
     f_ref_torque_knm: float = 117000.0
     rotation_lever_m: float = 16.5
     damping_channel_floor: float = 0.2
-    force_low_freq_cut: float | None = None
 
     def f_ref(self, dof: str) -> float:
         return self.f_ref_torque_knm if dof.upper() == "YAW" else self.f_ref_force_kn
@@ -164,9 +163,7 @@ def analyze(
             by_station.setdefault(sid, {})[axis] = complex(disp)
         phasors[f] = by_station
 
-        force_estimates[f] = modal.estimate_force_amplitude(
-            extract_window(force, t0, t1), geometry, f, low_freq_cut=policy.force_low_freq_cut
-        )
+        force_estimates[f] = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f)
 
     forces = {
         f: est.torque if dof == "YAW" else est.resultant for f, est in force_estimates.items()

@@ -159,11 +159,8 @@ def force_timeseries(program: ExcitationProgram, fs: float, duration: float | No
 
 
 def load_program(source) -> ExcitationProgram:
-    if isinstance(source, (str, bytes)):
-        doc = json.loads(source)
-    else:
-        doc = json.load(source)
     try:
+        doc = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
         points = tuple(
             ForcePoint(
                 id=fp["id"],

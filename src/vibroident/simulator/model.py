@@ -153,11 +153,8 @@ def steady_state_response(sys: SystemMatrices, force_phasor: np.ndarray, omega: 
 
 def load_model(source) -> RigidBlockModel:
     """Read a model document {mass, inertia, cg?, springs:[{attach,dir,k,c}]}."""
-    if isinstance(source, (str, bytes)):
-        doc = json.loads(source)
-    else:
-        doc = json.load(source)
     try:
+        doc = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
         springs = tuple(
             SpringElement(
                 attach=np.asarray(sp["attach"], dtype=float),
@@ -174,7 +171,7 @@ def load_model(source) -> RigidBlockModel:
             cg=np.asarray(doc.get("cg", [0.0, 0.0, 0.0]), dtype=float),
             name=doc.get("name", "block"),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model document: {exc}") from exc
 
 

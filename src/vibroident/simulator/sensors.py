@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import DomainError
 from ..timeseries import SensorLayout, TimeSeriesSet
 from .integrate import StateHistory
 
@@ -14,13 +15,10 @@ AXIS_NAMES = ("x", "y", "z")
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive sensor noise: white Gaussian plus an optional pure tone
-    (a stand-in for actuator super-harmonic contamination)."""
+    """Additive white Gaussian sensor noise."""
 
     rms: float = 0.0                 # m/s^2
     seed: int | None = None
-    tone_hz: float | None = None
-    tone_amplitude: float = 0.0      # m/s^2
 
 
 def channel_label(station_id: str, axis: int) -> str:
@@ -41,7 +39,7 @@ def sensor_kinematics(
     """
     max_rot = float(np.max(np.abs(history.u[:, 3:]))) if len(history.t) else 0.0
     if max_rot >= 1e-3:
-        raise ValueError(
+        raise DomainError(
             f"rotations reach {max_rot:.2e} rad; linearized kinematics need |theta| < 1e-3"
         )
     rate = history.sample_rate
@@ -58,15 +56,12 @@ def sensor_kinematics(
     acc_rot = history.a[idx, 3:]
 
     rng = np.random.default_rng(noise.seed)
-    t_out = history.t[idx]
     values = np.empty((3 * len(layout.stations), len(idx)))
     for s, st in enumerate(layout.stations):
         a_st = acc_tr + np.cross(acc_rot, st.position[None, :])
         for axis in range(3):
             vals = values[3 * s + axis]
             vals[:] = a_st @ st.axes[axis]
-            if noise.tone_hz is not None and noise.tone_amplitude > 0.0:
-                vals += noise.tone_amplitude * np.sin(2.0 * np.pi * noise.tone_hz * t_out)
             if noise.rms > 0.0:
                 vals += rng.normal(0.0, noise.rms, size=vals.shape)
     labels = [channel_label(st.id, axis) for st in layout.stations for axis in range(3)]

@@ -507,11 +507,8 @@ def extract_window(record: TimeSeries | TimeSeriesSet, t0: float, t1: float):
 
 def load_layout(source) -> SensorLayout:
     """Read a sensor layout document: {stations: [{id, pos, axes?}], groups: {...}}."""
-    if isinstance(source, (str, bytes)):
-        doc = json.loads(source)
-    else:
-        doc = json.load(source)
     try:
+        doc = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
         stations = tuple(
             Station(
                 id=st["id"],
@@ -520,8 +517,9 @@ def load_layout(source) -> SensorLayout:
             )
             for st in doc["stations"]
         )
+        # .items() raises AttributeError when "groups" is not an object
         groups = {name: tuple(members) for name, members in doc.get("groups", {}).items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad layout document: {exc}") from exc
     return SensorLayout(stations, groups)
 

@@ -77,6 +77,18 @@ class TestSimulate:
         cfg.write_text(json.dumps({"program": str(p)}))
         assert main(["simulate", "-c", str(cfg), "-o", str(workdir / "nope")]) == 4
 
+    def test_over_rotation_is_numeric_error(self, workdir, capsys):
+        # linearized sensor kinematics need |theta| < 1e-3 rad; this reaches 8e-3
+        points = [{**fp, "amplitude_n": 1e9} for fp in MINI_PROGRAM["force_points"]]
+        prog = {**MINI_PROGRAM, "force_points": points}
+        (workdir / "huge_program.json").write_text(json.dumps(prog))
+        cfg = workdir / "huge_force_cfg.json"
+        cfg.write_text(json.dumps({"program": str(workdir / "huge_program.json")}))
+        assert main(["simulate", "-c", str(cfg), "-o", str(workdir / "never")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error") and "Traceback" not in err
+        assert not (workdir / "never").exists()
+
     def test_negative_env_seed_is_config_error(self, workdir, monkeypatch):
         monkeypatch.setenv("VIBROIDENT_SEED", "-3")
         assert main(["simulate", "-c", str(workdir / "cfg.json"), "-o", str(workdir / "x")]) == 2
@@ -135,12 +147,42 @@ BAD_CONFIGS = {
     "strain_unknown_station": {"strain": {"stations": ["T3SW", "T2S", "NOPE"]}},
     "strain_two_stations": {"strain": {"stations": ["T3SW", "T2S"]}},
     "strain_without_stations": {"strain": {"fiber_m": 2.0}},
+    # deleted keys are refused like any other unknown key
+    "force_low_freq_cut": {"force_low_freq_cut": 1.0},
+    "noise_tone_hz": {"noise_tone_hz": 0.5},
+    "noise_tone_amplitude": {"noise_tone_amplitude": 0.01},
 }
 
+MODEL = json.loads(cli._load_text("default", "model"))
+SPRINGS = MODEL["springs"]
 
-@pytest.mark.parametrize("command", ["simulate", "analyze"])
-@pytest.mark.parametrize("doc", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
+#: bad documents named by a config key: (key, file text)
+BAD_DOCUMENTS = {
+    "program_not_json": ("program", "{not json"),
+    "layout_not_json": ("layout", "[1,2"),
+    "layout_groups_not_object": ("layout", '{"stations": [{"id": "T3SW", "pos": [0, 0, 0]}], "groups": []}'),
+    "model_negative_mass": ("model", json.dumps({**MODEL, "mass": -1.0})),
+    "model_asymmetric_inertia": ("model", json.dumps({**MODEL, "inertia": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]})),
+    "model_negative_k": ("model", json.dumps({**MODEL, "springs": [{**SPRINGS[0], "k": -1.0}, *SPRINGS[1:]]})),
+    "model_spring_not_unit": (
+        "model", json.dumps({**MODEL, "springs": [{**SPRINGS[0], "dir": [1.0, 1.0, 0.0]}, *SPRINGS[1:]]}),
+    ),
+}
+
+BAD_CASES = [
+    pytest.param(doc, command, id=f"{name}-{command}")
+    for name, doc in {**BAD_CONFIGS, **BAD_DOCUMENTS}.items()
+    for command in ("analyze", "simulate")
+    if command == "simulate" or not name.startswith("model_")   # analyze reads no model
+]
+
+
+@pytest.mark.parametrize("doc, command", BAD_CASES)
 def test_bad_config_exits_2_without_traceback(workdir, command, doc, capsys):
+    if isinstance(doc, tuple):
+        key, text = doc
+        (workdir / f"bad_{key}.json").write_text(text)
+        doc = {key: str(workdir / f"bad_{key}.json")}
     cfg = workdir / "bad_value.json"
     cfg.write_text(json.dumps(doc))
     args = ["-c", str(cfg), "-o", str(workdir / "never")]
@@ -156,7 +198,7 @@ def test_empty_config_hash_is_pinned(tmp_path):
     cfg = tmp_path / "empty.json"
     cfg.write_text("{}")
     assert config_hash(load_run_config(str(cfg))) == (
-        "525824c3bcf8289fad041c25897d9f152931f16630cd6c15a18dc8a81aec3faf"
+        "68282ba474b78b2ca90b57387e141d6e1870647d4fc9786500ad287c0758f2f2"
     )
 
 
@@ -480,7 +522,6 @@ CONFIG_EXTRAS = st.fixed_dictionaries({}, optional={
     "damping_channel_floor": mostly(st.floats(-1.0, 2.0)),
     "f_ref_force_kn": mostly(st.floats(0.0, 1e4)),
     "rotation_lever_m": mostly(st.floats(-10.0, 10.0)),
-    "force_low_freq_cut": mostly(st.one_of(st.none(), st.floats(-1.0, 20.0))),
     "strain": mostly(st.one_of(st.none(), st.fixed_dictionaries(
         {"stations": st.lists(st.sampled_from(["T3SW", "T2S", "T3SE", "T1C", "NOPE"]), max_size=4)},
         optional={"fiber_m": mostly(st.floats(-1.0, 5.0))},
@@ -490,7 +531,6 @@ CONFIG_EXTRAS = st.fixed_dictionaries({}, optional={
 
 @FUZZ_SETTINGS
 @given(extras=CONFIG_EXTRAS)
-@example(extras={"force_low_freq_cut": 0.0})       # reached dsp.subtract_low_freq's ValueError
 @example(extras={"filter": {"order": 10**9}})      # must be refused before any allocation
 @example(extras={"filter": {"f_low": 5e-324}})
 def test_fuzzed_config_exits_with_a_contract_code(fuzz_record, extras):

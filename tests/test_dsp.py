@@ -15,7 +15,6 @@ from vibroident.dsp import (
     filtfilt,
     fit_sine,
     fit_sines,
-    subtract_low_freq,
 )
 from vibroident.errors import DesignError, FilterError, FitError
 from vibroident.timeseries import TimeSeries, TimeSeriesSet
@@ -337,7 +336,7 @@ class TestFitSines:
         U = batch_rows(t)
         fits = fit_sines(t, U, 8.0)
         for row, u in enumerate(U):
-            r = u - fits[row].evaluate(t)
+            r = u - fits.amplitude[row] * np.sin(fits.omega[row] * t + fits.phase[row])
             assert fits.residual_rms[row] == pytest.approx(math.sqrt(np.mean(r * r)), rel=1e-6, abs=1e-12)
 
     def test_short_window_raises(self):
@@ -364,25 +363,3 @@ class TestFitSines:
         theta = (theta - two_pi * np.rint(theta / two_pi)).astype(float)
         assert np.max(np.abs(got - np.exp(1j * theta))) < 1e-11
 
-
-class TestSubtractLowFreq:
-    def test_removes_low_component(self):
-        ts = sine_series(7.0, dur=40.0, extra=lambda t: np.sin(2 * np.pi * 0.5 * t))
-        out = subtract_low_freq(ts, 1.0)
-        assert out.removed
-        refit = fit_sine(out.series, 0.5)
-        assert refit.amplitude < 0.01
-
-    def test_pure_inband_unchanged(self):
-        ts = sine_series(7.0, dur=40.0)
-        out = subtract_low_freq(ts, 1.0)
-        assert not out.removed
-        assert np.array_equal(out.series.values, ts.values)
-
-    def test_pure_low_freq_mostly_removed(self):
-        ts = sine_series(0.5, dur=40.0)
-        out = subtract_low_freq(ts, 1.0)
-        assert out.removed
-        rms_in = np.sqrt(np.mean(ts.values**2))
-        rms_out = np.sqrt(np.mean(out.series.values**2))
-        assert rms_out < 0.01 * rms_in

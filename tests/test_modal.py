@@ -71,15 +71,6 @@ class TestForceAmplitude:
         with pytest.raises(ForceEstimationError):
             estimate_force_amplitude(force_set(chans), geo, 8.0)
 
-    def test_low_freq_subtraction_restores_amplitude(self):
-        fs, dur = 512.0, 40.0
-        t = np.arange(int(fs * dur) + 1) / fs
-        vals = 200.0 * np.sin(2 * np.pi * 8.0 * t) + 80.0 * np.sin(2 * np.pi * 0.5 * t)
-        force = TimeSeriesSet(0.0, fs, vals[None, :], ("a0",), ("kN",))
-        geo = {"a0": ForceGeometry([0, 0, 0], [1, 0, 0])}
-        est = estimate_force_amplitude(force, geo, 8.0, low_freq_cut=1.0)
-        assert est.resultant == pytest.approx(200.0, rel=1e-4)
-
 
 class TestBuildFrc:
     def test_double_scale(self):

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 from vibroident.cli import _load_text
-from vibroident.errors import AssemblyError, IntegrationError, SolveError
+from vibroident.errors import AssemblyError, DomainError, IntegrationError, SolveError
 from vibroident.simulator import (
     BlockSpec,
     ExcitationProgram,
@@ -451,7 +451,7 @@ class TestSensors:
         u = np.zeros((n, 6))
         u[:, 4] = 0.1
         hist = StateHistory(t=np.arange(n) / 200, u=u, v=np.zeros((n, 6)), a=np.zeros((n, 6)))
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             sensor_kinematics(hist, two_station_layout())
 
     def test_downsampling(self):
