@@ -162,15 +162,11 @@ def emulate(model, program, layout, policy: AnalysisPolicy) -> AnalysisResult:
     dof = program.dof_excited.upper()
     # measured force resultant (kN), or torque about Z (kN*m) for YAW
     force_kn = float(abs(bf[5]) if dof == "YAW" else np.linalg.norm(np.abs(bf[:3]))) / 1e3
-    maps = modal.rigid_rows([st.position for st in layout.stations])
-    phasors = {}
-    for f in program.stepped.frequencies:
-        u6 = steady_state_response(sys, bf, 2 * math.pi * f)
-        phasors[float(f)] = {
-            st.id: dict(zip("xyz", u)) for st, u in zip(layout.stations, maps @ u6)
-        }
-    forces = dict.fromkeys(phasors, force_kn)
-    return identify(phasors, forces, dof, layout, policy)
+    channels = [(st.id, axis) for st in layout.stations for axis in "xyz"]
+    A = modal.rigid_map(channels, layout)
+    freqs = [float(f) for f in program.stepped.frequencies]
+    phasors = np.array([A @ steady_state_response(sys, bf, 2 * math.pi * f) for f in freqs])
+    return identify(freqs, channels, phasors, [force_kn] * len(freqs), dof, layout, policy)
 
 
 def local_grid_step(freqs, f_peak: float) -> float:

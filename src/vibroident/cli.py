@@ -335,22 +335,17 @@ def _rbm_csv(result: AnalysisResult) -> str:
         + [f"{a}_phase" for a in GENERALIZED_AXES]
     )
     lines = [",".join(header)]
-    for f in sorted(result.rigid_motions):
-        rm = result.rigid_motions[f]
-        mags = [repr(float(abs(v))) for v in rm.delta]
-        phases = [repr(float(np.angle(v))) for v in rm.delta]
+    for f, delta in zip(result.frequencies, result.rigid):
+        mags = [repr(float(abs(v))) for v in delta]
+        phases = [repr(float(np.angle(v))) for v in delta]
         lines.append(",".join([repr(float(f))] + mags + phases))
     return "\n".join(lines) + "\n"
 
 
 def _contribution_csv(result: AnalysisResult) -> str:
     lines = ["f_hz,x_pct,y_pct,z_pct"]
-    for f in sorted(result.contributions):
-        row = result.contributions[f]
-        cells = [repr(float(f))]
-        for axis in ("x", "y", "z"):
-            v = row.get(axis)
-            cells.append("" if v is None else repr(float(v)))
+    for f, row in zip(result.frequencies, result.contributions):
+        cells = [repr(float(f))] + ["" if math.isnan(v) else repr(float(v)) for v in row]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -390,15 +385,15 @@ def _re_phase(phasor: complex, ref: complex) -> float:
 
 
 def _deformation_figures(result: AnalysisResult, layout: SensorLayout) -> dict[str, str]:
-    f = min(result.station_phasors, key=lambda ff: abs(ff - result.natural_frequency_hz))
-    phasors = result.station_phasors[f]
-    rm = result.rigid_motions[f]
-    ref = max(
-        (p for by_axis in phasors.values() for p in by_axis.values()),
-        key=abs,
-        default=1.0 + 0j,
-    )
-    max_disp = max(abs(p) for by_axis in phasors.values() for p in by_axis.values())
+    i = int(np.argmin(np.abs(result.frequencies - result.natural_frequency_hz)))
+    f = float(result.frequencies[i])
+    phasors = result.phasors[i]
+    delta = result.rigid[i]
+    amplitudes = np.hypot(phasors.real, phasors.imag)
+    ref = phasors[np.argmax(amplitudes)]
+    max_disp = float(np.max(amplitudes))
+    column = {key: c for c, key in enumerate(result.channels)}
+    station_ids = sorted({sid for sid, _ in result.channels})
     figs = {}
     views = {
         "deformation_plan.svg": ("x", "y", lambda st: st.position[2] > 1.0, "plan view (top)"),
@@ -407,16 +402,14 @@ def _deformation_figures(result: AnalysisResult, layout: SensorLayout) -> dict[s
     for fname, (ax_h, ax_v, keep, label) in views.items():
         idx_h, idx_v = "xyz".index(ax_h), "xyz".index(ax_v)
         rows = []
-        span = max(
-            (abs(layout.station(sid).position[idx_h]) for sid in phasors), default=1.0
-        )
+        span = max(abs(layout.station(sid).position[idx_h]) for sid in station_ids)
         scale = 0.15 * span / max(max_disp, 1e-30)
-        for sid in sorted(phasors):
+        for sid in station_ids:
             st = layout.station(sid)
             if not keep(st):
                 continue
-            meas = phasors[sid]
-            pred = rm.predict(st.position)
+            meas = {ax: phasors[column[(sid, ax)]] for ax in (ax_h, ax_v) if (sid, ax) in column}
+            pred = modal.rigid_rows(st.position) @ delta
             h0, v0 = float(st.position[idx_h]), float(st.position[idx_v])
             rows.append(
                 (

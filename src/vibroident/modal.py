@@ -145,37 +145,46 @@ class FrequencyResponseCurve:
 
 
 def build_frc(
-    amplitudes: dict[float, dict[tuple[str, str], float]],
-    forces: dict[float, float],
+    freqs,
+    channels,
+    amplitudes: np.ndarray,
+    forces,
     f_ref: float,
     dof_excited: str = "X",
     layout: SensorLayout | None = None,
 ) -> FrequencyResponseCurve:
-    """Scale station displacement amplitudes (meters) to the reference force.
+    """Scale displacement amplitudes (meters) to the reference force.
 
-    Adds one averaged series per layout group.  Frequencies must have a
-    matching measured force; amplitudes scale by f_ref / f_measured.
+    ``amplitudes`` is frequencies x channels, ``channels`` the (id, axis)
+    of each column and ``forces`` the measured force per frequency;
+    amplitudes scale by f_ref / force.  Each frequency lists its channels
+    in column order, then the mean of each layout group's members per
+    axis, in (group, axis) order.
     """
+    forces = np.asarray(forces, dtype=float)
+    if len(forces) != len(freqs):
+        raise BuildError(f"{len(forces)} measured forces for {len(freqs)} frequencies")
+    if np.any(forces <= 0):
+        raise BuildError(f"non-positive measured force at {freqs[int(np.argmax(forces <= 0))]} Hz")
+    u_mm = np.asarray(amplitudes, dtype=float) * 1e3 * (f_ref / forces)[:, None]
     groups_of: dict[str, list[str]] = {}
     for gname, members in (layout.groups if layout is not None else {}).items():
         for sid in dict.fromkeys(members):
             groups_of.setdefault(sid, []).append(gname)
+    by_group: dict[tuple[str, str], list[int]] = {}
+    for c, (sid, axis) in enumerate(channels):
+        for gname in groups_of.get(sid, ()):
+            by_group.setdefault((gname, axis), []).append(c)
+    # means along the rows of a C-ordered copy round as the mean of each
+    # row on its own does
+    group_means = [
+        (key, np.ascontiguousarray(u_mm[:, cols]).mean(axis=1).tolist())
+        for key, cols in sorted(by_group.items())
+    ]
     points: list[FrcPoint] = []
-    for f in sorted(amplitudes):
-        if f not in forces:
-            raise BuildError(f"no measured force for frequency {f} Hz")
-        fm = forces[f]
-        if fm <= 0:
-            raise BuildError(f"non-positive measured force at {f} Hz")
-        scale = f_ref / fm
-        by_group: dict[tuple[str, str], list[float]] = {}
-        for (sid, axis), u_m in sorted(amplitudes[f].items()):
-            u_mm = u_m * 1e3 * scale
-            points.append(FrcPoint(f, sid, axis, u_mm, fm, f_ref))
-            for gname in groups_of.get(sid, ()):
-                by_group.setdefault((gname, axis), []).append(u_mm)
-        for (gname, axis), vals in sorted(by_group.items()):
-            points.append(FrcPoint(f, gname, axis, float(np.mean(vals)), fm, f_ref))
+    for i, (f, fm, row) in enumerate(zip(freqs, forces.tolist(), u_mm.tolist())):
+        points.extend(FrcPoint(f, sid, axis, u, fm, f_ref) for (sid, axis), u in zip(channels, row))
+        points.extend(FrcPoint(f, gname, axis, m[i], fm, f_ref) for (gname, axis), m in group_means)
     return FrequencyResponseCurve(tuple(points), dof_excited)
 
 
@@ -253,109 +262,74 @@ def rigid_rows(position: np.ndarray) -> np.ndarray:
     return _RIGID_BASE + (p @ _RIGID_LEVER).reshape(p.shape[:-1] + (3, 6))
 
 
-def _positions(stations: list[StationPhasors]) -> np.ndarray:
-    return np.array([st.position for st in stations], dtype=float).reshape(-1, 3)
-
-
 AXIS_ROW = {"x": 0, "y": 1, "z": 2}
 
 
-@dataclass(frozen=True)
-class StationPhasors:
-    """Measured complex displacement per axis at one station."""
-
-    id: str
-    position: np.ndarray
-    phasors: dict[str, complex]     # axis -> displacement phasor, meters
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float).reshape(3)
-        pos.flags.writeable = False
-        object.__setattr__(self, "position", pos)
+def rigid_map(channels, layout: SensorLayout) -> np.ndarray:
+    """channels x 6 map from {dx,dy,dz,rx,ry,rz} to each (station id, axis)
+    channel: the station's measurement direction for that axis applied to
+    :func:`rigid_rows` at its position."""
+    stations = [layout.station(sid) for sid, _ in channels]
+    directions = np.array([st.axes[AXIS_ROW[axis]] for st, (_, axis) in zip(stations, channels)])
+    maps = rigid_rows(np.array([st.position for st in stations]).reshape(-1, 3))
+    return (directions.reshape(-1, 1, 3) @ maps)[:, 0]
 
 
-@dataclass(frozen=True)
-class RigidMotion:
-    """Complex 6-vector of the reference point, per forcing frequency."""
+def fit_rigid_body(A: np.ndarray, phasors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares 6-parameter rigid motion explaining each row of the
+    frequencies x channels ``phasors`` through the channel map ``A``.
 
-    frequency_hz: float
-    delta: np.ndarray               # complex (6,)
-    residual_rms: float             # meters
-    n_stations: int
-
-    def __post_init__(self):
-        d = np.asarray(self.delta, dtype=complex).reshape(6)
-        d.flags.writeable = False
-        object.__setattr__(self, "delta", d)
-
-    def predict(self, position: np.ndarray) -> np.ndarray:
-        """Rigid displacement phasor (3,) at a point, or (n, 3) at n points,
-        from one product."""
-        return rigid_rows(position) @ self.delta
-
-
-def fit_rigid_body(stations: list[StationPhasors], frequency_hz: float = 0.0) -> RigidMotion:
-    """Least-squares 6-parameter rigid motion explaining all station phasors."""
-    picks = [
-        (s, AXIS_ROW[axis], phasor)
-        for s, st in enumerate(stations)
-        for axis, phasor in sorted(st.phasors.items())
-    ]
-    if len(picks) < 6:
-        raise RankError(f"only {len(picks)} measured components; need at least 6")
-    station, row, values = zip(*picks)
-    A = rigid_rows(_positions(stations))[list(station), list(row)]
-    b = np.array(values, dtype=complex)
+    Returns the complex frequencies x 6 motion and the residual rms per
+    frequency, meters.
+    """
+    if len(A) < 6:
+        raise RankError(f"only {len(A)} measured components; need at least 6")
     _, sv, vt = np.linalg.svd(A)
     if sv[-1] <= 1e-10 * sv[0]:
         direction = GENERALIZED_AXES[int(np.argmax(np.abs(vt[-1])))]
         raise RankError(
             f"station set cannot observe the {direction} direction", direction=direction
         )
-    # identical real operator for the real and imaginary parts
-    sol_re, *_ = np.linalg.lstsq(A, b.real, rcond=None)
-    sol_im, *_ = np.linalg.lstsq(A, b.imag, rcond=None)
-    delta = sol_re + 1j * sol_im
-    resid = A @ delta - b
-    return RigidMotion(
-        frequency_hz=frequency_hz,
-        delta=delta,
-        residual_rms=float(np.sqrt(np.mean(np.abs(resid) ** 2))),
-        n_stations=len(stations),
-    )
+    delta = np.empty((len(phasors), 6), dtype=complex)
+    # identical real operator for the real and imaginary parts; one solve
+    # per frequency and part, as a batched solve rounds differently
+    for i, b in enumerate(phasors):
+        sol_re, *_ = np.linalg.lstsq(A, b.real, rcond=None)
+        sol_im, *_ = np.linalg.lstsq(A, b.imag, rcond=None)
+        delta[i] = sol_re + 1j * sol_im
+    resid = delta @ A.T - phasors
+    return delta, np.sqrt(np.mean(np.abs(resid) ** 2, axis=1))
 
 
 def rbm_contribution(
-    stations: list[StationPhasors],
-    rigid: RigidMotion,
+    channels,
+    A: np.ndarray,
+    phasors: np.ndarray,
+    delta: np.ndarray,
     floor_ratio: float = 1e-3,
-) -> dict[str, float | None]:
-    """Percent of measured motion explained by the rigid prediction, per axis.
+) -> np.ndarray:
+    """Percent of measured motion explained by the rigid prediction
+    ``A @ delta``, per frequency (row) and axis x/y/z (column).
 
-    Stations whose measured amplitude on an axis sits below
-    floor_ratio x (largest measured amplitude anywhere) are left out; an
-    axis with no usable stations reports None.
+    Channels whose measured amplitude sits below floor_ratio x (largest
+    measured amplitude at that frequency) are left out; an axis with no
+    usable channel reads NaN.
     """
-    max_amp = max(
-        (abs(p) for st in stations for p in st.phasors.values()), default=0.0
-    )
-    floor = floor_ratio * max_amp
-    predicted = rigid.predict(_positions(stations))
     # hypot, as abs() of one complex is; np.abs can differ in the last bit
-    predicted = np.hypot(predicted.real, predicted.imag)
-    out: dict[str, float | None] = {}
-    for axis in ("x", "y", "z"):
-        meas = []
-        pred = []
-        for st, p in zip(stations, predicted):
-            if axis not in st.phasors or abs(st.phasors[axis]) < floor:
-                continue
-            meas.append(abs(st.phasors[axis]))
-            pred.append(p[AXIS_ROW[axis]])
-        if not meas:
-            out[axis] = None
-        else:
-            out[axis] = 100.0 * float(np.mean(pred)) / float(np.mean(meas))
+    measured = np.hypot(phasors.real, phasors.imag)
+    axis_of = np.array([AXIS_ROW[axis] for _, axis in channels])
+    out = np.full((len(phasors), 3), np.nan)
+    for i, d in enumerate(delta):
+        # one product per frequency: a batched one rounds differently
+        predicted = A @ d
+        predicted = np.hypot(predicted.real, predicted.imag)
+        usable = measured[i] >= floor_ratio * measured[i].max()
+        for k in range(3):
+            sel = usable & (axis_of == k)
+            if sel.any():
+                out[i, k] = (
+                    100.0 * float(np.mean(predicted[sel])) / float(np.mean(measured[i, sel]))
+                )
     return out
 
 

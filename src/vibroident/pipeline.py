@@ -1,31 +1,30 @@
 """End-to-end analysis: records in, identified dynamics out.
 
 Two steps.  :func:`analyze` band-pass filters the response, windows each
-dwell (or sweep crossing), sine-fits every channel into a station
-displacement phasor and estimates the force amplitude from the
-native-rate force records.  :func:`identify` turns those phasors and
-forces into the force-scaled FRCs, rigid-body motion, natural frequency,
-damping, amplification and strain; it runs as well on phasors from any
-other source, such as the exact steady-state response.
+dwell (or sweep crossing), sine-fits every channel into one row of
+displacement phasors and estimates the force amplitude from the
+native-rate force records.  :func:`identify` turns that frequencies x
+channels phasor matrix and the forces into the force-scaled FRCs,
+rigid-body motion, natural frequency, damping, amplification and strain;
+it runs as well on phasors from any other source, such as the exact
+steady-state response.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dsp, modal
 from .errors import ParseError, WindowError
 from .modal import (
+    GENERALIZED_AXES,
     DampingEstimate,
     ForceEstimate,
     ForceGeometry,
-    FrcPoint,
     FrequencyResponseCurve,
-    RigidMotion,
-    StationPhasors,
 )
 from .simulator.excitation import ExcitationProgram
 from .simulator.sensors import AXIS_NAMES
@@ -36,9 +35,6 @@ EXCITED_AXIS = {"X": "dx", "Y": "dy", "Z": "dz", "YAW": "rz"}
 
 #: distance from the neutral axis to the strained fibre, metres
 STRAIN_FIBER_M = 2.9
-
-#: station phasors per frequency: {f_hz: {station id: {axis: phasor, m}}}
-Phasors = dict[float, dict[str, dict[str, complex]]]
 
 
 @dataclass(frozen=True)
@@ -61,19 +57,24 @@ class AnalysisPolicy:
 
 @dataclass(frozen=True)
 class AnalysisResult:
+    """Identified dynamics; every array has one row per frequency."""
+
     dof_excited: str
+    frequencies: np.ndarray                   # Hz
+    channels: tuple[tuple[str, str], ...]     # (station id, axis), sorted
+    phasors: np.ndarray                       # complex displacement per channel, m
+    rigid: np.ndarray                         # complex {dx,dy,dz,rx,ry,rz}, m and rad
+    rigid_residual_rms: np.ndarray            # m
+    contributions: np.ndarray                 # % per x/y/z; NaN where undefined
     frc_stations: FrequencyResponseCurve
     frc_rigid: FrequencyResponseCurve
-    rigid_motions: dict[float, RigidMotion]
-    contributions: dict[float, dict[str, float | None]]
     damping: DampingEstimate
     natural_frequency_hz: float
     peak_flat: bool
     amplification: float
-    station_phasors: Phasors = field(default_factory=dict)
     strain: float | None = None
     #: per-frequency force fits; set by :func:`analyze`
-    force_estimates: dict[float, ForceEstimate] = field(default_factory=dict)
+    force_estimates: tuple[ForceEstimate, ...] = ()
     #: (window frequency, channel label) of every fit whose polish did not converge
     unconverged: tuple[tuple[float, str], ...] = ()
 
@@ -134,7 +135,7 @@ def analyze(
     strain_stations: tuple[str, str, str] | None = None,
     strain_fiber_m: float = STRAIN_FIBER_M,
 ) -> AnalysisResult:
-    """Fit the records into station phasors and forces, then :func:`identify`."""
+    """Fit the records into a phasor matrix and forces, then :func:`identify`."""
     dof = program.dof_excited.upper()
     keys = _channel_keys(response.labels, layout)
     windows = analysis_windows(program, policy)
@@ -145,8 +146,8 @@ def analyze(
         fp.id: ForceGeometry(fp.location, fp.direction) for fp in program.force_points
     }
 
-    phasors: Phasors = {}
-    force_estimates: dict[float, ForceEstimate] = {}
+    rows: list[np.ndarray] = []
+    force_estimates: list[ForceEstimate] = []
     unconverged: list[tuple[float, str]] = []
 
     for f, t0, t1 in windows:
@@ -157,24 +158,24 @@ def analyze(
         unconverged.extend((f, window.labels[c]) for c in np.flatnonzero(~fits.converged))
         # forward+backward filtering scales amplitudes by |H|^2; undo it
         accel_phasors = fits.phasor / dsp.filter_gain(coeffs, fits.frequency) ** 2
-        disp_phasors = -accel_phasors / fits.omega**2
-        by_station: dict[str, dict[str, complex]] = {}
-        for (sid, axis), disp in zip(keys, disp_phasors):
-            by_station.setdefault(sid, {})[axis] = complex(disp)
-        phasors[f] = by_station
+        rows.append(-accel_phasors / fits.omega**2)
+        force_estimates.append(
+            modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f)
+        )
 
-        force_estimates[f] = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f)
-
-    forces = {
-        f: est.torque if dof == "YAW" else est.resultant for f, est in force_estimates.items()
-    }
-    result = identify(phasors, forces, dof, layout, policy, strain_stations, strain_fiber_m)
-    return replace(result, force_estimates=force_estimates, unconverged=tuple(unconverged))
+    freqs = [f for f, _, _ in windows]
+    forces = [est.torque if dof == "YAW" else est.resultant for est in force_estimates]
+    result = identify(
+        freqs, keys, np.array(rows), forces, dof, layout, policy, strain_stations, strain_fiber_m
+    )
+    return replace(result, force_estimates=tuple(force_estimates), unconverged=tuple(unconverged))
 
 
 def identify(
-    phasors: Phasors,
-    forces: dict[float, float],
+    freqs,
+    channels,
+    phasors: np.ndarray,
+    forces,
     dof: str,
     layout: SensorLayout,
     policy: AnalysisPolicy = AnalysisPolicy(),
@@ -183,37 +184,31 @@ def identify(
 ) -> AnalysisResult:
     """Identified dynamics from station displacement phasors.
 
-    ``forces`` holds the measured force (kN) or, for YAW, torque (kN*m)
-    per frequency; every response is scaled to the policy's reference.
+    ``phasors`` is frequencies x channels (m) and ``channels`` holds the
+    (station id, axis) tuple of each column.  ``forces`` holds the measured
+    force (kN) or, for YAW, torque (kN*m) per frequency; every response is
+    scaled to the policy's reference.  The columns are put in (station id,
+    axis) order first, so no output depends on the order of the channels.
     """
     dof = dof.upper()
-    amplitudes = {
-        f: {(sid, axis): abs(p) for sid, axes in by_station.items() for axis, p in axes.items()}
-        for f, by_station in phasors.items()
-    }
+    freqs = np.asarray(freqs, dtype=float)
+    order = sorted(range(len(channels)), key=lambda c: channels[c])
+    channels = tuple(channels[c] for c in order)
+    X = np.asarray(phasors, dtype=complex)[:, order]
     f_ref = policy.f_ref(dof)
-    frc_stations = modal.build_frc(amplitudes, forces, f_ref, dof, layout)
+    frc_stations = modal.build_frc(
+        freqs, channels, np.hypot(X.real, X.imag), forces, f_ref, dof, layout
+    )
 
-    rigid_motions: dict[float, RigidMotion] = {}
-    contributions: dict[float, dict[str, float | None]] = {}
-    rigid_points: list[FrcPoint] = []
-    for f in sorted(phasors):
-        stations = [
-            StationPhasors(sid, layout.station(sid).position, axes)
-            for sid, axes in sorted(phasors[f].items())
-        ]
-        rm = modal.fit_rigid_body(stations, f)
-        rigid_motions[f] = rm
-        contributions[f] = modal.rbm_contribution(stations, rm)
-        scale = f_ref / forces[f]
-        for k, axis in enumerate(modal.GENERALIZED_AXES):
-            value = abs(rm.delta[k])
-            if axis.startswith("r"):
-                value *= policy.rotation_lever_m
-            rigid_points.append(
-                FrcPoint(f, "rbm", axis, value * 1e3 * scale, forces[f], f_ref)
-            )
-    frc_rigid = FrequencyResponseCurve(tuple(rigid_points), dof)
+    A = modal.rigid_map(channels, layout)
+    rigid, residual = modal.fit_rigid_body(A, X)
+    contributions = modal.rbm_contribution(channels, A, X, rigid)
+    # rotations scaled to displacements at the lever arm
+    rigid_amp = np.hypot(rigid.real, rigid.imag)
+    rigid_amp[:, 3:] *= policy.rotation_lever_m
+    frc_rigid = modal.build_frc(
+        freqs, [("rbm", axis) for axis in GENERALIZED_AXES], rigid_amp, forces, f_ref, dof
+    )
 
     fn, _, flat = modal.frc_peak(frc_rigid, "rbm", EXCITED_AXIS[dof])
 
@@ -237,27 +232,32 @@ def identify(
     strain = None
     if strain_stations is not None:
         strain = deformational_strain(
-            phasors, rigid_motions, layout, strain_stations, fn, strain_fiber_m
+            freqs, channels, X, rigid, layout, strain_stations, fn, strain_fiber_m
         )
 
     return AnalysisResult(
         dof_excited=dof,
+        frequencies=freqs,
+        channels=channels,
+        phasors=X,
+        rigid=rigid,
+        rigid_residual_rms=residual,
+        contributions=contributions,
         frc_stations=frc_stations,
         frc_rigid=frc_rigid,
-        rigid_motions=rigid_motions,
-        contributions=contributions,
         damping=damping,
         natural_frequency_hz=fn,
         peak_flat=flat,
         amplification=amplification,
-        station_phasors=phasors,
         strain=strain,
     )
 
 
 def deformational_strain(
-    phasors: Phasors,
-    rigid_motions: dict[float, RigidMotion],
+    freqs: np.ndarray,
+    channels,
+    phasors: np.ndarray,
+    rigid: np.ndarray,
     layout: SensorLayout,
     station_ids: tuple[str, str, str],
     f_peak: float,
@@ -265,14 +265,14 @@ def deformational_strain(
 ) -> float:
     """Bending strain from the deformational (rigid-subtracted) vertical
     displacement of three stations, at the frequency nearest the peak."""
-    f = min(phasors, key=lambda ff: abs(ff - f_peak))
-    rm = rigid_motions[f]
+    i = int(np.argmin(np.abs(freqs - f_peak)))
+    column = {key: c for c, key in enumerate(channels)}
     xs = []
     ws = []
     for sid in station_ids:
         st = layout.station(sid)
-        meas = phasors[f][sid]["z"]
-        pred = rm.predict(st.position)[2]
+        meas = phasors[i, column[(sid, "z")]]
+        pred = (modal.rigid_rows(st.position) @ rigid[i])[2]
         deform = meas - pred
         xs.append(float(st.position[0]))
         # real part relative to the strongest component's phase

@@ -48,6 +48,11 @@ class SteppedSpec:
             raise ValueError("stepped frequencies must be positive and strictly increasing")
         if (self.duration_per_step is None) == (self.cycles_per_step is None):
             raise ValueError("give exactly one of duration_per_step / cycles_per_step")
+        step = self.duration_per_step if self.cycles_per_step is None else self.cycles_per_step
+        if not step > 0:
+            raise ValueError("duration_per_step / cycles_per_step must be positive")
+        if not self.rest_gap >= 0:
+            raise ValueError("rest_gap must not be negative")
         object.__setattr__(self, "frequencies", freqs)
 
     def step_duration(self, f: float) -> float:

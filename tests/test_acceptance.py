@@ -18,12 +18,12 @@ from vibroident import geotech
 from vibroident.cli import _load_text, main
 from vibroident.dsp import design_bandpass, filter_gain, filtfilt, fit_sine
 from vibroident.modal import (
-    StationPhasors,
     fit_rigid_body,
     frc_from_csv,
     linearity_rms,
     rbm_contribution,
     rd_curve,
+    rigid_map,
     rigid_rows,
 )
 from vibroident.pipeline import analyze
@@ -39,7 +39,7 @@ from vibroident.simulator import (
     sensor_kinematics,
     steady_state_response,
 )
-from vibroident.timeseries import TimeSeries, load_layout
+from vibroident.timeseries import SensorLayout, Station, TimeSeries, load_layout
 
 
 def local_grid_step(freqs, f_peak: float) -> float:
@@ -235,26 +235,23 @@ def test_criterion_5_rigid_body_exactness():
         for y in (-8.0, 8.0)
         for z in (-2.5, 2.5)
     ]
-    worst = 0.0
-    contributions_ok = True
-    for trial in range(1000):
+    deltas = []
+    for _ in range(1000):
         delta = rng.uniform(-1.0, 1.0, 6) + 1j * rng.uniform(-1.0, 1.0, 6)
         delta[:3] *= 3e-4
         delta[3:] *= 1e-3 / math.sqrt(2)  # |theta| <= 1e-3 rad
-        stations = [
-            StationPhasors(
-                f"S{i}", p,
-                {a: complex(v) for a, v in zip("xyz", rigid_rows(p) @ delta)},
-            )
-            for i, p in enumerate(positions)
-        ]
-        rm = fit_rigid_body(stations)
-        err = np.max(np.abs(rm.delta - delta)) / np.max(np.abs(delta))
-        worst = max(worst, err)
-        contrib = rbm_contribution(stations, rm)
-        for pct in contrib.values():
-            if pct is not None and abs(pct - 100.0) > 1e-6:
-                contributions_ok = False
+        deltas.append(delta)
+    deltas = np.array(deltas)
+    # one row per trial: each station's reading from its own 3x6 map
+    phasors = np.array([np.concatenate([rigid_rows(p) @ d for p in positions]) for d in deltas])
+    layout = SensorLayout(tuple(Station(f"S{i}", p, np.eye(3)) for i, p in enumerate(positions)))
+    channels = [(st.id, a) for st in layout.stations for a in "xyz"]
+    A = rigid_map(channels, layout)
+    fitted, _ = fit_rigid_body(A, phasors)
+    worst = float(np.max(np.max(np.abs(fitted - deltas), axis=1) / np.max(np.abs(deltas), axis=1)))
+    contrib = rbm_contribution(channels, A, phasors, fitted)
+    defined = contrib[~np.isnan(contrib)]
+    contributions_ok = bool(np.all(np.abs(defined - 100.0) <= 1e-6))
     ok = worst < 1e-10 and contributions_ok
     record_acceptance(
         5, "1000 random small rigid motions refit exactly, contribution 100 %",

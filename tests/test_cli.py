@@ -167,13 +167,28 @@ BAD_DOCUMENTS = {
     "model_spring_not_unit": (
         "model", json.dumps({**MODEL, "springs": [{**SPRINGS[0], "dir": [1.0, 1.0, 0.0]}, *SPRINGS[1:]]}),
     ),
+    "program_negative_duration": (
+        "program", json.dumps({**MINI_PROGRAM, "stepped": {**MINI_PROGRAM["stepped"], "duration_per_step": -1}}),
+    ),
+    "program_zero_cycles": (
+        "program",
+        json.dumps({**MINI_PROGRAM, "stepped": {"frequencies": [1.5, 3.0], "cycles_per_step": 0, "rest_gap": 3.0}}),
+    ),
+    "program_negative_rest_gap": (
+        "program", json.dumps({**MINI_PROGRAM, "stepped": {**MINI_PROGRAM["stepped"], "rest_gap": -3}}),
+    ),
 }
+
+
+def _config_key(doc) -> str:
+    return doc[0] if isinstance(doc, tuple) else next(iter(doc))
+
 
 BAD_CASES = [
     pytest.param(doc, command, id=f"{name}-{command}")
     for name, doc in {**BAD_CONFIGS, **BAD_DOCUMENTS}.items()
     for command in ("analyze", "simulate")
-    if command == "simulate" or not name.startswith("model_")   # analyze reads no model
+    if command == "simulate" or _config_key(doc) != "model"   # analyze reads no model
 ]
 
 
@@ -191,6 +206,8 @@ def test_bad_config_exits_2_without_traceback(workdir, command, doc, capsys):
     assert main([command, *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    # the config itself is refused, not the missing analyze inputs
+    assert "cannot read input" not in err
     assert not (workdir / "never").exists()
 
 

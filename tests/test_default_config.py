@@ -1,9 +1,13 @@
 """Properties of the bundled default model, layout and programs."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vibroident.cli import _load_text
+from vibroident.pipeline import AnalysisPolicy
 from vibroident.simulator import (
     assemble_system,
     load_model,
@@ -124,3 +128,32 @@ def test_integrate_matches_steady_state_across_band(default_model):
         sel = hist.t >= 10.0 - 3.0 / f   # last three cycles
         amp = 0.5 * (np.max(hist.u[sel, 0]) - np.min(hist.u[sel, 0]))
         assert amp == pytest.approx(abs(u_ref[0]), rel=0.01), f
+
+
+TUNER = Path(__file__).resolve().parents[1] / "scripts" / "tune_default_model.py"
+
+
+@pytest.fixture(scope="module")
+def tuner():
+    spec = importlib.util.spec_from_file_location("tune_default_model", TUNER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tuner_emulation_meets_its_targets(tuner, default_model, default_layout):
+    # the targets the tuner scores candidates on, met by the bundled
+    # model, layout and stepped programs through pipeline.identify
+    sys_m = assemble_system(default_model)
+    policy = AnalysisPolicy()
+    assert 9.0 <= tuner.dominant_mode_freq(sys_m, 0) <= 11.0
+    for dof, axis in (("X", 0), ("Y", 1), ("Z", 2)):
+        program = load_program(_load_text(f"default:stepped_{dof.lower()}", "program"))
+        result = tuner.emulate(default_model, program, default_layout, policy)
+        f_peak = result.natural_frequency_hz
+        step = tuner.local_grid_step(program.stepped.frequencies, f_peak)
+        assert abs(f_peak - tuner.dominant_mode_freq(sys_m, axis)) <= step + 1e-9
+        if dof == "X":
+            lo, hi = result.damping.xi_lo, result.damping.xi_hi
+            assert lo <= 0.37 + 1e-9 and hi >= 0.31 - 1e-9   # overlaps [0.31, 0.37]
+            assert hi <= 0.37 + 1e-9                          # biased low

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from vibroident.cli import _load_text
 from vibroident.errors import (
     BuildError,
     ComparisonError,
@@ -22,8 +23,6 @@ from vibroident.modal import (
     ForceGeometry,
     FrequencyResponseCurve,
     FrcPoint,
-    RigidMotion,
-    StationPhasors,
     amplification_factor,
     build_frc,
     curvature_strain,
@@ -36,9 +35,12 @@ from vibroident.modal import (
     linearity_rms,
     rbm_contribution,
     rd_curve,
+    rigid_map,
     rigid_rows,
 )
-from vibroident.timeseries import SensorLayout, Station, TimeSeriesSet
+from vibroident.pipeline import AnalysisPolicy, analysis_windows
+from vibroident.simulator import assemble_system, load_model, load_program, steady_state_response
+from vibroident.timeseries import SensorLayout, Station, TimeSeriesSet, load_layout
 
 
 def force_set(channels, fs=512.0, dur=10.0):
@@ -74,20 +76,20 @@ class TestForceAmplitude:
 
 class TestBuildFrc:
     def test_double_scale(self):
-        frc = build_frc(
-            {10.0: {("S1", "x"): 0.1e-3}}, {10.0: 3400.0}, f_ref=6800.0
-        )
+        frc = build_frc([10.0], [("S1", "x")], [[0.1e-3]], [3400.0], f_ref=6800.0)
         assert frc.points[0].u_scaled_mm == pytest.approx(0.2)
 
     def test_identity_scale(self):
-        frc = build_frc(
-            {10.0: {("S1", "x"): 0.1e-3}}, {10.0: 6800.0}, f_ref=6800.0
-        )
+        frc = build_frc([10.0], [("S1", "x")], [[0.1e-3]], [6800.0], f_ref=6800.0)
         assert frc.points[0].u_scaled_mm == pytest.approx(0.1)
 
     def test_missing_force_rejected(self):
         with pytest.raises(BuildError):
-            build_frc({10.0: {("S1", "x"): 1e-4}}, {}, f_ref=6800.0)
+            build_frc([10.0], [("S1", "x")], [[1e-4]], [], f_ref=6800.0)
+
+    def test_non_positive_force_rejected(self):
+        with pytest.raises(BuildError):
+            build_frc([10.0], [("S1", "x")], [[1e-4]], [0.0], f_ref=6800.0)
 
     def test_group_average(self):
         layout = SensorLayout(
@@ -98,20 +100,16 @@ class TestBuildFrc:
             groups={"T1": ("S1", "S2")},
         )
         frc = build_frc(
-            {10.0: {("S1", "x"): 1.0e-3, ("S2", "x"): 3.0e-3}},
-            {10.0: 6800.0},
-            f_ref=6800.0,
-            layout=layout,
+            [10.0], [("S1", "x"), ("S2", "x")], [[1.0e-3, 3.0e-3]], [6800.0],
+            f_ref=6800.0, layout=layout,
         )
         _, u = frc.series("T1", "x")
         assert u[0] == pytest.approx(2.0)
 
     def test_csv_roundtrip(self):
         frc = build_frc(
-            {5.0: {("S1", "x"): 1e-4, ("S1", "z"): 2e-4}, 10.0: {("S1", "x"): 3e-4, ("S1", "z"): 1e-4}},
-            {5.0: 3000.0, 10.0: 3100.0},
-            f_ref=6800.0,
-            dof_excited="Y",
+            [5.0, 10.0], [("S1", "x"), ("S1", "z")], [[1e-4, 2e-4], [3e-4, 1e-4]],
+            [3000.0, 3100.0], f_ref=6800.0, dof_excited="Y",
         )
         again = frc_from_csv(frc_to_csv(frc))
         assert again.dof_excited == "Y"
@@ -133,15 +131,41 @@ class TestBuildFrc:
         with pytest.raises(KeyError):
             frc.series("S1", "x")
 
+    def test_points_equal_the_per_frequency_dict_loop_bit_for_bit(self):
+        # reference: the FRC as first written, one python float and one
+        # group list per frequency, over dicts keyed by (station, axis)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            ids = [f"S{i}" for i in range(30)]
+            layout = SensorLayout(
+                tuple(Station(sid, rng.uniform(-9, 9, 3), np.eye(3)) for sid in ids),
+                {f"G{g}": tuple(rng.choice(ids, size=rng.integers(1, 25))) for g in range(4)},
+            )
+            channels = sorted((sid, a) for sid in ids for a in "xyz" if rng.random() < 0.8)
+            freqs = np.sort(rng.uniform(0.5, 20.0, 21))
+            amps = rng.uniform(1e-6, 1e-3, (len(freqs), len(channels)))
+            forces = rng.uniform(1e3, 5e3, len(freqs))
+            frc = build_frc(freqs, channels, amps, forces, 6800.0, layout=layout)
+            ref = []
+            for f, fm, row in zip(freqs, forces, amps):
+                by_group = {}
+                for key, u_m in zip(channels, row.tolist()):
+                    u_mm = u_m * 1e3 * (6800.0 / float(fm))
+                    ref.append((f, *key, u_mm))
+                    for gname, members in layout.groups.items():
+                        if key[0] in members:
+                            by_group.setdefault((gname, key[1]), []).append(u_mm)
+                ref += [(f, *key, float(np.mean(v))) for key, v in sorted(by_group.items())]
+            assert [(p.f_hz, p.id, p.axis, p.u_scaled_mm) for p in frc.points] == ref
+
     @given(st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=25, deadline=None)
     def test_joint_scaling_invariance(self, s):
-        amps = {5.0: {("S1", "x"): 1e-4}, 8.0: {("S1", "x"): 4e-4}, 12.0: {("S1", "x"): 2e-4}}
-        forces = {5.0: 3000.0, 8.0: 3200.0, 12.0: 2900.0}
-        frc1 = build_frc(amps, forces, 6800.0)
-        amps2 = {f: {k: s * v for k, v in d.items()} for f, d in amps.items()}
-        forces2 = {f: s * v for f, v in forces.items()}
-        frc2 = build_frc(amps2, forces2, 6800.0)
+        amps = np.array([[1e-4], [4e-4], [2e-4]])
+        forces = np.array([3000.0, 3200.0, 2900.0])
+        freqs = [5.0, 8.0, 12.0]
+        frc1 = build_frc(freqs, [("S1", "x")], amps, forces, 6800.0)
+        frc2 = build_frc(freqs, [("S1", "x")], s * amps, s * forces, 6800.0)
         for p1, p2 in zip(frc1.points, frc2.points):
             assert p2.u_scaled_mm == pytest.approx(p1.u_scaled_mm, rel=1e-12)
 
@@ -155,15 +179,28 @@ def station_grid():
     return pts
 
 
+def station_layout(positions, axes=None):
+    return SensorLayout(tuple(
+        Station(f"S{i}", p, np.eye(3) if axes is None else axes[i]) for i, p in enumerate(positions)
+    ))
+
+
+def all_channels(layout):
+    return [(st.id, a) for st in layout.stations for a in "xyz"]
+
+
 def synthesize(positions, delta):
-    return [
-        StationPhasors(
-            id=f"S{i}",
-            position=p,
-            phasors={a: complex(v) for a, v in zip("xyz", rigid_rows(p) @ delta)},
-        )
-        for i, p in enumerate(positions)
-    ]
+    """Channels, channel map and the one-frequency phasor row of a rigid
+    motion, each station's reading taken from its own 3x6 map."""
+    layout = station_layout(positions)
+    channels = all_channels(layout)
+    row = np.concatenate([rigid_rows(p) @ delta for p in positions])
+    return channels, rigid_map(channels, layout), row[None, :]
+
+
+def yaw_axes(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 class TestRigidBody:
@@ -176,27 +213,65 @@ class TestRigidBody:
         assert np.array_equal(rigid_rows(points[0]), maps[0])
         assert np.array_equal(rigid_rows(points), maps)
 
+    def test_rigid_map_rows_follow_the_station_axes(self):
+        rng = np.random.default_rng(5)
+        positions = station_grid()
+        axes = [yaw_axes(rng.uniform(-1, 1)) for _ in positions]
+        layout = station_layout(positions, axes)
+        channels = [(st.id, a) for st in reversed(layout.stations) for a in "zxy"]
+        A = rigid_map(channels, layout)
+        for (sid, a), row in zip(channels, A):
+            st = layout.station(sid)
+            assert np.allclose(row, st.axes["xyz".index(a)] @ rigid_rows(st.position), rtol=0, atol=1e-15)
+        # identity axes give the rows of rigid_rows exactly
+        plain = station_layout(positions)
+        assert np.array_equal(
+            rigid_map(all_channels(plain), plain), rigid_rows(np.array(positions)).reshape(-1, 6)
+        )
+
     def test_pure_translation(self):
         delta = np.array([1e-4 + 2e-5j, 0, 0, 0, 0, 0], dtype=complex)
-        stations = synthesize(station_grid(), delta)
-        rm = fit_rigid_body(stations, 10.0)
-        assert np.allclose(rm.delta, delta, atol=1e-18)
-        assert rm.residual_rms < 1e-18
+        _, A, X = synthesize(station_grid(), delta)
+        fitted, residual = fit_rigid_body(A, X)
+        assert fitted.shape == (1, 6) and residual.shape == (1,)
+        assert np.allclose(fitted[0], delta, atol=1e-18)
+        assert residual[0] < 1e-18
 
     def test_small_yaw(self):
         # v_i = (-y, x, 0) * 1e-5 is exactly a 1e-5 rad rotation about z
         theta = 1e-5
-        stations = [
-            StationPhasors(
-                id=f"S{i}",
-                position=p,
-                phasors={"x": -p[1] * theta + 0j, "y": p[0] * theta + 0j, "z": 0j},
-            )
-            for i, p in enumerate(station_grid())
-        ]
-        rm = fit_rigid_body(stations)
-        assert rm.delta[5].real == pytest.approx(theta, rel=1e-12)
-        assert np.max(np.abs(np.delete(rm.delta, 5))) < 1e-17
+        positions = station_grid()
+        layout = station_layout(positions)
+        X = np.array([[c for p in positions for c in (-p[1] * theta, p[0] * theta, 0.0)]], dtype=complex)
+        fitted, _ = fit_rigid_body(rigid_map(all_channels(layout), layout), X)
+        assert fitted[0, 5].real == pytest.approx(theta, rel=1e-12)
+        assert np.max(np.abs(np.delete(fitted[0], 5))) < 1e-17
+
+    def test_rotated_station_axes_are_used(self):
+        # T1C of the bundled layout turned 0.5 rad about z: its x and y
+        # channels read the motion along the turned axes, as the sensor
+        # kinematics write them, and the fit must return u6 exactly
+        base = load_layout(_load_text("default", "layout"))
+        layout = SensorLayout(
+            tuple(Station(st.id, st.position, yaw_axes(0.5) if st.id == "T1C" else st.axes) for st in base.stations),
+            base.groups,
+        )
+        program = load_program(_load_text("default:stepped_x", "program"))
+        sys_m = assemble_system(load_model(_load_text("default", "model")))
+        bf = program.generalized_amplitude().astype(complex)
+        u6 = np.array([
+            steady_state_response(sys_m, bf, 2 * math.pi * f)
+            for f, _, _ in analysis_windows(program, AnalysisPolicy())
+        ])
+        channels = all_channels(layout)
+        X = np.array([
+            [layout.station(sid).axes["xyz".index(a)] @ rigid_rows(layout.station(sid).position) @ u for sid, a in channels]
+            for u in u6
+        ])
+        fitted, residual = fit_rigid_body(rigid_map(channels, layout), X)
+        err = np.max(np.abs(fitted - u6), axis=1) / np.max(np.abs(u6), axis=1)
+        assert np.max(err) < 1e-12
+        assert np.max(residual / np.max(np.abs(X), axis=1)) < 1e-12
 
     def test_orthogonal_deformation_goes_to_residual(self):
         # deformation constructed in the orthogonal complement of the 6
@@ -204,6 +279,7 @@ class TestRigidBody:
         # residual with its full norm
         rng = np.random.default_rng(21)
         positions = station_grid()
+        layout = station_layout(positions)
         A = np.vstack([rigid_rows(p) for p in positions])
         q, _ = np.linalg.qr(A)
         raw = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
@@ -211,117 +287,104 @@ class TestRigidBody:
         deform *= 1e-5 / np.linalg.norm(deform)
 
         delta = np.array([2e-4, -1e-4, 5e-5, 1e-5, -2e-5, 3e-5], dtype=complex)
-        clean = A @ delta
-        noisy = clean + deform
-        stations = [
-            StationPhasors(
-                id=f"S{i}", position=p,
-                phasors={a: noisy[3 * i + k] for k, a in enumerate("xyz")},
-            )
-            for i, p in enumerate(positions)
-        ]
-        rm = fit_rigid_body(stations)
-        assert np.max(np.abs(rm.delta - delta)) < 1e-9 * np.max(np.abs(delta))
+        noisy = A @ delta + deform
+        fitted, residual = fit_rigid_body(rigid_map(all_channels(layout), layout), noisy[None, :])
+        assert np.max(np.abs(fitted[0] - delta)) < 1e-9 * np.max(np.abs(delta))
         expected_rms = np.linalg.norm(deform) / math.sqrt(len(deform))
-        assert rm.residual_rms == pytest.approx(expected_rms, rel=1e-9)
+        assert residual[0] == pytest.approx(expected_rms, rel=1e-9)
 
     def test_rank_deficiency_named(self):
         # collinear stations along x cannot observe rotation about x
-        stations = [
-            StationPhasors(
-                id=f"S{i}", position=np.array([float(x), 0.0, 0.0]),
-                phasors={"x": 1e-4 + 0j, "y": 0j, "z": 0j},
-            )
-            for i, x in enumerate((-5, 0, 5))
-        ]
+        layout = station_layout([np.array([float(x), 0.0, 0.0]) for x in (-5, 0, 5)])
+        X = np.array([[1e-4, 0, 0] * 3], dtype=complex)
         with pytest.raises(RankError) as exc:
-            fit_rigid_body(stations)
+            fit_rigid_body(rigid_map(all_channels(layout), layout), X)
         assert exc.value.direction == "rx"
 
     def test_exactness_over_random_small_motions(self):
         rng = np.random.default_rng(31)
         positions = station_grid()
+        deltas = []
         for _ in range(200):
             delta = (
                 rng.uniform(-1e-4, 1e-4, 6) + 1j * rng.uniform(-1e-4, 1e-4, 6)
             )
             delta[3:] *= 1e-3 / 1e-4  # keep rotations under 1e-3 rad
-            stations = synthesize(positions, delta)
-            rm = fit_rigid_body(stations)
-            err = np.max(np.abs(rm.delta - delta)) / np.max(np.abs(delta))
-            assert err < 1e-12
+            deltas.append(delta)
+        deltas = np.array(deltas)
+        X = np.array([np.concatenate([rigid_rows(p) @ d for p in positions]) for d in deltas])
+        layout = station_layout(positions)
+        fitted, _ = fit_rigid_body(rigid_map(all_channels(layout), layout), X)
+        err = np.max(np.abs(fitted - deltas), axis=1) / np.max(np.abs(deltas), axis=1)
+        assert np.max(err) < 1e-12
 
 
 class TestRbmContribution:
     def test_purely_rigid_field(self):
         delta = np.array([1e-4, 2e-4, -1e-4, 1e-5, 2e-5, -1e-5], dtype=complex)
-        stations = synthesize(station_grid(), delta)
-        rm = fit_rigid_body(stations)
-        out = rbm_contribution(stations, rm)
-        for axis in "xyz":
-            assert out[axis] == pytest.approx(100.0, rel=1e-9)
+        channels, A, X = synthesize(station_grid(), delta)
+        fitted, _ = fit_rigid_body(A, X)
+        out = rbm_contribution(channels, A, X, fitted)
+        assert out.shape == (1, 3)
+        assert out[0] == pytest.approx([100.0] * 3, rel=1e-9)
 
     def test_half_prediction_is_fifty_percent(self):
         delta = np.array([1e-4, 0, 0, 0, 0, 0], dtype=complex)
-        stations = synthesize(station_grid(), delta)
-        half = RigidMotion(0.0, delta / 2, 0.0, len(stations))
-        out = rbm_contribution(stations, half)
-        assert out["x"] == pytest.approx(50.0, rel=1e-9)
+        channels, A, X = synthesize(station_grid(), delta)
+        out = rbm_contribution(channels, A, X, delta[None, :] / 2)
+        assert out[0, 0] == pytest.approx(50.0, rel=1e-9)
 
     def test_inphase_contamination_on_z(self):
         # inflate every measured z amplitude by 30 %, keep the true rigid
         # motion as reference: direct evaluation gives 100/1.3 = 76.9 %
         delta = np.array([1e-4, 5e-5, 8e-5, 1e-5, -1e-5, 5e-6], dtype=complex)
-        positions = station_grid()
-        clean = synthesize(positions, delta)
-        rm = fit_rigid_body(clean)
-        contaminated = [
-            StationPhasors(
-                id=st.id, position=st.position,
-                phasors={
-                    "x": st.phasors["x"],
-                    "y": st.phasors["y"],
-                    "z": 1.3 * st.phasors["z"],
-                },
-            )
-            for st in clean
-        ]
-        out = rbm_contribution(contaminated, rm)
-        assert out["z"] == pytest.approx(100.0 / 1.3, rel=1e-9)
-        assert out["x"] == pytest.approx(100.0, rel=1e-9)
+        channels, A, clean = synthesize(station_grid(), delta)
+        fitted, _ = fit_rigid_body(A, clean)
+        contaminated = clean * np.array([1.3 if a == "z" else 1.0 for _, a in channels])
+        out = rbm_contribution(channels, A, contaminated, fitted)
+        assert out[0, 2] == pytest.approx(100.0 / 1.3, rel=1e-9)
+        assert out[0, 0] == pytest.approx(100.0, rel=1e-9)
 
     def test_stacked_maps_equal_the_per_station_loop_bit_for_bit(self):
-        # reference: one 3x6 map and one abs() per station and axis, as the
-        # fit and the contribution were first written
+        # reference: one 3x6 map, one fit and one abs() per station, axis
+        # and frequency, as the fit and the contribution were first written
         rng = np.random.default_rng(8)
         positions = [rng.uniform(-15.0, 15.0, 3) for _ in range(11)]
+        layout = station_layout(positions)
         for _ in range(50):
-            stations = [
-                StationPhasors(f"S{i}", p, {
-                    a: complex(*rng.standard_normal(2)) * 1e-4
-                    for a in rng.choice(list("xyz"), size=rng.integers(1, 4), replace=False)
-                })
-                for i, p in enumerate(positions)
+            channels = [
+                (f"S{i}", a)
+                for i in range(len(positions))
+                for a in sorted(rng.choice(list("xyz"), size=rng.integers(1, 4), replace=False))
             ]
-            rm = fit_rigid_body(stations)
-            A = np.array([rigid_rows(st.position)[AXIS_ROW[a]] for st in stations for a in sorted(st.phasors)])
-            b = np.array([st.phasors[a] for st in stations for a in sorted(st.phasors)])
-            ref = np.linalg.lstsq(A, b.real, rcond=None)[0] + 1j * np.linalg.lstsq(A, b.imag, rcond=None)[0]
-            assert rm.delta.tobytes() == ref.tobytes()
-            floor = 1e-3 * max(abs(v) for st in stations for v in st.phasors.values())
-            out = rbm_contribution(stations, rm)
-            for axis in "xyz":
-                used = [st for st in stations if axis in st.phasors and abs(st.phasors[axis]) >= floor]
-                pred = [abs((rigid_rows(st.position) @ rm.delta)[AXIS_ROW[axis]]) for st in used]
-                meas = [abs(st.phasors[axis]) for st in used]
-                assert out[axis] == (100.0 * float(np.mean(pred)) / float(np.mean(meas)) if used else None)
+            X = (rng.standard_normal((3, len(channels))) + 1j * rng.standard_normal((3, len(channels)))) * 1e-4
+            A = rigid_map(channels, layout)
+            fitted, _ = fit_rigid_body(A, X)
+            out = rbm_contribution(channels, A, X, fitted)
+            A_ref = np.array([rigid_rows(positions[int(sid[1:])])[AXIS_ROW[a]] for sid, a in channels])
+            for i, b in enumerate(X):
+                ref = np.linalg.lstsq(A_ref, b.real, rcond=None)[0] + 1j * np.linalg.lstsq(A_ref, b.imag, rcond=None)[0]
+                assert fitted[i].tobytes() == ref.tobytes()
+                floor = 1e-3 * max(abs(complex(v)) for v in b)
+                pred = {
+                    (f"S{s}", a): abs((rigid_rows(p) @ fitted[i])[k])
+                    for s, p in enumerate(positions) for k, a in enumerate("xyz")
+                }
+                for k, axis in enumerate("xyz"):
+                    used = [c for c, key in enumerate(channels) if key[1] == axis and abs(complex(b[c])) >= floor]
+                    if not used:
+                        assert math.isnan(out[i, k])
+                        continue
+                    meas = [abs(complex(b[c])) for c in used]
+                    pred_used = [pred[channels[c]] for c in used]
+                    assert out[i, k] == 100.0 * float(np.mean(pred_used)) / float(np.mean(meas))
 
     def test_axis_below_floor_is_undefined(self):
         delta = np.array([1e-4, 0, 0, 0, 0, 0], dtype=complex)
-        stations = synthesize(station_grid(), delta)   # y and z identically zero
-        rm = fit_rigid_body(stations)
-        out = rbm_contribution(stations, rm)
-        assert out["y"] is None and out["z"] is None
+        channels, A, X = synthesize(station_grid(), delta)   # y and z identically zero
+        fitted, _ = fit_rigid_body(A, X)
+        out = rbm_contribution(channels, A, X, fitted)
+        assert math.isnan(out[0, 1]) and math.isnan(out[0, 2])
 
 
 class TestRdCurve:
@@ -506,15 +569,12 @@ class TestCurvatureStrain:
 def test_estimates_invariant_under_joint_scaling():
     # scaling all measured amplitudes and forces together changes nothing
     # in the identification chain
-    amps = {f: {("S1", "x"): 1e-4 * float(rd_curve(0.3, f / 10.0))} for f in np.arange(0.5, 15.01, 0.5)}
-    forces = {f: 3400.0 for f in amps}
+    freqs = np.arange(0.5, 15.01, 0.5)
+    amps = 1e-4 * rd_curve(0.3, freqs / 10.0)[:, None]
+    forces = np.full(len(freqs), 3400.0)
     for s in (0.2, 7.0):
-        frc1 = build_frc(amps, forces, 6800.0)
-        frc2 = build_frc(
-            {f: {k: s * v for k, v in d.items()} for f, d in amps.items()},
-            {f: s * v for f, v in forces.items()},
-            6800.0,
-        )
+        frc1 = build_frc(freqs, [("S1", "x")], amps, forces, 6800.0)
+        frc2 = build_frc(freqs, [("S1", "x")], s * amps, s * forces, 6800.0)
         d1 = estimate_damping(frc1, 10.0)
         d2 = estimate_damping(frc2, 10.0)
         assert d1.per_station == d2.per_station

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vibroident.errors import WindowError
-from vibroident.modal import linearity_rms, rigid_rows
+from vibroident.cli import _contribution_csv, _deformation_figures, _rbm_csv
+from vibroident.modal import frc_to_csv, linearity_rms, rigid_rows
 from vibroident.pipeline import AnalysisPolicy, analysis_windows, analyze, identify
 from vibroident.simulator import (
     BlockSpec,
@@ -78,7 +79,7 @@ class TestSteppedAnalysis:
     def test_frc_matches_steady_state(self, stepped_run):
         res, prog, sys, layout = stepped_run
         bf = prog.generalized_amplitude().astype(complex)
-        for f in sorted(res.rigid_motions):
+        for f, est in zip(res.frequencies, res.force_estimates):
             u6 = steady_state_response(sys, bf, 2 * math.pi * f)
             for st in layout.stations:
                 truth = rigid_rows(st.position) @ u6
@@ -87,7 +88,7 @@ class TestSteppedAnalysis:
                         continue
                     f_arr, u_arr = res.frc_stations.series(st.id, ax)
                     meas_mm = u_arr[np.argmin(np.abs(f_arr - f))]
-                    scale = 6800.0 / res.force_estimates[f].resultant
+                    scale = 6800.0 / est.resultant
                     assert meas_mm / 1e3 == pytest.approx(abs(truth[k]) * scale, rel=0.02)
 
     def test_displacement_phasor_matches_transfer_function(self, stepped_run):
@@ -97,28 +98,53 @@ class TestSteppedAnalysis:
         # starts, lags by 0.02 rad, hence 2.5 % on the complex difference
         res, prog, sys, layout = stepped_run
         bf = prog.generalized_amplitude().astype(complex)
-        for f, by_station in res.station_phasors.items():
+        column = {key: c for c, key in enumerate(res.channels)}
+        for f, row, est in zip(res.frequencies, res.phasors, res.force_estimates):
             u6 = steady_state_response(sys, bf, 2 * math.pi * f)
-            fx_n = res.force_estimates[f].component_phasors[0] * 1e3
+            fx_n = est.component_phasors[0] * 1e3
             truth = {st.id: rigid_rows(st.position) @ u6 / bf[0] for st in layout.stations}
             peak = max(np.max(np.abs(h)) for h in truth.values())
             for sid, h in truth.items():
                 for k, ax in enumerate("xyz"):
                     if abs(h[k]) < 0.1 * peak:
                         continue
-                    measured = by_station[sid][ax] / fx_n
+                    measured = row[column[(sid, ax)]] / fx_n
                     assert abs(measured - h[k]) <= 0.025 * abs(h[k])
 
     def test_identify_reproduces_analysis(self, stepped_run):
         res, _, _, layout = stepped_run
-        forces = {f: est.resultant for f, est in res.force_estimates.items()}
+        forces = [est.resultant for est in res.force_estimates]
         policy = AnalysisPolicy(f_low=1.0, f_high=25.0, skip_cycles=6.0)
-        again = identify(res.station_phasors, forces, "X", layout, policy)
+        again = identify(res.frequencies, res.channels, res.phasors, forces, "X", layout, policy)
         assert again.frc_stations == res.frc_stations
         assert again.frc_rigid == res.frc_rigid
         assert again.damping == res.damping
         assert again.natural_frequency_hz == res.natural_frequency_hz
-        assert again.force_estimates == {} and again.unconverged == ()
+        assert again.force_estimates == () and again.unconverged == ()
+
+    def test_identify_ignores_the_channel_order(self, stepped_run):
+        res, _, _, layout = stepped_run
+        forces = [est.resultant for est in res.force_estimates]
+        policy = AnalysisPolicy(f_low=1.0, f_high=25.0, skip_cycles=6.0)
+        perm = np.random.default_rng(3).permutation(len(res.channels))
+        shuffled = identify(
+            res.frequencies, [res.channels[c] for c in perm], res.phasors[:, perm], forces, "X",
+            layout, policy, strain_stations=("TA", "MA", "TB"),
+        )
+        again = identify(
+            res.frequencies, res.channels, res.phasors, forces, "X",
+            layout, policy, strain_stations=("TA", "MA", "TB"),
+        )
+        assert shuffled.channels == again.channels == res.channels
+        for name in ("phasors", "rigid", "rigid_residual_rms", "contributions"):
+            assert getattr(shuffled, name).tobytes() == getattr(again, name).tobytes()
+        assert frc_to_csv(shuffled.frc_stations) == frc_to_csv(again.frc_stations)
+        assert frc_to_csv(shuffled.frc_rigid) == frc_to_csv(again.frc_rigid)
+        assert _rbm_csv(shuffled) == _rbm_csv(again)
+        assert _contribution_csv(shuffled) == _contribution_csv(again)
+        assert _deformation_figures(shuffled, layout) == _deformation_figures(again, layout)
+        assert shuffled.damping == again.damping
+        assert again.strain is not None and shuffled.strain == again.strain
 
     def test_force_estimate_matches_injected(self, stepped_run):
         # the V-shape actuator resultant must reproduce the generalized
@@ -126,23 +152,22 @@ class TestSteppedAnalysis:
         res, prog, _, _ = stepped_run
         bf = prog.generalized_amplitude()
         expected_kn = abs(bf[0]) / 1e3
-        for f, est in res.force_estimates.items():
+        for est in res.force_estimates:
             assert est.resultant == pytest.approx(expected_kn, rel=0.005)
 
     def test_rigid_motion_matches_direct_solution(self, stepped_run):
         res, prog, sys, _ = stepped_run
         bf = prog.generalized_amplitude().astype(complex)
-        for f, rm in res.rigid_motions.items():
+        for f, delta in zip(res.frequencies, res.rigid):
             u6 = steady_state_response(sys, bf, 2 * math.pi * f)
             floor = 1e-3 * np.max(np.abs(u6))
-            assert np.allclose(np.abs(rm.delta), np.abs(u6), rtol=0.02, atol=floor)
+            assert np.allclose(np.abs(delta), np.abs(u6), rtol=0.02, atol=floor)
 
     def test_contributions_near_100_for_rigid_model(self, stepped_run):
         res, *_ = stepped_run
-        for f, row in res.contributions.items():
-            for axis, pct in row.items():
-                if pct is not None:
-                    assert pct == pytest.approx(100.0, abs=1.0)
+        defined = res.contributions[~np.isnan(res.contributions)]
+        assert defined.size > 0
+        assert np.all(np.abs(defined - 100.0) <= 1.0)
 
     def test_peak_near_x_mode(self, stepped_run):
         res, *_ = stepped_run
@@ -213,11 +238,11 @@ class TestSweepAnalysis:
         force = force_timeseries(prog, fs=512.0)
         res = analyze(resp, force, prog, layout, AnalysisPolicy())
         bf = prog.generalized_amplitude().astype(complex)
-        for f in sorted(res.rigid_motions):
+        for f, est in zip(res.frequencies, res.force_estimates):
             if f < 3.0:   # sweep start transient region
                 continue
             truth = abs(steady_state_response(sys, bf, 2 * math.pi * f)[0])
             f_arr, u_arr = res.frc_rigid.series("rbm", "dx")
             meas = u_arr[np.argmin(np.abs(f_arr - f))] / 1e3
-            scale = 6800.0 / res.force_estimates[f].resultant
+            scale = 6800.0 / est.resultant
             assert meas == pytest.approx(truth * scale, rel=0.05)
