@@ -350,25 +350,16 @@ def _contribution_csv(result: AnalysisResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _frc_figures(result: AnalysisResult, layout: SensorLayout) -> dict[str, str]:
+def _frc_figures(result: AnalysisResult) -> dict[str, str]:
     figs = {}
+    frc = result.frc_stations
+    f = frc.frequencies.tolist()
+    n = len(result.channels)   # the group series follow the stations, in (group, axis) order
+    groups = [(key, u.tolist()) for key, u in zip(frc.keys[n:], frc.u_mm.T[n:]) if np.max(u) > 0]
     for axis in ("x", "y", "z"):
-        series = []
-        for gname in sorted(layout.groups):
-            try:
-                f, u = result.frc_stations.series(gname, axis)
-            except KeyError:
-                continue
-            if np.max(u) <= 0:
-                continue
-            series.append(svg.Series(gname, f.tolist(), u.tolist()))
-        try:
-            f, u = result.frc_rigid.series("rbm", {"x": "dx", "y": "dy", "z": "dz"}[axis])
-            series.append(svg.Series("rigid", f.tolist(), u.tolist()))
-        except KeyError:
-            pass
-        if not series:
-            continue
+        series = [svg.Series(gname, f, u) for (gname, ax), u in groups if ax == axis]
+        _, u = result.frc_rigid.series("rbm", "d" + axis)
+        series.append(svg.Series("rigid", f, u.tolist()))
         figs[f"frc_{axis}.svg"] = svg.line_chart(
             series,
             title=f"{result.dof_excited} excitation: scaled {axis} displacement",
@@ -486,7 +477,7 @@ def cmd_analyze(args) -> int:
         "contribution.csv": _contribution_csv(result),
         "damping.json": json.dumps(damping_doc, indent=1, sort_keys=True) + "\n",
     }
-    files.update(_frc_figures(result, layout))
+    files.update(_frc_figures(result))
     files.update(_deformation_figures(result, layout))
 
     out = Path(args.output)
@@ -505,10 +496,7 @@ def cmd_linearity(args) -> int:
     frc_a = modal.frc_from_csv(Path(args.frc_a).read_text())
     frc_b = modal.frc_from_csv(Path(args.frc_b).read_text())
     rms = modal.linearity_rms(frc_a, frc_b, exclude_below=args.exclude_below)
-    shared = len(
-        {(p.id, p.axis, p.f_hz) for p in frc_a.points if p.f_hz > args.exclude_below}
-        & {(p.id, p.axis, p.f_hz) for p in frc_b.points if p.f_hz > args.exclude_below}
-    )
+    shared = modal._shared_amplitudes(frc_a, frc_b, args.exclude_below)[0].size
     doc = {"rms_mm": rms, "shared_points": shared, "exclude_below_hz": args.exclude_below}
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.output:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     RankError,
 )
-from .timeseries import SensorLayout, TimeSeriesSet
+from .timeseries import SensorLayout, TimeSeriesSet, _freeze
 
 GENERALIZED_AXES = ("dx", "dy", "dz", "rx", "ry", "rz")
 
@@ -42,12 +42,8 @@ class ForceGeometry:
     direction: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float).reshape(3)
-        d = np.asarray(self.direction, dtype=float).reshape(3)
-        pos.flags.writeable = False
-        d.flags.writeable = False
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "direction", d)
+        object.__setattr__(self, "position", _freeze(np.reshape(self.position, 3).astype(float)))
+        object.__setattr__(self, "direction", _freeze(np.reshape(self.direction, 3).astype(float)))
 
 
 @dataclass(frozen=True)
@@ -110,37 +106,49 @@ class FrcPoint:
 
 @dataclass(frozen=True)
 class FrequencyResponseCurve:
-    points: tuple[FrcPoint, ...]
+    """Force-scaled amplitudes on one frequency grid, read-only: column s of
+    ``u_mm`` is the series ``keys[s]``, an (id, axis) of a station, a group
+    or "rbm"."""
+
+    frequencies: np.ndarray                 # (F,) Hz, strictly increasing
+    keys: tuple[tuple[str, str], ...]       # (S,)
+    u_mm: np.ndarray                        # (F, S) mm at the reference force
+    f_measured: np.ndarray                  # (F,) kN (or kN*m for yaw programs)
+    f_ref: float
     dof_excited: str = "X"
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-
-    @cached_property
-    def _series(self) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
-        """Read-only (f, u) sorted by f per (id, axis), in order of first appearance."""
-        grouped: dict[tuple[str, str], list[tuple[float, float]]] = {}
-        for p in self.points:
-            grouped.setdefault((p.id, p.axis), []).append((p.f_hz, p.u_scaled_mm))
-        out = {}
-        for key, pts in grouped.items():
-            fu = np.array(sorted(pts)).T.copy()
-            fu.flags.writeable = False
-            out[key] = (fu[0], fu[1])
-        return out
-
-    def ids(self) -> list[tuple[str, str]]:
-        return list(self._series)
+        # read-only copies: the curve does not change with the arrays it was built from
+        for name in ("frequencies", "u_mm", "f_measured"):
+            object.__setattr__(self, name, _freeze(np.array(getattr(self, name), dtype=float)))
+        object.__setattr__(self, "keys", tuple((sid, axis) for sid, axis in self.keys))
+        F, S = len(self.frequencies), len(self.keys)
+        if self.u_mm.shape != (F, S) or self.f_measured.shape != (F,) or len(set(self.keys)) < S:
+            raise BuildError("FRC arrays disagree in shape, or a series repeats")
+        if np.any(np.diff(self.frequencies) <= 0):
+            raise BuildError("FRC frequencies must strictly increase")
 
     def series(self, sid: str, axis: str) -> tuple[np.ndarray, np.ndarray]:
-        try:
-            return self._series[(sid, axis)]
-        except KeyError:
-            raise KeyError((sid, axis)) from None
+        """(frequencies, amplitudes) of one series; KeyError if absent."""
+        return self.frequencies, self.select([(sid, axis)]).u_mm[:, 0]
 
-    def subset(self, keep) -> "FrequencyResponseCurve":
-        return FrequencyResponseCurve(
-            tuple(p for p in self.points if keep(p)), self.dof_excited
+    def __eq__(self, other) -> bool:
+        """Equal when :func:`frc_to_csv` writes the same text."""
+        return isinstance(other, FrequencyResponseCurve) and frc_to_csv(self) == frc_to_csv(other)
+
+    def select(self, keys) -> "FrequencyResponseCurve":
+        """The curve restricted to the given series, in that order; KeyError if one is absent."""
+        column = {key: s for s, key in enumerate(self.keys)}
+        return replace(self, keys=tuple(keys), u_mm=self.u_mm[:, [column[key] for key in keys]])
+
+    @property
+    def points(self) -> tuple[FrcPoint, ...]:
+        """One point per (frequency, series), in CSV order: frequency-major."""
+        rows = zip(self.frequencies.tolist(), self.f_measured.tolist(), self.u_mm.tolist())
+        return tuple(
+            FrcPoint(f, sid, axis, u, fm, self.f_ref)
+            for f, fm, row in rows
+            for (sid, axis), u in zip(self.keys, row)
         )
 
 
@@ -157,9 +165,9 @@ def build_frc(
 
     ``amplitudes`` is frequencies x channels, ``channels`` the (id, axis)
     of each column and ``forces`` the measured force per frequency;
-    amplitudes scale by f_ref / force.  Each frequency lists its channels
-    in column order, then the mean of each layout group's members per
-    axis, in (group, axis) order.
+    amplitudes scale by f_ref / force.  The series are the channels in
+    column order, then the mean of each layout group's members per axis,
+    in (group, axis) order.
     """
     forces = np.asarray(forces, dtype=float)
     if len(forces) != len(freqs):
@@ -167,25 +175,19 @@ def build_frc(
     if np.any(forces <= 0):
         raise BuildError(f"non-positive measured force at {freqs[int(np.argmax(forces <= 0))]} Hz")
     u_mm = np.asarray(amplitudes, dtype=float) * 1e3 * (f_ref / forces)[:, None]
-    groups_of: dict[str, list[str]] = {}
-    for gname, members in (layout.groups if layout is not None else {}).items():
-        for sid in dict.fromkeys(members):
-            groups_of.setdefault(sid, []).append(gname)
     by_group: dict[tuple[str, str], list[int]] = {}
-    for c, (sid, axis) in enumerate(channels):
-        for gname in groups_of.get(sid, ()):
-            by_group.setdefault((gname, axis), []).append(c)
+    for gname, members in (layout.groups if layout is not None else {}).items():
+        for c, (sid, axis) in enumerate(channels):
+            if sid in members:
+                by_group.setdefault((gname, axis), []).append(c)
+    groups = sorted(by_group)
     # means along the rows of a C-ordered copy round as the mean of each
     # row on its own does
-    group_means = [
-        (key, np.ascontiguousarray(u_mm[:, cols]).mean(axis=1).tolist())
-        for key, cols in sorted(by_group.items())
-    ]
-    points: list[FrcPoint] = []
-    for i, (f, fm, row) in enumerate(zip(freqs, forces.tolist(), u_mm.tolist())):
-        points.extend(FrcPoint(f, sid, axis, u, fm, f_ref) for (sid, axis), u in zip(channels, row))
-        points.extend(FrcPoint(f, gname, axis, m[i], fm, f_ref) for (gname, axis), m in group_means)
-    return FrequencyResponseCurve(tuple(points), dof_excited)
+    means = [np.ascontiguousarray(u_mm[:, by_group[key]]).mean(axis=1) for key in groups]
+    return FrequencyResponseCurve(
+        freqs, tuple(channels) + tuple(groups), np.column_stack([u_mm, *means]),
+        forces, f_ref, dof_excited,
+    )
 
 
 FRC_CSV_HEADER = ("f_hz", "station", "axis", "u_scaled_mm", "F_measured", "F_ref")
@@ -196,45 +198,68 @@ def frc_to_csv(frc: FrequencyResponseCurve) -> str:
     buf.write(f"# dof_excited: {frc.dof_excited}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(FRC_CSV_HEADER)
-    for p in frc.points:
-        writer.writerow([
-            repr(float(p.f_hz)), p.id, p.axis,
-            repr(float(p.u_scaled_mm)), repr(float(p.f_measured)), repr(float(p.f_ref)),
-        ])
+    f_ref = repr(float(frc.f_ref))
+    for f, fm, row in zip(frc.frequencies.tolist(), frc.f_measured.tolist(), frc.u_mm.tolist()):
+        writer.writerows(
+            (repr(f), sid, axis, repr(u), repr(fm), f_ref) for (sid, axis), u in zip(frc.keys, row)
+        )
     return buf.getvalue()
 
 
 def frc_from_csv(text: str) -> FrequencyResponseCurve:
-    """Inverse of :func:`frc_to_csv`; a malformed header or row raises
-    :class:`ParseError` carrying the file line number."""
+    """Inverse of :func:`frc_to_csv`.
+
+    The rows must form the table it writes: blocks of strictly increasing
+    frequency, each listing the first block's series in its order under
+    one F_measured, one F_ref in the file, and finite numbers.  A malformed
+    header or row raises :class:`ParseError` carrying the file line number.
+    """
+
+    def fail(lineno: int, problem: str) -> NoReturn:
+        raise ParseError(f"row {lineno}: {problem}", row=lineno)
+
     dof = "X"
     header = None
-    points = []
+    rows = []          # (line number, f, (station, axis), u, F_measured, F_ref)
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.startswith("#"):
+        if line.startswith("#") or not line.strip():
             if "dof_excited:" in line:
                 dof = line.split("dof_excited:", 1)[1].strip()
-            continue
-        if not line.strip():
             continue
         cells = next(csv.reader([line]))
         if header is None:
             header = tuple(cells)
             if header != FRC_CSV_HEADER:
-                raise ParseError(f"row {lineno}: unexpected FRC csv header: {cells}", row=lineno)
+                fail(lineno, f"unexpected FRC csv header: {cells}")
             continue
         if len(cells) != len(FRC_CSV_HEADER):
-            raise ParseError(
-                f"row {lineno}: expected {len(FRC_CSV_HEADER)} cells, got {len(cells)}", row=lineno
-            )
+            fail(lineno, f"expected {len(FRC_CSV_HEADER)} cells, got {len(cells)}")
         try:
             f, u, fm, fr = (float(cells[k]) for k in (0, 3, 4, 5))
         except ValueError as exc:
-            raise ParseError(f"row {lineno}: {exc}", row=lineno) from None
-        points.append(FrcPoint(f, cells[1], cells[2], u, fm, fr))
-    if header is None:
-        raise ParseError("FRC csv has no header row")
-    return FrequencyResponseCurve(tuple(points), dof)
+            fail(lineno, str(exc))
+        if not all(map(math.isfinite, (f, u, fm, fr))):
+            fail(lineno, "non-finite cell")
+        rows.append((lineno, f, (cells[1], cells[2]), u, fm, fr))
+    if not rows:
+        raise ParseError("FRC csv has no data rows")
+    # the first block fixes the series; every row must repeat its block
+    # head's frequency and F_measured and the first row's F_ref
+    S = next((i for i, row in enumerate(rows) if row[1] != rows[0][1]), len(rows))
+    keys = [row[2] for row in rows[:S]]
+    for i, (lineno, f, key, _, fm, fr) in enumerate(rows):
+        head = rows[i - i % S]
+        expected = (head[1], keys[i % S], head[4], rows[0][5])
+        if (f, key, fm, fr) != expected:
+            fail(lineno, f"expected f_hz, (station, axis), F_measured, F_ref = {expected}")
+        if i % S == 0 and i > 0 and f <= rows[i - S][1]:
+            fail(lineno, f"frequency {f!r} Hz follows {rows[i - S][1]!r} Hz")
+        if i < S and key in keys[:i]:
+            fail(lineno, f"series {key} repeats in the first block")
+    if len(rows) % S:
+        fail(rows[-1][0], f"the last block lacks {keys[len(rows) % S]}")
+    table = np.array([(f, u, fm) for _, f, _, u, fm, _ in rows]).reshape(-1, S, 3)
+    return FrequencyResponseCurve(table[:, 0, 0], keys, table[:, :, 1], table[:, 0, 2], rows[0][5], dof)
 
 
 # --- rigid body motion ------------------------------------------------------
@@ -388,27 +413,24 @@ def estimate_damping(
     if fn_hint <= 0:
         raise NormalizationError("need a positive natural-frequency hint")
     xi_grid = np.asarray(xi_grid, dtype=float)
+    # every series shares the frequency grid, and so the fit range and the
+    # amplification family on it: one row per grid value
+    if np.count_nonzero(frc.frequencies < 0.5 * fn_hint) < 2:
+        raise NormalizationError(f"the curve lacks two points below {0.5 * fn_hint:.3g} Hz")
+    r = frc.frequencies / fn_hint
+    sel = (r >= fit_range[0]) & (r <= fit_range[1])
+    if np.count_nonzero(sel) < 3:
+        raise NormalizationError("the curve has fewer than 3 points in the fit range")
+    family = rd_curve(xi_grid[:, None], r[sel])
     per_station: dict[tuple[str, str], float] = {}
     boundary = False
     poor_fit = False
-    for sid, axis in frc.ids():
-        f, u = frc.series(sid, axis)
-        if np.count_nonzero(f < 0.5 * fn_hint) < 2:
-            raise NormalizationError(
-                f"series {sid}/{axis} lacks two points below {0.5 * fn_hint:.3g} Hz"
-            )
+    for (sid, axis), u in zip(frc.keys, frc.u_mm.T):
         norm = _normalization(u)
         if norm <= 0:
             raise NormalizationError(f"series {sid}/{axis} has a non-positive normalization")
-        r = f / fn_hint
-        sel = (r >= fit_range[0]) & (r <= fit_range[1])
-        if np.count_nonzero(sel) < 3:
-            raise NormalizationError(
-                f"series {sid}/{axis} has fewer than 3 points in the fit range"
-            )
         target = u[sel] / norm
-        # one row per grid value
-        errs = np.sum((target - rd_curve(xi_grid[:, None], r[sel])) ** 2, axis=1)
+        errs = np.sum((target - family) ** 2, axis=1)
         best = int(np.argmin(errs))
         if best in (0, len(xi_grid) - 1):
             boundary = True
@@ -432,11 +454,10 @@ def estimate_damping(
 def amplification_factor(frc: FrequencyResponseCurve) -> float:
     """Peak scaled amplitude over the low-frequency (static proxy) amplitude,
     averaged across station series."""
+    if len(frc.frequencies) < 3:
+        raise NormalizationError("the curve is too short to normalize")
     ratios = []
-    for sid, axis in frc.ids():
-        f, u = frc.series(sid, axis)
-        if len(f) < 3:
-            raise NormalizationError(f"series {sid}/{axis} too short to normalize")
+    for (sid, axis), u in zip(frc.keys, frc.u_mm.T):
         norm = _normalization(u)
         if norm <= 0:
             raise NormalizationError(f"series {sid}/{axis} has a non-positive normalization")
@@ -456,25 +477,28 @@ def frc_peak(frc: FrequencyResponseCurve, sid: str, axis: str) -> tuple[float, f
     return float(f[peak_idx]), float(u[peak_idx]), bool(flat)
 
 
+def _shared_amplitudes(
+    frc_a: FrequencyResponseCurve, frc_b: FrequencyResponseCurve, exclude_below: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both curves' amplitudes at each series and frequency above
+    ``exclude_below`` that they share, in sorted (id, axis, f) order."""
+    keys = sorted(set(frc_a.keys) & set(frc_b.keys))
+    freqs = sorted(set(frc_a.frequencies.tolist()) & set(frc_b.frequencies.tolist()))
+    freqs = [f for f in freqs if f > exclude_below]
+    if not keys or not freqs:
+        raise ComparisonError("curves share no frequencies above the exclusion limit")
+    a, b = (frc.select(keys).u_mm[np.searchsorted(frc.frequencies, freqs)] for frc in (frc_a, frc_b))
+    return a.T.ravel(), b.T.ravel()
+
+
 def linearity_rms(
     frc_a: FrequencyResponseCurve,
     frc_b: FrequencyResponseCurve,
     exclude_below: float = 2.0,
 ) -> float:
     """RMS difference of scaled amplitudes over the shared grid, in mm."""
-    def table(frc):
-        return {
-            (p.id, p.axis, p.f_hz): p.u_scaled_mm
-            for p in frc.points
-            if p.f_hz > exclude_below
-        }
-
-    ta, tb = table(frc_a), table(frc_b)
-    shared = sorted(set(ta) & set(tb))
-    if not shared:
-        raise ComparisonError("curves share no frequencies above the exclusion limit")
-    diffs = np.array([ta[k] - tb[k] for k in shared])
-    return float(np.sqrt(np.mean(diffs**2)))
+    a, b = _shared_amplitudes(frc_a, frc_b, exclude_below)
+    return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
 def curvature_strain(x_positions, deflections_m, fiber_distance_m: float) -> float:

@@ -192,7 +192,7 @@ def identify(
     """
     dof = dof.upper()
     freqs = np.asarray(freqs, dtype=float)
-    order = sorted(range(len(channels)), key=lambda c: channels[c])
+    order = sorted(range(len(channels)), key=channels.__getitem__)
     channels = tuple(channels[c] for c in order)
     X = np.asarray(phasors, dtype=complex)[:, order]
     f_ref = policy.f_ref(dof)
@@ -213,21 +213,11 @@ def identify(
     fn, _, flat = modal.frc_peak(frc_rigid, "rbm", EXCITED_AXIS[dof])
 
     # damping: every station channel that meaningfully responded
-    peaks = {}
-    for sid, axis in frc_stations.ids():
-        if sid in layout.groups:
-            continue
-        _, u = frc_stations.series(sid, axis)
-        peaks[(sid, axis)] = float(np.max(u))
-    peak_max = max(peaks.values())
-    relevant = {
-        key for key, p in peaks.items() if p >= policy.damping_channel_floor * peak_max
-    }
-    frc_damping = frc_stations.subset(lambda p: (p.id, p.axis) in relevant)
-    damping = modal.estimate_damping(frc_damping, fn)
-    amplification = modal.amplification_factor(
-        frc_rigid.subset(lambda p: p.axis == EXCITED_AXIS[dof])
-    )
+    peaks = frc_stations.u_mm[:, : len(channels)].max(axis=0)
+    floor = policy.damping_channel_floor * peaks.max()
+    relevant = [key for key, peak in zip(channels, peaks) if peak >= floor]
+    damping = modal.estimate_damping(frc_stations.select(relevant), fn)
+    amplification = modal.amplification_factor(frc_rigid.select([("rbm", EXCITED_AXIS[dof])]))
 
     strain = None
     if strain_stations is not None:
@@ -266,12 +256,11 @@ def deformational_strain(
     """Bending strain from the deformational (rigid-subtracted) vertical
     displacement of three stations, at the frequency nearest the peak."""
     i = int(np.argmin(np.abs(freqs - f_peak)))
-    column = {key: c for c, key in enumerate(channels)}
     xs = []
     ws = []
     for sid in station_ids:
         st = layout.station(sid)
-        meas = phasors[i, column[(sid, "z")]]
+        meas = phasors[i, channels.index((sid, "z"))]
         pred = (modal.rigid_rows(st.position) @ rigid[i])[2]
         deform = meas - pred
         xs.append(float(st.position[0]))

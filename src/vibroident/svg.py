@@ -25,7 +25,6 @@ class Series:
     label: str
     x: list
     y: list
-    marker: bool = True
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -76,9 +75,8 @@ def line_chart(series: list[Series], title: str, xlabel: str, ylabel: str) -> st
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.x, s.y))
         parts.append(f'<polyline points="{pts}" stroke="{color}" fill="none" stroke-width="1.5"/>')
-        if s.marker:
-            for x, y in zip(s.x, s.y):
-                parts.append(f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="2.5" fill="{color}"/>')
+        for x, y in zip(s.x, s.y):
+            parts.append(f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="2.5" fill="{color}"/>')
         ly = MARGIN["top"] + 16 * i
         lx = W - MARGIN["right"] + 14
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" stroke="{color}" stroke-width="2"/>')

@@ -387,9 +387,9 @@ def parse_timeseries_csv(text, units: dict[str, str] | None = None) -> TimeSerie
             # re-scan: report the exact row, or accept what float() accepts
             rows = _parse_cells(itertools.islice(_content_lines(text), 1, None), ncol)
             cols = np.ascontiguousarray(rows.T)
-    if np.isnan(cols).any():
-        lineno = _data_row_lineno(text, int(np.argmax(np.isnan(cols).any(axis=0))))
-        raise ParseError(f"row {lineno}: NaN cell", row=lineno)
+    if not np.isfinite(cols).all():
+        lineno = _data_row_lineno(text, int(np.argmin(np.isfinite(cols).all(axis=0))))
+        raise ParseError(f"row {lineno}: non-finite cell", row=lineno)
 
     t = cols[0]
     if len(t) < 2:

@@ -389,6 +389,46 @@ class TestLinearity:
         err = capsys.readouterr().err
         assert err.startswith("input error: row 4:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("fault", [
+        "nan_cell", "inf_cell", "repeated_row", "missing_row", "decreasing_frequency",
+        "f_measured_varies", "f_ref_varies",
+    ])
+    def test_malformed_table_is_parse_error(self, workdir, analyzed, fault, capsys):
+        lines = (analyzed / "frc.csv").read_text().splitlines()
+        # lines[0] is the dof comment, lines[1] the header; the table holds
+        # one block of S rows per frequency, block k from lines[2 + k * S]
+        first = lines[2].split(",")[0]
+        S = sum(line.split(",")[0] == first for line in lines[2:])
+
+        def with_cell(i, c, value):
+            cells = lines[i].split(",")
+            cells[c] = value
+            lines[i] = ",".join(cells)
+
+        if fault in ("nan_cell", "inf_cell"):
+            with_cell(3, 3, fault[:3])
+            row = 4
+        elif fault == "repeated_row":
+            lines.insert(4, lines[3])
+            row = 5
+        elif fault == "missing_row":
+            del lines[3 + S]
+            row = 4 + S
+        elif fault == "decreasing_frequency":
+            lines[2 + S: 2 + 3 * S] = lines[2 + 2 * S: 2 + 3 * S] + lines[2 + S: 2 + 2 * S]
+            row = 3 + 2 * S
+        elif fault == "f_measured_varies":
+            with_cell(3, 4, "1.5")
+            row = 4
+        else:
+            with_cell(2 + S, 5, "1.5")
+            row = 3 + S
+        bad = workdir / f"bad_{fault}.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["linearity", str(bad), str(analyzed / "frc.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: row {row}:") and "Traceback" not in err
+
     def test_wrong_header_is_parse_error(self, workdir, analyzed, capsys):
         text = (analyzed / "frc.csv").read_text().replace("u_scaled_mm", "u_mm", 1)
         bad = workdir / "bad_header_frc.csv"

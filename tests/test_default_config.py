@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from vibroident.cli import _load_text
-from vibroident.pipeline import AnalysisPolicy
+from vibroident.modal import rigid_map
+from vibroident.pipeline import AnalysisPolicy, analysis_windows, identify
 from vibroident.simulator import (
     assemble_system,
     load_model,
     load_program,
     modal_properties,
+    steady_state_response,
 )
 from vibroident.timeseries import load_layout
 
@@ -83,6 +85,29 @@ def test_sweep_programs_rate(name):
     prog = load_program(_load_text(f"default:{name}", "program"))
     assert prog.kind == "sweep"
     assert prog.sweep.rate == pytest.approx(0.2)
+
+
+BUNDLED_PROGRAMS = [
+    f"{kind}_{dof}" for kind in ("stepped", "sweep") for dof in ("x", "y", "z", "yaw")
+]
+
+
+@pytest.mark.parametrize("name", BUNDLED_PROGRAMS)
+def test_bundled_program_is_identifiable(name, default_model, default_layout):
+    # exact steady-state phasors at the program's own analysis frequencies
+    # carry enough points for the natural frequency, damping and amplification
+    prog = load_program(_load_text(f"default:{name}", "program"))
+    bf = prog.generalized_amplitude().astype(complex)
+    dof = prog.dof_excited.upper()
+    force = float(abs(bf[5]) if dof == "YAW" else np.linalg.norm(np.abs(bf[:3]))) / 1e3
+    sys_m = assemble_system(default_model)
+    channels = [(st.id, axis) for st in default_layout.stations for axis in "xyz"]
+    A = rigid_map(channels, default_layout)
+    freqs = [f for f, _, _ in analysis_windows(prog, AnalysisPolicy())]
+    phasors = np.array([A @ steady_state_response(sys_m, bf, 2 * np.pi * f) for f in freqs])
+    result = identify(freqs, channels, phasors, [force] * len(freqs), dof, default_layout)
+    assert freqs[0] < result.natural_frequency_hz < freqs[-1]
+    assert 0.0 < result.damping.xi_lo <= result.damping.xi_hi < 1.0
 
 
 def test_force_amplitudes_in_reported_ranges():

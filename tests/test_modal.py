@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from vibroident.modal import (
     DEFAULT_XI_GRID,
     ForceGeometry,
     FrequencyResponseCurve,
-    FrcPoint,
     amplification_factor,
     build_frc,
     curvature_strain,
@@ -114,22 +114,31 @@ class TestBuildFrc:
         again = frc_from_csv(frc_to_csv(frc))
         assert again.dof_excited == "Y"
         assert again.points == frc.points
+        assert again.keys == frc.keys and again.f_ref == frc.f_ref
+        for name in ("frequencies", "u_mm", "f_measured"):
+            assert np.array_equal(getattr(again, name), getattr(frc, name))
 
-    def test_series_grouped_in_first_appearance_order(self):
-        pts = [
-            FrcPoint(8.0, "S2", "x", 4.0, 1.0, 1.0),
-            FrcPoint(5.0, "S1", "z", 2.0, 1.0, 1.0),
-            FrcPoint(3.0, "S2", "x", 1.0, 1.0, 1.0),
-            FrcPoint(6.0, "S2", "x", 3.0, 1.0, 1.0),
-        ]
-        frc = FrequencyResponseCurve(tuple(pts))
-        assert frc.ids() == [("S2", "x"), ("S1", "z")]
+    def test_series_are_read_only_columns_by_key(self):
+        frc = FrequencyResponseCurve(
+            [3.0, 6.0, 8.0], [("S2", "x"), ("S1", "z")], [[1.0, 2.0], [3.0, 5.0], [4.0, 6.0]],
+            [1.0, 1.5, 2.0], 1.0,
+        )
         f, u = frc.series("S2", "x")
         assert f.tolist() == [3.0, 6.0, 8.0] and u.tolist() == [1.0, 3.0, 4.0]
         assert not f.flags.writeable and not u.flags.writeable
-        assert frc.points == tuple(pts)
         with pytest.raises(KeyError):
             frc.series("S1", "x")
+        picked = frc.select([("S1", "z")])
+        assert picked.keys == (("S1", "z"),) and picked.u_mm.tolist() == [[2.0], [5.0], [6.0]]
+        # frequency-major, then key order: the rows of frc.csv
+        assert [(p.f_hz, p.id, p.u_scaled_mm, p.f_measured) for p in frc.points][:3] == [
+            (3.0, "S2", 1.0, 1.0), (3.0, "S1", 2.0, 1.0), (6.0, "S2", 3.0, 1.5),
+        ]
+
+    @pytest.mark.parametrize("freqs", [[3.0, 3.0], [6.0, 3.0]])
+    def test_frequencies_must_strictly_increase(self, freqs):
+        with pytest.raises(BuildError):
+            FrequencyResponseCurve(freqs, [("S1", "x")], [[1.0], [2.0]], [1.0, 1.0], 1.0)
 
     def test_points_equal_the_per_frequency_dict_loop_bit_for_bit(self):
         # reference: the FRC as first written, one python float and one
@@ -430,14 +439,17 @@ class TestRdCurve:
             assert np.array_equal(row, rd_curve(float(xi), r))
 
 
+def one_series_frc(freqs, u, sid="S1", axis="x", force=6800.0):
+    """A one-series curve measured and scaled at ``force``."""
+    return FrequencyResponseCurve(
+        freqs, [(sid, axis)], np.reshape(u, (-1, 1)), np.full(len(freqs), force), force, "X"
+    )
+
+
 def sdof_frc(xi, fn=10.0, freqs=None, sid="S1", axis="x"):
     if freqs is None:
         freqs = np.arange(0.5, 15.01, 0.5)
-    points = tuple(
-        FrcPoint(float(f), sid, axis, float(rd_curve(xi, f / fn)), 6800.0, 6800.0)
-        for f in freqs
-    )
-    return FrequencyResponseCurve(points, "X")
+    return one_series_frc(freqs, [float(rd_curve(xi, f / fn)) for f in freqs], sid, axis)
 
 
 class TestEstimateDamping:
@@ -459,11 +471,8 @@ class TestEstimateDamping:
         # no amplification curve approximates a flat response (Rd < 1 for
         # every ratio above sqrt(2)), so the match lands mid-grid with a
         # large misfit and must carry the degenerate-fit flag
-        points = tuple(
-            FrcPoint(float(f), "S1", "x", 1.0, 6800.0, 6800.0)
-            for f in np.arange(0.5, 15.01, 0.5)
-        )
-        est = estimate_damping(FrequencyResponseCurve(points, "X"), fn_hint=10.0)
+        f = np.arange(0.5, 15.01, 0.5)
+        est = estimate_damping(one_series_frc(f, np.ones(f.size)), fn_hint=10.0)
         assert est.poor_fit
         assert est.xi_hi == pytest.approx(0.475, abs=1e-9)
 
@@ -474,7 +483,7 @@ class TestEstimateDamping:
         f = np.arange(0.5, 15.01, 0.5)
         for k in range(20):
             u = rd_curve(rng.uniform(0.1, 0.8), f / 10.0) * rng.uniform(0.9, 1.1, f.size)
-            frc = FrequencyResponseCurve(tuple(FrcPoint(float(a), "S1", "x", float(b), 1.0, 1.0) for a, b in zip(f, u)))
+            frc = one_series_frc(f, u, force=1.0)
             r = f / 10.0
             sel = (r >= 0.3) & (r <= 1.5)
             target = u[sel] / np.mean(u[:2])
@@ -490,11 +499,8 @@ class TestEstimateDamping:
 
 class TestAmplification:
     def test_flat_curve(self):
-        points = tuple(
-            FrcPoint(float(f), "S1", "x", 2.5, 6800.0, 6800.0)
-            for f in np.arange(1.0, 15.01, 1.0)
-        )
-        assert amplification_factor(FrequencyResponseCurve(points, "X")) == pytest.approx(1.0)
+        f = np.arange(1.0, 15.01, 1.0)
+        assert amplification_factor(one_series_frc(f, np.full(f.size, 2.5))) == pytest.approx(1.0)
 
     def test_sdof_037(self):
         frc = sdof_frc(0.37, freqs=np.arange(0.25, 15.0, 0.05))
@@ -515,27 +521,33 @@ class TestLinearity:
 
     def test_constant_offset(self):
         frc = sdof_frc(0.3)
-        shifted = FrequencyResponseCurve(
-            tuple(
-                FrcPoint(p.f_hz, p.id, p.axis, p.u_scaled_mm + 0.01, p.f_measured, p.f_ref)
-                for p in frc.points
-            ),
-            frc.dof_excited,
-        )
+        shifted = replace(frc, u_mm=frc.u_mm + 0.01)
         assert linearity_rms(frc, shifted) == pytest.approx(0.01, rel=1e-9)
 
     def test_exclusion_below_two_hz(self):
         frc = sdof_frc(0.3)
-        tampered = FrequencyResponseCurve(
-            tuple(
-                FrcPoint(p.f_hz, p.id, p.axis,
-                         p.u_scaled_mm + (100.0 if p.f_hz <= 2.0 else 0.0),
-                         p.f_measured, p.f_ref)
-                for p in frc.points
-            ),
-            frc.dof_excited,
-        )
+        tampered = replace(frc, u_mm=frc.u_mm + np.where(frc.frequencies <= 2.0, 100.0, 0.0)[:, None])
         assert linearity_rms(frc, tampered, exclude_below=2.0) == 0.0
+
+    def test_rms_equals_the_sorted_point_table_bit_for_bit(self):
+        # reference: dicts of (id, axis, f) over the points above the limit,
+        # differenced in sorted key order
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            curves = []
+            for _ in range(2):
+                keys = [(f"S{i}", a) for i in range(8) for a in "xyz" if rng.random() < 0.7]
+                f = np.unique(rng.choice(np.arange(0.5, 12.0, 0.5), size=18))
+                curves.append(FrequencyResponseCurve(
+                    f, keys, rng.uniform(0, 5, (f.size, len(keys))), np.ones(f.size), 1.0
+                ))
+            tables = [
+                {(p.id, p.axis, p.f_hz): p.u_scaled_mm for p in c.points if p.f_hz > 2.0}
+                for c in curves
+            ]
+            shared = sorted(set(tables[0]) & set(tables[1]))
+            diffs = np.array([tables[0][k] - tables[1][k] for k in shared])
+            assert linearity_rms(*curves) == float(np.sqrt(np.mean(diffs**2)))
 
     def test_disjoint_grids_rejected(self):
         a = sdof_frc(0.3, freqs=np.arange(3.0, 8.0, 1.0))

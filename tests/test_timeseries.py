@@ -54,10 +54,11 @@ class TestParse:
         assert ts.duration == pytest.approx(1023 / 512, abs=0)
 
     def test_nan_cell_rejected_with_row(self):
-        text = "t,a\n0,0\n0.005,nan\n0.01,0\n"
-        with pytest.raises(ParseError) as exc:
-            parse_timeseries_csv(text)
-        assert exc.value.row == 3
+        for cell in ("nan", "inf", "-inf", "1e309"):
+            text = f"t,a\n0,0\n0.005,{cell}\n0.01,0\n"
+            with pytest.raises(ParseError, match="non-finite cell") as exc:
+                parse_timeseries_csv(text)
+            assert exc.value.row == 3
 
     def test_unparsable_cell_rejected(self):
         with pytest.raises(ParseError):
@@ -174,10 +175,11 @@ class TestParseEdges:
             parse_timeseries_csv(text)
 
     def test_nan_after_comments_and_blank_lines_reports_row(self):
-        text = "# c\n\nt,a\n0,0\n# mid\n\n0.005,nan\n0.01,0\n"
-        with pytest.raises(ParseError) as exc:
-            parse_timeseries_csv(text)
-        assert exc.value.row == 7
+        for cell in ("nan", "inf", "-inf", "1e309"):
+            text = f"# c\n\nt,a\n0,0\n# mid\n\n0.005,{cell}\n0.01,0\n"
+            with pytest.raises(ParseError) as exc:
+                parse_timeseries_csv(text)
+            assert exc.value.row == 7
 
     def test_spacing_error_row_counts_comment_lines(self):
         text = "t,a\n0,0\n# gap\n0.005,1\n\n0.011,0\n0.016,1\n"
@@ -240,6 +242,7 @@ def broken_csv(kind: str) -> str:
         "bad_cell": f"{t},oops,{b}",
         "short_row": f"{t},{a}",
         "nan": f"{t},nan,{b}",
+        "inf": f"{t},{a},-inf",
         "spacing": f"{float(t) + 0.001!r},{a},{b}",
     }[kind]
     return "\n".join(lines) + "\n"
@@ -279,7 +282,7 @@ class TestRecordIOWorkers:
         assert (parallel.labels, parallel.units) == (serial.labels, serial.units)
         assert (parallel.sample_rate, parallel.start_time) == (serial.sample_rate, serial.start_time)
 
-    @pytest.mark.parametrize("kind", ["bad_cell", "short_row", "nan", "spacing"])
+    @pytest.mark.parametrize("kind", ["bad_cell", "short_row", "nan", "inf", "spacing"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_error_in_a_worker_range_matches_one_process(self, record_io_processes, kind, n):
         text = broken_csv(kind)
