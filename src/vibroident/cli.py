@@ -76,6 +76,16 @@ def _read_resource(kind: str, name: str) -> str:
         raise ConfigError(f"no bundled {kind} named {name!r}") from None
 
 
+def _read_text(path, error) -> str:
+    """The file at ``path`` as UTF-8 text; ``error`` (ConfigError or
+    ParseError) with the line of the first byte that is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line} is not UTF-8 text ({exc.reason})") from None
+
+
 def _load_text(spec: str, kind: str) -> str:
     """'default' / 'default:stepped_x' resolve to bundled data; else a path."""
     if spec == "default" or spec.startswith("default:"):
@@ -83,7 +93,7 @@ def _load_text(spec: str, kind: str) -> str:
     p = Path(spec)
     if not p.exists():
         raise ConfigError(f"{kind} file not found: {spec}")
-    return p.read_text()
+    return _read_text(p, ConfigError)
 
 
 _POLICY = AnalysisPolicy()
@@ -182,7 +192,7 @@ def _validate_config(doc: dict) -> dict:
 
 def load_run_config(path: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path, ConfigError))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -436,8 +446,8 @@ def cmd_analyze(args) -> int:
     policy = policy_from_config(cfg)
 
     try:
-        response = parse_timeseries_csv(Path(args.response).read_text())
-        force = parse_timeseries_csv(Path(args.force).read_text())
+        response = parse_timeseries_csv(args.response)
+        force = parse_timeseries_csv(args.force)
     except OSError as exc:
         raise ConfigError(f"cannot read input: {exc}") from exc
 
@@ -493,8 +503,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_linearity(args) -> int:
-    frc_a = modal.frc_from_csv(Path(args.frc_a).read_text())
-    frc_b = modal.frc_from_csv(Path(args.frc_b).read_text())
+    frc_a = modal.frc_from_csv(_read_text(args.frc_a, ParseError))
+    frc_b = modal.frc_from_csv(_read_text(args.frc_b, ParseError))
     rms = modal.linearity_rms(frc_a, frc_b, exclude_below=args.exclude_below)
     shared = modal._shared_amplitudes(frc_a, frc_b, args.exclude_below)[0].size
     doc = {"rms_mm": rms, "shared_points": shared, "exclude_below_hz": args.exclude_below}
@@ -506,7 +516,7 @@ def cmd_linearity(args) -> int:
 
 
 def cmd_vs(args) -> int:
-    sounding = geotech.parse_cpt_csv(Path(args.cpt).read_text())
+    sounding = geotech.parse_cpt_csv(_read_text(args.cpt, ParseError))
     rows = geotech.vs_average(sounding, multiplicative=args.multiplicative)
     text = geotech.vs_profile_csv(rows)
     if args.output:

@@ -5,10 +5,12 @@ A record (:class:`TimeSeriesSet`) is one ``(channels, samples)`` matrix
 on a uniform time axis, with a label and a unit per row; it is
 simulated, written, parsed, filtered and windowed whole.
 
-CSV layout: first column ``t`` in seconds, remaining columns are channel
-labels; ``#`` lines are comments.  Timestamps must be uniform; the sample
-rate is inferred from the median delta.  Records of different rates are
-never resampled: each is windowed on its own time axis.
+CSV layout (UTF-8): first column ``t`` in seconds, remaining columns are
+channel labels; ``#`` lines are comments.  Timestamps must be uniform; the
+sample rate is inferred from the median delta.  Records of different rates
+are never resampled: each is windowed on its own time axis.  A record file
+is parsed by byte ranges read from the file in bounded pieces, so its text
+is never held whole.
 """
 
 from __future__ import annotations
@@ -160,6 +162,8 @@ class SensorLayout:
             raise ValueError("station ids must be unique")
         known = set(ids)
         for name, members in self.groups.items():
+            if name in known:
+                raise ValueError(f"group {name} has the id of a station")
             for sid in members:
                 if sid not in known:
                     raise ValueError(f"group {name} references unknown station {sid}")
@@ -234,49 +238,79 @@ def _forked(ranges, send):
         raise ChildProcessError(f"{failed} record I/O worker(s) did not exit 0")
 
 
-def _content_lines(text: str, start: int = 0, stop: int | None = None):
-    """(line number, end, stripped line) of every line of ``text[start:stop]``
-    that is neither blank nor a ``#`` comment, sliced one at a time; ``end``
-    is the offset just past the line.  ``start`` must begin a line, and
-    line numbers count from it."""
-    stop = len(text) if stop is None else stop
-    lineno = 0
-    while start < stop:
-        end = text.find("\n", start, stop)
-        if end < 0:
-            end = stop
-        lineno += 1
-        line = text[start:end].strip()
-        start = end + 1
-        if line and not line.startswith("#"):
-            yield lineno, start, line
+#: bytes per read of a record file
+_READ_BYTES = 1 << 18
 
 
-def _file_units(text: str) -> dict[str, str]:
-    """Units of every ``# units: a=kN,b=m`` comment line of ``text``, later
-    lines winning; found with ``str.find``, so a long record costs one
-    C-level scan."""
+def _chunks(path, start: int, stop: int):
+    """The bytes ``[start, stop)`` of the file at ``path`` in pieces of
+    whole lines, read ``_READ_BYTES`` at a time; only the last piece may end
+    without a newline, and a line longer than one read is joined whole."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        rest = b""
+        while start < stop:
+            data = fh.read(min(_READ_BYTES, stop - start))
+            if not data:
+                break
+            start += len(data)
+            cut = data.rfind(b"\n") + 1
+            if cut:
+                yield rest + data[:cut]
+                rest = data[cut:]
+            else:
+                rest += data
+        if rest:
+            yield rest
+
+
+def _content_lines(path):
+    """(line number, end, stripped line) of every line of the file that is
+    neither blank nor a ``#`` comment; ``end`` is the byte offset just past
+    the line.  Each line is decoded as UTF-8; ParseError with its line
+    number if it is not."""
+    lineno = end = 0
+    for chunk in _chunks(path, 0, os.path.getsize(path)):
+        lines = chunk.split(b"\n")
+        if chunk.endswith(b"\n"):
+            lines.pop()
+        for raw in lines:
+            lineno += 1
+            end += len(raw) + 1
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"row {lineno}: not UTF-8 text ({exc.reason})", row=lineno) from None
+            if line and not line.startswith("#"):
+                yield lineno, end, line
+
+
+def _file_units(path) -> dict[str, str]:
+    """Units of every ``# units: a=kN,b=m`` comment line of the file, later
+    lines winning; found with ``bytes.find`` on each piece of the file, so
+    a long record costs one C-level scan."""
     units: dict[str, str] = {}
-    at = text.find("units:")
-    while at >= 0:
-        start = text.rfind("\n", 0, at) + 1
-        end = text.find("\n", at)
-        end = len(text) if end < 0 else end
-        line = text[start:end].strip()
-        body = line[1:].strip()
-        if line.startswith("#") and body.startswith("units:"):
-            for pair in body[len("units:"):].split(","):
-                if "=" in pair:
-                    k, v = pair.split("=", 1)
-                    units[k.strip()] = v.strip()
-        at = text.find("units:", end)
+    for chunk in _chunks(path, 0, os.path.getsize(path)):
+        at = chunk.find(b"units:")
+        while at >= 0:
+            start = chunk.rfind(b"\n", 0, at) + 1
+            end = chunk.find(b"\n", at)
+            end = len(chunk) if end < 0 else end
+            line = chunk[start:end].decode("utf-8").strip()
+            body = line[1:].strip()
+            if line.startswith("#") and body.startswith("units:"):
+                for pair in body[len("units:"):].split(","):
+                    if "=" in pair:
+                        k, v = pair.split("=", 1)
+                        units[k.strip()] = v.strip()
+            at = chunk.find(b"units:", end)
     return units
 
 
-def _data_row_lineno(text: str, k: int) -> int:
+def _data_row_lineno(path, k: int) -> int:
     """Line number of data row ``k`` (0-based, after the header)."""
-    lines = itertools.islice(_content_lines(text), k + 1, None)
-    return next(lines)[0]
+    with contextlib.closing(_content_lines(path)) as lines:
+        return next(itertools.islice(lines, k + 1, None))[0]
 
 
 def _parse_cells(rows, ncol: int) -> np.ndarray:
@@ -295,37 +329,42 @@ def _parse_cells(rows, ncol: int) -> np.ndarray:
     return np.array(data, dtype=float).reshape(-1, ncol)
 
 
-def _load_rows(text: str, start: int, stop: int, ncol: int) -> np.ndarray:
-    """``np.loadtxt`` of the data lines of ``text[start:stop]``, streamed one
-    line at a time; ValueError unless every row has ``ncol`` cells."""
-    lines = (line for *_, line in _content_lines(text, start, stop))
-    first = next(lines, None)
-    if first is None:
-        return np.empty((0, ncol))
-    data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+def _load_rows(path, start: int, stop: int, ncol: int) -> np.ndarray:
+    """``np.loadtxt`` of the data lines of the file's bytes ``[start, stop)``,
+    each piece decoded, split and stripped in C, one line at a time to the
+    parser, which skips ``#`` comments itself; ValueError unless the bytes
+    are UTF-8 and every row has ``ncol`` cells."""
+    with contextlib.closing(_chunks(path, start, stop)) as chunks:
+        lines = itertools.chain.from_iterable(
+            filter(None, map(str.strip, chunk.decode("utf-8").split("\n"))) for chunk in chunks
+        )
+        first = next((line for line in lines if not line.startswith("#")), None)
+        if first is None:
+            return np.empty((0, ncol))
+        data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
     if data.shape[1] != ncol:
         raise ValueError("column count mismatch")
     return data
 
 
-def _load_columns(text: str, ranges: list[tuple[int, int]], ncol: int) -> np.ndarray:
-    """The data rows of ``text`` as one C-ordered ``(ncol, rows)`` matrix:
+def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> np.ndarray:
+    """The data rows of the file as one C-ordered ``(ncol, rows)`` matrix:
     row 0 the times, row c the channel of column c.
 
-    The first ``(start, stop)`` range is parsed here and transposed into
-    place; every other range is parsed by a forked worker, which sends its
-    row count and then its rows column by column, each read straight into
-    its segment of the matrix.  ValueError as from ``_load_rows``; OSError
-    if a worker fails.
+    The first ``(start, stop)`` byte range is parsed here and transposed
+    into place; every other range is parsed by a forked worker, which opens
+    the file, reads its own range, sends its row count and then its rows
+    column by column, each read straight into its segment of the matrix.
+    ValueError as from ``_load_rows``; OSError if a worker fails.
     """
 
     def send(start, stop, out):
-        rows = _load_rows(text, start, stop, ncol)
+        rows = _load_rows(path, start, stop, ncol)
         out.write(len(rows).to_bytes(8, "little"))
         out.write(np.ascontiguousarray(rows.T).data)
 
     with _forked(ranges[1:], send) as pipes:
-        own = _load_rows(text, *ranges[0], ncol)
+        own = _load_rows(path, *ranges[0], ncol)
         heads = [pipe.read(8) for pipe in pipes]
         if any(len(head) != 8 for head in heads):
             raise ChildProcessError("short row count from a record parse worker")
@@ -342,53 +381,59 @@ def _load_columns(text: str, ranges: list[tuple[int, int]], ncol: int) -> np.nda
     return cols
 
 
-def parse_timeseries_csv(text, units: dict[str, str] | None = None) -> TimeSeriesSet:
-    """Parse CSV text (or a text stream) into a record of the data columns.
+def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSeriesSet:
+    """Parse the CSV file at ``path`` (UTF-8) into a record of the data columns.
 
     ``units`` optionally maps column labels to physical units; a
-    ``# units: a=kN,b=m/s^2`` comment line in the file serves the same
-    purpose (explicit argument wins).  The data lines go to ``np.loadtxt``
-    one at a time, so no second copy of the text is built; a large record
-    is split at line boundaries over up to ``min(CPUs, 4)`` processes
-    (forked workers).  Row numbers are found by a re-scan on the error
-    paths only.
+    ``# units: a=kN,b=m/s^2`` comment line anywhere in the file serves the
+    same purpose (later lines win, the explicit argument wins over all).
+    The file is never held whole: the header is found by reading from the
+    start, and the data bytes are cut at newlines into up to
+    ``min(CPUs, 4)`` byte ranges.  Each range is read, in bounded pieces, by
+    its own process (forked workers and the parent), whose data lines go to
+    ``np.loadtxt`` one at a time.  Any failure re-parses the whole file in
+    this process; row numbers are found by a re-scan of the file on the
+    error paths only.
     """
-    if not isinstance(text, str):
-        text = text.read()
-    content = _content_lines(text)
-    first = next(content, None)
-    header = None if first is None else [c.strip() for c in first[2].split(",")]
-    if header is None or len(header) < 2:
-        raise ParseError("header row must name the time column and at least one data column")
-    if header[0] != "t":
-        raise ParseError(f"first column must be 't', got {header[0]!r}")
-    second = next(content, None)
+    with contextlib.closing(_content_lines(path)) as content:
+        first = next(content, None)
+        header = None if first is None else [c.strip() for c in first[2].split(",")]
+        if header is None or len(header) < 2:
+            raise ParseError("header row must name the time column and at least one data column")
+        if header[0] != "t":
+            raise ParseError(f"first column must be 't', got {header[0]!r}")
+        second = next(content, None)
     if second is None:
         raise ParseError("no data rows")
 
     ncol, start = len(header), first[1]
-    cells = (len(text) - start) * ncol // (len(second[2]) + 1)
+    size = os.path.getsize(path)
+    cells = (size - start) * ncol // (len(second[2]) + 1)
     parts = _worker_count(cells)
     cuts = [start]
     for k in range(1, parts):
-        # the first line boundary at or after an equal share of the bytes
-        cut = text.find("\n", start + (len(text) - start) * k // parts)
-        cuts.append(len(text) if cut < 0 else max(cut + 1, cuts[-1]))
-    cuts.append(len(text))
+        # the first line boundary at or after an equal share of the bytes,
+        # which ends the first piece read from there
+        at = start + (size - start) * k // parts
+        with contextlib.closing(_chunks(path, at, size)) as pieces:
+            nl = next(pieces, b"").find(b"\n")
+        cuts.append(size if nl < 0 else max(at + nl + 1, cuts[-1]))
+    cuts.append(size)
     cols = None
     if parts > 1:
-        # only the fast path is split: any failure re-runs the whole text here
+        # only the fast path is split: any failure re-runs the whole file here
         with contextlib.suppress(ValueError, OSError):
-            cols = _load_columns(text, list(zip(cuts, cuts[1:])), ncol)
+            cols = _load_columns(path, list(zip(cuts, cuts[1:])), ncol)
     if cols is None:
         try:
-            cols = _load_columns(text, [(start, len(text))], ncol)
+            cols = _load_columns(path, [(start, size)], ncol)
         except ValueError:
             # re-scan: report the exact row, or accept what float() accepts
-            rows = _parse_cells(itertools.islice(_content_lines(text), 1, None), ncol)
+            with contextlib.closing(_content_lines(path)) as content:
+                rows = _parse_cells(itertools.islice(content, 1, None), ncol)
             cols = np.ascontiguousarray(rows.T)
     if not np.isfinite(cols).all():
-        lineno = _data_row_lineno(text, int(np.argmin(np.isfinite(cols).all(axis=0))))
+        lineno = _data_row_lineno(path, int(np.argmin(np.isfinite(cols).all(axis=0))))
         raise ParseError(f"row {lineno}: non-finite cell", row=lineno)
 
     t = cols[0]
@@ -397,12 +442,12 @@ def parse_timeseries_csv(text, units: dict[str, str] | None = None) -> TimeSerie
     dt = np.diff(t)
     if np.any(dt <= 0):
         bad = int(np.argmax(dt <= 0))
-        lineno = _data_row_lineno(text, bad + 1)
+        lineno = _data_row_lineno(path, bad + 1)
         raise SpacingError(f"row {lineno}: timestamps not increasing", row=lineno)
     dt_med = float(np.median(dt))
     if np.any(np.abs(dt - dt_med) > SPACING_RTOL * dt_med):
         bad = int(np.argmax(np.abs(dt - dt_med) > SPACING_RTOL * dt_med))
-        lineno = _data_row_lineno(text, bad + 1)
+        lineno = _data_row_lineno(path, bad + 1)
         raise SpacingError(
             f"row {lineno}: non-uniform spacing (dt={dt[bad]:.9g} vs median {dt_med:.9g})",
             row=lineno,
@@ -412,7 +457,7 @@ def parse_timeseries_csv(text, units: dict[str, str] | None = None) -> TimeSerie
     if abs(rate - round(rate)) < SPACING_RTOL * rate:
         rate = float(round(rate))
 
-    units = {**_file_units(text), **(units or {})}
+    units = {**_file_units(path), **(units or {})}
     try:
         return TimeSeriesSet(
             float(t[0]), rate, cols[1:], header[1:], [units.get(h, "1") for h in header[1:]]
@@ -519,9 +564,9 @@ def load_layout(source) -> SensorLayout:
         )
         # .items() raises AttributeError when "groups" is not an object
         groups = {name: tuple(members) for name, members in doc.get("groups", {}).items()}
+        return SensorLayout(stations, groups)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad layout document: {exc}") from exc
-    return SensorLayout(stations, groups)
 
 
 def dump_layout(layout: SensorLayout) -> str:

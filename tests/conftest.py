@@ -1,5 +1,6 @@
 """Shared fixtures and the acceptance summary report."""
 
+import itertools
 import os
 
 import pytest
@@ -31,6 +32,21 @@ def record_io_processes(monkeypatch):
         return forks
 
     return use
+
+
+@pytest.fixture
+def record_file(tmp_path):
+    """``write(text)`` writes ``text`` as UTF-8 to a new file under
+    ``tmp_path`` and returns its path as a string, the form the CLI passes
+    to ``parse_timeseries_csv``."""
+    names = itertools.count()
+
+    def write(text: str) -> str:
+        path = tmp_path / f"record{next(names)}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return str(path)
+
+    return write
 
 
 def record_acceptance(number: int, description: str, passed: bool, detail: str = ""):

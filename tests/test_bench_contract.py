@@ -42,7 +42,7 @@ def test_field_export_parses_back(tmp_path):
     record = force_timeseries(program, fs=512.0, duration=0.5)
     path = tmp_path / "force.csv"
     workloads.export_field_csv(record, path)
-    again = parse_timeseries_csv(path.read_text())
+    again = parse_timeseries_csv(str(path))
     assert again.labels == record.labels
     assert again.units == record.units == ("kN",) * len(record)
     assert again.sample_rate == record.sample_rate and again.start_time == record.start_time

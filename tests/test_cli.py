@@ -131,6 +131,17 @@ class TestSimulate:
         cfg.write_text(json.dumps({"model": "nope.json"}))
         assert main(["simulate", "-c", str(cfg), "-o", str(workdir / "x")]) == 2
 
+    @pytest.mark.parametrize("kind", ["config", "model", "layout", "program"])
+    def test_json_that_is_not_utf8_is_config_error(self, tmp_path, kind, capsys):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_bytes(b'{\n "name": "\xff"\n}\n')
+        cfg = bad if kind == "config" else tmp_path / "cfg.json"
+        if kind != "config":
+            cfg.write_text(json.dumps({kind: str(bad)}))
+        assert main(["simulate", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {bad}: line 2 is not UTF-8 text (invalid start byte)\n"
+
 
 BAD_CONFIGS = {
     "seed_not_integer": {"seed": "abc"},
@@ -340,6 +351,17 @@ class TestAnalyze:
         ])
         assert rc == 3
 
+    def test_response_row_that_is_not_utf8_is_parse_error(self, workdir, simulated, capsys):
+        lines = (simulated / "response.csv").read_bytes().split(b"\n")
+        lines[9] = lines[9].replace(b",", b",\xff", 1)
+        bad = workdir / "not_utf8.csv"
+        bad.write_bytes(b"\n".join(lines))
+        rc = main([
+            "analyze", "-c", str(workdir / "cfg.json"), "--response", str(bad),
+            "--force", str(simulated / "force.csv"), "-o", str(workdir / "nope4"),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == "input error: row 10: not UTF-8 text (invalid start byte)\n"
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -388,6 +410,14 @@ class TestLinearity:
         assert main(["linearity", str(bad), str(analyzed / "frc.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("input error: row 4:") and "Traceback" not in err
+
+    def test_table_that_is_not_utf8_is_parse_error(self, workdir, analyzed, capsys):
+        lines = (analyzed / "frc.csv").read_bytes().split(b"\n")
+        lines[3] += b"\xff"
+        bad = workdir / "not_utf8_frc.csv"
+        bad.write_bytes(b"\n".join(lines))
+        assert main(["linearity", str(analyzed / "frc.csv"), str(bad)]) == 3
+        assert capsys.readouterr().err == f"input error: {bad}: line 4 is not UTF-8 text (invalid start byte)\n"
 
     @pytest.mark.parametrize("fault", [
         "nan_cell", "inf_cell", "repeated_row", "missing_row", "decreasing_frequency",
@@ -543,8 +573,9 @@ def run_analyze(doc, response: str, force: str) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: Path(tmp) / name for name in ("cfg.json", "response.csv", "force.csv")}
         paths["cfg.json"].write_text(json.dumps(doc))
-        paths["response.csv"].write_text(response)
-        paths["force.csv"].write_text(force)
+        # a lone surrogate from a "byte" edit is written as that raw byte
+        paths["response.csv"].write_text(response, encoding="utf-8", errors="surrogateescape")
+        paths["force.csv"].write_text(force, encoding="utf-8", errors="surrogateescape")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = main([
@@ -601,7 +632,7 @@ TOKENS = st.one_of(
     st.floats().map(repr), st.text(max_size=6),
 )
 EDIT = st.tuples(
-    st.sampled_from(["cell", "drop_line", "repeat_line", "truncate", "header", "units"]),
+    st.sampled_from(["cell", "drop_line", "repeat_line", "truncate", "header", "units", "byte"]),
     st.integers(0, 10**6), st.integers(0, 10**6), TOKENS,
 )
 
@@ -619,6 +650,10 @@ def edit_record(text: str, kind: str, i: int, j: int, token: str) -> str:
         lines.insert(row, lines[row])
     elif kind == "truncate":
         return text[: i % (len(text) + 1)]
+    elif kind == "byte":
+        # a raw byte that is not UTF-8 (0x80-0xff), written by run_analyze
+        at = i % (len(text) + 1)
+        return text[:at] + chr(0xDC80 + j % 128) + text[at:]
     elif kind == "header":
         row = min(1, len(lines) - 1)
         cells = lines[row].split(",")
@@ -691,6 +726,8 @@ def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processe
 
 @FUZZ_SETTINGS
 @given(target=st.sampled_from(["response", "force"]), edits=st.lists(EDIT, min_size=1, max_size=3))
+@example(target="response", edits=[("byte", 1, 127, "")])        # in the header
+@example(target="force", edits=[("byte", 10**6, 0, "")])          # in a data row
 def test_fuzzed_record_exits_with_a_contract_code(fuzz_record, target, edits):
     program, response, force = fuzz_record
     record = {"response": response, "force": force}

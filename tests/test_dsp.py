@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
+from vibroident import dsp
 from vibroident.dsp import (
     FilterCoefficients,
     design_bandpass,
@@ -136,6 +137,17 @@ class TestFiltFilt:
         assert out.labels == tss.labels and out.start_time == tss.start_time
         for row, ts in zip(out, tss):
             assert np.array_equal(row.values, filtfilt(c, ts).values)
+
+    def test_rows_beyond_one_block_equal_rows_filtered_alone(self):
+        c = design_bandpass(5, 1.0, 25.0, 200.0)
+        n = 3000
+        rows = 4 * dsp._BLOCK_CELLS // (n + 2 * c.pad_len) + 3
+        rng = np.random.default_rng(8)
+        labels = tuple(f"c{i}" for i in range(rows))
+        tss = TimeSeriesSet(0.5, 200.0, rng.standard_normal((rows, n)), labels, ("m",) * rows)
+        out = filtfilt(c, tss)
+        for row, ts in zip(out, tss):
+            assert row.values.tobytes() == filtfilt(c, ts).values.tobytes()
 
 
 #: (fs, f_low, f_high): the analysis default, the same band at 512 Hz, and
@@ -322,6 +334,20 @@ class TestFitSines:
             for name in ("amplitude", "omega", "residual_rms"):
                 assert getattr(got, name) == pytest.approx(getattr(single, name), rel=1e-12, abs=1e-300)
             assert got.phase == pytest.approx(single.phase, rel=1e-12, abs=1e-12)
+
+    def test_rows_beyond_one_polish_block_equal_one_row_calls(self):
+        t = 312.4 + np.arange(1201) / 200.0
+        # noise only: with seed 79 this row runs out of polish iterations
+        stuck = 0.01 * np.random.default_rng(79).standard_normal((19, t.size))[18]
+        rows = [batch_rows(t, seed) for seed in range(dsp._BLOCK_CELLS // t.size // 7 + 1)]
+        U = np.vstack([*rows, stuck])
+        assert len(U) > dsp._BLOCK_CELLS // t.size
+        fits = fit_sines(t, U, 8.0)
+        assert not fits.converged[-1]
+        for row in range(len(U)):
+            one = fit_sines(t, U[row : row + 1], 8.0)
+            for name in ("amplitude", "omega", "phase", "residual_rms", "converged"):
+                assert getattr(fits, name)[row : row + 1].tobytes() == getattr(one, name).tobytes()
 
     def test_flags_follow_the_iteration_budget(self):
         t = np.arange(1201) / 200.0

@@ -1,6 +1,7 @@
 import io
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vibroident import timeseries
-from vibroident.errors import AlignmentError, ParseError, SpacingError, WindowError
+from vibroident.errors import AlignmentError, ConfigError, ParseError, SpacingError, WindowError
 from vibroident.timeseries import (
     TimeSeries,
     TimeSeriesSet,
@@ -33,47 +34,47 @@ def make_set(**kw):
 
 
 class TestParse:
-    def test_three_row_readback(self):
-        tss = parse_timeseries_csv("t,a\n0,0\n0.005,1\n0.01,0\n")
+    def test_three_row_readback(self, record_file):
+        tss = parse_timeseries_csv(record_file("t,a\n0,0\n0.005,1\n0.01,0\n"))
         ts = tss["a"]
         assert ts.sample_rate == 200.0
         assert np.array_equal(ts.values, [0.0, 1.0, 0.0])
         assert ts.start_time == 0.0
 
-    def test_alternating_spacing_rejected(self):
+    def test_alternating_spacing_rejected(self, record_file):
         text = "t,a\n0,0\n0.005,1\n0.011,0\n0.016,1\n"
         with pytest.raises(SpacingError):
-            parse_timeseries_csv(text)
+            parse_timeseries_csv(record_file(text))
 
-    def test_rate_and_duration_1024_rows(self):
+    def test_rate_and_duration_1024_rows(self, record_file):
         t = np.arange(1024) / 512
         text = "t,a\n" + "\n".join(f"{float(ti)!r},{0.0}" for ti in t)
-        ts = parse_timeseries_csv(text)["a"]
+        ts = parse_timeseries_csv(record_file(text))["a"]
         assert ts.sample_rate == 512.0
         # (1024 - 1) / 512, computed directly
         assert ts.duration == pytest.approx(1023 / 512, abs=0)
 
-    def test_nan_cell_rejected_with_row(self):
+    def test_nan_cell_rejected_with_row(self, record_file):
         for cell in ("nan", "inf", "-inf", "1e309"):
             text = f"t,a\n0,0\n0.005,{cell}\n0.01,0\n"
             with pytest.raises(ParseError, match="non-finite cell") as exc:
-                parse_timeseries_csv(text)
+                parse_timeseries_csv(record_file(text))
             assert exc.value.row == 3
 
-    def test_unparsable_cell_rejected(self):
+    def test_unparsable_cell_rejected(self, record_file):
         with pytest.raises(ParseError):
-            parse_timeseries_csv("t,a\n0,0\n0.005,oops\n")
+            parse_timeseries_csv(record_file("t,a\n0,0\n0.005,oops\n"))
 
-    def test_comments_and_units_line(self):
+    def test_comments_and_units_line(self, record_file):
         text = "# comment\n# units: a=kN\nt,a\n0,1\n0.5,2\n1.0,3\n"
-        ts = parse_timeseries_csv(text)["a"]
+        ts = parse_timeseries_csv(record_file(text))["a"]
         assert ts.unit == "kN"
         assert ts.sample_rate == 2.0
 
-    def test_roundtrip_bit_exact(self):
+    def test_roundtrip_bit_exact(self, record_file):
         rng = np.random.default_rng(7)
         tss = TimeSeriesSet(0.25, 200.0, rng.standard_normal((2, 64)), ("n1", "n2"), ("m/s^2",) * 2)
-        again = parse_timeseries_csv(serialize_timeseries_csv(tss))
+        again = parse_timeseries_csv(record_file(serialize_timeseries_csv(tss)))
         for a, b in zip(tss, again):
             assert np.array_equal(a.values, b.values)
             assert a.start_time == b.start_time
@@ -122,9 +123,9 @@ class TestRecord:
         with pytest.raises(ValueError):
             TimeSeriesSet(0.0, 1.0, np.zeros((2, 3)), ("a",), ("m",))
 
-    def test_duplicate_column_is_parse_error(self):
+    def test_duplicate_column_is_parse_error(self, record_file):
         with pytest.raises(ParseError, match="duplicate channel label"):
-            parse_timeseries_csv("t,a,b,a\n0,1,2,3\n0.5,1,2,3\n")
+            parse_timeseries_csv(record_file("t,a,b,a\n0,1,2,3\n0.5,1,2,3\n"))
 
     def test_window_of_record_equals_window_of_each_channel(self):
         tss = TimeSeriesSet(0.25, 200.0, np.random.default_rng(2).standard_normal((3, 900)), ("a", "b", "c"), ("m",) * 3)
@@ -141,68 +142,90 @@ def ramp_csv(n, fs=200.0):
 
 
 class TestParseEdges:
-    """Streaming-parse edge cases: rows are counted as lines of the text."""
+    """Streaming-parse edge cases: rows are counted as lines of the file."""
 
-    def test_bad_cell_beyond_first_loadtxt_chunk_reports_row(self):
+    def test_bad_cell_beyond_first_loadtxt_chunk_reports_row(self, record_file):
         lines = ramp_csv(60_000).splitlines()
         lines[55_001] = lines[55_001].replace(",55000,", ",oops,")
         with pytest.raises(ParseError) as exc:
-            parse_timeseries_csv("\n".join(lines))
+            parse_timeseries_csv(record_file("\n".join(lines)))
         assert exc.value.row == 55_002
         assert "'oops'" in str(exc.value)
 
-    def test_short_row_beyond_first_loadtxt_chunk_reports_row(self):
+    def test_short_row_beyond_first_loadtxt_chunk_reports_row(self, record_file):
         lines = ramp_csv(60_000).splitlines()
         lines[50_500] = lines[50_500].rsplit(",", 1)[0]
         with pytest.raises(ParseError) as exc:
-            parse_timeseries_csv("\n".join(lines))
+            parse_timeseries_csv(record_file("\n".join(lines)))
         assert exc.value.row == 50_501
 
-    def test_crlf(self):
-        tss = parse_timeseries_csv("# units: a=kN\r\nt,a\r\n0,1\r\n0.5,2\r\n1.0,3\r\n")
+    def test_crlf(self, record_file):
+        tss = parse_timeseries_csv(record_file("# units: a=kN\r\nt,a\r\n0,1\r\n0.5,2\r\n1.0,3\r\n"))
         assert tss["a"].unit == "kN"
         assert tss["a"].sample_rate == 2.0
         assert np.array_equal(tss["a"].values, [1.0, 2.0, 3.0])
 
-    def test_whitespace_padded_cells(self):
-        tss = parse_timeseries_csv(" t , a \n 0 , 1 \n0.5,\t2\n 1.0 ,3 \n")
+    def test_whitespace_padded_cells(self, record_file):
+        tss = parse_timeseries_csv(record_file(" t , a \n 0 , 1 \n0.5,\t2\n 1.0 ,3 \n"))
         assert tss.labels == ("a",)
         assert np.array_equal(tss["a"].values, [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("text", ["t,a\n", "# c\nt,a\n\n# units: a=kN\n  \n"])
-    def test_header_only_is_parse_error(self, text):
+    def test_header_only_is_parse_error(self, record_file, text):
         with pytest.raises(ParseError, match="no data rows"):
-            parse_timeseries_csv(text)
+            parse_timeseries_csv(record_file(text))
 
-    def test_nan_after_comments_and_blank_lines_reports_row(self):
+    def test_nan_after_comments_and_blank_lines_reports_row(self, record_file):
         for cell in ("nan", "inf", "-inf", "1e309"):
             text = f"# c\n\nt,a\n0,0\n# mid\n\n0.005,{cell}\n0.01,0\n"
             with pytest.raises(ParseError) as exc:
-                parse_timeseries_csv(text)
+                parse_timeseries_csv(record_file(text))
             assert exc.value.row == 7
 
-    def test_spacing_error_row_counts_comment_lines(self):
+    def test_spacing_error_row_counts_comment_lines(self, record_file):
         text = "t,a\n0,0\n# gap\n0.005,1\n\n0.011,0\n0.016,1\n"
         with pytest.raises(SpacingError) as exc:
-            parse_timeseries_csv(text)
+            parse_timeseries_csv(record_file(text))
         assert exc.value.row == 6
 
-    def test_cells_loadtxt_rejects_but_float_accepts(self):
+    def test_cells_loadtxt_rejects_but_float_accepts(self, record_file):
         # "1_0" fails np.loadtxt; the cell-by-cell re-scan reads every row
         text = "# units: a=kN\nt,a\n0,1_0\n\n0.5,2\n1.0,3\n"
-        ts = parse_timeseries_csv(text)["a"]
+        ts = parse_timeseries_csv(record_file(text))["a"]
         assert np.array_equal(ts.values, [10.0, 2.0, 3.0])
         assert ts.unit == "kN" and ts.sample_rate == 2.0
 
-    def test_units_comment_after_data_applies(self):
-        ts = parse_timeseries_csv("t,a\n0,0\n0.5,1\n# units: a=kN\n")["a"]
+    def test_units_comment_after_data_applies(self, record_file):
+        ts = parse_timeseries_csv(record_file("t,a\n0,0\n0.5,1\n# units: a=kN\n"))["a"]
         assert ts.unit == "kN"
 
-    def test_stream_and_text_agree(self):
-        text = ramp_csv(1000)
-        a, b = parse_timeseries_csv(text), parse_timeseries_csv(io.StringIO(text))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.values, y.values) and x.sample_rate == y.sample_rate
+    def test_utf8_labels_and_units(self, record_file):
+        tss = parse_timeseries_csv(record_file("# units: µ=µm/s²\nt,µ\n0,1\n0.5,2\n"))
+        assert tss.labels == ("µ",) and tss.units == ("µm/s²",)
+
+    @pytest.mark.parametrize("line", [1, 2, 4, 6])
+    def test_bytes_that_are_not_utf8_report_their_row(self, tmp_path, line):
+        # the units comment, the header, a data row, a plain comment
+        lines = [b"# units: a=kN", b"t,a", b"0,1", b"0.5,2", b"1.0,3", b"# note", b"1.5,4"]
+        lines[line - 1] += b"\xff"
+        path = tmp_path / "record.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match=f"row {line}: not UTF-8 text") as exc:
+            parse_timeseries_csv(str(path))
+        assert exc.value.row == line
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_reads_shorter_than_a_line_change_nothing(self, record_file, record_io_processes, monkeypatch, n):
+        path = record_file(messy_csv())
+        record_io_processes(1)
+        whole = parse_timeseries_csv(path)
+        monkeypatch.setattr(timeseries, "_READ_BYTES", 7)
+        record_io_processes(n)
+        again = parse_timeseries_csv(path)
+        assert again.values.tobytes() == whole.values.tobytes() and again.units == whole.units
+        with pytest.raises(SpacingError) as exc:
+            parse_timeseries_csv(record_file(broken_csv("spacing")))
+        assert exc.value.row == WORKER_ROWS - 18
 
 
 #: 589 samples: not a multiple of the 256-sample write block, nor of 2 or 3
@@ -248,9 +271,9 @@ def broken_csv(kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_outcome(text):
+def parse_outcome(path):
     try:
-        tss = parse_timeseries_csv(text)
+        tss = parse_timeseries_csv(path)
     except ParseError as exc:
         return type(exc), str(exc), exc.row
     return tss.values.tobytes(), tss.labels, tss.units, tss.sample_rate, tss.start_time
@@ -270,13 +293,13 @@ class TestRecordIOWorkers:
         assert len(forks) == n - 1
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_parse_matches_one_process(self, record_io_processes, n):
-        text = messy_csv()
+    def test_parse_matches_one_process(self, record_file, record_io_processes, n):
+        path = record_file(messy_csv())
         record_io_processes(1)
-        serial = parse_timeseries_csv(text)
+        serial = parse_timeseries_csv(path)
         assert serial.units == ("kN", "mm")
         forks = record_io_processes(n)
-        parallel = parse_timeseries_csv(text)
+        parallel = parse_timeseries_csv(path)
         assert len(forks) == n - 1
         assert parallel.values.tobytes() == serial.values.tobytes()
         assert (parallel.labels, parallel.units) == (serial.labels, serial.units)
@@ -284,21 +307,22 @@ class TestRecordIOWorkers:
 
     @pytest.mark.parametrize("kind", ["bad_cell", "short_row", "nan", "inf", "spacing"])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_error_in_a_worker_range_matches_one_process(self, record_io_processes, kind, n):
-        text = broken_csv(kind)
+    def test_error_in_a_worker_range_matches_one_process(self, record_file, record_io_processes, kind, n):
+        path = record_file(broken_csv(kind))
         record_io_processes(1)
-        serial = parse_outcome(text)
+        serial = parse_outcome(path)
         assert serial[0] in (ParseError, SpacingError) and serial[2] == WORKER_ROWS - 18
         forks = record_io_processes(n)
-        assert parse_outcome(text) == serial
+        assert parse_outcome(path) == serial
         assert len(forks) == n - 1
 
     @pytest.mark.parametrize("fault", ["exit_1_after_all_bytes", "exit_1_after_half", "sigkill"])
-    def test_failed_worker_never_yields_a_partial_result(self, record_io_processes, monkeypatch, fault):
+    def test_failed_worker_never_yields_a_partial_result(self, record_file, record_io_processes, monkeypatch, fault):
         tss = worker_record()
         record_io_processes(1)
         text = serialize_timeseries_csv(tss)
-        values = parse_timeseries_csv(text).values.tobytes()
+        path = record_file(text)
+        values = parse_timeseries_csv(path).values.tobytes()
         forked = timeseries._forked
 
         def faulty(ranges, send):
@@ -317,8 +341,24 @@ class TestRecordIOWorkers:
         monkeypatch.setattr(timeseries, "_forked", faulty)
         forks = record_io_processes(3)
         assert serialize_timeseries_csv(tss) == text
-        assert parse_timeseries_csv(text).values.tobytes() == values
+        assert parse_timeseries_csv(path).values.tobytes() == values
         assert len(forks) == 4
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_parse_holds_no_copy_of_the_file(record_file, record_io_processes, n):
+    # a 6.6 MB file of 8 channels; holding its text took 2x its size
+    values = np.random.default_rng(1).standard_normal((8, 40_000))
+    path = record_file(serialize_timeseries_csv(TimeSeriesSet(0.0, 200.0, values, tuple("abcdefgh"), ("m",) * 8)))
+    forks = record_io_processes(n)
+    tracemalloc.start()
+    try:
+        tss = parse_timeseries_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tss.values.tobytes() == values.tobytes() and len(forks) == n - 1
+    assert peak < os.path.getsize(path)
 
 
 class TestSynchronize:
@@ -427,5 +467,11 @@ def test_layout_roundtrip_and_validation():
     assert layout.station("S1").position.tolist() == [1.0, 2.0, 3.0]
     assert np.array_equal(layout.station("S2").axes, np.eye(3))
     assert layout.groups["T1"] == ("S1",)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="unknown station missing"):
         load_layout(io.StringIO('{"stations": [{"id": "A", "pos": [0,0,0]}], "groups": {"G": ["missing"]}}'))
+
+
+def test_layout_group_named_like_a_station_is_config_error():
+    doc = '{"stations": [{"id": "S1", "pos": [0,0,0]}, {"id": "S2", "pos": [1,0,0]}], "groups": {"S1": ["S1", "S2"]}}'
+    with pytest.raises(ConfigError, match="group S1 has the id of a station"):
+        load_layout(doc)
