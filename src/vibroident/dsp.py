@@ -485,7 +485,11 @@ def _polish(U, params, sse, dt: float, t0: float, max_iter: int) -> np.ndarray:
     return converged
 
 
-def fit_sines(t, U, f_init: float, max_iter: int = 100) -> SineFits:
+#: Gauss-Newton iterations a sine fit may take before it counts as not converged
+MAX_ITER = 100
+
+
+def fit_sines(t, U, f_init: float, max_iter: int = MAX_ITER) -> SineFits:
     """Fit u_c(t) = A_c * sin(w_c * t + phi_c) to every row of ``U``.
 
     ``U`` holds C channels sampled on the uniform axis ``t`` (n samples).
@@ -566,7 +570,7 @@ def fit_sines(t, U, f_init: float, max_iter: int = 100) -> SineFits:
     )
 
 
-def fit_sine(ts: TimeSeries, f_init: float, max_iter: int = 100) -> SineFit:
+def fit_sine(ts: TimeSeries, f_init: float, max_iter: int = MAX_ITER) -> SineFit:
     """Fit amplitude/frequency/phase of a single sinusoid.
 
     The one-row case of :func:`fit_sines`.  When the Gauss-Newton polish

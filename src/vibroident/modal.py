@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NoReturn
 
 import numpy as np
 
-from .dsp import fit_sine
+# fit_sine stays importable from here: the benchmark tracer wraps modal.fit_sine
+from .dsp import MAX_ITER, fit_sine, fit_sines
 from .errors import (
     BuildError,
     ComparisonError,
@@ -71,22 +73,35 @@ def estimate_force_amplitude(
 ) -> ForceEstimate:
     """Combine per-actuator sine fits into resultant force and torque.
 
-    Torque about Z comes from the X/Y components and their lever arms.
+    The rows of the geometry's channels are fitted in one
+    :func:`~vibroident.dsp.fit_sines` call; a row gives the same fit as on
+    its own.  Torque about Z comes from the X/Y components and their lever
+    arms.  ForceEstimationError names the first channel, in geometry
+    order, that is missing or whose fit fails or does not converge.
     """
+    labels = list(geometry)
+    index = {label: c for c, label in enumerate(force.labels)}
+    # the channels before the first missing one are fitted, and their
+    # errors raised, first
+    present = list(itertools.takewhile(index.__contains__, labels))
+    if present:
+        try:
+            fits = fit_sines(force.times(), force.values[[index[label] for label in present]], f)
+        except FitError as exc:
+            raise ForceEstimationError(f"sine fit failed on channel {present[0]!r}: {exc}") from exc
     components = np.zeros(3, dtype=complex)
     torque = 0.0 + 0.0j
-    for label, geo in geometry.items():
-        try:
-            ts = force[label]
-        except KeyError:
-            raise ForceEstimationError(f"force channel {label!r} missing") from None
-        try:
-            fit = fit_sine(ts, f)
-        except FitError as exc:
-            raise ForceEstimationError(f"sine fit failed on channel {label!r}: {exc}") from exc
-        fvec = fit.phasor * geo.direction
+    for row, label in enumerate(present):
+        if not fits.converged[row]:
+            raise ForceEstimationError(
+                f"sine fit failed on channel {label!r}: no convergence after {MAX_ITER} Gauss-Newton iterations"
+            )
+        geo = geometry[label]
+        fvec = fits[row].phasor * geo.direction
         components += fvec
         torque += geo.position[0] * fvec[1] - geo.position[1] * fvec[0]
+    if len(present) < len(labels):
+        raise ForceEstimationError(f"force channel {labels[len(present)]!r} missing")
     return ForceEstimate(
         frequency_hz=f,
         component_phasors=components,

@@ -12,13 +12,14 @@ steady-state response.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dsp, modal
-from .errors import ParseError, WindowError
+from . import dsp, modal, timeseries
+from .errors import ParseError, VibroidentError, WindowError
 from .modal import (
     GENERALIZED_AXES,
     DampingEstimate,
@@ -135,7 +136,18 @@ def analyze(
     strain_stations: tuple[str, str, str] | None = None,
     strain_fiber_m: float = STRAIN_FIBER_M,
 ) -> AnalysisResult:
-    """Fit the records into a phasor matrix and forces, then :func:`identify`."""
+    """Fit the records into a phasor matrix and forces, then :func:`identify`.
+
+    Every window is fitted by one function, ``fit_window``, into one
+    fixed-size raw row: the displacement phasors, the converged flags, the
+    force phasors and the z torque.  The windows are split round-robin
+    over up to ``min(CPUs, 4)`` processes (sized by their response cells,
+    as record I/O is), forked workers sending their rows back through
+    pipes; nothing is pickled.  Any failure (a worker that does not exit
+    0, a short read, an OSError, or an error in this process's own share)
+    re-runs every window here, in window order, so the result and any
+    exception are the one-process ones.
+    """
     dof = program.dof_excited.upper()
     keys = _channel_keys(response.labels, layout)
     windows = analysis_windows(program, policy)
@@ -146,29 +158,61 @@ def analyze(
         fp.id: ForceGeometry(fp.location, fp.direction) for fp in program.force_points
     }
 
-    rows: list[np.ndarray] = []
-    force_estimates: list[ForceEstimate] = []
-    unconverged: list[tuple[float, str]] = []
+    channels = len(response)
+    fitted = np.zeros(len(windows), np.dtype([
+        ("phasors", complex, (channels,)),
+        ("converged", bool, (channels,)),
+        ("force", complex, (3,)),
+        ("torque", complex),
+    ]))
 
-    for f, t0, t1 in windows:
+    def fit_window(k: int) -> None:
+        f, t0, t1 = windows[k]
         window = extract_window(filtered, t0, t1)
         fits = dsp.fit_sines(window.times(), window.values, f)
-        # channels with no coherent response (noise-only) may run out of
-        # polish iterations; their best iterate is kept and reported
-        unconverged.extend((f, window.labels[c]) for c in np.flatnonzero(~fits.converged))
         # forward+backward filtering scales amplitudes by |H|^2; undo it
         accel_phasors = fits.phasor / dsp.filter_gain(coeffs, fits.frequency) ** 2
-        rows.append(-accel_phasors / fits.omega**2)
-        force_estimates.append(
-            modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f)
-        )
+        est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f)
+        fitted[k] = (-accel_phasors / fits.omega**2, fits.converged, est.component_phasors, est.torque_z_phasor)
+
+    def send(first: int, step: int, out) -> None:
+        for k in range(first, len(windows), step):
+            fit_window(k)
+            out.write(fitted[k : k + 1].tobytes())
+
+    cells = int(channels * response.sample_rate * sum(t1 - t0 for _, t0, t1 in windows))
+    parts = min(timeseries._worker_count(cells), len(windows))
+    done = False
+    if parts > 1:
+        # the low-frequency windows come first and cost the most: deal them out
+        with contextlib.suppress(OSError, VibroidentError):
+            with timeseries._forked([(w, parts) for w in range(1, parts)], send) as pipes:
+                for k in range(0, len(windows), parts):
+                    fit_window(k)
+                for w, pipe in enumerate(pipes, start=1):
+                    for k in range(w, len(windows), parts):
+                        row = fitted[k : k + 1].view(np.uint8)
+                        if pipe.readinto(row) != row.nbytes:
+                            raise ChildProcessError("short read from a window fit worker")
+            done = True
+    if not done:
+        for k in range(len(windows)):
+            fit_window(k)
 
     freqs = [f for f, _, _ in windows]
+    # channels with no coherent response (noise-only) may run out of polish
+    # iterations; their best iterate is kept and reported
+    unconverged = tuple(
+        (f, response.labels[c]) for f, ok in zip(freqs, fitted["converged"]) for c in np.flatnonzero(~ok)
+    )
+    force_estimates = tuple(
+        ForceEstimate(f, row["force"].copy(), complex(row["torque"])) for f, row in zip(freqs, fitted)
+    )
     forces = [est.torque if dof == "YAW" else est.resultant for est in force_estimates]
     result = identify(
-        freqs, keys, np.array(rows), forces, dof, layout, policy, strain_stations, strain_fiber_m
+        freqs, keys, fitted["phasors"], forces, dof, layout, policy, strain_stations, strain_fiber_m
     )
-    return replace(result, force_estimates=tuple(force_estimates), unconverged=tuple(unconverged))
+    return replace(result, force_estimates=force_estimates, unconverged=unconverged)
 
 
 def identify(

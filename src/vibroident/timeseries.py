@@ -177,18 +177,20 @@ class SensorLayout:
         raise KeyError(sid)
 
 
-#: records with fewer cells than this are written and parsed in one
-#: process.  A fork, pipe and reap cost about 2.5 ms per worker (2-vCPU
-#: Xeon, Linux); at 0.5 us per parsed cell (1.4 us per written one) this
-#: many cells keep three workers' forks near 5 % of the work they split.
+#: records with fewer cells than this are written and parsed, and windows
+#: with fewer response cells fitted, in one process.  A fork, pipe and reap
+#: cost about 2.5 ms per worker (2-vCPU Xeon, Linux); at 0.5 us per parsed
+#: cell (1.4 us per written one) this many cells keep three workers' forks
+#: near 5 % of the work they split.
 _FORK_MIN_CELLS = 300_000
-#: most processes, the parent included, that write or parse one record
+#: most processes, the parent included, that write or parse one record or
+#: fit the windows of one analysis
 _MAX_WORKERS = 4
 
 
 def _worker_count(cells: int) -> int:
-    """Processes to split ``cells`` of record I/O over: one per usable CPU,
-    at most ``_MAX_WORKERS``, and one where ``os.fork`` is missing."""
+    """Processes to split work on ``cells`` over: one per usable CPU, at
+    most ``_MAX_WORKERS``, and one where ``os.fork`` is missing."""
     if cells < _FORK_MIN_CELLS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
@@ -196,12 +198,13 @@ def _worker_count(cells: int) -> int:
 
 @contextlib.contextmanager
 def _forked(ranges, send):
-    """Run ``send(lo, hi, out)`` for each ``(lo, hi)`` range in its own
-    forked child, which writes raw bytes to the binary stream ``out`` and
-    ends with ``os._exit``: 0 once ``send`` returned, 1 if it raised.
+    """Run ``send(lo, hi, out)`` for each ``(lo, hi)`` pair of ``ranges``
+    in its own forked child, which writes raw bytes to the binary stream
+    ``out`` and ends with ``os._exit``: 0 once ``send`` returned, 1 if it
+    raised.
 
-    Yields the read ends of the children's pipes, in range order; the
-    caller works on its own range first, then reads them.  Nothing is
+    Yields the read ends of the children's pipes, in ``ranges`` order; the
+    caller works on its own share first, then reads them.  Nothing is
     pickled.  Leaving the block closes the pipes and reaps every child,
     killing them first if the block raised.  A pipe or fork that fails
     raises OSError, and a child that does not exit 0 ChildProcessError, so
@@ -235,7 +238,7 @@ def _forked(ranges, send):
             pipe.close()
         failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
     if failed:
-        raise ChildProcessError(f"{failed} record I/O worker(s) did not exit 0")
+        raise ChildProcessError(f"{failed} forked worker(s) did not exit 0")
 
 
 #: bytes per read of a record file
@@ -361,7 +364,8 @@ def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> np.ndarray:
     def send(start, stop, out):
         rows = _load_rows(path, start, stop, ncol)
         out.write(len(rows).to_bytes(8, "little"))
-        out.write(np.ascontiguousarray(rows.T).data)
+        for column in rows.T:
+            out.write(np.ascontiguousarray(column).data)
 
     with _forked(ranges[1:], send) as pipes:
         own = _load_rows(path, *ranges[0], ncol)

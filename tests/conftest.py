@@ -1,7 +1,9 @@
 """Shared fixtures and the acceptance summary report."""
 
+import io
 import itertools
 import os
+import signal
 
 import pytest
 
@@ -12,10 +14,10 @@ ACCEPTANCE_RESULTS: list[tuple[int, str, bool, str]] = []
 
 @pytest.fixture
 def record_io_processes(monkeypatch):
-    """``use(n)`` makes record writing and parsing split every record, however
-    small, over ``n`` processes, as on a machine with ``n`` usable CPUs
-    (``use(1)``: one process).  Returns the list that gets one entry per
-    forked worker."""
+    """``use(n)`` makes record writing and parsing split every record, and
+    ``pipeline.analyze`` split its window fits, however small, over ``n``
+    processes, as on a machine with ``n`` usable CPUs (``use(1)``: one
+    process).  Returns the list that gets one entry per forked worker."""
     if not hasattr(os, "fork"):
         pytest.skip("record I/O workers need os.fork")
     forks = []
@@ -30,6 +32,33 @@ def record_io_processes(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         monkeypatch.setattr(os, "fork", counting_fork)
         return forks
+
+    return use
+
+
+@pytest.fixture
+def failing_workers(monkeypatch):
+    """``use(fault)`` makes every forked worker fail once it has sent its
+    bytes: it exits 1 after all of them (``"exit_1_after_all_bytes"``) or
+    after half of them (``"exit_1_after_half"``), or it is killed by
+    SIGKILL after all of them (``"sigkill"``)."""
+    forked = timeseries._forked
+
+    def use(fault):
+        def faulty(ranges, send):
+            def failing_send(lo, hi, out):
+                buf = io.BytesIO()
+                send(lo, hi, buf)
+                data = buf.getvalue()
+                out.write(data[: len(data) // 2] if fault == "exit_1_after_half" else data)
+                out.flush()
+                if fault == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("worker fails after writing")
+
+            return forked(ranges, failing_send)
+
+        monkeypatch.setattr(timeseries, "_forked", faulty)
 
     return use
 

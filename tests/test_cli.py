@@ -701,7 +701,8 @@ def test_fuzzed_simulate_exits_with_a_contract_code(extras):
 
 
 def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processes, tmp_path):
-    # criterion 10 across worker counts: one process, then three (two forked workers)
+    # criterion 10 across worker counts: one process, then three (two forked
+    # workers for each of four record I/O splits and one window-fit split)
     prog = tmp_path / "program.json"
     prog.write_text(json.dumps({
         **MINI_PROGRAM,
@@ -716,7 +717,7 @@ def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processe
         assert main(["simulate", "-c", str(cfg), "-o", str(sim)]) == 0
         assert main(["analyze", "-c", str(cfg), "--response", str(sim / "response.csv"),
                      "--force", str(sim / "force.csv"), "-o", str(ana)]) == 0
-        assert len(forks) == 4 * (n - 1)
+        assert len(forks) == 5 * (n - 1)
     for name in ("sim", "ana"):
         one, three = tmp_path / f"{name}1", tmp_path / f"{name}3"
         assert sorted(p.name for p in one.iterdir()) == sorted(p.name for p in three.iterdir())

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from vibroident.cli import _load_text
+from vibroident.dsp import fit_sine
 from vibroident.errors import (
     BuildError,
     ComparisonError,
     DomainError,
+    FitError,
     ForceEstimationError,
     GeometryError,
     InfinityError,
@@ -70,8 +72,40 @@ class TestForceAmplitude:
     def test_missing_channel(self):
         chans = {"a0": (100.0, 8.0, 0.0)}
         geo = {"a1": ForceGeometry([0, 0, 0], [1, 0, 0])}
-        with pytest.raises(ForceEstimationError):
+        with pytest.raises(ForceEstimationError, match="force channel 'a1' missing"):
             estimate_force_amplitude(force_set(chans), geo, 8.0)
+
+    def test_one_batch_equals_one_fit_per_channel(self):
+        # on-frequency, off-frequency and noisy channels, each fitted as on its own
+        chans = {"n": (90.0, 8.0, 0.4), "s": (110.0, 8.0, -2.0), "e": (70.0, 8.3, 1.0), "w": (100.0, 8.0, 2.5)}
+        force = force_set(chans)
+        noisy = force.values.copy()
+        noisy[3] += 20.0 * np.random.default_rng(2).standard_normal(noisy.shape[1])
+        force = force.with_values(noisy)
+        geo = {
+            label: ForceGeometry([5.0 * i - 7.0, 3.0 - 2.0 * i, 0.6], [math.cos(i), math.sin(i), 0.1 * i])
+            for i, label in enumerate(chans)
+        }
+        est = estimate_force_amplitude(force, geo, 8.0)
+        components, torque = np.zeros(3, dtype=complex), 0.0 + 0.0j
+        for label, g in geo.items():
+            fvec = fit_sine(force[label], 8.0).phasor * g.direction
+            components += fvec
+            torque += g.position[0] * fvec[1] - g.position[1] * fvec[0]
+        assert est.component_phasors.tobytes() == components.tobytes()
+        assert np.complex128(est.torque_z_phasor).tobytes() == np.complex128(torque).tobytes()
+
+    def test_channel_that_does_not_converge_is_named(self):
+        # noise only: with seed 79 the last row runs out of polish iterations
+        t = np.arange(1201) / 200.0
+        stuck = 0.01 * np.random.default_rng(79).standard_normal((19, t.size))[18]
+        values = [100.0 * np.sin(2 * np.pi * 8.0 * t + ph) for ph in (0.0, 1.0, 2.0)] + [stuck]
+        force = TimeSeriesSet(312.4, 200.0, values, ("a", "b", "c", "d"), ("kN",) * 4)
+        geo = {label: ForceGeometry([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for label in "abcd"}
+        with pytest.raises(FitError):
+            fit_sine(force["d"], 8.0)
+        with pytest.raises(ForceEstimationError, match="channel 'd': no convergence after 100 Gauss-Newton"):
+            estimate_force_amplitude(force, geo, 8.0)
 
 
 class TestBuildFrc:

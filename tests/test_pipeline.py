@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vibroident.errors import WindowError
+from vibroident.errors import ForceEstimationError, VibroidentError, WindowError
 from vibroident.cli import _contribution_csv, _deformation_figures, _rbm_csv
 from vibroident.modal import frc_to_csv, linearity_rms, rigid_rows
 from vibroident.pipeline import AnalysisPolicy, analysis_windows, analyze, identify
@@ -73,6 +73,71 @@ def stepped_run(small_setup):
     force = force_timeseries(prog, fs=512.0)
     policy = AnalysisPolicy(f_low=1.0, f_high=25.0, skip_cycles=6.0)
     return analyze(resp, force, prog, layout, policy), prog, sys, layout
+
+
+@pytest.fixture(scope="module")
+def split_run(small_setup):
+    """Six dwells with sensor noise: the fit of BB_y at 12 Hz, the last
+    window, runs out of polish iterations.  Split over two or three
+    processes, that window belongs to a forked worker."""
+    _, sys, layout = small_setup
+    prog = v_shape_program((1.5, 3.0, 5.0, 8.0, 10.0, 12.0), dur=8.0, rest=1.0)
+    hist = integrate(sys, prog, dt=1.0 / 480)
+    resp = sensor_kinematics(hist, layout, NoiseSpec(rms=0.01, seed=133), output_rate=240.0)
+    return resp, force_timeseries(prog, fs=512.0), prog, layout, AnalysisPolicy(skip_cycles=6.0)
+
+
+def analysis_outcome(resp, force, prog, layout, policy):
+    """Every array of the fitted windows as bytes, or the error raised."""
+    try:
+        res = analyze(resp, force, prog, layout, policy)
+    except VibroidentError as exc:
+        return type(exc), str(exc)
+    forces = [
+        (est.frequency_hz, est.component_phasors.tobytes(), np.complex128(est.torque_z_phasor).tobytes())
+        for est in res.force_estimates
+    ]
+    return res.phasors.tobytes(), res.rigid.tobytes(), forces, res.unconverged
+
+
+class TestWindowFitWorkers:
+    """The windows fitted over forked workers give, byte for byte, the
+    one-process result or error."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_split_matches_one_process(self, split_run, record_io_processes, n):
+        record_io_processes(1)
+        serial = analysis_outcome(*split_run)
+        assert serial[3] == ((12.0, "BB_y"),) and len(serial[2]) == 6
+        forks = record_io_processes(n)
+        assert analysis_outcome(*split_run) == serial
+        assert len(forks) == n - 1
+
+    @pytest.mark.parametrize("fault", ["exit_1_after_all_bytes", "exit_1_after_half", "sigkill"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_failed_worker_gives_the_one_process_result(
+        self, split_run, record_io_processes, failing_workers, fault, n
+    ):
+        record_io_processes(1)
+        serial = analysis_outcome(*split_run)
+        failing_workers(fault)
+        forks = record_io_processes(n)
+        assert analysis_outcome(*split_run) == serial
+        assert len(forks) == n - 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_error_in_a_worker_window_matches_one_process(self, split_run, record_io_processes, n):
+        resp, force, prog, layout, policy = split_run
+        # the force record ends 1.5 cycles into the last window
+        _, t0, _ = analysis_windows(prog, policy)[-1]
+        cut = int((t0 + 1.5 / 12.0 - force.start_time) * force.sample_rate)
+        short = force.with_values(force.values[:, :cut])
+        record_io_processes(1)
+        serial = analysis_outcome(resp, short, prog, layout, policy)
+        assert serial[0] is ForceEstimationError and "channel 'a1'" in serial[1]
+        forks = record_io_processes(n)
+        assert analysis_outcome(resp, short, prog, layout, policy) == serial
+        assert len(forks) == n - 1
 
 
 class TestSteppedAnalysis:

@@ -1,6 +1,5 @@
 import io
 import os
-import signal
 import tracemalloc
 
 import numpy as np
@@ -317,28 +316,13 @@ class TestRecordIOWorkers:
         assert len(forks) == n - 1
 
     @pytest.mark.parametrize("fault", ["exit_1_after_all_bytes", "exit_1_after_half", "sigkill"])
-    def test_failed_worker_never_yields_a_partial_result(self, record_file, record_io_processes, monkeypatch, fault):
+    def test_failed_worker_never_yields_a_partial_result(self, record_file, record_io_processes, failing_workers, fault):
         tss = worker_record()
         record_io_processes(1)
         text = serialize_timeseries_csv(tss)
         path = record_file(text)
         values = parse_timeseries_csv(path).values.tobytes()
-        forked = timeseries._forked
-
-        def faulty(ranges, send):
-            def failing_send(lo, hi, out):
-                buf = io.BytesIO()
-                send(lo, hi, buf)
-                data = buf.getvalue()
-                out.write(data[: len(data) // 2] if fault == "exit_1_after_half" else data)
-                out.flush()
-                if fault == "sigkill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise RuntimeError("worker fails after writing")
-
-            return forked(ranges, failing_send)
-
-        monkeypatch.setattr(timeseries, "_forked", faulty)
+        failing_workers(fault)
         forks = record_io_processes(3)
         assert serialize_timeseries_csv(tss) == text
         assert parse_timeseries_csv(path).values.tobytes() == values
