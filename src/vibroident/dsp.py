@@ -11,7 +11,9 @@ time axis, exp(i*w*t_k) is built from two-level powers (about 2*sqrt(n)
 exponentials per row, then one complex product per sample).  The linear
 stages project the samples onto those powers without forming the basis,
 take the sin/cos Gram terms from the closed-form Dirichlet sum and read
-the SSE off the normal equations.
+the SSE off the normal equations.  The polish takes Newton steps on the
+exact 3x3 Hessian of each row, so it converges quadratically also where
+the residual is as large as the signal.
 """
 
 from __future__ import annotations
@@ -188,9 +190,9 @@ _FILTER_BLOCK = 64
 #: cells (rows x samples) of one block of rows in the passes where rows
 #: never share a product: the zero-phase filter and the sine-fit polish
 #: build their scratch for one block at a time, so it does not grow with
-#: the record.  The polish keeps about 120 bytes of scratch per cell and
+#: the record.  The polish keeps about 105 bytes of scratch per cell and
 #: the filter about 18 (tracemalloc), so the filter takes four budgets per
-#: block: about 8 and 5 MB.  A window of 222 samples x 87 channels is one
+#: block: about 7 and 5 MB.  A window of 222 samples x 87 channels is one
 #: block.
 _BLOCK_CELLS = 1 << 16
 #: blocks per drive-term product.  OpenBLAS runs larger products (about
@@ -299,8 +301,8 @@ _TWO_PI_LO = 2.4492935982947064e-16
 class SineFits:
     """Row-wise fits of one window: u_c(t) = amplitude[c] * sin(omega[c] * t + phase[c]).
 
-    ``converged`` is False where the Gauss-Newton polish ran out of
-    iterations; that row then holds the best iterate found.
+    ``converged`` is False where the Newton polish ran out of iterations;
+    that row then holds the best iterate found.
     """
 
     amplitude: np.ndarray
@@ -427,41 +429,88 @@ def _sse(U, params, dt: float) -> np.ndarray:
     return np.einsum("cn,cn->c", r, r)
 
 
-def _solve_upper(r, y):
-    """Back substitution on stacked upper-triangular systems."""
-    x = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(y.shape[1] - 1, -1, -1):
-            x[:, i] = (y[:, i] - np.einsum("cj,cj->c", r[:, i, i + 1:], x[:, i + 1:])) / r[:, i, i]
-    return x
+def _solve_spd(S, b):
+    """Solve stacked symmetric 3x3 systems S x = b by Cholesky.
+
+    A row whose S is not positive definite, or not finite, gets a non-finite
+    x (a square root of a negative pivot, or a division by a zero one), so
+    no input raises.
+    """
+    with np.errstate(all="ignore"):
+        l00 = np.sqrt(S[:, 0, 0])
+        l10 = S[:, 1, 0] / l00
+        l20 = S[:, 2, 0] / l00
+        l11 = np.sqrt(S[:, 1, 1] - l10 * l10)
+        l21 = (S[:, 2, 1] - l20 * l10) / l11
+        l22 = np.sqrt(S[:, 2, 2] - l20 * l20 - l21 * l21)
+        y0 = b[:, 0] / l00
+        y1 = (b[:, 1] - l10 * y0) / l11
+        x2 = (b[:, 2] - l20 * y0 - l21 * y1) / l22 / l22
+        x1 = (y1 - l21 * x2) / l11
+        x0 = (y0 - l10 * x1 - l20 * x2) / l00
+    return np.column_stack([x0, x1, x2])
+
+
+def _newton_steps(U, params, dt: float):
+    """Newton steps on SSE/2 of f = A*sin(w*tau + psi) for every row, and
+    their predicted SSE decrease g.step, where g = J^T r.
+
+    With s and c the sine and cosine of w*tau + psi, J has the columns s,
+    A*tau*c and A*c, and the Hessian is J^T J - sum_k r_k * (Hessian of f
+    at sample k).  The steps are solved for (dA, A*dw, A*dpsi): that takes
+    A out of the Gram matrix G of (s, tau*c, c), and leaves the residual
+    term as sums of r*s, r*c, r*tau*c, r*tau*s and r*tau^2*s over A, so no
+    term scales with A^2.  Each system is scaled to the unit diagonal of G.
+    Where the Hessian is not positive definite (far from a minimum, or on
+    a degenerate row) the Gauss-Newton system G takes its place; a row
+    singular in both gets a non-finite step.
+    """
+    n = U.shape[1]
+    tau = dt * np.arange(n)
+    amp = params[:, 0]
+    with np.errstate(all="ignore"):
+        basis = _phasors(params[:, 1], params[:, 2], dt, n)
+        s, c = basis.imag, basis.real
+        cols = np.stack([U - amp[:, None] * s, s, tau * c, c, tau * s, tau * tau * s], axis=1)
+        # sums[:, i, j] = sum over samples of cols[i + 1] * cols[j]
+        sums = cols[:, 1:] @ cols[:, :4].transpose(0, 2, 1)
+        g, gram = sums[:, :3, 0], sums[:, :3, 1:]
+        rs, rtc, rc, rts, rtts = sums[:, :, 0].T / amp
+        zero = np.zeros_like(amp)
+        curvature = np.moveaxis(np.array([[zero, rtc, rc], [rtc, -rtts, -rts], [rc, -rts, -rs]]), -1, 0)
+        d = 1.0 / np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+        outer = d[:, :, None] * d[:, None, :]
+        y = _solve_spd((gram - curvature) * outer, d * g)
+        indefinite = ~np.all(np.isfinite(y), axis=1)
+        y[indefinite] = _solve_spd(gram[indefinite] * outer[indefinite], d[indefinite] * g[indefinite])
+        y *= d
+        return y / np.column_stack([np.ones_like(amp), amp, amp]), np.einsum("ck,ck->c", g, y)
 
 
 def _polish(U, params, sse, dt: float, t0: float, max_iter: int) -> np.ndarray:
-    """Gauss-Newton on (A, w, psi) of every row, with step halving per row.
+    """Newton on (A, w, psi) of every row, with step halving per row.
 
     Updates ``params`` and ``sse`` in place and returns the converged flags.
     Rows leave the active set once a step no longer improves the residual
     or shrinks below 1e-13 of the parameter scale (phase measured on the
-    absolute time axis, psi - w*t0).
+    absolute time axis, psi - w*t0).  A step whose predicted decrease is
+    below the rounding of the SSE (1e-12 of it) is tried once and never
+    halved: near the minimum, a rise by an ulp says nothing about the step.
     """
-    n = U.shape[1]
-    tau = dt * np.arange(n)
     converged = np.zeros(len(U), dtype=bool)
     active = np.arange(len(U))
     for _ in range(max_iter):
         if active.size == 0:
             break
-        p = params[active]
-        basis = _phasors(p[:, 1], p[:, 2], dt, n)
-        amp = p[:, :1]
-        r = U[active] - amp * basis.imag
-        jac = np.stack([basis.imag, amp * tau * basis.real, amp * basis.real], axis=-1)
-        q, upper = np.linalg.qr(jac)
-        step = _solve_upper(upper, np.einsum("cnk,cn->ck", q, r))
+        step, decrease = _newton_steps(U[active], params[active], dt)
+        finite = np.all(np.isfinite(step), axis=1)
+        once = decrease <= 1e-12 * sse[active]
         # halve until the residual improves (keeps refinement monotone)
         improved = np.zeros(active.size, dtype=bool)
-        pending = np.arange(active.size)
+        pending = np.flatnonzero(finite)
         for _ in range(30):
+            if pending.size == 0:
+                break
             rows = active[pending]
             trial = params[rows] + step[pending]
             sse_t = _sse(U[rows], trial, dt)
@@ -470,22 +519,19 @@ def _polish(U, params, sse, dt: float, t0: float, max_iter: int) -> np.ndarray:
             improved[pending[ok]] = sse[acc] - sse_t[ok] > 1e-12 * np.maximum(sse[acc], 1e-300)
             params[acc] = trial[ok]
             sse[acc] = sse_t[ok]
-            pending = pending[~ok]
+            pending = pending[~ok & ~once[pending]]
             step[pending] /= 2.0
-            if pending.size == 0:
-                break
         # parameter scales: amplitude/frequency relative, phase in radians
         p = params[active]
         scale = np.column_stack([np.maximum(np.abs(p[:, 0]), 1e-300), np.abs(p[:, 1]), np.ones(len(p))])
         rel = np.abs(np.column_stack([step[:, 0], step[:, 1], step[:, 2] - t0 * step[:, 1]])) / scale
         done = (np.max(rel, axis=1) < 1e-13) | ~improved
-        finite = np.all(np.isfinite(step), axis=1)
         converged[active[done & finite]] = True
         active = active[~done & finite]
     return converged
 
 
-#: Gauss-Newton iterations a sine fit may take before it counts as not converged
+#: Newton iterations a sine fit may take before it counts as not converged
 MAX_ITER = 100
 
 
@@ -496,8 +542,9 @@ def fit_sines(t, U, f_init: float, max_iter: int = MAX_ITER) -> SineFits:
     Each row goes through three stages: (i) linear fit of the
     in-phase/quadrature pair at ``f_init``, (ii) golden-section refinement
     of the frequency over +-10 %, re-solving the linear problem, run in
-    lock-step over all rows, (iii) Gauss-Newton polish of all three
-    parameters on the rows still active.  The fit runs on the local axis
+    lock-step over all rows, (iii) Newton polish of all three parameters
+    on the rows still active, falling back to a Gauss-Newton step where
+    the Hessian is not positive definite.  The fit runs on the local axis
     tau = t - t[0]; phases are reported on the absolute axis.  The residual
     RMS is that of the returned parameters and never exceeds the stage-(i)
     residual.  Rows are independent in every stage, so stage (iii) runs
@@ -545,7 +592,7 @@ def fit_sines(t, U, f_init: float, max_iter: int = MAX_ITER) -> SineFits:
             best_w = np.where(better, x, best_w)
             best = np.where(better, fx, best)
 
-        # stage (iii): Gauss-Newton from the best linear fit, whose residual
+        # stage (iii): Newton from the best linear fit, whose residual
         # is evaluated explicitly so that every accepted step truly improves
         params = np.column_stack([best[0], best_w, best[1]])
         sse_live = np.empty(live.size)
@@ -573,10 +620,11 @@ def fit_sines(t, U, f_init: float, max_iter: int = MAX_ITER) -> SineFits:
 def fit_sine(ts: TimeSeries, f_init: float, max_iter: int = MAX_ITER) -> SineFit:
     """Fit amplitude/frequency/phase of a single sinusoid.
 
-    The one-row case of :func:`fit_sines`.  When the Gauss-Newton polish
-    does not converge, raises :class:`FitError` carrying the best fit.
+    The one-row case of :func:`fit_sines`.  When the Newton polish does not
+    converge within ``max_iter`` iterations, raises :class:`FitError`
+    carrying the best fit.
     """
     fits = fit_sines(ts.times(), ts.values[None, :], f_init, max_iter)
     if not fits.converged[0]:
-        raise FitError(f"no convergence after {max_iter} Gauss-Newton iterations", best=fits[0])
+        raise FitError(f"no convergence after {max_iter} Newton iterations", best=fits[0])
     return fits[0]

@@ -94,7 +94,7 @@ def estimate_force_amplitude(
     for row, label in enumerate(present):
         if not fits.converged[row]:
             raise ForceEstimationError(
-                f"sine fit failed on channel {label!r}: no convergence after {MAX_ITER} Gauss-Newton iterations"
+                f"sine fit failed on channel {label!r}: no convergence after {MAX_ITER} Newton iterations"
             )
         geo = geometry[label]
         fvec = fits[row].phasor * geo.direction

@@ -1,6 +1,7 @@
 """Properties of the bundled default model, layout and programs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,10 @@ from vibroident.cli import _load_text
 from vibroident.modal import rigid_map
 from vibroident.pipeline import AnalysisPolicy, analysis_windows, identify
 from vibroident.simulator import (
+    BlockSpec,
     assemble_system,
+    build_block_model,
+    dump_model,
     load_model,
     load_program,
     modal_properties,
@@ -182,3 +186,30 @@ def test_tuner_emulation_meets_its_targets(tuner, default_model, default_layout)
             lo, hi = result.damping.xi_lo, result.damping.xi_hi
             assert lo <= 0.37 + 1e-9 and hi >= 0.31 - 1e-9   # overlaps [0.31, 0.37]
             assert hi <= 0.37 + 1e-9                          # biased low
+
+
+def json_leaves(doc, path=()):
+    """(path, value) of every scalar of a JSON document, in document order."""
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from json_leaves(doc[key], path + (key,))
+    elif isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from json_leaves(item, path + (i,))
+    else:
+        yield path, doc
+
+
+def test_tuner_best_candidate_is_the_bundled_model(tuner, capsys):
+    # the scan's best configuration, built and dumped, is the bundled model
+    # up to the rounding of the calibration's eigensolves
+    best = tuner.scan(write=False)
+    capsys.readouterr()
+    tuned = list(json_leaves(json.loads(dump_model(build_block_model(BlockSpec(**best["kw"]))))))
+    bundled = list(json_leaves(json.loads(_load_text("default", "model"))))
+    assert [path for path, _ in tuned] == [path for path, _ in bundled]
+    for (path, got), (_, want) in zip(tuned, bundled):
+        if isinstance(want, str):
+            assert got == want, path
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), path

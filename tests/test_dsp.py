@@ -337,17 +337,62 @@ class TestFitSines:
 
     def test_rows_beyond_one_polish_block_equal_one_row_calls(self):
         t = 312.4 + np.arange(1201) / 200.0
-        # noise only: with seed 79 this row runs out of polish iterations
+        # noise only: with seed 79 this row needs 5 polish iterations, so
+        # with 4 it runs out of them
         stuck = 0.01 * np.random.default_rng(79).standard_normal((19, t.size))[18]
         rows = [batch_rows(t, seed) for seed in range(dsp._BLOCK_CELLS // t.size // 7 + 1)]
         U = np.vstack([*rows, stuck])
         assert len(U) > dsp._BLOCK_CELLS // t.size
-        fits = fit_sines(t, U, 8.0)
+        fits = fit_sines(t, U, 8.0, max_iter=4)
         assert not fits.converged[-1]
         for row in range(len(U)):
-            one = fit_sines(t, U[row : row + 1], 8.0)
+            one = fit_sines(t, U[row : row + 1], 8.0, max_iter=4)
             for name in ("amplitude", "omega", "phase", "residual_rms", "converged"):
                 assert getattr(fits, name)[row : row + 1].tobytes() == getattr(one, name).tobytes()
+
+    def test_rows_at_their_minimum_leave_after_one_sse_call(self, monkeypatch):
+        # from the least-squares minimum a step is at roundoff: it is tried
+        # once and never halved, so every row leaves on one SSE evaluation.
+        # Not the noise-free row, whose SSE is all roundoff, nor the zero row
+        t = np.arange(1201) / 200.0
+        U = batch_rows(t)[[1, 2, 3, 5, 6]]
+        fits = fit_sines(t, U, 8.0)
+        assert fits.converged.all()
+        params = np.column_stack([fits.amplitude, fits.omega, fits.phase])
+        dt = (t[-1] - t[0]) / (t.size - 1)
+        sse = dsp._sse(U, params, dt)
+        calls = []
+        sse_of = dsp._sse
+        monkeypatch.setattr(dsp, "_sse", lambda *args: calls.append(len(args[0])) or sse_of(*args))
+        assert dsp._polish(U, params, sse, dt, 0.0, dsp.MAX_ITER).all()
+        assert calls == [len(U)]
+
+    def test_low_snr_row_converges_in_few_iterations(self):
+        # a sine under band-limited noise of its own RMS: with seed 15 this
+        # row needs 4 Newton iterations (Gauss-Newton steps took 40)
+        t = 312.4 + np.arange(1201) / 200.0
+        white = TimeSeries(0.0, 200.0, np.random.default_rng(15).standard_normal(1601))
+        noise = filtfilt(design_bandpass(4, 6.0, 10.0, 200.0), white).values[200:-200]
+        u = np.sin(2 * np.pi * 8.0 * t + 1.0) + noise / np.sqrt(np.mean(noise**2))
+        assert fit_sines(t, u, 8.0, max_iter=8).converged[0]
+
+    def test_degenerate_rows_leave_the_other_rows_unchanged(self):
+        t = 312.4 + np.arange(1201) / 200.0
+        w = 2 * np.pi * 8.0
+        normal = batch_rows(t)
+        degenerate = np.array([
+            np.full(t.size, 5.0),                    # constant
+            1e300 * np.sin(w * t),                   # sums overflow: non-finite Hessian
+            1e-300 * np.sin(w * t + 1.0),            # products underflow
+            np.r_[1.0, np.zeros(t.size - 1)],        # one spike
+            np.sin(w * t) * (np.arange(t.size) % 2), # every other sample
+            np.full(t.size, np.nan),
+        ])
+        mixed = fit_sines(t, np.vstack([degenerate[:3], normal, degenerate[3:]]), 8.0)
+        alone = fit_sines(t, normal, 8.0)
+        rows = slice(3, 3 + len(normal))
+        for name in ("amplitude", "omega", "phase", "residual_rms", "converged"):
+            assert getattr(mixed, name)[rows].tobytes() == getattr(alone, name).tobytes()
 
     def test_flags_follow_the_iteration_budget(self):
         t = np.arange(1201) / 200.0

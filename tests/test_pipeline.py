@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vibroident import dsp
 from vibroident.errors import ForceEstimationError, VibroidentError, WindowError
 from vibroident.cli import _contribution_csv, _deformation_figures, _rbm_csv
 from vibroident.modal import frc_to_csv, linearity_rms, rigid_rows
@@ -77,14 +78,26 @@ def stepped_run(small_setup):
 
 @pytest.fixture(scope="module")
 def split_run(small_setup):
-    """Six dwells with sensor noise: the fit of BB_y at 12 Hz, the last
-    window, runs out of polish iterations.  Split over two or three
-    processes, that window belongs to a forked worker."""
+    """Six dwells with sensor noise.  Split over two or three processes,
+    the last window (12 Hz) belongs to a forked worker."""
     _, sys, layout = small_setup
     prog = v_shape_program((1.5, 3.0, 5.0, 8.0, 10.0, 12.0), dur=8.0, rest=1.0)
     hist = integrate(sys, prog, dt=1.0 / 480)
     resp = sensor_kinematics(hist, layout, NoiseSpec(rms=0.01, seed=133), output_rate=240.0)
     return resp, force_timeseries(prog, fs=512.0), prog, layout, AnalysisPolicy(skip_cycles=6.0)
+
+
+@pytest.fixture
+def starved_last_window(monkeypatch):
+    """Response fits of the 12 Hz window get 3 polish iterations: the fit of
+    BB_y there needs 5, so it is the one fit of ``split_run`` that does not
+    converge.  Forked workers inherit the patch."""
+    fit_sines = dsp.fit_sines
+
+    def starved(t, U, f, max_iter=dsp.MAX_ITER):
+        return fit_sines(t, U, f, 3 if f == 12.0 else max_iter)
+
+    monkeypatch.setattr(dsp, "fit_sines", starved)
 
 
 def analysis_outcome(resp, force, prog, layout, policy):
@@ -105,7 +118,7 @@ class TestWindowFitWorkers:
     one-process result or error."""
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_split_matches_one_process(self, split_run, record_io_processes, n):
+    def test_split_matches_one_process(self, split_run, record_io_processes, starved_last_window, n):
         record_io_processes(1)
         serial = analysis_outcome(*split_run)
         assert serial[3] == ((12.0, "BB_y"),) and len(serial[2]) == 6
@@ -116,7 +129,7 @@ class TestWindowFitWorkers:
     @pytest.mark.parametrize("fault", ["exit_1_after_all_bytes", "exit_1_after_half", "sigkill"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_failed_worker_gives_the_one_process_result(
-        self, split_run, record_io_processes, failing_workers, fault, n
+        self, split_run, record_io_processes, failing_workers, starved_last_window, fault, n
     ):
         record_io_processes(1)
         serial = analysis_outcome(*split_run)
