@@ -179,9 +179,10 @@ class SensorLayout:
 
 #: records with fewer cells than this are written and parsed, and windows
 #: with fewer response cells fitted, in one process.  A fork, pipe and reap
-#: cost about 2.5 ms per worker (2-vCPU Xeon, Linux); at 0.5 us per parsed
-#: cell (1.4 us per written one) this many cells keep three workers' forks
-#: near 5 % of the work they split.
+#: cost about 2.2 ms per worker (2-vCPU Xeon, Linux, 185 MB parent); at
+#: 0.31 us per written cell and 0.15 us per parsed one, three workers'
+#: forks cost 7 % of the writing and 14 % of the parsing that they split,
+#: far less than the half that a second CPU saves.
 _FORK_MIN_CELLS = 300_000
 #: most processes, the parent included, that write or parse one record or
 #: fit the windows of one analysis
@@ -472,22 +473,34 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
 
 #: samples per block the CSV writer turns into Python floats at once
 _WRITE_BLOCK = 256
+#: significant digits of each written data cell.  14 is the most that
+#: keeps both fast paths: CPython's float formatter (Gay's dtoa) rounds at
+#: most 14 digits in floating point, and its parser (Clinger) converts at
+#: most 15 exactly.  ``repr``'s 17 digits cost 2.3x the writing and 1.8x
+#: the parsing; 14 digits are far finer than the 1e-3 m/s^2 sensor noise,
+#: and real loggers write 7.
+_CELL_DIGITS = 14
+
 
 def serialize_timeseries_csv(tss: TimeSeriesSet) -> str:
-    """Inverse of :func:`parse_timeseries_csv`; round-trips values bit-exactly
-    (``repr`` of each cell, from row blocks of the transposed matrix).
+    """Inverse of :func:`parse_timeseries_csv`: the time column as ``repr``,
+    so the start time and the inferred rate round-trip exactly, and every
+    data cell as ``'%.14g' % v`` (``_CELL_DIGITS``), one format string per
+    row applied to row blocks of the transposed matrix.  Parsing the text
+    and writing it again gives the same bytes.
 
     A large record is formatted over up to ``min(CPUs, 4)`` processes:
     forked workers format whole ranges of row blocks and send them as
     ASCII; the text is the same, byte for byte, as from one process.
     """
     t, values = tss.times(), tss.values
+    row_format = "%r" + f",%.{_CELL_DIGITS}g" * len(tss)
 
     def rows(lo: int, hi: int) -> str:
         lines = []
         for i in range(lo, hi, _WRITE_BLOCK):
             block = np.vstack([t[i : i + _WRITE_BLOCK], values[:, i : i + _WRITE_BLOCK]])
-            lines.extend(",".join(map(repr, row)) for row in block.T.tolist())
+            lines.extend(map(row_format.__mod__, map(tuple, block.T.tolist())))
         return "\n".join(lines)
 
     def send(lo: int, hi: int, out) -> None:
