@@ -244,13 +244,16 @@ def policy_from_config(cfg: dict) -> AnalysisPolicy:
     )
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write through a temp file unique to this call in the target's
-    directory, then rename it over the target."""
+def _atomic_write(path: Path, data: str | bytes) -> None:
+    """Write ``data``, text as UTF-8 whatever the locale, through a temp
+    file unique to this call in the target's directory, then rename it
+    over the target."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         # mkstemp creates 0600; give the file the mode a plain open() would
         umask = os.umask(0)
         os.umask(umask)

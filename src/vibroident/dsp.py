@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DesignError, FilterError, FitError
 from .recurrence import block_operators
-from .timeseries import TimeSeries, TimeSeriesSet
+from .timeseries import TimeSeries, TimeSeriesSet, _veltkamp
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -326,13 +326,6 @@ class SineFits:
             phase=float(self.phase[row]),
             residual_rms=float(self.residual_rms[row]),
         )
-
-
-def _veltkamp(x):
-    """Split into a 26-bit head and the exact remainder."""
-    c = 134217729.0 * x
-    hi = c - (c - x)
-    return hi, x - hi
 
 
 def _phase_at(omega, t0: float) -> np.ndarray:

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import array
 import contextlib
+import functools
 import itertools
 import json
 import math
 import os
 import signal
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -179,9 +181,9 @@ class SensorLayout:
 
 #: records with fewer cells than this are written and parsed, and windows
 #: with fewer response cells fitted, in one process.  A fork, pipe and reap
-#: cost about 2.2 ms per worker (2-vCPU Xeon, Linux, 185 MB parent); at
-#: 0.31 us per written cell and 0.15 us per parsed one, three workers'
-#: forks cost 7 % of the writing and 14 % of the parsing that they split,
+#: cost about 1.4 ms per worker (2-vCPU Xeon, Linux, 185 MB parent); at
+#: 0.14 us per written cell and 0.16 us per parsed one, three workers'
+#: forks cost 10 % of the writing and 9 % of the parsing that they split,
 #: far less than the half that a second CPU saves.
 _FORK_MIN_CELLS = 300_000
 #: most processes, the parent included, that write or parse one record or
@@ -268,11 +270,12 @@ def _chunks(path, start: int, stop: int):
             yield rest
 
 
-def _content_lines(path):
+def _content_lines(path, units: dict[str, str] | None = None):
     """(line number, end, stripped line) of every line of the file that is
     neither blank nor a ``#`` comment; ``end`` is the byte offset just past
     the line.  Each line is decoded as UTF-8; ParseError with its line
-    number if it is not."""
+    number if it is not.  ``# units:`` lines passed on the way are added
+    to ``units``, if given."""
     lineno = end = 0
     for chunk in _chunks(path, 0, os.path.getsize(path)):
         lines = chunk.split(b"\n")
@@ -285,30 +288,38 @@ def _content_lines(path):
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
                 raise ParseError(f"row {lineno}: not UTF-8 text ({exc.reason})", row=lineno) from None
-            if line and not line.startswith("#"):
+            if line.startswith("#"):
+                if units is not None:
+                    _add_units(units, line)
+            elif line:
                 yield lineno, end, line
 
 
-def _file_units(path) -> dict[str, str]:
-    """Units of every ``# units: a=kN,b=m`` comment line of the file, later
-    lines winning; found with ``bytes.find`` on each piece of the file, so
-    a long record costs one C-level scan."""
-    units: dict[str, str] = {}
-    for chunk in _chunks(path, 0, os.path.getsize(path)):
-        at = chunk.find(b"units:")
-        while at >= 0:
-            start = chunk.rfind(b"\n", 0, at) + 1
-            end = chunk.find(b"\n", at)
-            end = len(chunk) if end < 0 else end
-            line = chunk[start:end].decode("utf-8").strip()
-            body = line[1:].strip()
-            if line.startswith("#") and body.startswith("units:"):
-                for pair in body[len("units:"):].split(","):
-                    if "=" in pair:
-                        k, v = pair.split("=", 1)
-                        units[k.strip()] = v.strip()
-            at = chunk.find(b"units:", end)
-    return units
+def _add_units(units: dict[str, str], line: str) -> None:
+    """Add the pairs of ``line`` to ``units`` if it is a ``# units:
+    a=kN,b=m`` comment (stripped)."""
+    body = line[1:].strip()
+    if line.startswith("#") and body.startswith("units:"):
+        for pair in body[len("units:"):].split(","):
+            if "=" in pair:
+                k, v = pair.split("=", 1)
+                units[k.strip()] = v.strip()
+
+
+def _unit_lines(chunk: bytes) -> list[str]:
+    """The stripped lines of a piece of whole lines that hold a ``#`` and
+    ``units:``.  They are found by ``bytes.find`` of ``#``, a ``memchr``,
+    so a piece without comments costs one fast scan."""
+    lines = []
+    at = chunk.find(b"#")
+    while at >= 0:
+        start = chunk.rfind(b"\n", 0, at) + 1
+        end = chunk.find(b"\n", at)
+        end = len(chunk) if end < 0 else end
+        if b"units:" in chunk[start:end]:
+            lines.append(chunk[start:end].decode("utf-8").strip())
+        at = chunk.find(b"#", end)
+    return lines
 
 
 def _data_row_lineno(path, k: int) -> int:
@@ -333,43 +344,54 @@ def _parse_cells(rows, ncol: int) -> np.ndarray:
     return np.array(data, dtype=float).reshape(-1, ncol)
 
 
-def _load_rows(path, start: int, stop: int, ncol: int) -> np.ndarray:
+def _load_rows(path, start: int, stop: int, ncol: int) -> tuple[np.ndarray, list[str]]:
     """``np.loadtxt`` of the data lines of the file's bytes ``[start, stop)``,
     each piece decoded, split and stripped in C, one line at a time to the
-    parser, which skips ``#`` comments itself; ValueError unless the bytes
-    are UTF-8 and every row has ``ncol`` cells."""
+    parser, which skips ``#`` comments itself; with the ``_unit_lines`` of
+    the pieces, in file order.  ValueError unless the bytes are UTF-8 and
+    every row has ``ncol`` cells."""
+    found: list[str] = []
+
+    def pieces(chunks):
+        for chunk in chunks:
+            found.extend(_unit_lines(chunk))
+            yield chunk.decode("utf-8")
+
     with contextlib.closing(_chunks(path, start, stop)) as chunks:
         lines = itertools.chain.from_iterable(
-            filter(None, map(str.strip, chunk.decode("utf-8").split("\n"))) for chunk in chunks
+            filter(None, map(str.strip, piece.split("\n"))) for piece in pieces(chunks)
         )
         first = next((line for line in lines if not line.startswith("#")), None)
         if first is None:
-            return np.empty((0, ncol))
+            return np.empty((0, ncol)), found
         data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
     if data.shape[1] != ncol:
         raise ValueError("column count mismatch")
-    return data
+    return data, found
 
 
-def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> np.ndarray:
+def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> tuple[np.ndarray, list[str]]:
     """The data rows of the file as one C-ordered ``(ncol, rows)`` matrix:
-    row 0 the times, row c the channel of column c.
+    row 0 the times, row c the channel of column c; and the lines that
+    hold ``units:``, in file order.
 
     The first ``(start, stop)`` byte range is parsed here and transposed
     into place; every other range is parsed by a forked worker, which opens
-    the file, reads its own range, sends its row count and then its rows
-    column by column, each read straight into its segment of the matrix.
-    ValueError as from ``_load_rows``; OSError if a worker fails.
+    the file, reads its own range, sends its row count, then its rows
+    column by column, each read straight into its segment of the matrix,
+    then its ``units:`` lines.  ValueError as from ``_load_rows``; OSError
+    if a worker fails.
     """
 
     def send(start, stop, out):
-        rows = _load_rows(path, start, stop, ncol)
+        rows, found = _load_rows(path, start, stop, ncol)
         out.write(len(rows).to_bytes(8, "little"))
         for column in rows.T:
             out.write(np.ascontiguousarray(column).data)
+        out.write("\n".join(found).encode("utf-8"))
 
     with _forked(ranges[1:], send) as pipes:
-        own = _load_rows(path, *ranges[0], ncol)
+        own, found = _load_rows(path, *ranges[0], ncol)
         heads = [pipe.read(8) for pipe in pipes]
         if any(len(head) != 8 for head in heads):
             raise ChildProcessError("short row count from a record parse worker")
@@ -383,7 +405,8 @@ def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> np.ndarray:
                 if pipe.readinto(segment) != segment.nbytes:
                     raise ChildProcessError("short read from a record parse worker")
             row += count
-    return cols
+            found.extend(filter(None, pipe.read().decode("utf-8").split("\n")))
+    return cols, found
 
 
 def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSeriesSet:
@@ -396,11 +419,13 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
     start, and the data bytes are cut at newlines into up to
     ``min(CPUs, 4)`` byte ranges.  Each range is read, in bounded pieces, by
     its own process (forked workers and the parent), whose data lines go to
-    ``np.loadtxt`` one at a time.  Any failure re-parses the whole file in
-    this process; row numbers are found by a re-scan of the file on the
-    error paths only.
+    ``np.loadtxt`` one at a time, and which finds the ``units:`` lines of
+    its own pieces.  Any failure re-parses the whole file in this process;
+    the file is read a second time, to find row numbers or on that
+    re-parse, on the error paths only.
     """
-    with contextlib.closing(_content_lines(path)) as content:
+    file_units: dict[str, str] = {}
+    with contextlib.closing(_content_lines(path, file_units)) as content:
         first = next(content, None)
         header = None if first is None else [c.strip() for c in first[2].split(",")]
         if header is None or len(header) < 2:
@@ -428,15 +453,20 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
     if parts > 1:
         # only the fast path is split: any failure re-runs the whole file here
         with contextlib.suppress(ValueError, OSError):
-            cols = _load_columns(path, list(zip(cuts, cuts[1:])), ncol)
+            cols, found = _load_columns(path, list(zip(cuts, cuts[1:])), ncol)
     if cols is None:
         try:
-            cols = _load_columns(path, [(start, size)], ncol)
+            cols, found = _load_columns(path, [(start, size)], ncol)
         except ValueError:
             # re-scan: report the exact row, or accept what float() accepts
-            with contextlib.closing(_content_lines(path)) as content:
+            file_units, found = {}, []
+            with contextlib.closing(_content_lines(path, file_units)) as content:
                 rows = _parse_cells(itertools.islice(content, 1, None), ncol)
             cols = np.ascontiguousarray(rows.T)
+    # the ranges start after the header; a units line between the header
+    # and the first data row, seen twice, gives the same units
+    for line in found:
+        _add_units(file_units, line)
     if not np.isfinite(cols).all():
         lineno = _data_row_lineno(path, int(np.argmin(np.isfinite(cols).all(axis=0))))
         raise ParseError(f"row {lineno}: non-finite cell", row=lineno)
@@ -462,7 +492,7 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
     if abs(rate - round(rate)) < SPACING_RTOL * rate:
         rate = float(round(rate))
 
-    units = {**_file_units(path), **(units or {})}
+    units = {**file_units, **(units or {})}
     try:
         return TimeSeriesSet(
             float(t[0]), rate, cols[1:], header[1:], [units.get(h, "1") for h in header[1:]]
@@ -471,53 +501,245 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
         raise ParseError(str(exc)) from None
 
 
-#: samples per block the CSV writer turns into Python floats at once
-_WRITE_BLOCK = 256
-#: significant digits of each written data cell.  14 is the most that
-#: keeps both fast paths: CPython's float formatter (Gay's dtoa) rounds at
-#: most 14 digits in floating point, and its parser (Clinger) converts at
-#: most 15 exactly.  ``repr``'s 17 digits cost 2.3x the writing and 1.8x
-#: the parsing; 14 digits are far finer than the 1e-3 m/s^2 sensor noise,
-#: and real loggers write 7.
+#: cells, the time column's included, that the record writer formats at once
+_WRITE_CELLS = 1 << 14
+#: significant digits of each written data cell.  14 digits are far finer
+#: than the 1e-3 m/s^2 sensor noise (real loggers write 7), and they keep
+#: CPython's float parser on its exact fast path (Clinger: at most 15
+#: digits), which ``repr``'s 17 leave at 1.8x the cost per parsed cell.
+#: The writer's kernel, ``_format_cells``, lays out exactly this many.
 _CELL_DIGITS = 14
+#: magnitudes whose cells the kernel decides itself: for them every term of
+#: the double-double product |v| * 10**(13 - X) is a normal double.  Zeros
+#: are written natively too; nan, inf, subnormals and the extremes by
+#: ``'%.14g'``
+_KERNEL_RANGE = (1e-280, 1e280)
+#: the decimal exponents X of kernel cells lie in [-281, 281]; the tables
+#: are indexed by X + _X_OFFSET
+_X_OFFSET = 281
+_U8 = np.dtype("<u8")
 
 
-def serialize_timeseries_csv(tss: TimeSeriesSet) -> str:
-    """Inverse of :func:`parse_timeseries_csv`: the time column as ``repr``,
-    so the start time and the inferred rate round-trip exactly, and every
-    data cell as ``'%.14g' % v`` (``_CELL_DIGITS``), one format string per
-    row applied to row blocks of the transposed matrix.  Parsing the text
-    and writing it again gives the same bytes.
+def _veltkamp(x):
+    """Split into a 26-bit head and the exact remainder."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
 
-    A large record is formatted over up to ``min(CPUs, 4)`` processes:
-    forked workers format whole ranges of row blocks and send them as
-    ASCII; the text is the same, byte for byte, as from one process.
+
+@functools.cache
+def _cell_tables() -> SimpleNamespace:
+    """The tables of ``_format_cells``, built on the first record write.
+
+    By X + _X_OFFSET, for p = 13 - X: ``hi + lo`` is 10**p to about
+    2**-106, ``hi`` correctly rounded and ``lo`` the correctly rounded rest
+    (exact integer arithmetic), and ``hi`` is split into ``head`` and
+    ``tail`` by ``_veltkamp``.  ``four[n]`` is the ASCII of ``f"{n:04d}"`` as a
+    little-endian word and ``zeros[n]`` its count of trailing '0'.  Also by
+    X + _X_OFFSET: ``keep``, the fewest leading digits written; ``dot``, the
+    digit a '.' goes before; ``dotted``, whether one may; ``zlen``, the
+    length of the "0.00" prefix of fixed notation below 1.  By byte count
+    or position in a 14-digit mantissa: ``mask_lo``/``mask_hi`` keep its
+    first n bytes, ``dot_lo``/``dot_hi`` are a '.' at byte q.  ``prefix``
+    is "-" and "0.000"[:zlen], by 6 * sign + zlen.
+    """
+    hi, lo = [], []
+    for p in range(13 + _X_OFFSET, 12 - _X_OFFSET, -1):
+        if p >= 0:
+            hi.append(float(10**p))
+            lo.append(float(10**p - int(hi[-1])))
+        else:
+            q = 10**-p
+            hi.append(1 / q)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * q) / (den * q))
+    hi = np.array(hi)
+    head, tail = _veltkamp(hi)
+    four = [f"{n:04d}" for n in range(10_000)]
+    xs = np.arange(-_X_OFFSET, _X_OFFSET + 1)
+    fixed = (xs >= -4) & (xs < _CELL_DIGITS)
+    small = fixed & (xs < 0)
+    keep = np.where(small, 0, np.where(fixed, xs + 1, 1))
+    return SimpleNamespace(
+        hi=hi, head=head, tail=tail, lo=np.array(lo),
+        four=np.frombuffer("".join(four).encode("ascii"), "<u4").astype(_U8),
+        zeros=np.array([4 - len(s.rstrip("0")) for s in four]),
+        keep=keep, dot=np.where(small, _CELL_DIGITS, keep), dotted=~small,
+        zlen=np.where(small, 1 - xs, 0),
+        mask_lo=np.array([(1 << 8 * min(n, 8)) - 1 for n in range(16)], _U8),
+        mask_hi=np.array([(1 << 8 * max(n - 8, 0)) - 1 for n in range(16)], _U8),
+        dot_lo=np.array([ord(".") << 8 * q if q < 8 else 0 for q in range(16)], _U8),
+        dot_hi=np.array([ord(".") << 8 * (q - 8) if q >= 8 else 0 for q in range(16)], _U8),
+        prefix=np.array(
+            [int.from_bytes(("-" * neg + "0.000"[:z]).encode(), "little") for neg in (0, 1) for z in range(6)],
+            _U8,
+        ),
+    )
+
+
+def _correction(a: np.ndarray, xi: np.ndarray, p: np.ndarray, tab: SimpleNamespace) -> np.ndarray:
+    """What to add to ``p = a * tab.hi[xi]`` for the exact product
+    a * 10**(13 - X), X = xi - _X_OFFSET, to about 2**-104 of it: the
+    rounding error of ``p`` (Dekker's product) plus a * ``lo``."""
+    head, tail = tab.head[xi], tab.tail[xi]
+    ah, al = _veltkamp(a)
+    return (((ah * head - p) + ah * tail + al * head) + al * tail) + a * tab.lo[xi]
+
+
+def _format_cells(v: np.ndarray, sep: np.ndarray, out: np.ndarray) -> None:
+    """Write ``'%.14g' % v`` and the column's separator byte ``sep[c]`` into
+    the 24 bytes of ``out[r, c]``, three ``'<u8'`` words, zero-padded.
+
+    ``v`` is a C-ordered ``(rows, C)`` block.  Each cell's decimal exponent
+    X comes from ``log10``, corrected wherever the scaled mantissa falls
+    outside [1e13, 1e14); the 14-digit mantissa is the double-double
+    product rounded to the nearest integer, its digits come from a 4-digit
+    table, and the text is laid out in the words: sign, "0.00" prefix,
+    digits with the dot, trailing zeros trimmed, ``e±XX[X]`` and the
+    separator.  Cells the kernel cannot decide exactly (outside
+    ``_KERNEL_RANGE`` and not zero, or within 1e-7 of a rounding tie) are
+    written by ``'%.14g'``.
+    """
+    tab = _cell_tables()
+    a = np.abs(v)
+    zero = a == 0
+    native = (a >= _KERNEL_RANGE[0]) & (a <= _KERNEL_RANGE[1])
+    a[~native] = 1.0
+    xi = (np.floor(np.log10(a)) + _X_OFFSET).astype(np.intp)
+    p = a * tab.hi[xi]
+    off = np.flatnonzero((p < 1e13) | (p >= 1e14))
+    if off.size:
+        xi.flat[off] += np.where(p.flat[off] < 1e13, -1, 1)
+        p.flat[off] = a.flat[off] * tab.hi[xi.flat[off]]
+    bad = ~(native | zero) | (p < 1e13) | (p > 1e14)
+    m = np.rint(p)
+    # p is within 0.02 of the exact product, which therefore rounds to
+    # another integer than p only where p is within 0.05 of a tie
+    near = np.flatnonzero(np.abs(p - m) > 0.45)
+    if near.size:
+        pn, mn = p.flat[near], m.flat[near]
+        frac = (pn - mn) + _correction(a.flat[near], xi.flat[near], pn, tab)
+        m.flat[near] = mn + (frac > 0.5) - (frac < -0.5)
+        bad.flat[near[np.abs(np.abs(frac) - 0.5) < 1e-7]] = True
+    fallback = np.flatnonzero(bad)
+    # a mantissa rounded up to 10**14 is 10**13 of the next decade
+    carry = m == 1e14
+    xi += carry
+    m = (m - 9e13 * carry).astype(np.int64)
+
+    # the 14 digits as ASCII, first digit in the lowest byte of `lo`
+    d0 = m // 10**12
+    m -= d0 * 10**12
+    d1 = m // 10**8
+    m -= d1 * 10**8
+    d2 = m // 10**4
+    d3 = m - d2 * 10**4
+    four = tab.four
+    f2 = four[d2]
+    lo = (four[d0] >> 16) | (four[d1] << 16) | (f2 << 48)
+    lo -= zero   # zero went through as 1.0: its "1" becomes "0"
+    hi = (f2 >> 16) | (four[d3] << 16)
+    k = _CELL_DIGITS - tab.zeros[d3]
+    more = np.flatnonzero(d3 == 0)
+    if more.size:
+        d0, d1, d2 = d0.flat[more], d1.flat[more], d2.flat[more]
+        k.flat[more] -= tab.zeros[d2] + (d2 == 0) * (tab.zeros[d1] + (d1 == 0) * (d0 % 10 == 0))
+
+    # keep max(k, keep) digits, then insert the dot before digit q
+    keep = np.maximum(k, tab.keep[xi])
+    dot = (k > tab.keep[xi]) & tab.dotted[xi]
+    q = tab.dot[xi]
+    lo &= tab.mask_lo[keep]
+    hi &= tab.mask_hi[keep]
+    q_lo, q_hi = tab.mask_lo[q], tab.mask_hi[q]
+    up = lo & ~q_lo
+    s_lo = (lo & q_lo) | (up << 8) | dot * tab.dot_lo[q]
+    s_hi = (hi & q_hi) | ((hi & ~q_hi) << 8) | (up >> 56) | dot * tab.dot_hi[q]
+
+    # append "e±XX[X]" in exponent notation, then the separator.  Shifts
+    # of a '<u8' by 64 or more bits, and the wrapped "negative" counts
+    # below, give 0 in numpy.
+    suffix = np.broadcast_to(sep, v.shape).copy()
+    expo = np.flatnonzero((xi < _X_OFFSET - 4) | (xi >= _X_OFFSET + _CELL_DIGITS))
+    if expo.size:
+        ex = xi.flat[expo] - _X_OFFSET
+        three = np.abs(ex) >= 100
+        e_digits = four[np.abs(ex)] >> (16 - 8 * three).astype(_U8)
+        sign = np.where(ex < 0, ord("-"), ord("+")).astype(_U8)
+        suffix.flat[expo] = (
+            ord("e") | (sign << 8) | (e_digits << 16) | (suffix.flat[expo] << (32 + 8 * three).astype(_U8))
+        )
+    b = (8 * (keep + dot)).astype(_U8)
+    w0 = s_lo | (suffix << b)
+    w1 = s_hi | (suffix << (b - 64)) | (suffix >> (64 - b))
+    w2 = suffix >> (128 - b)
+
+    # shift right past the sign and "0.00" prefix, and put them in front
+    neg = np.signbit(v)
+    z = tab.zlen[xi]
+    t = (8 * (z + neg)).astype(_U8)
+    out[..., 0] = (w0 << t) | tab.prefix[z + 6 * neg]
+    out[..., 1] = (w1 << t) | (w0 >> (64 - t))
+    out[..., 2] = (w2 << t) | (w1 >> (64 - t))
+
+    if fallback.size:
+        rows, cols = np.divmod(fallback, v.shape[1])
+        text = b"".join(
+            (f"%.{_CELL_DIGITS}g" % v.flat[i]).encode("ascii").ljust(23, b"\0") + bytes([sep[c]])
+            for i, c in zip(fallback.tolist(), cols.tolist())
+        )
+        out[rows, cols] = np.frombuffer(text, _U8).reshape(-1, 3)
+
+
+def serialize_timeseries_csv(tss: TimeSeriesSet) -> bytes:
+    """Inverse of :func:`parse_timeseries_csv`, as UTF-8 bytes: the time
+    column as ``repr``, so the start time and the inferred rate round-trip
+    exactly, and every data cell as ``'%.14g' % v`` (``_CELL_DIGITS``).
+    Parsing the text and writing it again gives the same bytes.
+
+    Blocks of about ``_WRITE_CELLS`` cells are laid out by
+    ``_format_cells``, each cell in 24 zero-padded bytes after a 32-byte
+    time cell, and the padding is dropped by one ``bytes.translate``.  A
+    large record is formatted over up to ``min(CPUs, 4)`` processes:
+    forked workers format equal ranges of rows and send them as ASCII; the
+    bytes are the same as from one process.
     """
     t, values = tss.times(), tss.values
-    row_format = "%r" + f",%.{_CELL_DIGITS}g" * len(tss)
+    channels = len(tss)
+    sep = np.full(channels, ord(","), _U8)
+    sep[-1] = ord("\n")
+    block = max(1, _WRITE_CELLS // (channels + 1))
 
-    def rows(lo: int, hi: int) -> str:
-        lines = []
-        for i in range(lo, hi, _WRITE_BLOCK):
-            block = np.vstack([t[i : i + _WRITE_BLOCK], values[:, i : i + _WRITE_BLOCK]])
-            lines.extend(map(row_format.__mod__, map(tuple, block.T.tolist())))
-        return "\n".join(lines)
+    def rows(lo: int, hi: int) -> bytes:
+        parts = []
+        for i in range(lo, hi, block):
+            n = min(i + block, hi) - i
+            words = np.zeros((n, 4 + 3 * channels), _U8)
+            # a list's repr is its floats' reprs joined by ", ", made in C;
+            # the longest repr of a double has 24 characters
+            times = np.array(repr(t[i : i + n].tolist())[1:-1].split(", "), "S24")
+            words[:, :3] = times.view(_U8).reshape(n, 3)
+            words[:, 3] = ord(",")
+            cells = np.ascontiguousarray(values[:, i : i + n].T)
+            _format_cells(cells, sep, words[:, 4:].reshape(n, channels, 3))
+            parts.append(words.tobytes().translate(None, b"\0"))
+        return b"".join(parts)
 
     def send(lo: int, hi: int, out) -> None:
-        out.write(rows(lo, hi).encode("ascii"))
+        out.write(rows(lo, hi))
 
     n = len(t)
-    blocks = -(-n // _WRITE_BLOCK)
-    step = _WRITE_BLOCK * -(-blocks // _worker_count(n + values.size))
+    step = -(-n // _worker_count(n + values.size))
     ranges = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
     try:
         with _forked(ranges[1:], send) as pipes:
-            parts = [rows(*ranges[0]), *(pipe.read().decode("ascii") for pipe in pipes)]
+            parts = [rows(*ranges[0]), *(pipe.read() for pipe in pipes)]
     except OSError:
         # a worker failed: the whole record in this process, never a partial text
         parts = [rows(0, n)]
     units = ",".join(f"{label}={unit}" for label, unit in zip(tss.labels, tss.units))
-    return "\n".join([f"# units: {units}", ",".join(["t", *tss.labels]), *parts, ""])
+    head = f"# units: {units}\n" + ",".join(["t", *tss.labels]) + "\n"
+    return b"".join([head.encode("utf-8"), *parts])
 
 
 def synchronize(response: TimeSeriesSet, force: TimeSeriesSet) -> None:

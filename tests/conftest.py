@@ -65,14 +65,14 @@ def failing_workers(monkeypatch):
 
 @pytest.fixture
 def record_file(tmp_path):
-    """``write(text)`` writes ``text`` as UTF-8 to a new file under
-    ``tmp_path`` and returns its path as a string, the form the CLI passes
-    to ``parse_timeseries_csv``."""
+    """``write(text)`` writes ``text`` (bytes, or a str as UTF-8) to a new
+    file under ``tmp_path`` and returns its path as a string, the form the
+    CLI passes to ``parse_timeseries_csv``."""
     names = itertools.count()
 
-    def write(text: str) -> str:
+    def write(text: str | bytes) -> str:
         path = tmp_path / f"record{next(names)}.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
         return str(path)
 
     return write

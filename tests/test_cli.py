@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import vibroident
 from vibroident import cli, dsp
 from vibroident.cli import _atomic_write, config_hash, load_run_config, main
+from vibroident.timeseries import parse_timeseries_csv
 
 MINI_PROGRAM = {
     "kind": "stepped",
@@ -542,6 +543,49 @@ def test_simulate_and_analyze_run_with_scipy_imports_refused(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "True [0, 0] []", out.stderr
     assert (tmp_path / "ana" / "damping.json").exists()
+
+
+def test_outputs_are_utf8_in_an_ascii_locale(tmp_path):
+    # with the C locale and neither UTF-8 mode nor locale coercion, a
+    # non-ASCII station id must still be written as UTF-8, not end in a
+    # UnicodeEncodeError traceback
+    layout = json.loads((Path(vibroident.__file__).parent / "data" / "default_layout.json").read_text())
+    old = layout["stations"][0]["id"]
+    new = "\u00d6" + old
+    layout["stations"][0]["id"] = new
+    layout["groups"] = {name: [new if sid == old else sid for sid in ids] for name, ids in layout["groups"].items()}
+    (tmp_path / "layout.json").write_text(json.dumps(layout), encoding="utf-8")
+    (tmp_path / "program.json").write_text(json.dumps(FUZZ_PROGRAM))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"program": str(tmp_path / "program.json"), "layout": str(tmp_path / "layout.json")}))
+    src = Path(vibroident.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    argv = [sys.executable, "-m", "vibroident.cli", "simulate", "-c", str(cfg), "-o", str(tmp_path / "sim")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    record = parse_timeseries_csv(str(tmp_path / "sim" / "response.csv"))
+    assert record.labels[0] == f"{new}_x"
+
+
+WRITER_TABLES = """\
+import sys
+
+from vibroident import timeseries
+from vibroident.cli import main
+
+built = [timeseries._cell_tables.cache_info().currsize]
+cfg, sim, ana = sys.argv[1:4]
+code = main(["analyze", "-c", cfg, "--response", sim + "/response.csv", "--force", sim + "/force.csv", "-o", ana])
+built.append(timeseries._cell_tables.cache_info().currsize)
+print(code, built, "fractions" in sys.modules)
+"""
+
+
+def test_import_and_analyze_build_no_writer_table(workdir, simulated, tmp_path):
+    src = Path(vibroident.__file__).resolve().parents[1]
+    argv = [sys.executable, "-c", WRITER_TABLES, str(workdir / "cfg.json"), str(simulated), str(tmp_path / "ana")]
+    out = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "0 [0, 0] False", out.stderr
 
 
 # --- exit-code contract under fuzzed input -------------------------------

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import tracemalloc
 
@@ -95,7 +96,7 @@ class TestParse:
         ]
         rows = [",".join([repr(float(t[i])), cells[0][i], cells[1][i]]) for i in range(values.shape[1])]
         expected = "\n".join(["# units: p=kN,q=m", "t,p,q", *rows]) + "\n"
-        assert serialize_timeseries_csv(tss) == expected
+        assert serialize_timeseries_csv(tss) == expected.encode("ascii")
 
     @pytest.mark.parametrize("start_time", [0.0, 0.1 + 0.2])
     def test_time_column_of_a_long_fast_record_roundtrips(self, record_file, start_time):
@@ -112,6 +113,79 @@ class TestParse:
 def at_14_digits(values: np.ndarray) -> np.ndarray:
     """Each value as written to a record cell and read back."""
     return np.array([[float("%.14g" % v) for v in row] for row in values.tolist()])
+
+
+def plain_csv(tss: TimeSeriesSet) -> bytes:
+    """The record text rendered row by row in plain Python: ``repr`` times
+    and ``'%.14g'`` cells, the reference for the writer's kernel."""
+    fmt = "%r" + ",%.14g" * len(tss)
+    rows = [fmt % (t, *row) for t, row in zip(tss.times().tolist(), tss.values.T.tolist())]
+    units = ",".join(f"{label}={unit}" for label, unit in zip(tss.labels, tss.units))
+    return "\n".join([f"# units: {units}", ",".join(["t", *tss.labels]), *rows, ""]).encode("utf-8")
+
+
+def cells_record(values) -> TimeSeriesSet:
+    """The values as the cells of a three-channel record, padded with 1.0."""
+    values = np.concatenate([np.asarray(values, dtype=float), np.ones(-len(values) % 3)])
+    return TimeSeriesSet(0.5, 8.0, values.reshape(-1, 3).T, ("a", "b", "c"), ("m",) * 3)
+
+
+#: cells at the kernel's edges: decade carries, the fixed/exponent switches
+#: at 1e-4 and 1e14, exact binary ties, the ends of its range, and the
+#: cells it leaves to '%.14g'
+EDGE_CELLS = [
+    9.99999999999995e-05, 99999999999999.5, 9.999999999999949e-05, 99999999999999.48, 0.999999999999995,
+    1e-4, np.nextafter(1e-4, 0), 9.99999999999994e-05, 1e14, np.nextafter(1e14, 0), 99999999999999.0,
+    1e13, 1e-5, 1.0, 10.0, 0.1, 1e15,
+    *(k / 2.0**j for j in (1, 2, 5, 14, 30, 47, 60) for k in (1, 3, 5, 12345, 2**46 + 1)),
+    123456789012345.0, 12345678901234.5, 2.0**53, 2.0**53 + 2, -1.5e17,
+    0.0, -0.0, 1e280, -1e280, np.nextafter(1e280, np.inf), 1e-280, -1e-280, np.nextafter(1e-280, 0),
+    5e-324, 2.2250738585072014e-308, 1.7976931134623157e308, 1e-300, 1e300,
+    math.nan, -math.nan, math.inf, -math.inf,
+]
+
+
+class TestCellKernel:
+    """Every written data cell is byte for byte ``'%.14g' % v``."""
+
+    def test_edge_cells(self):
+        values = [sign * v for v in EDGE_CELLS for sign in (1.0, -1.0)]
+        tss = cells_record(values)
+        assert serialize_timeseries_csv(tss) == plain_csv(tss)
+
+    def test_every_power_of_ten_and_its_neighbours(self):
+        powers = 10.0 ** np.arange(-323, 309)
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        tss = cells_record(values[np.isfinite(values)])
+        assert serialize_timeseries_csv(tss) == plain_csv(tss)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60))
+    def test_any_bit_pattern(self, bits):
+        tss = cells_record(np.array(bits, dtype=np.uint64).view(np.float64))
+        assert serialize_timeseries_csv(tss) == plain_csv(tss)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=60))
+    def test_any_float(self, values):
+        tss = cells_record(values)
+        assert serialize_timeseries_csv(tss) == plain_csv(tss)
+
+    def test_time_cell_of_24_characters(self):
+        start = -1.2345678901234567e-100
+        assert len(repr(start)) == 24
+        tss = TimeSeriesSet(start, 0.5, np.array([[1.0, -2.5e-7, 3e20]]), ("a",), ("m",))
+        assert serialize_timeseries_csv(tss) == plain_csv(tss)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_record_matches_plain_python(self, record_io_processes, n):
+        values = np.random.default_rng(11).standard_normal((5, 1500)) * np.logspace(-9, 3, 5)[:, None]
+        values[2, ::7] = 0.0
+        values[3, 100:200] = np.round(values[3, 100:200], 3)
+        forks = record_io_processes(n)
+        for tss in (worker_record(), TimeSeriesSet(1.75, 512.0, values, tuple("vwxyz"), ("kN",) * 5)):
+            assert serialize_timeseries_csv(tss) == plain_csv(tss)
+        assert len(forks) == 2 * (n - 1)
 
 
 class TestRecord:
@@ -243,7 +317,7 @@ class TestParseEdges:
         assert exc.value.row == WORKER_ROWS - 18
 
 
-#: 589 samples: not a multiple of the 256-sample write block, nor of 2 or 3
+#: 589 samples: not a multiple of 2 or 3, so a split's ranges differ in length
 WORKER_ROWS = 2 * 256 + 77
 
 
@@ -319,6 +393,37 @@ class TestRecordIOWorkers:
         assert parallel.values.tobytes() == serial.values.tobytes()
         assert (parallel.labels, parallel.units) == (serial.labels, serial.units)
         assert (parallel.sample_rate, parallel.start_time) == (serial.sample_rate, serial.start_time)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_units_line_in_the_last_range_overrides_the_header(self, record_file, record_io_processes, n):
+        lines = messy_csv().split("\r\n")
+        assert lines[0] == "# units: a=kN" and lines[-2] == "# units: b=mm"
+        lines[0], lines[-2] = "# units: a=kN,b=m", "# units: a=N"
+        forks = record_io_processes(n)
+        assert parse_timeseries_csv(record_file("\r\n".join(lines))).units == ("N", "m")
+        assert parse_timeseries_csv(record_file("\r\n".join(lines)), units={"a": "lbf"}).units == ("lbf", "m")
+        assert len(forks) == 2 * (n - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fast_path_reads_the_file_once(self, record_file, record_io_processes, monkeypatch, tmp_path, n):
+        # the header's piece and one piece at each cut between two ranges
+        # aside, every byte is read once, units lines included
+        path = record_file(messy_csv())
+        monkeypatch.setattr(timeseries, "_READ_BYTES", 4096)
+        log = tmp_path / "reads.log"
+        chunks = timeseries._chunks
+
+        def logged(path, start, stop):
+            for piece in chunks(path, start, stop):
+                with open(log, "a") as fh:
+                    fh.write(f"{len(piece)}\n")
+                yield piece
+
+        monkeypatch.setattr(timeseries, "_chunks", logged)
+        forks = record_io_processes(n)
+        assert parse_timeseries_csv(path).units == ("kN", "mm") and len(forks) == n - 1
+        read = sum(map(int, log.read_text().split()))
+        assert os.path.getsize(path) <= read <= os.path.getsize(path) + n * 4096
 
     @pytest.mark.parametrize("kind", ["bad_cell", "short_row", "nan", "inf", "spacing"])
     @pytest.mark.parametrize("n", [2, 3])
