@@ -6,7 +6,12 @@ state recurrence, and the three-stage sine least-squares fit.  numpy is
 the only dependency.
 
 The sine fit is batched: :func:`fit_sines` fits every channel of a window
-in one pass, and :func:`fit_sine` is its one-row case.  On the uniform
+in one pass, each at its own frequency, and :func:`fit_sine` is its
+one-row case.  :func:`fit_sines_at` fits every channel at one known
+frequency in one linear in-phase/quadrature solve: the analysis fits a
+stepped dwell's response channels with it at the frequency of the dwell's
+force fits, and a sweep window's with :func:`fit_sines`, whose channels
+follow the transfer function's phase slope.  On the uniform
 time axis, exp(i*w*t_k) is built from two-level powers (about 2*sqrt(n)
 exponentials per row, then one complex product per sample).  The linear
 stages project the samples onto those powers without forming the basis,
@@ -403,16 +408,18 @@ def _linear_fits(blocks, uu, omega, dt: float, n: int) -> np.ndarray:
     cc = 0.5 * (n + dirichlet.real)
     sc = 0.5 * dirichlet.imag
     det = ss * cc - sc * sc
-    with np.errstate(divide="ignore", invalid="ignore"):
+    flat = det <= 1e-12 * np.maximum(ss * cc, 1e-300)
+    # a row whose sums overflow (or are not finite) gets non-finite values
+    # in its own entries; no other row shares them, so none is warned of
+    with np.errstate(all="ignore"):
         a = (cc * su - sc * cu) / det
         b = (ss * cu - sc * su) / det
-    flat = det <= 1e-12 * np.maximum(ss * cc, 1e-300)
-    if np.any(flat):
-        # sin and cos nearly collinear (w*dt near 0 or pi): minimum-norm fit
-        gram = np.stack([np.stack([ss, sc], -1), np.stack([sc, cc], -1)], -2)[flat]
-        rhs = np.stack([su, cu], -1)[flat]
-        a[flat], b[flat] = np.einsum("cij,cj->ic", np.linalg.pinv(gram), rhs)
-    return np.array([np.hypot(a, b), np.arctan2(b, a), uu - a * su - b * cu])
+        if np.any(flat):
+            # sin and cos nearly collinear (w*dt near 0 or pi): minimum-norm fit
+            gram = np.stack([np.stack([ss, sc], -1), np.stack([sc, cc], -1)], -2)[flat]
+            rhs = np.stack([su, cu], -1)[flat]
+            a[flat], b[flat] = np.einsum("cij,cj->ic", np.linalg.pinv(gram), rhs)
+        return np.array([np.hypot(a, b), np.arctan2(b, a), uu - a * su - b * cu])
 
 
 def _sse(U, params, dt: float) -> np.ndarray:
@@ -509,7 +516,8 @@ def _polish(U, params, sse, dt: float, t0: float, max_iter: int) -> np.ndarray:
             sse_t = _sse(U[rows], trial, dt)
             ok = sse_t <= sse[rows]
             acc = rows[ok]
-            improved[pending[ok]] = sse[acc] - sse_t[ok] > 1e-12 * np.maximum(sse[acc], 1e-300)
+            with np.errstate(invalid="ignore"):   # inf - inf on an overflowing row
+                improved[pending[ok]] = sse[acc] - sse_t[ok] > 1e-12 * np.maximum(sse[acc], 1e-300)
             params[acc] = trial[ok]
             sse[acc] = sse_t[ok]
             pending = pending[~ok & ~once[pending]]
@@ -528,6 +536,44 @@ def _polish(U, params, sse, dt: float, t0: float, max_iter: int) -> np.ndarray:
 MAX_ITER = 100
 
 
+def _window(t, U, f: float):
+    """``t`` and the rows of ``U`` as float arrays, and the sample spacing;
+    FitError unless ``f`` is positive and the window covers >= 3 of its cycles."""
+    t = np.asarray(t, dtype=float)
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    if not 0.0 < f < math.inf:
+        raise FitError(f"fit frequency must be finite and positive, got {f} Hz")
+    span = float(t[-1] - t[0])
+    if span * f < 3.0:
+        raise FitError(f"window covers {span * f:.2f} cycles of {f} Hz; need >= 3")
+    return t, U, span / (U.shape[1] - 1)
+
+
+def fit_sines_at(t, U, omega: float) -> SineFits:
+    """Fit u_c(t) = A_c * sin(omega * t + phi_c) to every row of ``U`` at
+    one known angular frequency: the stepped-sine estimator at a known
+    excitation frequency (Pintelon & Schoukens, *System Identification: A
+    Frequency Domain Approach*, 2012).
+
+    Every row takes the one linear in-phase/quadrature solve of stage (i)
+    of :func:`fit_sines` at ``omega``, with no search and no polish, so
+    every row is converged and ``omega`` is that of every row.  Phases are
+    reported on the absolute axis; the residual RMS is read off the normal
+    equations (floored at zero), to about 1e-16 of the row's sum of squares.
+    """
+    t, U, dt = _window(t, U, omega / (2.0 * math.pi))
+    c, n = U.shape
+    w = np.full(c, float(omega))
+    amp, psi, sse = _linear_fits(_fold(U), np.einsum("cn,cn->c", U, U), w, dt, n)
+    return SineFits(
+        amplitude=amp,
+        omega=w,
+        phase=_wrap_phase(psi - _phase_at(w, float(t[0]))),
+        residual_rms=np.sqrt(np.maximum(sse, 0.0) / n),
+        converged=np.ones(c, dtype=bool),
+    )
+
+
 def fit_sines(t, U, f_init: float, max_iter: int = MAX_ITER) -> SineFits:
     """Fit u_c(t) = A_c * sin(w_c * t + phi_c) to every row of ``U``.
 
@@ -543,15 +589,8 @@ def fit_sines(t, U, f_init: float, max_iter: int = MAX_ITER) -> SineFits:
     residual.  Rows are independent in every stage, so stage (iii) runs
     over blocks of rows (``_BLOCK_CELLS``) to bound its scratch.
     """
-    t = np.asarray(t, dtype=float)
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    if f_init <= 0:
-        raise FitError("initial frequency must be positive")
-    span = float(t[-1] - t[0])
-    if span * f_init < 3.0:
-        raise FitError(f"window covers {span * f_init:.2f} cycles of {f_init} Hz; need >= 3")
+    t, U, dt = _window(t, U, f_init)
     c, n = U.shape
-    dt = span / (n - 1)
     w0 = 2.0 * math.pi * f_init
     blocks = _fold(U)
     uu = np.einsum("cn,cn->c", U, U)

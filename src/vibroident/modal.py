@@ -55,11 +55,16 @@ class ForceEstimate:
     frequency_hz: float
     component_phasors: np.ndarray      # complex (3,), x/y/z force resultants
     torque_z_phasor: complex
+    #: the drive's angular frequency, rad/s: the channel fits' omega
+    #: weighted by their amplitudes
+    omega: float
 
     @property
     def resultant(self) -> float:
-        """Magnitude of the force resultant across X/Y/Z components."""
-        return float(np.linalg.norm(np.abs(self.component_phasors)))
+        """Magnitude of the force resultant across X/Y/Z components; inf
+        where its square overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(np.abs(self.component_phasors)))
 
     @property
     def torque(self) -> float:
@@ -76,19 +81,25 @@ def estimate_force_amplitude(
     The rows of the geometry's channels are fitted in one
     :func:`~vibroident.dsp.fit_sines` call; a row gives the same fit as on
     its own.  Torque about Z comes from the X/Y components and their lever
-    arms.  ForceEstimationError names the first channel, in geometry
-    order, that is missing or whose fit fails or does not converge.
+    arms, and the drive frequency from the fits' omega, weighted by their
+    amplitudes (``f`` where every amplitude is zero).  ForceEstimationError names
+    the first channel, in geometry order, that is missing or whose fit
+    fails or does not converge.
     """
     labels = list(geometry)
     index = {label: c for c, label in enumerate(force.labels)}
     # the channels before the first missing one are fitted, and their
     # errors raised, first
     present = list(itertools.takewhile(index.__contains__, labels))
+    omega = math.nan
     if present:
         try:
             fits = fit_sines(force.times(), force.values[[index[label] for label in present]], f)
         except FitError as exc:
             raise ForceEstimationError(f"sine fit failed on channel {present[0]!r}: {exc}") from exc
+        total = np.sum(fits.amplitude)
+        with np.errstate(all="ignore"):   # NaN where the amplitudes overflow
+            omega = float(fits.amplitude @ fits.omega / total) if total else 2.0 * math.pi * f
     components = np.zeros(3, dtype=complex)
     torque = 0.0 + 0.0j
     for row, label in enumerate(present):
@@ -106,6 +117,7 @@ def estimate_force_amplitude(
         frequency_hz=f,
         component_phasors=components,
         torque_z_phasor=complex(torque),
+        omega=omega,
     )
 
 
@@ -338,7 +350,8 @@ def fit_rigid_body(A: np.ndarray, phasors: np.ndarray) -> tuple[np.ndarray, np.n
         sol_im, *_ = np.linalg.lstsq(A, b.imag, rcond=None)
         delta[i] = sol_re + 1j * sol_im
     resid = delta @ A.T - phasors
-    return delta, np.sqrt(np.mean(np.abs(resid) ** 2, axis=1))
+    with np.errstate(over="ignore"):   # inf where a residual's square overflows
+        return delta, np.sqrt(np.mean(np.abs(resid) ** 2, axis=1))
 
 
 def rbm_contribution(

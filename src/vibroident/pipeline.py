@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dsp, modal, timeseries
-from .errors import ParseError, VibroidentError, WindowError
+from .errors import FitError, ParseError, VibroidentError, WindowError
 from .modal import (
     GENERALIZED_AXES,
     DampingEstimate,
@@ -76,7 +76,8 @@ class AnalysisResult:
     strain: float | None = None
     #: per-frequency force fits; set by :func:`analyze`
     force_estimates: tuple[ForceEstimate, ...] = ()
-    #: (window frequency, channel label) of every fit whose polish did not converge
+    #: (window frequency, channel label) of every fit whose polish did not
+    #: converge; only swept response rows are polished
     unconverged: tuple[tuple[float, str], ...] = ()
 
 
@@ -101,12 +102,25 @@ SWEEP_WINDOW_MAX_S = 5.0
 
 
 def analysis_windows(program: ExcitationProgram, policy: AnalysisPolicy) -> list[tuple[float, float, float]]:
-    """(f, t0, t1) per analysis point, from the program's own schedule."""
+    """(f, t0, t1) per analysis point, from the program's own schedule.
+
+    A stepped window starts ``skip_cycles`` into its dwell and ends one
+    cycle before the dwell does, or ``max_window_s`` after it starts if
+    that is sooner; it must hold at least 3 cycles (WindowError).  The
+    cycle at the end keeps out the drive's stop, which the backward pass
+    of :func:`~vibroident.dsp.filtfilt` carries back into the dwell: a
+    fit at the drive's fixed frequency cannot absorb that echo.  On the
+    noise-free default stepped-X record (``f_low`` 1 Hz), the rigid dx
+    amplitude at 1 Hz is 2.84 % off with the window ending at the dwell's
+    end, and 0.08 % off with this rule.  A sweep window spans 3.5 cycles (2-5 s) centred on the time
+    the sweep crosses each 1 Hz grid point, and is kept where it lies
+    inside the run.
+    """
     out = []
     if program.kind == "stepped":
         for t_on, t_off, f in program.stepped.schedule():
             t0 = t_on + policy.skip_cycles / f
-            t1 = min(t_off, t0 + policy.max_window_s)
+            t1 = min(t_off - 1.0 / f, t0 + policy.max_window_s)
             if (t1 - t0) * f < 3.0:
                 raise WindowError(
                     f"dwell at {f} Hz leaves {(t1 - t0) * f:.2f} cycles after the transient skip"
@@ -140,13 +154,33 @@ def analyze(
 
     Every window is fitted by one function, ``fit_window``, into one
     fixed-size raw row: the displacement phasors, the converged flags, the
-    force phasors and the z torque.  The windows are split round-robin
-    over up to ``min(CPUs, 4)`` processes (sized by their response cells,
-    as record I/O is), forked workers sending their rows back through
-    pipes; nothing is pickled.  Any failure (a worker that does not exit
-    0, a short read, an OSError, or an error in this process's own share)
-    re-runs every window here, in window order, so the result and any
-    exception are the one-process ones.
+    force phasors, the z torque and the drive frequency.  A window's force
+    rows are fitted first (:func:`~vibroident.modal.estimate_force_amplitude`),
+    and its drive frequency is their fits' omega, weighted by amplitude.
+
+    - In a stepped dwell the whole block responds at the drive frequency,
+      so every response row is fitted at that one omega in one linear
+      solve (:func:`~vibroident.dsp.fit_sines_at`): no row searches or
+      polishes its own frequency, and none can fail to converge.
+    - In a sweep window the response's instantaneous frequency follows
+      the phase slope of the transfer function, which one fixed omega
+      misfits, so the response rows keep their free fits
+      (:func:`~vibroident.dsp.fit_sines`); ``unconverged`` lists those
+      whose polish ran out of iterations.
+
+    The filter gain and the -1/omega^2 that takes acceleration to
+    displacement are evaluated at each row's fitted omega.
+
+    The windows are split round-robin over up to ``min(CPUs, 4)``
+    processes (sized by their response cells, as record I/O is), forked
+    workers sending their rows back through pipes; nothing is pickled.
+    The split stays for the sweeps' free fits: on the benchmark's stepped
+    field_y record, where the response solves are cheap, one process was
+    still no faster (``analyze`` 0.51-0.64 s wall against 0.49-0.63 s
+    with the split, six alternating runs on a 2-vCPU Xeon).  Any failure
+    (a worker that does not exit 0, a short read, an OSError, or an error
+    in this process's own share) re-runs every window here, in window
+    order, so the result and any exception are the one-process ones.
     """
     dof = program.dof_excited.upper()
     keys = _channel_keys(response.labels, layout)
@@ -164,16 +198,26 @@ def analyze(
         ("converged", bool, (channels,)),
         ("force", complex, (3,)),
         ("torque", complex),
+        ("omega", float),
     ]))
 
     def fit_window(k: int) -> None:
         f, t0, t1 = windows[k]
+        est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f)
         window = extract_window(filtered, t0, t1)
-        fits = dsp.fit_sines(window.times(), window.values, f)
+        if program.kind == "stepped":
+            fits = dsp.fit_sines_at(window.times(), window.values, est.omega)
+        else:
+            fits = dsp.fit_sines(window.times(), window.values, f)
+        if not np.all(np.isfinite(fits.amplitude)):
+            # only a record whose values overflow the fit's sums gets here
+            label = response.labels[int(np.argmin(np.isfinite(fits.amplitude)))]
+            raise FitError(f"sine fit of channel {label!r} at {f} Hz is not finite")
         # forward+backward filtering scales amplitudes by |H|^2; undo it
         accel_phasors = fits.phasor / dsp.filter_gain(coeffs, fits.frequency) ** 2
-        est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f)
-        fitted[k] = (-accel_phasors / fits.omega**2, fits.converged, est.component_phasors, est.torque_z_phasor)
+        fitted[k] = (
+            -accel_phasors / fits.omega**2, fits.converged, est.component_phasors, est.torque_z_phasor, est.omega
+        )
 
     def send(first: int, step: int, out) -> None:
         for k in range(first, len(windows), step):
@@ -200,13 +244,14 @@ def analyze(
             fit_window(k)
 
     freqs = [f for f, _, _ in windows]
-    # channels with no coherent response (noise-only) may run out of polish
-    # iterations; their best iterate is kept and reported
+    # swept channels with no coherent response (noise-only) may run out of
+    # polish iterations; their best iterate is kept and reported
     unconverged = tuple(
         (f, response.labels[c]) for f, ok in zip(freqs, fitted["converged"]) for c in np.flatnonzero(~ok)
     )
     force_estimates = tuple(
-        ForceEstimate(f, row["force"].copy(), complex(row["torque"])) for f, row in zip(freqs, fitted)
+        ForceEstimate(f, row["force"].copy(), complex(row["torque"]), float(row["omega"]))
+        for f, row in zip(freqs, fitted)
     )
     forces = [est.torque if dof == "YAW" else est.resultant for est in force_estimates]
     result = identify(

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import vibroident
 from vibroident import cli, dsp
 from vibroident.cli import _atomic_write, config_hash, load_run_config, main
+from vibroident.pipeline import AnalysisPolicy, analysis_windows
+from vibroident.simulator import load_program
 from vibroident.timeseries import parse_timeseries_csv
 
 MINI_PROGRAM = {
@@ -28,6 +30,15 @@ MINI_PROGRAM = {
         {"id": "he2", "location": [7.0, 3.0, 1.5], "direction": [0.9659258262890683, 0.25881904510252074, 0.0], "amplitude_n": 336000.0},
     ],
     "stepped": {"frequencies": [1.5, 3.0, 7.0, 9.0, 10.0], "duration_per_step": 10.0, "rest_gap": 3.0},
+}
+
+
+#: MINI_PROGRAM's actuators on a 1-12 Hz sweep: ten analysis windows, 2-11 Hz
+MINI_SWEEP = {
+    **{key: value for key, value in MINI_PROGRAM.items() if key != "stepped"},
+    "kind": "sweep",
+    "name": "mini_sweep_x",
+    "sweep": {"f0": 1.0, "f1": 12.0, "rate": 0.5},
 }
 
 
@@ -252,6 +263,30 @@ class TestAtomicWrite:
 
 
 @pytest.fixture(scope="module")
+def simulated_sweep(workdir):
+    """(config, simulate output directory) of MINI_SWEEP."""
+    prog = workdir / "mini_sweep.json"
+    prog.write_text(json.dumps(MINI_SWEEP))
+    cfg = workdir / "cfg_sweep.json"
+    cfg.write_text(json.dumps({"program": str(prog), "seed": 11}))
+    out = workdir / "sim_sweep"
+    assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 0
+    return cfg, out
+
+
+def starve_response_fits(monkeypatch):
+    """Free fits of more than one row (the response rows) get no polish
+    iterations; the force rows, fitted through modal's own import of
+    ``fit_sines``, keep theirs."""
+    fit_sines = dsp.fit_sines
+
+    def starved(t, U, f_init, max_iter=100):
+        return fit_sines(t, U, f_init, 0 if len(U) > 1 else max_iter)
+
+    monkeypatch.setattr(dsp, "fit_sines", starved)
+
+
+@pytest.fixture(scope="module")
 def analyzed(workdir, simulated):
     out = workdir / "ana"
     rc = main([
@@ -309,25 +344,33 @@ class TestAnalyze:
         assert rc == 0
         assert {f.name: f.read_bytes() for f in analyzed.iterdir()} == before
 
-    def test_unconverged_fits_counted_on_stderr(self, workdir, simulated, monkeypatch, capsys):
-        fit_sines = dsp.fit_sines
+    def test_unconverged_fits_counted_on_stderr(self, workdir, simulated_sweep, monkeypatch, capsys):
+        # swept response rows take free fits, which run out of polish iterations
+        cfg, sim = simulated_sweep
+        starve_response_fits(monkeypatch)
+        rc = main([
+            "analyze", "-c", str(cfg),
+            "--response", str(sim / "response.csv"),
+            "--force", str(sim / "force.csv"),
+            "-o", str(workdir / "ana_starved"),
+        ])
+        assert rc == 0
+        channels = len((sim / "response.csv").read_text().splitlines()[1].split(",")) - 1
+        windows = len(analysis_windows(load_program(json.dumps(MINI_SWEEP)), AnalysisPolicy()))
+        err = capsys.readouterr().err
+        assert f"{channels * windows} channel fit(s) did not converge" in err
 
-        def starved(t, U, f_init, max_iter=100):
-            # no polish iterations for the response channels; force fits unchanged
-            return fit_sines(t, U, f_init, 0 if len(U) > 1 else max_iter)
-
-        monkeypatch.setattr(dsp, "fit_sines", starved)
+    def test_stepped_response_fits_cannot_fail_to_converge(self, workdir, simulated, monkeypatch, capsys):
+        # stepped response rows are solved at the drive frequency: no polish to starve
+        starve_response_fits(monkeypatch)
         rc = main([
             "analyze", "-c", str(workdir / "cfg.json"),
             "--response", str(simulated / "response.csv"),
             "--force", str(simulated / "force.csv"),
-            "-o", str(workdir / "ana_starved"),
+            "-o", str(workdir / "ana_stepped_starved"),
         ])
         assert rc == 0
-        channels = len((simulated / "response.csv").read_text().splitlines()[1].split(",")) - 1
-        windows = len(MINI_PROGRAM["stepped"]["frequencies"])
-        err = capsys.readouterr().err
-        assert f"{channels * windows} channel fit(s) did not converge" in err
+        assert "did not converge" not in capsys.readouterr().err
 
     def test_empty_response_is_parse_error(self, workdir, simulated):
         empty = workdir / "empty.csv"
@@ -769,10 +812,14 @@ def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processe
             assert path.read_bytes() == (three / path.name).read_bytes(), path.name
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ_SETTINGS
 @given(target=st.sampled_from(["response", "force"]), edits=st.lists(EDIT, min_size=1, max_size=3))
 @example(target="response", edits=[("byte", 1, 127, "")])        # in the header
 @example(target="force", edits=[("byte", 10**6, 0, "")])          # in a data row
+@example(target="response", edits=[("cell", 500, 1, "1e308")])   # a window's sums overflow
+@example(target="response", edits=[("cell", 500, 1, "1e200")])   # the rigid-body residual overflows
+@example(target="force", edits=[("cell", 500, 1, "1e308")])
 def test_fuzzed_record_exits_with_a_contract_code(fuzz_record, target, edits):
     program, response, force = fuzz_record
     record = {"response": response, "force": force}

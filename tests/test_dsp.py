@@ -16,6 +16,7 @@ from vibroident.dsp import (
     filtfilt,
     fit_sine,
     fit_sines,
+    fit_sines_at,
 )
 from vibroident.errors import DesignError, FilterError, FitError
 from vibroident.timeseries import TimeSeries, TimeSeriesSet
@@ -376,6 +377,7 @@ class TestFitSines:
         u = np.sin(2 * np.pi * 8.0 * t + 1.0) + noise / np.sqrt(np.mean(noise**2))
         assert fit_sines(t, u, 8.0, max_iter=8).converged[0]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degenerate_rows_leave_the_other_rows_unchanged(self):
         t = 312.4 + np.arange(1201) / 200.0
         w = 2 * np.pi * 8.0
@@ -434,3 +436,38 @@ class TestFitSines:
         theta = (theta - two_pi * np.rint(theta / two_pi)).astype(float)
         assert np.max(np.abs(got - np.exp(1j * theta))) < 1e-11
 
+
+class TestFitSinesAt:
+    def test_noise_free_rows_recover_their_phasors(self):
+        # a late window: phases are reported on the absolute axis
+        t = 312.4 + np.arange(1201) / 200.0
+        w = 2 * np.pi * 8.3
+        amp = np.array([1.0, 2.5, 1e-3, 1e4, 0.0])
+        phase = np.array([0.3, -2.0, 3.1, -0.7, 0.0])
+        U = amp[:, None] * np.sin(w * t + phase[:, None])
+        fits = fit_sines_at(t, U, w)
+        assert np.max(np.abs(fits.phasor - amp * np.exp(1j * phase)) / np.maximum(amp, 1.0)) < 1e-9
+        assert fits.converged.all() and np.all(fits.omega == w)
+        # the residual off the normal equations is roundoff of uu: ~sqrt(eps) * amplitude
+        assert np.all(fits.residual_rms < 1e-7 * np.maximum(amp, 1.0))
+
+    def test_rows_take_one_linear_solve(self):
+        # the linear stage of fit_sines at the given omega, once for all
+        # rows; the residual of a noisy row is that of its parameters
+        t = 40.0 + np.arange(801) / 200.0
+        U = batch_rows(t)
+        at = fit_sines_at(t, U, 2 * np.pi * 8.0)
+        dt = (t[-1] - t[0]) / (t.size - 1)
+        w = np.full(len(U), 2 * np.pi * 8.0)
+        amp, psi, sse = dsp._linear_fits(dsp._fold(U), np.einsum("cn,cn->c", U, U), w, dt, t.size)
+        assert at.amplitude.tobytes() == amp.tobytes()
+        assert np.allclose(at.phase, dsp._wrap_phase(psi - _phase_at(w, t[0])), rtol=0, atol=1e-15)
+        for row, u in enumerate(U):
+            r = u - at.amplitude[row] * np.sin(at.omega[row] * t + at.phase[row])
+            assert at.residual_rms[row] == pytest.approx(math.sqrt(np.mean(r * r)), rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf, 2 * np.pi * 0.4])
+    def test_bad_frequency_or_short_window_raises(self, omega):
+        t = np.arange(1201) / 200.0
+        with pytest.raises(FitError):
+            fit_sines_at(t, np.zeros((2, t.size)), omega)

@@ -60,6 +60,13 @@ class TestForceAmplitude:
         est = estimate_force_amplitude(force_set(chans), geo, 8.0)
         assert est.resultant == pytest.approx(400.0, rel=1e-9)
         assert est.torque == pytest.approx(0.0, abs=1e-9)
+        assert est.omega == pytest.approx(2 * math.pi * 8.0, rel=1e-9)
+
+    def test_zero_force_keeps_the_nominal_frequency(self):
+        chans = {f"a{i}": (0.0, 8.0, 0.0) for i in range(2)}
+        geo = {f"a{i}": ForceGeometry([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for i in range(2)}
+        est = estimate_force_amplitude(force_set(chans), geo, 8.0)
+        assert est.resultant == 0.0 and est.omega == 2 * math.pi * 8.0
 
     def test_pure_couple(self):
         chans = {"e": (100.0, 8.0, 0.0), "w": (100.0, 8.0, math.pi)}
@@ -90,12 +97,16 @@ class TestForceAmplitude:
         }
         est = estimate_force_amplitude(force, geo, 8.0)
         components, torque = np.zeros(3, dtype=complex), 0.0 + 0.0j
-        for label, g in geo.items():
-            fvec = fit_sine(force[label], 8.0).phasor * g.direction
+        singles = [fit_sine(force[label], 8.0) for label in geo]
+        for fit, g in zip(singles, geo.values()):
+            fvec = fit.phasor * g.direction
             components += fvec
             torque += g.position[0] * fvec[1] - g.position[1] * fvec[0]
         assert est.component_phasors.tobytes() == components.tobytes()
         assert np.complex128(est.torque_z_phasor).tobytes() == np.complex128(torque).tobytes()
+        # the drive frequency: the fits' omega weighted by amplitude
+        amp = np.array([fit.amplitude for fit in singles])
+        assert est.omega == pytest.approx(amp @ [fit.omega for fit in singles] / amp.sum(), rel=1e-12)
 
     def test_channel_that_does_not_converge_is_named(self, monkeypatch):
         # noise only: with seed 79 the last row needs 5 polish iterations and
