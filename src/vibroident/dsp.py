@@ -8,10 +8,13 @@ the only dependency.
 The sine fit is batched: :func:`fit_sines` fits every channel of a window
 in one pass, each at its own frequency, and :func:`fit_sine` is its
 one-row case.  :func:`fit_sines_at` fits every channel at one known
-frequency in one linear in-phase/quadrature solve: the analysis fits a
-stepped dwell's response channels with it at the frequency of the dwell's
-force fits, and a sweep window's with :func:`fit_sines`, whose channels
-follow the transfer function's phase slope.  On the uniform
+frequency in one linear in-phase/quadrature solve, and
+:func:`fit_sines_drift` at the one frequency of the channels' phase
+drift between the window's halves.  The analysis fits a stepped dwell's
+force channels with :func:`fit_sines_drift` and its response channels
+with :func:`fit_sines_at` at the force's frequency; a sweep window's
+channels, whose frequency follows the transfer function's phase slope,
+take :func:`fit_sines`.  On the uniform
 time axis, exp(i*w*t_k) is built from two-level powers (about 2*sqrt(n)
 exponentials per row, then one complex product per sample).  The linear
 stages project the samples onto those powers without forming the basis,
@@ -398,9 +401,6 @@ def _linear_fits(blocks, uu, omega, dt: float, n: int) -> np.ndarray:
     and the SSE comes from the normal equations, uu - a*su - b*cu.
     """
     inner, outer = _powers(omega, np.zeros_like(omega), dt, n)
-    part = blocks @ np.stack([inner.real, inner.imag], axis=-1)
-    z = np.einsum("cj,cj->c", outer, part[..., 0] + 1j * part[..., 1])
-    cu, su = z.real, z.imag
     d = omega * dt
     # sum_k exp(2i*w*k*dt) = exp(i*(n-1)*d) * sin(n*d) / sin(d)
     dirichlet = np.exp(1j * (n - 1) * d) * (np.sin(n * d) / np.sin(d))
@@ -412,6 +412,9 @@ def _linear_fits(blocks, uu, omega, dt: float, n: int) -> np.ndarray:
     # a row whose sums overflow (or are not finite) gets non-finite values
     # in its own entries; no other row shares them, so none is warned of
     with np.errstate(all="ignore"):
+        part = blocks @ np.stack([inner.real, inner.imag], axis=-1)
+        z = np.einsum("cj,cj->c", outer, part[..., 0] + 1j * part[..., 1])
+        cu, su = z.real, z.imag
         a = (cc * su - sc * cu) / det
         b = (ss * cu - sc * su) / det
         if np.any(flat):
@@ -572,6 +575,48 @@ def fit_sines_at(t, U, omega: float) -> SineFits:
         residual_rms=np.sqrt(np.maximum(sse, 0.0) / n),
         converged=np.ones(c, dtype=bool),
     )
+
+
+def fit_sines_drift(t, U, f: float) -> SineFits:
+    """Fit every row of ``U`` at the one angular frequency taken from the
+    rows' phase drift near ``f``: :func:`fit_sines_at` at that omega.
+
+    Each row takes the linear fit of :func:`fit_sines`' stage (i) at
+    2*pi*f on the two halves of the window.  Its phase moves between them
+    by its frequency offset times the distance between the halves'
+    centres; the wrapped phase difference over that distance is the row's
+    offset, and omega is 2*pi*f plus the offsets' mean weighted by the
+    rows' amplitudes (the halves' sum).  Where every amplitude is zero, or
+    the weighted mean is not finite (only where a row's sums overflow),
+    omega stays 2*pi*f.  No row searches or polishes, so every row is
+    converged.  An offset that drifts a row's phase by more than pi
+    across the halves aliases: this is an estimator for a drive at about
+    ``f``, as in a stepped dwell, not for an unknown frequency.
+
+    A fit at the wrong frequency reads each half's phase slightly off its
+    centre, by an amount that depends on the phase, so one pass is off by
+    a few per cent of the offset on short windows: on noise-free rows of
+    3.2 cycles, 4.8e-5 of omega at an offset of 1e-3.  A second pass at
+    the first pass's omega takes that to 2.2e-6.
+    """
+    t, U, dt = _window(t, U, f)
+    n = U.shape[1]
+    h = n // 2
+    span = (n - h) * dt
+    halves = [(_fold(V), np.einsum("cn,cn->c", V, V)) for V in (U[:, :h], U[:, n - h :])]
+    w0 = omega = 2.0 * math.pi * f
+    for _ in range(2):
+        (a1, p1, _), (a2, p2, _) = (
+            _linear_fits(blocks, uu, np.full(len(uu), omega), dt, h) for blocks, uu in halves
+        )
+        weight = a1 + a2
+        with np.errstate(all="ignore"):
+            offset = _wrap_phase(p2 - p1 - omega * span) / span
+            omega += float(weight @ offset / weight.sum())
+        if not math.isfinite(omega):
+            omega = w0
+            break
+    return fit_sines_at(t, U, omega)
 
 
 def fit_sines(t, U, f_init: float, max_iter: int = MAX_ITER) -> SineFits:

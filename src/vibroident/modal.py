@@ -56,7 +56,9 @@ class ForceEstimate:
     component_phasors: np.ndarray      # complex (3,), x/y/z force resultants
     torque_z_phasor: complex
     #: the drive's angular frequency, rad/s: the channel fits' omega
-    #: weighted by their amplitudes
+    #: weighted by their amplitudes.  In a stepped dwell every channel is
+    #: fitted at one omega, that of the channels' phase drift
+    #: (:func:`~vibroident.dsp.fit_sines_drift`), so this is that omega
     omega: float
 
     @property
@@ -75,16 +77,19 @@ def estimate_force_amplitude(
     force: TimeSeriesSet,
     geometry: dict[str, ForceGeometry],
     f: float,
+    fit=None,
 ) -> ForceEstimate:
     """Combine per-actuator sine fits into resultant force and torque.
 
-    The rows of the geometry's channels are fitted in one
-    :func:`~vibroident.dsp.fit_sines` call; a row gives the same fit as on
-    its own.  Torque about Z comes from the X/Y components and their lever
-    arms, and the drive frequency from the fits' omega, weighted by their
-    amplitudes (``f`` where every amplitude is zero).  ForceEstimationError names
-    the first channel, in geometry order, that is missing or whose fit
-    fails or does not converge.
+    The rows of the geometry's channels are fitted in one batched
+    ``fit(t, U, f)`` call: :func:`~vibroident.dsp.fit_sines` unless ``fit``
+    is given, where a row gives the same fit as on its own.  The analysis
+    of a stepped dwell passes :func:`~vibroident.dsp.fit_sines_drift`,
+    which fits every row at one omega.  Torque about Z comes from the X/Y
+    components and their lever arms, and the drive frequency from the
+    fits' omega, weighted by their amplitudes (``f`` where every amplitude
+    is zero).  ForceEstimationError names the first channel, in geometry
+    order, that is missing or whose fit fails or does not converge.
     """
     labels = list(geometry)
     index = {label: c for c, label in enumerate(force.labels)}
@@ -94,7 +99,7 @@ def estimate_force_amplitude(
     omega = math.nan
     if present:
         try:
-            fits = fit_sines(force.times(), force.values[[index[label] for label in present]], f)
+            fits = (fit or fit_sines)(force.times(), force.values[[index[label] for label in present]], f)
         except FitError as exc:
             raise ForceEstimationError(f"sine fit failed on channel {present[0]!r}: {exc}") from exc
         total = np.sum(fits.amplitude)
@@ -108,9 +113,10 @@ def estimate_force_amplitude(
                 f"sine fit failed on channel {label!r}: no convergence after {MAX_ITER} Newton iterations"
             )
         geo = geometry[label]
-        fvec = fits[row].phasor * geo.direction
-        components += fvec
-        torque += geo.position[0] * fvec[1] - geo.position[1] * fvec[0]
+        with np.errstate(all="ignore"):   # NaN where an amplitude overflows
+            fvec = fits[row].phasor * geo.direction
+            components += fvec
+            torque += geo.position[0] * fvec[1] - geo.position[1] * fvec[0]
     if len(present) < len(labels):
         raise ForceEstimationError(f"force channel {labels[len(present)]!r} missing")
     return ForceEstimate(

@@ -157,30 +157,34 @@ def analyze(
     force phasors, the z torque and the drive frequency.  A window's force
     rows are fitted first (:func:`~vibroident.modal.estimate_force_amplitude`),
     and its drive frequency is their fits' omega, weighted by amplitude.
+    A force fit that is not finite raises FitError, as a response fit does.
 
-    - In a stepped dwell the whole block responds at the drive frequency,
-      so every response row is fitted at that one omega in one linear
-      solve (:func:`~vibroident.dsp.fit_sines_at`): no row searches or
-      polishes its own frequency, and none can fail to converge.
+    - In a stepped dwell the block and its actuators move at the one drive
+      frequency.  The force rows are fitted at the omega of their phase
+      drift (:func:`~vibroident.dsp.fit_sines_drift`), and every response
+      row at that omega, in one linear solve per window
+      (:func:`~vibroident.dsp.fit_sines_at`): no row searches or polishes
+      its own frequency, and none can fail to converge.
     - In a sweep window the response's instantaneous frequency follows
       the phase slope of the transfer function, which one fixed omega
-      misfits, so the response rows keep their free fits
-      (:func:`~vibroident.dsp.fit_sines`); ``unconverged`` lists those
-      whose polish ran out of iterations.
+      misfits, so the force and response rows keep their free fits
+      (:func:`~vibroident.dsp.fit_sines`); ``unconverged`` lists the
+      response rows whose polish ran out of iterations.
 
     The filter gain and the -1/omega^2 that takes acceleration to
     displacement are evaluated at each row's fitted omega.
 
-    The windows are split round-robin over up to ``min(CPUs, 4)``
+    A sweep's windows are split round-robin over up to ``min(CPUs, 4)``
     processes (sized by their response cells, as record I/O is), forked
     workers sending their rows back through pipes; nothing is pickled.
-    The split stays for the sweeps' free fits: on the benchmark's stepped
-    field_y record, where the response solves are cheap, one process was
-    still no faster (``analyze`` 0.51-0.64 s wall against 0.49-0.63 s
-    with the split, six alternating runs on a 2-vCPU Xeon).  Any failure
-    (a worker that does not exit 0, a short read, an OSError, or an error
-    in this process's own share) re-runs every window here, in window
-    order, so the result and any exception are the one-process ones.
+    Any failure (a worker that does not exit 0, a short read, an OSError,
+    or an error in this process's own share) re-runs every window here,
+    in window order, so the result and any exception are the one-process
+    ones.  Stepped windows, which run no search and no polish, are fitted
+    in this process alone.  Split over two processes, the benchmark's
+    stepped_x ``analyze`` was no faster (median 0.68 s wall against 0.68
+    s) and used more CPU (1.02 s against 0.99 s; 8 alternating runs each
+    on a 2-vCPU Xeon).
     """
     dof = program.dof_excited.upper()
     keys = _channel_keys(response.labels, layout)
@@ -201,11 +205,17 @@ def analyze(
         ("omega", float),
     ]))
 
+    stepped = program.kind == "stepped"
+
     def fit_window(k: int) -> None:
         f, t0, t1 = windows[k]
-        est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f)
+        force_fit = dsp.fit_sines_drift if stepped else None
+        est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f, force_fit)
+        if not np.all(np.isfinite([*est.component_phasors, est.torque_z_phasor, est.omega])):
+            # as below, only a record whose values overflow the fit's sums
+            raise FitError(f"force fit at {f} Hz is not finite")
         window = extract_window(filtered, t0, t1)
-        if program.kind == "stepped":
+        if stepped:
             fits = dsp.fit_sines_at(window.times(), window.values, est.omega)
         else:
             fits = dsp.fit_sines(window.times(), window.values, f)
@@ -225,7 +235,7 @@ def analyze(
             out.write(fitted[k : k + 1].tobytes())
 
     cells = int(channels * response.sample_rate * sum(t1 - t0 for _, t0, t1 in windows))
-    parts = min(timeseries._worker_count(cells), len(windows))
+    parts = 1 if stepped else min(timeseries._worker_count(cells), len(windows))
     done = False
     if parts > 1:
         # the low-frequency windows come first and cost the most: deal them out

@@ -15,7 +15,7 @@ ACCEPTANCE_RESULTS: list[tuple[int, str, bool, str]] = []
 @pytest.fixture
 def record_io_processes(monkeypatch):
     """``use(n)`` makes record writing and parsing split every record, and
-    ``pipeline.analyze`` split its window fits, however small, over ``n``
+    ``pipeline.analyze`` split a sweep's window fits, however small, over ``n``
     processes, as on a machine with ``n`` usable CPUs (``use(1)``: one
     process).  Returns the list that gets one entry per forked worker."""
     if not hasattr(os, "fork"):

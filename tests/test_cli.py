@@ -788,28 +788,32 @@ def test_fuzzed_simulate_exits_with_a_contract_code(extras):
 
 
 def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processes, tmp_path):
-    # criterion 10 across worker counts: one process, then three (two forked
-    # workers for each of four record I/O splits and one window-fit split)
-    prog = tmp_path / "program.json"
-    prog.write_text(json.dumps({
+    # criterion 10 across worker counts: one process, then three.  Two
+    # forked workers for each of four record I/O splits, and on the sweep
+    # for its window-fit split; stepped windows are fitted in one process
+    stepped = {
         **MINI_PROGRAM,
         "stepped": {"frequencies": [2.0, 3.0, 9.0, 10.0], "duration_per_step": 8.0, "rest_gap": 1.0},
-    }))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"program": str(prog), "seed": 3}))
-    for n in (1, 3):
-        forks = record_io_processes(n)
-        forks.clear()
-        sim, ana = tmp_path / f"sim{n}", tmp_path / f"ana{n}"
-        assert main(["simulate", "-c", str(cfg), "-o", str(sim)]) == 0
-        assert main(["analyze", "-c", str(cfg), "--response", str(sim / "response.csv"),
-                     "--force", str(sim / "force.csv"), "-o", str(ana)]) == 0
-        assert len(forks) == 5 * (n - 1)
-    for name in ("sim", "ana"):
-        one, three = tmp_path / f"{name}1", tmp_path / f"{name}3"
-        assert sorted(p.name for p in one.iterdir()) == sorted(p.name for p in three.iterdir())
-        for path in one.iterdir():
-            assert path.read_bytes() == (three / path.name).read_bytes(), path.name
+    }
+    for program, splits in ((stepped, 4), (MINI_SWEEP, 5)):
+        root = tmp_path / program["kind"]
+        root.mkdir()
+        prog, cfg = root / "program.json", root / "cfg.json"
+        prog.write_text(json.dumps(program))
+        cfg.write_text(json.dumps({"program": str(prog), "seed": 3}))
+        for n in (1, 3):
+            forks = record_io_processes(n)
+            forks.clear()
+            sim, ana = root / f"sim{n}", root / f"ana{n}"
+            assert main(["simulate", "-c", str(cfg), "-o", str(sim)]) == 0
+            assert main(["analyze", "-c", str(cfg), "--response", str(sim / "response.csv"),
+                         "--force", str(sim / "force.csv"), "-o", str(ana)]) == 0
+            assert len(forks) == splits * (n - 1)
+        for name in ("sim", "ana"):
+            one, three = root / f"{name}1", root / f"{name}3"
+            assert sorted(p.name for p in one.iterdir()) == sorted(p.name for p in three.iterdir())
+            for path in one.iterdir():
+                assert path.read_bytes() == (three / path.name).read_bytes(), (program["kind"], path.name)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -471,3 +471,51 @@ class TestFitSinesAt:
         t = np.arange(1201) / 200.0
         with pytest.raises(FitError):
             fit_sines_at(t, np.zeros((2, t.size)), omega)
+
+
+class TestFitSinesDrift:
+    #: largest |omega / true omega - 1| over the three window lengths, the
+    #: three frequencies and the rows' phases, per frequency offset, as
+    #: measured (1.73e-6, 2.02e-6, 2.65e-6 and 1.80e-5; the last on 3.2
+    #: cycles).  The free fits' omega on the same rows is off by up to
+    #: about 1e-5, and 0 and 1e-4 are within that noise
+    OMEGA_ERROR = {0.0: 1.8e-6, 1e-4: 2.1e-6, 1e-3: 2.7e-6, 1e-2: 1.8e-5}
+
+    @pytest.mark.parametrize("offset", sorted(OMEGA_ERROR))
+    @pytest.mark.parametrize("cycles", [3.2, 6.0, 20.0])
+    def test_drift_omega_tracks_an_offset_drive(self, cycles, offset):
+        # four rows at 1e-4 noise of their amplitude, at one drive
+        # frequency off the nominal one; the drift's omega stays close to
+        # the drive's and the amplitudes to those of the free fits
+        rng = np.random.default_rng(int(cycles * 10) + int(1e4 * offset))
+        amp = np.array([100.0, 80.0, 120.0, 60.0])
+        for f in (1.5, 8.0, 20.0):
+            t = 312.4 + np.arange(int(cycles / f * 512.0) + 1) / 512.0
+            w = 2 * np.pi * f * (1.0 + offset)
+            for _ in range(4):
+                phase = rng.uniform(-np.pi, np.pi, 4)
+                U = amp[:, None] * np.sin(w * t + phase[:, None]) + 0.01 * rng.standard_normal((4, t.size))
+                fits = dsp.fit_sines_drift(t, U, f)
+                assert fits.converged.all() and np.all(fits.omega == fits.omega[0])
+                assert abs(fits.omega[0] / w - 1.0) <= self.OMEGA_ERROR[offset]
+                free = fit_sines(t, U, f)
+                # measured: up to 1.65e-6
+                assert np.max(np.abs(fits.amplitude / free.amplitude - 1.0)) <= 1.7e-6
+
+    def test_rows_are_fitted_at_the_drift_omega(self):
+        t = 40.0 + np.arange(801) / 200.0
+        U = batch_rows(t)
+        fits = dsp.fit_sines_drift(t, U, 8.0)
+        at = fit_sines_at(t, U, fits.omega[0])
+        for name in ("amplitude", "omega", "phase", "residual_rms", "converged"):
+            assert getattr(fits, name).tobytes() == getattr(at, name).tobytes()
+
+    def test_zero_rows_keep_the_nominal_frequency(self):
+        t = np.arange(1201) / 200.0
+        fits = dsp.fit_sines_drift(t, np.zeros((3, t.size)), 8.0)
+        assert np.all(fits.omega == 2 * np.pi * 8.0) and np.all(fits.amplitude == 0.0)
+
+    def test_short_window_raises(self):
+        t = np.arange(201) / 200.0
+        with pytest.raises(FitError):
+            dsp.fit_sines_drift(t, np.ones((2, t.size)), 2.0)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vibroident import dsp
-from vibroident.errors import ForceEstimationError, VibroidentError, WindowError
+from vibroident import dsp, modal, timeseries
+from vibroident.errors import FitError, ForceEstimationError, VibroidentError, WindowError
 from vibroident.cli import _contribution_csv, _deformation_figures, _rbm_csv
 from vibroident.modal import frc_to_csv, linearity_rms, rigid_rows
 from vibroident.pipeline import AnalysisPolicy, analysis_windows, analyze, identify
@@ -154,11 +154,11 @@ class TestWindowFitWorkers:
         assert len(forks) == n - 1
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_error_in_a_worker_window_matches_one_process(self, split_run, record_io_processes, n):
-        resp, force, prog, layout, policy = split_run
+    def test_error_in_a_worker_window_matches_one_process(self, split_sweep, record_io_processes, n):
+        resp, force, prog, layout, policy = split_sweep
         # the force record ends 1.5 cycles into the last window
-        _, t0, _ = analysis_windows(prog, policy)[-1]
-        cut = int((t0 + 1.5 / 12.0 - force.start_time) * force.sample_rate)
+        f, t0, _ = analysis_windows(prog, policy)[-1]
+        cut = int((t0 + 1.5 / f - force.start_time) * force.sample_rate)
         short = force.with_values(force.values[:, :cut])
         record_io_processes(1)
         serial = analysis_outcome(resp, short, prog, layout, policy)
@@ -201,14 +201,29 @@ class TestSteppedAnalysis:
             h = row[gated] / (est.component_phasors[0] * 1e3)
             assert np.max(np.abs(h / truth[gated] - 1.0)) <= 5e-3, f
 
-    def test_response_rows_take_no_search_or_polish(self, split_run, monkeypatch):
-        # only the force rows take free fits (modal's own fit_sines); the
-        # noisy response rows are solved at the drive frequency
-        monkeypatch.setattr(dsp, "fit_sines", lambda *args: pytest.fail("a response row took a free fit"))
+    def test_response_rows_take_no_search_or_polish(self, split_run, record_io_processes, monkeypatch):
+        # no row takes a free fit: the force rows are fitted at their phase
+        # drift's omega and the noisy response rows at that omega, all in
+        # this process, though three CPUs would split a sweep's windows
+        for module in (dsp, modal):
+            monkeypatch.setattr(module, "fit_sines", lambda *args: pytest.fail("a row took a free fit"))
+        record_io_processes(3)
+        monkeypatch.setattr(timeseries, "_forked", lambda *args: pytest.fail("a window fit was forked"))
         res = analyze(*split_run)
         assert res.unconverged == ()
+        # the force records are noise-free
         for f, est in zip(res.frequencies, res.force_estimates):
             assert est.omega == pytest.approx(2 * math.pi * f, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("peak", [1e303, 1e308])
+    def test_force_fit_that_is_not_finite_raises(self, split_run, peak):
+        # a force channel whose values overflow the fit's sums
+        resp, force, prog, layout, policy = split_run
+        values = force.values.copy()
+        values[0] *= peak / np.abs(values[0]).max()
+        with pytest.raises(FitError, match="force fit at 1.5 Hz is not finite"):
+            analyze(resp, force.with_values(values), prog, layout, policy)
 
     def test_identify_reproduces_analysis(self, stepped_run):
         res, _, _, layout = stepped_run
