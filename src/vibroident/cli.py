@@ -23,6 +23,9 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
+# before numpy loads OpenBLAS: its idle threads then sleep at once instead
+# of spinning for 2^28 cycles, a fifth of a short command's CPU time
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 import numpy as np
 
 from . import geotech, modal, svg

@@ -204,9 +204,11 @@ _FILTER_BLOCK = 64
 #: block.
 _BLOCK_CELLS = 1 << 16
 #: blocks per drive-term product.  OpenBLAS runs larger products (about
-#: 1e6 multiply-adds and up) on several threads: on 2 cores that saved no
-#: wall time on an 87 x 24,796 record (0.11 s either way), and in 1 of
-#: 6-10 fresh processes it stalled the first filter call for 1.1-1.3 s.
+#: 1e6 multiply-adds and up) on several threads.  On 2 cores, one product
+#: per row saved no wall time on an 87 x 24,796 record (0.07-0.13 s a
+#: call either way, 8 fresh processes each) and took 0.01 s more CPU a
+#: call with the CLI's sleeping idle threads; with spinning ones, twice
+#: the CPU time.
 _PRODUCT_BLOCKS = 128
 
 

@@ -181,10 +181,13 @@ class SensorLayout:
 
 #: records with fewer cells than this are written and parsed, and windows
 #: with fewer response cells fitted, in one process.  A fork, pipe and reap
-#: cost about 1.4 ms per worker (2-vCPU Xeon, Linux, 185 MB parent); at
-#: 0.14 us per written cell and 0.16 us per parsed one, three workers'
-#: forks cost 10 % of the writing and 9 % of the parsing that they split,
-#: far less than the half that a second CPU saves.
+#: cost about 1.9 ms wall and 3 ms CPU per worker (2-vCPU Xeon, Linux,
+#: 185 MB parent, OpenBLAS threads asleep or spinning alike); at 0.15 us
+#: per written cell and 0.13 us per parsed one, three workers' forks cost
+#: 13 % of the writing and 15 % of the parsing of 300,000 cells, far less
+#: than the half that a second CPU saves.  Below it the split still saves
+#: wall time, for more CPU: a 181,820-cell force record parsed in 20 ms
+#: wall and 33 ms CPU over two processes, 26 ms and 26 ms in one.
 _FORK_MIN_CELLS = 300_000
 #: most processes, the parent included, that write or parse one record or
 #: fit the windows of one analysis
@@ -270,17 +273,20 @@ def _chunks(path, start: int, stop: int):
             yield rest
 
 
-def _content_lines(path, units: dict[str, str] | None = None):
+def _content_lines(path, units: dict[str, str] | None = None, pieces: list[tuple[int, int]] | None = None):
     """(line number, end, stripped line) of every line of the file that is
     neither blank nor a ``#`` comment; ``end`` is the byte offset just past
     the line.  Each line is decoded as UTF-8; ParseError with its line
     number if it is not.  ``# units:`` lines passed on the way are added
-    to ``units``, if given."""
+    to ``units``, and the (bytes, lines) of each piece read to ``pieces``,
+    if given."""
     lineno = end = 0
     for chunk in _chunks(path, 0, os.path.getsize(path)):
         lines = chunk.split(b"\n")
         if chunk.endswith(b"\n"):
             lines.pop()
+        if pieces is not None:
+            pieces.append((len(chunk), len(lines)))
         for raw in lines:
             lineno += 1
             end += len(raw) + 1
@@ -409,6 +415,17 @@ def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> tuple[np.nd
     return cols, found
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a finite 1-D array, bit for bit (the mean of the two
+    middle values of an even count), from ``np.partition``: ``np.median``'s
+    NaN check imports ``numpy.ma`` on its first call, 11 ms."""
+    h = len(x) // 2
+    if len(x) % 2:
+        return float(np.partition(x, h)[h])
+    lo, hi = np.partition(x, (h - 1, h))[h - 1 : h + 1]
+    return float((lo + hi) / 2)
+
+
 def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSeriesSet:
     """Parse the CSV file at ``path`` (UTF-8) into a record of the data columns.
 
@@ -425,7 +442,8 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
     re-parse, on the error paths only.
     """
     file_units: dict[str, str] = {}
-    with contextlib.closing(_content_lines(path, file_units)) as content:
+    read: list[tuple[int, int]] = []
+    with contextlib.closing(_content_lines(path, file_units, read)) as content:
         first = next(content, None)
         header = None if first is None else [c.strip() for c in first[2].split(",")]
         if header is None or len(header) < 2:
@@ -438,7 +456,11 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
 
     ncol, start = len(header), first[1]
     size = os.path.getsize(path)
-    cells = (size - start) * ncol // (len(second[2]) + 1)
+    # cells from the mean line length of the piece that holds the first
+    # data row: a record that starts at rest has a first row far shorter
+    # than the rest
+    nbytes, nlines = read[-1]
+    cells = (size - start) * ncol * nlines // nbytes
     parts = _worker_count(cells)
     cuts = [start]
     for k in range(1, parts):
@@ -479,7 +501,7 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
         bad = int(np.argmax(dt <= 0))
         lineno = _data_row_lineno(path, bad + 1)
         raise SpacingError(f"row {lineno}: timestamps not increasing", row=lineno)
-    dt_med = float(np.median(dt))
+    dt_med = _median(dt)
     if np.any(np.abs(dt - dt_med) > SPACING_RTOL * dt_med):
         bad = int(np.argmax(np.abs(dt - dt_med) > SPACING_RTOL * dt_med))
         lineno = _data_row_lineno(path, bad + 1)

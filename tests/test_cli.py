@@ -631,6 +631,44 @@ def test_import_and_analyze_build_no_writer_table(workdir, simulated, tmp_path):
     assert out.stdout.splitlines()[-1] == "0 [0, 0] False", out.stderr
 
 
+BLAS_ENV_AT_NUMPY_IMPORT = """\
+import os
+import sys
+
+
+class RecordEnv:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+
+sys.meta_path.insert(0, RecordEnv())
+import vibroident
+
+bare = "numpy" in sys.modules
+import vibroident.cli
+
+print(bare, RecordEnv.seen)
+"""
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "4"), ("30", "30")])
+def test_cli_lets_openblas_threads_sleep_unless_the_user_chose(preset, seen):
+    # OpenBLAS reads the variable when numpy loads it: it must be set by
+    # then, and a value the user set wins; the bare package loads no numpy
+    src = Path(vibroident.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(src)
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    argv = [sys.executable, "-c", BLAS_ENV_AT_NUMPY_IMPORT]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == f"False [{seen!r}]", out.stderr
+
+
 # --- exit-code contract under fuzzed input -------------------------------
 
 #: two short dwells: a record of 6.5 s, windowed, fitted and filtered like

@@ -450,6 +450,37 @@ class TestRecordIOWorkers:
         assert len(forks) == 4
 
 
+def test_record_starting_at_rest_is_sized_from_its_line_lengths(record_file, monkeypatch):
+    # 24,000 x 5 cells after a first row of zeros an eighth as long as the
+    # others: sized from that row the record would look like 928,000 cells
+    # and be split, although it is below the threshold
+    rows = ["t,a,b,c,d", "0,0,0,0,0"]
+    rng = np.random.default_rng(3)
+    rows += [",".join([repr(i / 512), *(f"{v:.14g}" for v in rng.normal(0, 300, 4))]) for i in range(1, 24_000)]
+    path = record_file("\n".join(rows) + "\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    tss = parse_timeseries_csv(path)
+    assert tss.values.size + len(tss.times()) < timeseries._FORK_MIN_CELLS and forks == []
+    # the same record above the threshold is split
+    monkeypatch.setattr(timeseries, "_FORK_MIN_CELLS", 100_000)
+    assert parse_timeseries_csv(path).values.tobytes() == tss.values.tobytes() and len(forks) == 3
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 24_795, 24_796])
+    def test_equals_np_median_bit_for_bit(self, n):
+        # the spacings of a 200 Hz time column written to 3 decimals (a few
+        # values, many repeats), and values spread over 40 decades
+        rng = np.random.default_rng(n)
+        dt = np.diff(np.round(0.1 + np.arange(n + 1) / 200, 3))
+        wide = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        for x in (dt, wide):
+            assert np.float64(timeseries._median(x)).tobytes() == np.median(x).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_parse_holds_no_copy_of_the_file(record_file, record_io_processes, n):
     # a 5.8 MB file of 8 channels; holding its text took 2x its size
