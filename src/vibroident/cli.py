@@ -466,13 +466,6 @@ def cmd_analyze(args) -> int:
         strain_stations=tuple(strain["stations"]) if strain else None,
         strain_fiber_m=float(strain.get("fiber_m", STRAIN_FIBER_M)),
     )
-    if result.unconverged:
-        print(
-            f"warning: {len(result.unconverged)} channel fit(s) did not converge; "
-            "their best iterate was used",
-            file=sys.stderr,
-        )
-
     damping_doc = {
         "config_sha256": config_hash(cfg),
         "dof_excited": result.dof_excited,

@@ -2,8 +2,8 @@
 
 Band-pass Butterworth design (bilinear transform with pre-warping,
 realized as second-order sections), zero-phase filtering as one blocked
-state recurrence, and the three-stage sine least-squares fit.  numpy is
-the only dependency.
+state recurrence, and sine least-squares fits.  numpy is the only
+dependency.
 
 The sine fit is batched: :func:`fit_sines` fits every channel of a window
 in one pass, each at its own frequency, and :func:`fit_sine` is its
@@ -19,9 +19,9 @@ time axis, exp(i*w*t_k) is built from two-level powers (about 2*sqrt(n)
 exponentials per row, then one complex product per sample).  The linear
 stages project the samples onto those powers without forming the basis,
 take the sin/cos Gram terms from the closed-form Dirichlet sum and read
-the SSE off the normal equations.  The polish takes Newton steps on the
-exact 3x3 Hessian of each row, so it converges quadratically also where
-the residual is as large as the signal.
+the SSE off the normal equations.  :func:`fit_sines` searches each
+row's frequency with these linear fits alone: a golden-section search
+ended by one parabolic step through the SSE values it has computed.
 """
 
 from __future__ import annotations
@@ -195,14 +195,10 @@ def _state_space(sos: np.ndarray):
 
 #: samples per block of the filter recurrence
 _FILTER_BLOCK = 64
-#: cells (rows x samples) of one block of rows in the passes where rows
-#: never share a product: the zero-phase filter and the sine-fit polish
-#: build their scratch for one block at a time, so it does not grow with
-#: the record.  The polish keeps about 105 bytes of scratch per cell and
-#: the filter about 18 (tracemalloc), so the filter takes four budgets per
-#: block: about 7 and 5 MB.  A window of 222 samples x 87 channels is one
-#: block.
-_BLOCK_CELLS = 1 << 16
+#: padded cells (rows x samples) of one block of rows of the zero-phase
+#: filter, which builds its scratch for one block at a time, so it does
+#: not grow with the record: about 18 bytes per cell (tracemalloc), 5 MB
+_BLOCK_CELLS = 1 << 18
 #: blocks per drive-term product.  OpenBLAS runs larger products (about
 #: 1e6 multiply-adds and up) on several threads.  On 2 cores, one product
 #: per row saved no wall time on an 87 x 24,796 record (0.07-0.13 s a
@@ -282,7 +278,7 @@ def filtfilt(coeffs: FilterCoefficients, record: TimeSeries | TimeSeriesSet):
 
     x = record.values.reshape(-1, n)
     out = np.empty(x.shape)
-    step = max(1, 4 * _BLOCK_CELLS // (n + 2 * edge))
+    step = max(1, _BLOCK_CELLS // (n + 2 * edge))
     for lo in range(0, len(x), step):
         xb = x[lo : lo + step]
         ext = np.concatenate(
@@ -309,17 +305,18 @@ _TWO_PI_LO = 2.4492935982947064e-16
 
 @dataclass(frozen=True)
 class SineFits:
-    """Row-wise fits of one window: u_c(t) = amplitude[c] * sin(omega[c] * t + phase[c]).
-
-    ``converged`` is False where the Newton polish ran out of iterations;
-    that row then holds the best iterate found.
-    """
+    """Row-wise fits of one window: u_c(t) = amplitude[c] * sin(omega[c] * t + phase[c])."""
 
     amplitude: np.ndarray
     omega: np.ndarray
     phase: np.ndarray
+    #: read off the normal equations, sqrt(max(uu - a*su - b*cu, 0) / n).
+    #: The difference cancels sums as large as uu, so it resolves only down
+    #: to about sqrt(eps) of the row's amplitude: a noise-free row of
+    #: amplitude 1e4 read 8.0e-5 against an explicit residual of ~1e-12.
+    #: A clean row's value is roundoff, and an SNR built on it tops out
+    #: near 1e8.
     residual_rms: np.ndarray
-    converged: np.ndarray
 
     @property
     def frequency(self) -> np.ndarray:
@@ -379,12 +376,6 @@ def _powers(omega, phase, dt: float, n: int):
     return inner, outer
 
 
-def _phasors(omega, phase, dt: float, n: int) -> np.ndarray:
-    """exp(i*(phase + omega*k*dt)) for k < n, one row per entry of ``omega``."""
-    inner, outer = _powers(omega, phase, dt, n)
-    return (outer[:, :, None] * inner[:, None, :]).reshape(len(omega), -1)[:, :n]
-
-
 def _fold(U: np.ndarray) -> np.ndarray:
     """Rows zero-padded to the two-level length and folded to (C, rows, m)."""
     c, n = U.shape
@@ -427,120 +418,6 @@ def _linear_fits(blocks, uu, omega, dt: float, n: int) -> np.ndarray:
         return np.array([np.hypot(a, b), np.arctan2(b, a), uu - a * su - b * cu])
 
 
-def _sse(U, params, dt: float) -> np.ndarray:
-    """Explicit residual sum of squares of A*sin(w*tau + psi), params (C, 3)."""
-    sines = _phasors(params[:, 1], params[:, 2], dt, U.shape[1]).imag
-    r = U - params[:, :1] * sines
-    return np.einsum("cn,cn->c", r, r)
-
-
-def _solve_spd(S, b):
-    """Solve stacked symmetric 3x3 systems S x = b by Cholesky.
-
-    A row whose S is not positive definite, or not finite, gets a non-finite
-    x (a square root of a negative pivot, or a division by a zero one), so
-    no input raises.
-    """
-    with np.errstate(all="ignore"):
-        l00 = np.sqrt(S[:, 0, 0])
-        l10 = S[:, 1, 0] / l00
-        l20 = S[:, 2, 0] / l00
-        l11 = np.sqrt(S[:, 1, 1] - l10 * l10)
-        l21 = (S[:, 2, 1] - l20 * l10) / l11
-        l22 = np.sqrt(S[:, 2, 2] - l20 * l20 - l21 * l21)
-        y0 = b[:, 0] / l00
-        y1 = (b[:, 1] - l10 * y0) / l11
-        x2 = (b[:, 2] - l20 * y0 - l21 * y1) / l22 / l22
-        x1 = (y1 - l21 * x2) / l11
-        x0 = (y0 - l10 * x1 - l20 * x2) / l00
-    return np.column_stack([x0, x1, x2])
-
-
-def _newton_steps(U, params, dt: float):
-    """Newton steps on SSE/2 of f = A*sin(w*tau + psi) for every row, and
-    their predicted SSE decrease g.step, where g = J^T r.
-
-    With s and c the sine and cosine of w*tau + psi, J has the columns s,
-    A*tau*c and A*c, and the Hessian is J^T J - sum_k r_k * (Hessian of f
-    at sample k).  The steps are solved for (dA, A*dw, A*dpsi): that takes
-    A out of the Gram matrix G of (s, tau*c, c), and leaves the residual
-    term as sums of r*s, r*c, r*tau*c, r*tau*s and r*tau^2*s over A, so no
-    term scales with A^2.  Each system is scaled to the unit diagonal of G.
-    Where the Hessian is not positive definite (far from a minimum, or on
-    a degenerate row) the Gauss-Newton system G takes its place; a row
-    singular in both gets a non-finite step.
-    """
-    n = U.shape[1]
-    tau = dt * np.arange(n)
-    amp = params[:, 0]
-    with np.errstate(all="ignore"):
-        basis = _phasors(params[:, 1], params[:, 2], dt, n)
-        s, c = basis.imag, basis.real
-        cols = np.stack([U - amp[:, None] * s, s, tau * c, c, tau * s, tau * tau * s], axis=1)
-        # sums[:, i, j] = sum over samples of cols[i + 1] * cols[j]
-        sums = cols[:, 1:] @ cols[:, :4].transpose(0, 2, 1)
-        g, gram = sums[:, :3, 0], sums[:, :3, 1:]
-        rs, rtc, rc, rts, rtts = sums[:, :, 0].T / amp
-        zero = np.zeros_like(amp)
-        curvature = np.moveaxis(np.array([[zero, rtc, rc], [rtc, -rtts, -rts], [rc, -rts, -rs]]), -1, 0)
-        d = 1.0 / np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
-        outer = d[:, :, None] * d[:, None, :]
-        y = _solve_spd((gram - curvature) * outer, d * g)
-        indefinite = ~np.all(np.isfinite(y), axis=1)
-        y[indefinite] = _solve_spd(gram[indefinite] * outer[indefinite], d[indefinite] * g[indefinite])
-        y *= d
-        return y / np.column_stack([np.ones_like(amp), amp, amp]), np.einsum("ck,ck->c", g, y)
-
-
-def _polish(U, params, sse, dt: float, t0: float, max_iter: int) -> np.ndarray:
-    """Newton on (A, w, psi) of every row, with step halving per row.
-
-    Updates ``params`` and ``sse`` in place and returns the converged flags.
-    Rows leave the active set once a step no longer improves the residual
-    or shrinks below 1e-13 of the parameter scale (phase measured on the
-    absolute time axis, psi - w*t0).  A step whose predicted decrease is
-    below the rounding of the SSE (1e-12 of it) is tried once and never
-    halved: near the minimum, a rise by an ulp says nothing about the step.
-    """
-    converged = np.zeros(len(U), dtype=bool)
-    active = np.arange(len(U))
-    for _ in range(max_iter):
-        if active.size == 0:
-            break
-        step, decrease = _newton_steps(U[active], params[active], dt)
-        finite = np.all(np.isfinite(step), axis=1)
-        once = decrease <= 1e-12 * sse[active]
-        # halve until the residual improves (keeps refinement monotone)
-        improved = np.zeros(active.size, dtype=bool)
-        pending = np.flatnonzero(finite)
-        for _ in range(30):
-            if pending.size == 0:
-                break
-            rows = active[pending]
-            trial = params[rows] + step[pending]
-            sse_t = _sse(U[rows], trial, dt)
-            ok = sse_t <= sse[rows]
-            acc = rows[ok]
-            with np.errstate(invalid="ignore"):   # inf - inf on an overflowing row
-                improved[pending[ok]] = sse[acc] - sse_t[ok] > 1e-12 * np.maximum(sse[acc], 1e-300)
-            params[acc] = trial[ok]
-            sse[acc] = sse_t[ok]
-            pending = pending[~ok & ~once[pending]]
-            step[pending] /= 2.0
-        # parameter scales: amplitude/frequency relative, phase in radians
-        p = params[active]
-        scale = np.column_stack([np.maximum(np.abs(p[:, 0]), 1e-300), np.abs(p[:, 1]), np.ones(len(p))])
-        rel = np.abs(np.column_stack([step[:, 0], step[:, 1], step[:, 2] - t0 * step[:, 1]])) / scale
-        done = (np.max(rel, axis=1) < 1e-13) | ~improved
-        converged[active[done & finite]] = True
-        active = active[~done & finite]
-    return converged
-
-
-#: Newton iterations a sine fit may take before it counts as not converged
-MAX_ITER = 100
-
-
 def _window(t, U, f: float):
     """``t`` and the rows of ``U`` as float arrays, and the sample spacing;
     FitError unless ``f`` is positive and the window covers >= 3 of its cycles."""
@@ -561,10 +438,10 @@ def fit_sines_at(t, U, omega: float) -> SineFits:
     Frequency Domain Approach*, 2012).
 
     Every row takes the one linear in-phase/quadrature solve of stage (i)
-    of :func:`fit_sines` at ``omega``, with no search and no polish, so
-    every row is converged and ``omega`` is that of every row.  Phases are
-    reported on the absolute axis; the residual RMS is read off the normal
-    equations (floored at zero), to about 1e-16 of the row's sum of squares.
+    of :func:`fit_sines` at ``omega``, with no search, so ``omega`` is that
+    of every row.  Phases are reported on the absolute axis; the residual
+    RMS is read off the normal equations, floored at zero (see
+    :class:`SineFits`).
     """
     t, U, dt = _window(t, U, omega / (2.0 * math.pi))
     c, n = U.shape
@@ -575,7 +452,6 @@ def fit_sines_at(t, U, omega: float) -> SineFits:
         omega=w,
         phase=_wrap_phase(psi - _phase_at(w, float(t[0]))),
         residual_rms=np.sqrt(np.maximum(sse, 0.0) / n),
-        converged=np.ones(c, dtype=bool),
     )
 
 
@@ -590,10 +466,10 @@ def fit_sines_drift(t, U, f: float) -> SineFits:
     offset, and omega is 2*pi*f plus the offsets' mean weighted by the
     rows' amplitudes (the halves' sum).  Where every amplitude is zero, or
     the weighted mean is not finite (only where a row's sums overflow),
-    omega stays 2*pi*f.  No row searches or polishes, so every row is
-    converged.  An offset that drifts a row's phase by more than pi
-    across the halves aliases: this is an estimator for a drive at about
-    ``f``, as in a stepped dwell, not for an unknown frequency.
+    omega stays 2*pi*f.  No row searches its own frequency.  An offset
+    that drifts a row's phase by more than pi across the halves aliases:
+    this is an estimator for a drive at about ``f``, as in a stepped
+    dwell, not for an unknown frequency.
 
     A fit at the wrong frequency reads each half's phase slightly off its
     centre, by an amount that depends on the phase, so one pass is off by
@@ -621,20 +497,25 @@ def fit_sines_drift(t, U, f: float) -> SineFits:
     return fit_sines_at(t, U, omega)
 
 
-def fit_sines(t, U, f_init: float, max_iter: int = MAX_ITER) -> SineFits:
+def fit_sines(t, U, f_init: float) -> SineFits:
     """Fit u_c(t) = A_c * sin(w_c * t + phi_c) to every row of ``U``.
 
     ``U`` holds C channels sampled on the uniform axis ``t`` (n samples).
-    Each row goes through three stages: (i) linear fit of the
-    in-phase/quadrature pair at ``f_init``, (ii) golden-section refinement
-    of the frequency over +-10 %, re-solving the linear problem, run in
-    lock-step over all rows, (iii) Newton polish of all three parameters
-    on the rows still active, falling back to a Gauss-Newton step where
-    the Hessian is not positive definite.  The fit runs on the local axis
-    tau = t - t[0]; phases are reported on the absolute axis.  The residual
-    RMS is that of the returned parameters and never exceeds the stage-(i)
-    residual.  Rows are independent in every stage, so stage (iii) runs
-    over blocks of rows (``_BLOCK_CELLS``) to bound its scratch.
+    Each row goes through two stages, in lock-step over all rows, each a
+    linear in-phase/quadrature fit at a trial frequency: (i) the fit at
+    ``f_init``, (ii) a golden-section search of the frequency over
+    +-10 %, ended by one parabolic step (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973).  The step takes the vertex
+    of the parabola through the best interior point and its two
+    neighbours among the bracket's ends and interior points, where it is
+    finite and lies strictly between them; a bracket end not yet
+    evaluated counts as an infinite SSE, which leaves the best interior
+    point.  Each row keeps the best of stage (i), the two interior points
+    and the vertex by SSE, so its residual never exceeds the stage-(i)
+    one and its frequency stays within +-10 % of ``f_init``.  The fit runs
+    on the local axis tau = t - t[0]; phases are reported on the absolute
+    axis.  The residual RMS is read off the normal equations, floored at
+    zero (see :class:`SineFits`).
     """
     t, U, dt = _window(t, U, f_init)
     c, n = U.shape
@@ -644,66 +525,55 @@ def fit_sines(t, U, f_init: float, max_iter: int = MAX_ITER) -> SineFits:
 
     # stage (i): linear fit at the commanded frequency
     first = _linear_fits(blocks, uu, np.full(c, w0), dt, n)
-    amp, omega, psi, sse = first[0], np.full(c, w0), first[1], first[2]
-    converged = np.ones(c, dtype=bool)
+    omega = np.full(c, w0)
 
-    live = np.flatnonzero(amp > 0.0)
+    live = np.flatnonzero(first[0] > 0.0)
     if live.size:
-        bl, uul, ul = blocks[live], uu[live], U[live]
-        # stage (ii): golden-section search on omega in +-10 %
+        bl, uul = blocks[live], uu[live]
+        # stage (ii): golden-section search on omega in +-10 %; an end's
+        # SSE is known once an interior point has become that end
         lo = np.full(live.size, 0.9 * w0)
         hi = np.full(live.size, 1.1 * w0)
+        f_lo = np.full(live.size, np.inf)
+        f_hi = np.full(live.size, np.inf)
         x1 = hi - GOLDEN * (hi - lo)
         x2 = lo + GOLDEN * (hi - lo)
         f1 = _linear_fits(bl, uul, x1, dt, n)
         f2 = _linear_fits(bl, uul, x2, dt, n)
         for _ in range(_GOLDEN_STEPS):
             left = f1[2] < f2[2]
-            hi = np.where(left, x2, hi)
-            lo = np.where(left, lo, x1)
+            hi, f_hi = np.where(left, x2, hi), np.where(left, f2[2], f_hi)
+            lo, f_lo = np.where(left, lo, x1), np.where(left, f_lo, f1[2])
             x = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
             fx = _linear_fits(bl, uul, x, dt, n)
             x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
             f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
+        # the parabola through the best interior point xb and its neighbours
+        left = f1[2] < f2[2]
+        xa, xb, xc = np.where(left, [lo, x1, x2], [x1, x2, hi])
+        fa, fb, fc = np.where(left, [f_lo, f1[2], f2[2]], [f1[2], f2[2], f_hi])
+        with np.errstate(all="ignore"):
+            p, q = (xb - xa) * (fb - fc), (xb - xc) * (fb - fa)
+            vertex = xb - 0.5 * ((xb - xa) * p - (xb - xc) * q) / (p - q)
+        vertex = np.where(np.isfinite(vertex) & (xa < vertex) & (vertex < xc), vertex, xb)
         best_w, best = np.full(live.size, w0), first[:, live]
-        for x, fx in ((x1, f1), (x2, f2)):
+        for x, fx in ((x1, f1), (x2, f2), (vertex, _linear_fits(bl, uul, vertex, dt, n))):
             better = fx[2] < best[2]
             best_w = np.where(better, x, best_w)
             best = np.where(better, fx, best)
+        omega[live] = best_w
+        first[:, live] = best
 
-        # stage (iii): Newton from the best linear fit, whose residual
-        # is evaluated explicitly so that every accepted step truly improves
-        params = np.column_stack([best[0], best_w, best[1]])
-        sse_live = np.empty(live.size)
-        step = max(1, _BLOCK_CELLS // n)
-        for lo in range(0, live.size, step):
-            rows = slice(lo, lo + step)
-            sse_live[rows] = _sse(ul[rows], params[rows], dt)
-            converged[live[rows]] = _polish(ul[rows], params[rows], sse_live[rows], dt, float(t[0]), max_iter)
-        amp[live], omega[live], psi[live] = params.T
-        sse[live] = sse_live
-
-    psi = np.where(amp < 0.0, psi + math.pi, psi)
-    amp = np.abs(amp)
-    psi = np.where(omega < 0.0, math.pi - psi, psi)  # sin(-wt+psi) = sin(wt + pi - psi)
-    omega = np.abs(omega)
+    amp, psi, sse = first
     return SineFits(
         amplitude=amp,
         omega=omega,
         phase=_wrap_phase(psi - _phase_at(omega, float(t[0]))),
-        residual_rms=np.sqrt(sse / n),
-        converged=converged,
+        residual_rms=np.sqrt(np.maximum(sse, 0.0) / n),
     )
 
 
-def fit_sine(ts: TimeSeries, f_init: float, max_iter: int = MAX_ITER) -> SineFit:
-    """Fit amplitude/frequency/phase of a single sinusoid.
-
-    The one-row case of :func:`fit_sines`.  When the Newton polish does not
-    converge within ``max_iter`` iterations, raises :class:`FitError`
-    carrying the best fit.
-    """
-    fits = fit_sines(ts.times(), ts.values[None, :], f_init, max_iter)
-    if not fits.converged[0]:
-        raise FitError(f"no convergence after {max_iter} Newton iterations", best=fits[0])
-    return fits[0]
+def fit_sine(ts: TimeSeries, f_init: float) -> SineFit:
+    """Fit amplitude/frequency/phase of a single sinusoid: the one-row
+    case of :func:`fit_sines`."""
+    return fit_sines(ts.times(), ts.values[None, :], f_init)[0]

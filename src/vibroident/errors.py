@@ -68,11 +68,8 @@ class FilterError(NumericError):
 
 
 class FitError(NumericError):
-    """Sine fit failed to converge; carries the best fit found so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Sine fit impossible: a bad frequency, too short a window, or sums
+    that are not finite."""
 
 
 class DomainError(NumericError):

@@ -76,9 +76,6 @@ class AnalysisResult:
     strain: float | None = None
     #: per-frequency force fits; set by :func:`analyze`
     force_estimates: tuple[ForceEstimate, ...] = ()
-    #: (window frequency, channel label) of every fit whose polish did not
-    #: converge; only swept response rows are polished
-    unconverged: tuple[tuple[float, str], ...] = ()
 
 
 def _channel_keys(labels, layout: SensorLayout) -> list[tuple[str, str]]:
@@ -153,9 +150,9 @@ def analyze(
     """Fit the records into a phasor matrix and forces, then :func:`identify`.
 
     Every window is fitted by one function, ``fit_window``, into one
-    fixed-size raw row: the displacement phasors, the converged flags, the
-    force phasors, the z torque and the drive frequency.  A window's force
-    rows are fitted first (:func:`~vibroident.modal.estimate_force_amplitude`),
+    fixed-size raw row: the displacement phasors, the force phasors, the
+    z torque and the drive frequency.  A window's force rows are fitted
+    first (:func:`~vibroident.modal.estimate_force_amplitude`),
     and its drive frequency is their fits' omega, weighted by amplitude.
     A force fit that is not finite raises FitError, as a response fit does.
 
@@ -163,13 +160,13 @@ def analyze(
       frequency.  The force rows are fitted at the omega of their phase
       drift (:func:`~vibroident.dsp.fit_sines_drift`), and every response
       row at that omega, in one linear solve per window
-      (:func:`~vibroident.dsp.fit_sines_at`): no row searches or polishes
-      its own frequency, and none can fail to converge.
+      (:func:`~vibroident.dsp.fit_sines_at`): no row searches its own
+      frequency.
     - In a sweep window the response's instantaneous frequency follows
       the phase slope of the transfer function, which one fixed omega
       misfits, so the force and response rows keep their free fits
-      (:func:`~vibroident.dsp.fit_sines`); ``unconverged`` lists the
-      response rows whose polish ran out of iterations.
+      (:func:`~vibroident.dsp.fit_sines`), each searching its frequency
+      within +-10 % of the window's grid frequency.
 
     The filter gain and the -1/omega^2 that takes acceleration to
     displacement are evaluated at each row's fitted omega.
@@ -180,8 +177,8 @@ def analyze(
     Any failure (a worker that does not exit 0, a short read, an OSError,
     or an error in this process's own share) re-runs every window here,
     in window order, so the result and any exception are the one-process
-    ones.  Stepped windows, which run no search and no polish, are fitted
-    in this process alone.  Split over two processes, the benchmark's
+    ones.  Stepped windows, which run no search, are fitted in this
+    process alone.  Split over two processes, the benchmark's
     stepped_x ``analyze`` was no faster (median 0.68 s wall against 0.68
     s) and used more CPU (1.02 s against 0.99 s; 8 alternating runs each
     on a 2-vCPU Xeon).
@@ -199,7 +196,6 @@ def analyze(
     channels = len(response)
     fitted = np.zeros(len(windows), np.dtype([
         ("phasors", complex, (channels,)),
-        ("converged", bool, (channels,)),
         ("force", complex, (3,)),
         ("torque", complex),
         ("omega", float),
@@ -225,9 +221,7 @@ def analyze(
             raise FitError(f"sine fit of channel {label!r} at {f} Hz is not finite")
         # forward+backward filtering scales amplitudes by |H|^2; undo it
         accel_phasors = fits.phasor / dsp.filter_gain(coeffs, fits.frequency) ** 2
-        fitted[k] = (
-            -accel_phasors / fits.omega**2, fits.converged, est.component_phasors, est.torque_z_phasor, est.omega
-        )
+        fitted[k] = (-accel_phasors / fits.omega**2, est.component_phasors, est.torque_z_phasor, est.omega)
 
     def send(first: int, step: int, out) -> None:
         for k in range(first, len(windows), step):
@@ -254,11 +248,6 @@ def analyze(
             fit_window(k)
 
     freqs = [f for f, _, _ in windows]
-    # swept channels with no coherent response (noise-only) may run out of
-    # polish iterations; their best iterate is kept and reported
-    unconverged = tuple(
-        (f, response.labels[c]) for f, ok in zip(freqs, fitted["converged"]) for c in np.flatnonzero(~ok)
-    )
     force_estimates = tuple(
         ForceEstimate(f, row["force"].copy(), complex(row["torque"]), float(row["omega"]))
         for f, row in zip(freqs, fitted)
@@ -267,7 +256,7 @@ def analyze(
     result = identify(
         freqs, keys, fitted["phasors"], forces, dof, layout, policy, strain_stations, strain_fiber_m
     )
-    return replace(result, force_estimates=force_estimates, unconverged=unconverged)
+    return replace(result, force_estimates=force_estimates)
 
 
 def identify(

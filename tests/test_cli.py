@@ -13,10 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vibroident
-from vibroident import cli, dsp
+from vibroident import cli
 from vibroident.cli import _atomic_write, config_hash, load_run_config, main
-from vibroident.pipeline import AnalysisPolicy, analysis_windows
-from vibroident.simulator import load_program
 from vibroident.timeseries import parse_timeseries_csv
 
 MINI_PROGRAM = {
@@ -274,18 +272,6 @@ def simulated_sweep(workdir):
     return cfg, out
 
 
-def starve_response_fits(monkeypatch):
-    """Free fits of more than one row (the response rows) get no polish
-    iterations; the force rows, fitted through modal's own import of
-    ``fit_sines``, keep theirs."""
-    fit_sines = dsp.fit_sines
-
-    def starved(t, U, f_init, max_iter=100):
-        return fit_sines(t, U, f_init, 0 if len(U) > 1 else max_iter)
-
-    monkeypatch.setattr(dsp, "fit_sines", starved)
-
-
 @pytest.fixture(scope="module")
 def analyzed(workdir, simulated):
     out = workdir / "ana"
@@ -344,33 +330,16 @@ class TestAnalyze:
         assert rc == 0
         assert {f.name: f.read_bytes() for f in analyzed.iterdir()} == before
 
-    def test_unconverged_fits_counted_on_stderr(self, workdir, simulated_sweep, monkeypatch, capsys):
-        # swept response rows take free fits, which run out of polish iterations
+    def test_sweep_analysis_writes_nothing_to_stderr(self, workdir, simulated_sweep, capsys):
         cfg, sim = simulated_sweep
-        starve_response_fits(monkeypatch)
         rc = main([
             "analyze", "-c", str(cfg),
             "--response", str(sim / "response.csv"),
             "--force", str(sim / "force.csv"),
-            "-o", str(workdir / "ana_starved"),
+            "-o", str(workdir / "ana_sweep"),
         ])
         assert rc == 0
-        channels = len((sim / "response.csv").read_text().splitlines()[1].split(",")) - 1
-        windows = len(analysis_windows(load_program(json.dumps(MINI_SWEEP)), AnalysisPolicy()))
-        err = capsys.readouterr().err
-        assert f"{channels * windows} channel fit(s) did not converge" in err
-
-    def test_stepped_response_fits_cannot_fail_to_converge(self, workdir, simulated, monkeypatch, capsys):
-        # stepped response rows are solved at the drive frequency: no polish to starve
-        starve_response_fits(monkeypatch)
-        rc = main([
-            "analyze", "-c", str(workdir / "cfg.json"),
-            "--response", str(simulated / "response.csv"),
-            "--force", str(simulated / "force.csv"),
-            "-o", str(workdir / "ana_stepped_starved"),
-        ])
-        assert rc == 0
-        assert "did not converge" not in capsys.readouterr().err
+        assert capsys.readouterr().err == ""
 
     def test_empty_response_is_parse_error(self, workdir, simulated):
         empty = workdir / "empty.csv"

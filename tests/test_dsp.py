@@ -12,7 +12,7 @@ from vibroident.dsp import (
     design_bandpass,
     filter_gain,
     _phase_at,
-    _phasors,
+    _powers,
     filtfilt,
     fit_sine,
     fit_sines,
@@ -142,7 +142,7 @@ class TestFiltFilt:
     def test_rows_beyond_one_block_equal_rows_filtered_alone(self):
         c = design_bandpass(5, 1.0, 25.0, 200.0)
         n = 3000
-        rows = 4 * dsp._BLOCK_CELLS // (n + 2 * c.pad_len) + 3
+        rows = dsp._BLOCK_CELLS // (n + 2 * c.pad_len) + 3
         rng = np.random.default_rng(8)
         labels = tuple(f"c{i}" for i in range(rows))
         tss = TimeSeriesSet(0.5, 200.0, rng.standard_normal((rows, n)), labels, ("m",) * rows)
@@ -278,17 +278,6 @@ class TestFitSine:
         with pytest.raises(FitError):
             fit_sine(ts, 10.0)
 
-    def test_nonconvergence_carries_best(self):
-        # exhaust the iteration budget before the polish can run; the error
-        # must still carry the best fit found by the earlier stages
-        rng = np.random.default_rng(5)
-        ts = sine_series(9.5, dur=5.0, extra=lambda t: 0.5 * rng.standard_normal(t.size))
-        with pytest.raises(FitError) as exc:
-            fit_sine(ts, 10.0, max_iter=0)
-        assert exc.value.best is not None
-        assert exc.value.best.amplitude > 0.5
-        assert exc.value.best.residual_rms > 0
-
     @given(st.floats(min_value=0.01, max_value=1000.0))
     @settings(max_examples=25, deadline=None)
     def test_scale_equivariance(self, s):
@@ -318,64 +307,35 @@ def batch_rows(t, seed=17):
 
 
 class TestFitSines:
-    @pytest.mark.parametrize("max_iter", [100, 2, 0])
-    def test_rows_match_single_row_fits(self, max_iter):
+    def test_rows_match_single_row_fits(self):
         t = 312.4 + np.arange(1201) / 200.0
         U = batch_rows(t)
-        fits = fit_sines(t, U, 8.0, max_iter=max_iter)
+        fits = fit_sines(t, U, 8.0)
         assert fits.amplitude.shape == (len(U),)
         for row, u in enumerate(U):
-            try:
-                single = fit_sine(TimeSeries(t[0], 200.0, u), 8.0, max_iter=max_iter)
-                converged = True
-            except FitError as exc:
-                single, converged = exc.best, False
-            assert bool(fits.converged[row]) == converged
+            single = fit_sine(TimeSeries(t[0], 200.0, u), 8.0)
             got = fits[row]
             for name in ("amplitude", "omega", "residual_rms"):
                 assert getattr(got, name) == pytest.approx(getattr(single, name), rel=1e-12, abs=1e-300)
             assert got.phase == pytest.approx(single.phase, rel=1e-12, abs=1e-12)
 
-    def test_rows_beyond_one_polish_block_equal_one_row_calls(self):
+    def test_rows_of_a_large_batch_equal_one_row_calls(self):
         t = 312.4 + np.arange(1201) / 200.0
-        # noise only: with seed 79 this row needs 5 polish iterations, so
-        # with 4 it runs out of them
-        stuck = 0.01 * np.random.default_rng(79).standard_normal((19, t.size))[18]
-        rows = [batch_rows(t, seed) for seed in range(dsp._BLOCK_CELLS // t.size // 7 + 1)]
-        U = np.vstack([*rows, stuck])
-        assert len(U) > dsp._BLOCK_CELLS // t.size
-        fits = fit_sines(t, U, 8.0, max_iter=4)
-        assert not fits.converged[-1]
+        U = np.vstack([batch_rows(t, seed) for seed in range(10)])
+        fits = fit_sines(t, U, 8.0)
         for row in range(len(U)):
-            one = fit_sines(t, U[row : row + 1], 8.0, max_iter=4)
-            for name in ("amplitude", "omega", "phase", "residual_rms", "converged"):
+            one = fit_sines(t, U[row : row + 1], 8.0)
+            for name in ("amplitude", "omega", "phase", "residual_rms"):
                 assert getattr(fits, name)[row : row + 1].tobytes() == getattr(one, name).tobytes()
 
-    def test_rows_at_their_minimum_leave_after_one_sse_call(self, monkeypatch):
-        # from the least-squares minimum a step is at roundoff: it is tried
-        # once and never halved, so every row leaves on one SSE evaluation.
-        # Not the noise-free row, whose SSE is all roundoff, nor the zero row
-        t = np.arange(1201) / 200.0
-        U = batch_rows(t)[[1, 2, 3, 5, 6]]
-        fits = fit_sines(t, U, 8.0)
-        assert fits.converged.all()
-        params = np.column_stack([fits.amplitude, fits.omega, fits.phase])
-        dt = (t[-1] - t[0]) / (t.size - 1)
-        sse = dsp._sse(U, params, dt)
-        calls = []
-        sse_of = dsp._sse
-        monkeypatch.setattr(dsp, "_sse", lambda *args: calls.append(len(args[0])) or sse_of(*args))
-        assert dsp._polish(U, params, sse, dt, 0.0, dsp.MAX_ITER).all()
-        assert calls == [len(U)]
-
-    def test_low_snr_row_converges_in_few_iterations(self):
-        # a sine under band-limited noise of its own RMS: with seed 15 this
-        # row needs 4 Newton iterations (Gauss-Newton steps took 40)
-        t = 312.4 + np.arange(1201) / 200.0
-        white = TimeSeries(0.0, 200.0, np.random.default_rng(15).standard_normal(1601))
-        noise = filtfilt(design_bandpass(4, 6.0, 10.0, 200.0), white).values[200:-200]
-        u = np.sin(2 * np.pi * 8.0 * t + 1.0) + noise / np.sqrt(np.mean(noise**2))
-        assert fit_sines(t, u, 8.0, max_iter=8).converged[0]
+    def test_noise_only_rows_keep_their_frequency_in_the_bracket(self):
+        # 4 cycles of noise, as in a sweep's 2 Hz window: on rows this short
+        # the SSE is flat in omega, and its nearest minimum often lies
+        # outside +-10 % of the start frequency
+        t = 312.4 + np.arange(481) / 240.0
+        U = 0.01 * np.random.default_rng(79).standard_normal((19, t.size))
+        fits = fit_sines(t, U, 2.0)
+        assert np.all((1.8 <= fits.frequency) & (fits.frequency <= 2.2))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degenerate_rows_leave_the_other_rows_unchanged(self):
@@ -384,7 +344,7 @@ class TestFitSines:
         normal = batch_rows(t)
         degenerate = np.array([
             np.full(t.size, 5.0),                    # constant
-            1e300 * np.sin(w * t),                   # sums overflow: non-finite Hessian
+            1e300 * np.sin(w * t),                   # sums overflow
             1e-300 * np.sin(w * t + 1.0),            # products underflow
             np.r_[1.0, np.zeros(t.size - 1)],        # one spike
             np.sin(w * t) * (np.arange(t.size) % 2), # every other sample
@@ -393,16 +353,8 @@ class TestFitSines:
         mixed = fit_sines(t, np.vstack([degenerate[:3], normal, degenerate[3:]]), 8.0)
         alone = fit_sines(t, normal, 8.0)
         rows = slice(3, 3 + len(normal))
-        for name in ("amplitude", "omega", "phase", "residual_rms", "converged"):
+        for name in ("amplitude", "omega", "phase", "residual_rms"):
             assert getattr(mixed, name)[rows].tobytes() == getattr(alone, name).tobytes()
-
-    def test_flags_follow_the_iteration_budget(self):
-        t = np.arange(1201) / 200.0
-        U = batch_rows(t)
-        assert fit_sines(t, U, 8.0).converged.all()
-        starved = fit_sines(t, U, 8.0, max_iter=0)
-        # a zero row has nothing to polish; every other row needs iterations
-        assert starved.converged.tolist() == [not u.any() for u in U]
 
     def test_residual_is_that_of_the_returned_parameters(self):
         t = 40.0 + np.arange(801) / 200.0
@@ -428,7 +380,8 @@ class TestFitSines:
     def test_basis_matches_exp(self, n, rate, wdt, t0):
         dt = 1.0 / rate
         omega = wdt / dt
-        got = _phasors(np.array([omega]), _phase_at(np.array([omega]), t0), dt, n)[0]
+        inner, outer = _powers(np.array([omega]), _phase_at(np.array([omega]), t0), dt, n)
+        got = (outer[0, :, None] * inner[0, None, :]).reshape(-1)[:n]
         # reference phase omega*(t0 + k*dt) in extended precision, reduced mod 2*pi
         two_pi = 8 * np.arctan(np.longdouble(1))
         k = np.arange(n, dtype=np.longdouble)
@@ -447,7 +400,7 @@ class TestFitSinesAt:
         U = amp[:, None] * np.sin(w * t + phase[:, None])
         fits = fit_sines_at(t, U, w)
         assert np.max(np.abs(fits.phasor - amp * np.exp(1j * phase)) / np.maximum(amp, 1.0)) < 1e-9
-        assert fits.converged.all() and np.all(fits.omega == w)
+        assert np.all(fits.omega == w)
         # the residual off the normal equations is roundoff of uu: ~sqrt(eps) * amplitude
         assert np.all(fits.residual_rms < 1e-7 * np.maximum(amp, 1.0))
 
@@ -496,7 +449,7 @@ class TestFitSinesDrift:
                 phase = rng.uniform(-np.pi, np.pi, 4)
                 U = amp[:, None] * np.sin(w * t + phase[:, None]) + 0.01 * rng.standard_normal((4, t.size))
                 fits = dsp.fit_sines_drift(t, U, f)
-                assert fits.converged.all() and np.all(fits.omega == fits.omega[0])
+                assert np.all(fits.omega == fits.omega[0])
                 assert abs(fits.omega[0] / w - 1.0) <= self.OMEGA_ERROR[offset]
                 free = fit_sines(t, U, f)
                 # measured: up to 1.65e-6
@@ -507,7 +460,7 @@ class TestFitSinesDrift:
         U = batch_rows(t)
         fits = dsp.fit_sines_drift(t, U, 8.0)
         at = fit_sines_at(t, U, fits.omega[0])
-        for name in ("amplitude", "omega", "phase", "residual_rms", "converged"):
+        for name in ("amplitude", "omega", "phase", "residual_rms"):
             assert getattr(fits, name).tobytes() == getattr(at, name).tobytes()
 
     def test_zero_rows_keep_the_nominal_frequency(self):

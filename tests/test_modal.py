@@ -1,4 +1,3 @@
-import functools
 import math
 from dataclasses import replace
 
@@ -8,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from vibroident import modal
 from vibroident.cli import _load_text
-from vibroident.dsp import fit_sine, fit_sines
+from vibroident.dsp import fit_sine
 from vibroident.errors import (
     BuildError,
     ComparisonError,
     DomainError,
-    FitError,
     ForceEstimationError,
     GeometryError,
     InfinityError,
@@ -107,21 +104,6 @@ class TestForceAmplitude:
         # the drive frequency: the fits' omega weighted by amplitude
         amp = np.array([fit.amplitude for fit in singles])
         assert est.omega == pytest.approx(amp @ [fit.omega for fit in singles] / amp.sum(), rel=1e-12)
-
-    def test_channel_that_does_not_converge_is_named(self, monkeypatch):
-        # noise only: with seed 79 the last row needs 5 polish iterations and
-        # the clean rows at most 4, so on a budget of 4 only the last runs out
-        t = np.arange(1201) / 200.0
-        stuck = 0.01 * np.random.default_rng(79).standard_normal((19, t.size))[18]
-        values = [100.0 * np.sin(2 * np.pi * 8.0 * t + ph) for ph in (0.0, 1.0, 2.0)] + [stuck]
-        force = TimeSeriesSet(312.4, 200.0, values, ("a", "b", "c", "d"), ("kN",) * 4)
-        geo = {label: ForceGeometry([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for label in "abcd"}
-        with pytest.raises(FitError):
-            fit_sine(force["d"], 8.0, max_iter=4)
-        monkeypatch.setattr(modal, "MAX_ITER", 4)
-        monkeypatch.setattr(modal, "fit_sines", functools.partial(fit_sines, max_iter=4))
-        with pytest.raises(ForceEstimationError, match="channel 'd': no convergence after 4 Newton iterations"):
-            estimate_force_amplitude(force, geo, 8.0)
 
 
 class TestBuildFrc:

@@ -102,19 +102,6 @@ def split_sweep(small_setup):
     return resp, force_timeseries(prog, fs=512.0), prog, layout, AnalysisPolicy()
 
 
-@pytest.fixture
-def starved_last_window(monkeypatch):
-    """Response fits of the 13 Hz window get 3 polish iterations: the fit of
-    TC_z there needs 5, so it is the one fit of ``split_sweep`` that does
-    not converge.  Forked workers inherit the patch."""
-    fit_sines = dsp.fit_sines
-
-    def starved(t, U, f, max_iter=dsp.MAX_ITER):
-        return fit_sines(t, U, f, 3 if f == 13.0 else max_iter)
-
-    monkeypatch.setattr(dsp, "fit_sines", starved)
-
-
 def analysis_outcome(resp, force, prog, layout, policy):
     """Every array of the fitted windows as bytes, or the error raised."""
     try:
@@ -125,7 +112,7 @@ def analysis_outcome(resp, force, prog, layout, policy):
         (est.frequency_hz, est.component_phasors.tobytes(), np.complex128(est.torque_z_phasor).tobytes())
         for est in res.force_estimates
     ]
-    return res.phasors.tobytes(), res.rigid.tobytes(), forces, res.unconverged
+    return res.phasors.tobytes(), res.rigid.tobytes(), forces
 
 
 class TestWindowFitWorkers:
@@ -133,10 +120,10 @@ class TestWindowFitWorkers:
     one-process result or error."""
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_split_matches_one_process(self, split_sweep, record_io_processes, starved_last_window, n):
+    def test_split_matches_one_process(self, split_sweep, record_io_processes, n):
         record_io_processes(1)
         serial = analysis_outcome(*split_sweep)
-        assert serial[3] == ((13.0, "TC_z"),) and len(serial[2]) == 12
+        assert len(serial[2]) == 12
         forks = record_io_processes(n)
         assert analysis_outcome(*split_sweep) == serial
         assert len(forks) == n - 1
@@ -144,7 +131,7 @@ class TestWindowFitWorkers:
     @pytest.mark.parametrize("fault", ["exit_1_after_all_bytes", "exit_1_after_half", "sigkill"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_failed_worker_gives_the_one_process_result(
-        self, split_sweep, record_io_processes, failing_workers, starved_last_window, fault, n
+        self, split_sweep, record_io_processes, failing_workers, fault, n
     ):
         record_io_processes(1)
         serial = analysis_outcome(*split_sweep)
@@ -210,7 +197,6 @@ class TestSteppedAnalysis:
         record_io_processes(3)
         monkeypatch.setattr(timeseries, "_forked", lambda *args: pytest.fail("a window fit was forked"))
         res = analyze(*split_run)
-        assert res.unconverged == ()
         # the force records are noise-free
         for f, est in zip(res.frequencies, res.force_estimates):
             assert est.omega == pytest.approx(2 * math.pi * f, rel=1e-9)
@@ -234,7 +220,7 @@ class TestSteppedAnalysis:
         assert again.frc_rigid == res.frc_rigid
         assert again.damping == res.damping
         assert again.natural_frequency_hz == res.natural_frequency_hz
-        assert again.force_estimates == () and again.unconverged == ()
+        assert again.force_estimates == ()
 
     def test_identify_ignores_the_channel_order(self, stepped_run):
         res, _, _, layout = stepped_run
@@ -314,6 +300,24 @@ class TestAnalysisWindows:
 
 
 class TestSweepAnalysis:
+    def test_free_fits_keep_their_frequency_in_the_bracket(self, split_sweep, record_io_processes, monkeypatch):
+        # every response row, the noise-only ones too, stays within +-10 %
+        # of its window's grid frequency
+        record_io_processes(1)
+        fit_sines = dsp.fit_sines
+        ratios = []
+
+        def recording(t, U, f):
+            fits = fit_sines(t, U, f)
+            ratios.append(fits.frequency / f)
+            return fits
+
+        monkeypatch.setattr(dsp, "fit_sines", recording)
+        analyze(*split_sweep)
+        ratios = np.concatenate(ratios)
+        assert ratios.size == 12 * len(split_sweep[0])
+        assert np.all((0.9 <= ratios) & (ratios <= 1.1))
+
     def test_windows_inside_run(self, small_setup):
         prog = ExcitationProgram(
             kind="sweep",
