@@ -5,23 +5,21 @@ realized as second-order sections), zero-phase filtering as one blocked
 state recurrence, and sine least-squares fits.  numpy is the only
 dependency.
 
-The sine fit is batched: :func:`fit_sines` fits every channel of a window
-in one pass, each at its own frequency, and :func:`fit_sine` is its
-one-row case.  :func:`fit_sines_at` fits every channel at one known
-frequency in one linear in-phase/quadrature solve, and
+The sine fits are batched: :func:`fit_sines_at` fits every channel of a
+window at one known frequency in one linear in-phase/quadrature solve,
 :func:`fit_sines_drift` at the one frequency of the channels' phase
-drift between the window's halves.  The analysis fits a stepped dwell's
-force channels with :func:`fit_sines_drift` and its response channels
-with :func:`fit_sines_at` at the force's frequency; a sweep window's
-channels, whose frequency follows the transfer function's phase slope,
-take :func:`fit_sines`.  On the uniform
-time axis, exp(i*w*t_k) is built from two-level powers (about 2*sqrt(n)
+drift between the window's halves, and :func:`fit_sine` is the one-row
+fit at a given frequency.  The analysis fits a stepped dwell's force
+channels with :func:`fit_sines_drift` and its response channels with
+:func:`fit_sines_at` at the force's frequency.  A sweep window's
+channels, whose frequency runs through the window, are projected instead
+(:func:`hann_phasors`): one Hann-weighted product per record, relative
+to the same projection of the drive.  On the uniform time axis,
+exp(i*w*t_k) is built from two-level powers (about 2*sqrt(n)
 exponentials per row, then one complex product per sample).  The linear
-stages project the samples onto those powers without forming the basis,
+fits project the samples onto those powers without forming the basis,
 take the sin/cos Gram terms from the closed-form Dirichlet sum and read
-the SSE off the normal equations.  :func:`fit_sines` searches each
-row's frequency with these linear fits alone: a golden-section search
-ended by one parabolic step through the SSE values it has computed.
+the SSE off the normal equations.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ import numpy as np
 from .errors import DesignError, FilterError, FitError
 from .recurrence import block_operators
 from .timeseries import TimeSeries, TimeSeriesSet, _veltkamp
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -291,11 +287,6 @@ def filtfilt(coeffs: FilterCoefficients, record: TimeSeries | TimeSeriesSet):
     return record.with_values(out.reshape(record.values.shape))
 
 
-#: golden-section steps that take the +-10 % bracket below 1e-6 of the start
-#: frequency.  Each step shrinks a bracket by GOLDEN whichever side it keeps,
-#: so every channel of a batch needs the same number of steps.
-_GOLDEN_STEPS = math.ceil(math.log(1e-6 / 0.2) / math.log(GOLDEN))
-
 # 2*pi in three parts; the first two carry 26 significant bits, so their
 # products with any integer below 2**27 are exact (Cody-Waite reduction)
 _TWO_PI_HI = 6.283185243606567
@@ -437,11 +428,10 @@ def fit_sines_at(t, U, omega: float) -> SineFits:
     excitation frequency (Pintelon & Schoukens, *System Identification: A
     Frequency Domain Approach*, 2012).
 
-    Every row takes the one linear in-phase/quadrature solve of stage (i)
-    of :func:`fit_sines` at ``omega``, with no search, so ``omega`` is that
-    of every row.  Phases are reported on the absolute axis; the residual
-    RMS is read off the normal equations, floored at zero (see
-    :class:`SineFits`).
+    Every row takes one linear in-phase/quadrature solve at ``omega``,
+    with no search, so ``omega`` is that of every row.  Phases are
+    reported on the absolute axis; the residual RMS is read off the
+    normal equations, floored at zero (see :class:`SineFits`).
     """
     t, U, dt = _window(t, U, omega / (2.0 * math.pi))
     c, n = U.shape
@@ -459,10 +449,9 @@ def fit_sines_drift(t, U, f: float) -> SineFits:
     """Fit every row of ``U`` at the one angular frequency taken from the
     rows' phase drift near ``f``: :func:`fit_sines_at` at that omega.
 
-    Each row takes the linear fit of :func:`fit_sines`' stage (i) at
-    2*pi*f on the two halves of the window.  Its phase moves between them
-    by its frequency offset times the distance between the halves'
-    centres; the wrapped phase difference over that distance is the row's
+    Each row takes the linear fit at 2*pi*f on the two halves of the
+    window.  Its phase moves between them by its frequency offset times
+    the distance between the halves' centres; the wrapped phase difference over that distance is the row's
     offset, and omega is 2*pi*f plus the offsets' mean weighted by the
     rows' amplitudes (the halves' sum).  Where every amplitude is zero, or
     the weighted mean is not finite (only where a row's sums overflow),
@@ -497,83 +486,41 @@ def fit_sines_drift(t, U, f: float) -> SineFits:
     return fit_sines_at(t, U, omega)
 
 
-def fit_sines(t, U, f_init: float) -> SineFits:
-    """Fit u_c(t) = A_c * sin(w_c * t + phi_c) to every row of ``U``.
+def fit_sine(ts: TimeSeries, f: float) -> SineFit:
+    """Fit amplitude and phase of a single sinusoid at ``f`` Hz: the
+    one-row case of :func:`fit_sines_at` at 2*pi*f."""
+    return fit_sines_at(ts.times(), ts.values[None, :], 2.0 * math.pi * f)[0]
 
-    ``U`` holds C channels sampled on the uniform axis ``t`` (n samples).
-    Each row goes through two stages, in lock-step over all rows, each a
-    linear in-phase/quadrature fit at a trial frequency: (i) the fit at
-    ``f_init``, (ii) a golden-section search of the frequency over
-    +-10 %, ended by one parabolic step (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973).  The step takes the vertex
-    of the parabola through the best interior point and its two
-    neighbours among the bracket's ends and interior points, where it is
-    finite and lies strictly between them; a bracket end not yet
-    evaluated counts as an infinite SSE, which leaves the best interior
-    point.  Each row keeps the best of stage (i), the two interior points
-    and the vertex by SSE, so its residual never exceeds the stage-(i)
-    one and its frequency stays within +-10 % of ``f_init``.  The fit runs
-    on the local axis tau = t - t[0]; phases are reported on the absolute
-    axis.  The residual RMS is read off the normal equations, floored at
-    zero (see :class:`SineFits`).
+
+def hann_phasors(t, U, reference, omega: float, t0: float, t1: float) -> np.ndarray:
+    """Complex amplitudes of the rows of ``U`` at ``omega`` over one Hann
+    window on [t0, t1], relative to ``reference`` (one row, the same
+    samples); samples outside the window weigh nothing.
+
+    Each row and the reference are weighted by the window and projected
+    onto exp(-i*omega*(t - t_c)), t_c the window's centre; a row's phasor
+    is its projection divided by the reference's.  A row that is the
+    reference scaled by a gets a; a response to a swept drive gets the
+    transfer function at about ``omega``, since the window's share of the
+    chirp divides out (spectral division, Mueller & Massarani, *J. Audio
+    Eng. Soc.* 49(6), 2001; localised in time as in Pintelon & Schoukens,
+    *System Identification*, 2nd ed., 2012).  Rows that share ``t0``,
+    ``t1``, ``omega`` and a reference share one phase reference, whatever
+    their sample rate.
+
+    FitError unless the samples cover the window whole: no sample spacing
+    may fit between an end of the window and the first or last sample.
+    A row whose projection overflows gets non-finite values.
     """
-    t, U, dt = _window(t, U, f_init)
-    c, n = U.shape
-    w0 = 2.0 * math.pi * f_init
-    blocks = _fold(U)
-    uu = np.einsum("cn,cn->c", U, U)
-
-    # stage (i): linear fit at the commanded frequency
-    first = _linear_fits(blocks, uu, np.full(c, w0), dt, n)
-    omega = np.full(c, w0)
-
-    live = np.flatnonzero(first[0] > 0.0)
-    if live.size:
-        bl, uul = blocks[live], uu[live]
-        # stage (ii): golden-section search on omega in +-10 %; an end's
-        # SSE is known once an interior point has become that end
-        lo = np.full(live.size, 0.9 * w0)
-        hi = np.full(live.size, 1.1 * w0)
-        f_lo = np.full(live.size, np.inf)
-        f_hi = np.full(live.size, np.inf)
-        x1 = hi - GOLDEN * (hi - lo)
-        x2 = lo + GOLDEN * (hi - lo)
-        f1 = _linear_fits(bl, uul, x1, dt, n)
-        f2 = _linear_fits(bl, uul, x2, dt, n)
-        for _ in range(_GOLDEN_STEPS):
-            left = f1[2] < f2[2]
-            hi, f_hi = np.where(left, x2, hi), np.where(left, f2[2], f_hi)
-            lo, f_lo = np.where(left, lo, x1), np.where(left, f_lo, f1[2])
-            x = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
-            fx = _linear_fits(bl, uul, x, dt, n)
-            x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
-            f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
-        # the parabola through the best interior point xb and its neighbours
-        left = f1[2] < f2[2]
-        xa, xb, xc = np.where(left, [lo, x1, x2], [x1, x2, hi])
-        fa, fb, fc = np.where(left, [f_lo, f1[2], f2[2]], [f1[2], f2[2], f_hi])
-        with np.errstate(all="ignore"):
-            p, q = (xb - xa) * (fb - fc), (xb - xc) * (fb - fa)
-            vertex = xb - 0.5 * ((xb - xa) * p - (xb - xc) * q) / (p - q)
-        vertex = np.where(np.isfinite(vertex) & (xa < vertex) & (vertex < xc), vertex, xb)
-        best_w, best = np.full(live.size, w0), first[:, live]
-        for x, fx in ((x1, f1), (x2, f2), (vertex, _linear_fits(bl, uul, vertex, dt, n))):
-            better = fx[2] < best[2]
-            best_w = np.where(better, x, best_w)
-            best = np.where(better, fx, best)
-        omega[live] = best_w
-        first[:, live] = best
-
-    amp, psi, sse = first
-    return SineFits(
-        amplitude=amp,
-        omega=omega,
-        phase=_wrap_phase(psi - _phase_at(omega, float(t[0]))),
-        residual_rms=np.sqrt(np.maximum(sse, 0.0) / n),
-    )
-
-
-def fit_sine(ts: TimeSeries, f_init: float) -> SineFit:
-    """Fit amplitude/frequency/phase of a single sinusoid: the one-row
-    case of :func:`fit_sines`."""
-    return fit_sines(ts.times(), ts.values[None, :], f_init)[0]
+    t = np.asarray(t, dtype=float)
+    if t.size < 2 or t[0] - (t[1] - t[0]) >= t0 or t[-1] + (t[-1] - t[-2]) <= t1:
+        span = f"[{t[0]:.6g}, {t[-1]:.6g}] s" if t.size else "no samples"
+        raise FitError(f"record ({span}) does not cover the window [{t0:.6g}, {t1:.6g}] s")
+    tau = t - 0.5 * (t0 + t1)
+    hann = np.where(np.abs(tau) <= 0.5 * (t1 - t0), np.cos(math.pi * tau / (t1 - t0)) ** 2, 0.0)
+    kernel = hann * np.exp(-1j * omega * tau)
+    basis = np.column_stack([kernel.real, kernel.imag])
+    with np.errstate(all="ignore"):
+        rows = np.atleast_2d(np.asarray(U, dtype=float)) @ basis
+        ref = np.asarray(reference, dtype=float) @ basis
+        return (rows[:, 0] + 1j * rows[:, 1]) / complex(ref[0], ref[1])

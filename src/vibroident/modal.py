@@ -1,6 +1,6 @@
 """Frequency response curves, rigid-body motion, damping and strain estimates.
 
-Everything downstream of the per-channel sine fits: force-amplitude
+Everything downstream of the per-channel phasors: force-amplitude
 estimation, force-normalized FRC construction with group averaging,
 least-squares rigid-body motion, SDOF amplification matching for the
 damping ratio, linearity comparison, and the bending-strain estimate.
@@ -18,7 +18,7 @@ from typing import NoReturn
 import numpy as np
 
 # fit_sine stays importable from here: the benchmark tracer wraps modal.fit_sine
-from .dsp import fit_sine, fit_sines
+from .dsp import fit_sine, fit_sines_drift
 from .errors import (
     BuildError,
     ComparisonError,
@@ -55,10 +55,9 @@ class ForceEstimate:
     frequency_hz: float
     component_phasors: np.ndarray      # complex (3,), x/y/z force resultants
     torque_z_phasor: complex
-    #: the drive's angular frequency, rad/s: the channel fits' omega
-    #: weighted by their amplitudes.  In a stepped dwell every channel is
-    #: fitted at one omega, that of the channels' phase drift
-    #: (:func:`~vibroident.dsp.fit_sines_drift`), so this is that omega
+    #: the drive's angular frequency, rad/s: in a stepped dwell that of the
+    #: channels' phase drift (:func:`drift_phasors`), in a sweep window
+    #: that of its grid frequency
     omega: float
 
     @property
@@ -73,22 +72,32 @@ class ForceEstimate:
         return abs(self.torque_z_phasor)
 
 
+def drift_phasors(t, U, f: float):
+    """The rows' phasors fitted at the omega of their phase drift near
+    ``f`` (:func:`~vibroident.dsp.fit_sines_drift`), and the drive's omega:
+    the rows' omega weighted by their amplitudes, ``2*pi*f`` where every
+    amplitude is zero."""
+    fits = fit_sines_drift(t, U, f)
+    total = np.sum(fits.amplitude)
+    with np.errstate(all="ignore"):   # NaN where the amplitudes overflow
+        omega = float(fits.amplitude @ fits.omega / total) if total else 2.0 * math.pi * f
+    return fits.phasor, omega
+
+
 def estimate_force_amplitude(
     force: TimeSeriesSet,
     geometry: dict[str, ForceGeometry],
     f: float,
-    fit=None,
+    fit,
 ) -> ForceEstimate:
-    """Combine per-actuator sine fits into resultant force and torque.
+    """Combine per-actuator phasors into resultant force and torque.
 
-    The rows of the geometry's channels are fitted in one batched
-    ``fit(t, U, f)`` call: :func:`~vibroident.dsp.fit_sines` unless ``fit``
-    is given, where a row gives the same fit as on its own.  The analysis
-    of a stepped dwell passes :func:`~vibroident.dsp.fit_sines_drift`,
-    which fits every row at one omega.  Torque about Z comes from the X/Y
-    components and their lever arms, and the drive frequency from the
-    fits' omega, weighted by their amplitudes (``f`` where every amplitude
-    is zero).  ForceEstimationError names the first channel, in geometry
+    The rows of the geometry's channels are estimated in one batched
+    ``fit(t, U, f)`` call, which returns their complex amplitudes (kN) and
+    the drive's angular frequency: :func:`drift_phasors` in a stepped
+    dwell, the Hann projection (:func:`~vibroident.dsp.hann_phasors`) in a
+    sweep window.  Torque about Z comes from the X/Y components and their
+    lever arms.  ForceEstimationError names the first channel, in geometry
     order, that is missing or whose fit fails.
     """
     labels = list(geometry)
@@ -96,21 +105,18 @@ def estimate_force_amplitude(
     # the channels before the first missing one are fitted, and their
     # errors raised, first
     present = list(itertools.takewhile(index.__contains__, labels))
-    omega = math.nan
+    phasors, omega = (), math.nan
     if present:
         try:
-            fits = (fit or fit_sines)(force.times(), force.values[[index[label] for label in present]], f)
+            phasors, omega = fit(force.times(), force.values[[index[label] for label in present]], f)
         except FitError as exc:
-            raise ForceEstimationError(f"sine fit failed on channel {present[0]!r}: {exc}") from exc
-        total = np.sum(fits.amplitude)
-        with np.errstate(all="ignore"):   # NaN where the amplitudes overflow
-            omega = float(fits.amplitude @ fits.omega / total) if total else 2.0 * math.pi * f
+            raise ForceEstimationError(f"estimate failed on channel {present[0]!r}: {exc}") from exc
     components = np.zeros(3, dtype=complex)
     torque = 0.0 + 0.0j
-    for row, label in enumerate(present):
+    for phasor, label in zip(phasors, present):
         geo = geometry[label]
         with np.errstate(all="ignore"):   # NaN where an amplitude overflows
-            fvec = fits[row].phasor * geo.direction
+            fvec = phasor * geo.direction
             components += fvec
             torque += geo.position[0] * fvec[1] - geo.position[1] * fvec[0]
     if len(present) < len(labels):

@@ -1,9 +1,9 @@
 """End-to-end analysis: records in, identified dynamics out.
 
 Two steps.  :func:`analyze` band-pass filters the response, windows each
-dwell (or sweep crossing), sine-fits every channel into one row of
-displacement phasors and estimates the force amplitude from the
-native-rate force records.  :func:`identify` turns that frequencies x
+dwell (or sweep crossing), sine-fits (or, in a sweep, projects) every
+channel into one row of displacement phasors and estimates the force
+amplitude from the native-rate force records.  :func:`identify` turns that frequencies x
 channels phasor matrix and the forces into the force-scaled FRCs,
 rigid-body motion, natural frequency, damping, amplification and strain;
 it runs as well on phasors from any other source, such as the exact
@@ -12,14 +12,13 @@ steady-state response.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dsp, modal, timeseries
-from .errors import FitError, ParseError, VibroidentError, WindowError
+from . import dsp, modal
+from .errors import FitError, ParseError, WindowError
 from .modal import (
     GENERALIZED_AXES,
     DampingEstimate,
@@ -93,9 +92,9 @@ def _channel_keys(labels, layout: SensorLayout) -> list[tuple[str, str]]:
 
 #: sweep analysis points sit on this frequency grid, Hz
 SWEEP_GRID_STEP_HZ = 1.0
-#: a sweep window spans 3.5 cycles, clipped to these bounds, seconds
-SWEEP_WINDOW_MIN_S = 2.0
-SWEEP_WINDOW_MAX_S = 5.0
+#: a sweep window spans the time the sweep takes to cross this band, Hz,
+#: centred on its grid frequency
+SWEEP_WINDOW_HZ = 2.0
 
 
 def analysis_windows(program: ExcitationProgram, policy: AnalysisPolicy) -> list[tuple[float, float, float]]:
@@ -109,9 +108,12 @@ def analysis_windows(program: ExcitationProgram, policy: AnalysisPolicy) -> list
     fit at the drive's fixed frequency cannot absorb that echo.  On the
     noise-free default stepped-X record (``f_low`` 1 Hz), the rigid dx
     amplitude at 1 Hz is 2.84 % off with the window ending at the dwell's
-    end, and 0.08 % off with this rule.  A sweep window spans 3.5 cycles (2-5 s) centred on the time
-    the sweep crosses each 1 Hz grid point, and is kept where it lies
-    inside the run.
+    end, and 0.08 % off with this rule.
+
+    A sweep window is the span in which the sweep crosses the
+    ``SWEEP_WINDOW_HZ`` band centred on a 1 Hz grid point,
+    ``SWEEP_WINDOW_HZ / rate`` seconds centred on the time it crosses
+    that point, and is kept where it lies inside the run.
     """
     out = []
     if program.kind == "stepped":
@@ -125,12 +127,13 @@ def analysis_windows(program: ExcitationProgram, policy: AnalysisPolicy) -> list
             out.append((f, t0, t1))
         return out
     sw = program.sweep
+    half = 0.5 * SWEEP_WINDOW_HZ / sw.rate
     f = math.ceil(sw.f0 / SWEEP_GRID_STEP_HZ) * SWEEP_GRID_STEP_HZ
     while f <= sw.f1 + 1e-9:
-        width = min(max(3.5 / f, SWEEP_WINDOW_MIN_S), SWEEP_WINDOW_MAX_S)
         tc = sw.time_at_frequency(f)
-        t0, t1 = tc - width / 2.0, tc + width / 2.0
-        if t0 >= 0.0 and t1 <= sw.duration:
+        t0, t1 = tc - half, tc + half
+        # a window that ends on the run's edge, as the band's ends can, is inside it
+        if t0 >= -1e-9 and t1 <= sw.duration + 1e-9:
             out.append((float(f), t0, t1))
         f += SWEEP_GRID_STEP_HZ
     if not out:
@@ -147,41 +150,31 @@ def analyze(
     strain_stations: tuple[str, str, str] | None = None,
     strain_fiber_m: float = STRAIN_FIBER_M,
 ) -> AnalysisResult:
-    """Fit the records into a phasor matrix and forces, then :func:`identify`.
+    """Estimate the records' phasors and forces, then :func:`identify`.
 
-    Every window is fitted by one function, ``fit_window``, into one
-    fixed-size raw row: the displacement phasors, the force phasors, the
-    z torque and the drive frequency.  A window's force rows are fitted
-    first (:func:`~vibroident.modal.estimate_force_amplitude`),
-    and its drive frequency is their fits' omega, weighted by amplitude.
-    A force fit that is not finite raises FitError, as a response fit does.
+    Each window gives one row of displacement phasors and one
+    :class:`~vibroident.modal.ForceEstimate`, whose rows are estimated
+    first (:func:`~vibroident.modal.estimate_force_amplitude`).  An
+    estimate that is not finite raises FitError.
 
     - In a stepped dwell the block and its actuators move at the one drive
       frequency.  The force rows are fitted at the omega of their phase
-      drift (:func:`~vibroident.dsp.fit_sines_drift`), and every response
+      drift (:func:`~vibroident.modal.drift_phasors`), and every response
       row at that omega, in one linear solve per window
-      (:func:`~vibroident.dsp.fit_sines_at`): no row searches its own
-      frequency.
-    - In a sweep window the response's instantaneous frequency follows
-      the phase slope of the transfer function, which one fixed omega
-      misfits, so the force and response rows keep their free fits
-      (:func:`~vibroident.dsp.fit_sines`), each searching its frequency
-      within +-10 % of the window's grid frequency.
+      (:func:`~vibroident.dsp.fit_sines_at`).
+    - In a sweep window the frequency runs through the window, so no sine
+      fits it.  The force rows and the filtered response rows are each
+      weighted by one Hann window and projected onto the grid frequency,
+      relative to the same projection of the program's unit drive
+      (:func:`~vibroident.dsp.hann_phasors`): one product per record.
+      Every channel of the window shares that phase reference, and the
+      drive's chirp divides out of every force-scaled output.  A window
+      that the force or response record does not cover whole raises
+      ForceEstimationError or FitError.
 
     The filter gain and the -1/omega^2 that takes acceleration to
-    displacement are evaluated at each row's fitted omega.
-
-    A sweep's windows are split round-robin over up to ``min(CPUs, 4)``
-    processes (sized by their response cells, as record I/O is), forked
-    workers sending their rows back through pipes; nothing is pickled.
-    Any failure (a worker that does not exit 0, a short read, an OSError,
-    or an error in this process's own share) re-runs every window here,
-    in window order, so the result and any exception are the one-process
-    ones.  Stepped windows, which run no search, are fitted in this
-    process alone.  Split over two processes, the benchmark's
-    stepped_x ``analyze`` was no faster (median 0.68 s wall against 0.68
-    s) and used more CPU (1.02 s against 0.99 s; 8 alternating runs each
-    on a 2-vCPU Xeon).
+    displacement are evaluated at the drive's omega.  Every window is
+    estimated in this process.
     """
     dof = program.dof_excited.upper()
     keys = _channel_keys(response.labels, layout)
@@ -193,70 +186,40 @@ def analyze(
         fp.id: ForceGeometry(fp.location, fp.direction) for fp in program.force_points
     }
 
-    channels = len(response)
-    fitted = np.zeros(len(windows), np.dtype([
-        ("phasors", complex, (channels,)),
-        ("force", complex, (3,)),
-        ("torque", complex),
-        ("omega", float),
-    ]))
-
     stepped = program.kind == "stepped"
+    rows, force_estimates = [], []
+    for f, t0, t1 in windows:
+        omega = 2.0 * math.pi * f
 
-    def fit_window(k: int) -> None:
-        f, t0, t1 = windows[k]
-        force_fit = dsp.fit_sines_drift if stepped else None
-        est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f, force_fit)
+        def project(t, U, _f):
+            # one Hann window, omega and drive reference for both records
+            return dsp.hann_phasors(t, U, program.drive(t), omega, t0, t1), omega
+
+        fit = modal.drift_phasors if stepped else project
+        est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f, fit)
         if not np.all(np.isfinite([*est.component_phasors, est.torque_z_phasor, est.omega])):
-            # as below, only a record whose values overflow the fit's sums
+            # as below, only a record whose values overflow the estimate's sums
             raise FitError(f"force fit at {f} Hz is not finite")
         window = extract_window(filtered, t0, t1)
         if stepped:
-            fits = dsp.fit_sines_at(window.times(), window.values, est.omega)
+            phasors = dsp.fit_sines_at(window.times(), window.values, est.omega).phasor
         else:
-            fits = dsp.fit_sines(window.times(), window.values, f)
-        if not np.all(np.isfinite(fits.amplitude)):
-            # only a record whose values overflow the fit's sums gets here
-            label = response.labels[int(np.argmin(np.isfinite(fits.amplitude)))]
-            raise FitError(f"sine fit of channel {label!r} at {f} Hz is not finite")
+            phasors, _ = project(window.times(), window.values, f)
+        if not np.all(np.isfinite(phasors)):
+            # only a record whose values overflow the estimate's sums gets here
+            label = response.labels[int(np.argmin(np.isfinite(phasors)))]
+            raise FitError(f"phasor of channel {label!r} at {f} Hz is not finite")
         # forward+backward filtering scales amplitudes by |H|^2; undo it
-        accel_phasors = fits.phasor / dsp.filter_gain(coeffs, fits.frequency) ** 2
-        fitted[k] = (-accel_phasors / fits.omega**2, est.component_phasors, est.torque_z_phasor, est.omega)
-
-    def send(first: int, step: int, out) -> None:
-        for k in range(first, len(windows), step):
-            fit_window(k)
-            out.write(fitted[k : k + 1].tobytes())
-
-    cells = int(channels * response.sample_rate * sum(t1 - t0 for _, t0, t1 in windows))
-    parts = 1 if stepped else min(timeseries._worker_count(cells), len(windows))
-    done = False
-    if parts > 1:
-        # the low-frequency windows come first and cost the most: deal them out
-        with contextlib.suppress(OSError, VibroidentError):
-            with timeseries._forked([(w, parts) for w in range(1, parts)], send) as pipes:
-                for k in range(0, len(windows), parts):
-                    fit_window(k)
-                for w, pipe in enumerate(pipes, start=1):
-                    for k in range(w, len(windows), parts):
-                        row = fitted[k : k + 1].view(np.uint8)
-                        if pipe.readinto(row) != row.nbytes:
-                            raise ChildProcessError("short read from a window fit worker")
-            done = True
-    if not done:
-        for k in range(len(windows)):
-            fit_window(k)
+        accel_phasors = phasors / dsp.filter_gain(coeffs, est.omega / (2.0 * math.pi)) ** 2
+        rows.append(-accel_phasors / (est.omega * est.omega))
+        force_estimates.append(est)
 
     freqs = [f for f, _, _ in windows]
-    force_estimates = tuple(
-        ForceEstimate(f, row["force"].copy(), complex(row["torque"]), float(row["omega"]))
-        for f, row in zip(freqs, fitted)
-    )
     forces = [est.torque if dof == "YAW" else est.resultant for est in force_estimates]
     result = identify(
-        freqs, keys, fitted["phasors"], forces, dof, layout, policy, strain_stations, strain_fiber_m
+        freqs, keys, np.array(rows), forces, dof, layout, policy, strain_stations, strain_fiber_m
     )
-    return replace(result, force_estimates=force_estimates)
+    return replace(result, force_estimates=tuple(force_estimates))
 
 
 def identify(

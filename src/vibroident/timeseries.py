@@ -179,18 +179,17 @@ class SensorLayout:
         raise KeyError(sid)
 
 
-#: records with fewer cells than this are written and parsed, and windows
-#: with fewer response cells fitted, in one process.  A fork, pipe and reap
-#: cost about 1.9 ms wall and 3 ms CPU per worker (2-vCPU Xeon, Linux,
-#: 185 MB parent, OpenBLAS threads asleep or spinning alike); at 0.15 us
-#: per written cell and 0.13 us per parsed one, three workers' forks cost
-#: 13 % of the writing and 15 % of the parsing of 300,000 cells, far less
-#: than the half that a second CPU saves.  Below it the split still saves
-#: wall time, for more CPU: a 181,820-cell force record parsed in 20 ms
-#: wall and 33 ms CPU over two processes, 26 ms and 26 ms in one.
+#: records with fewer cells than this are written and parsed in one
+#: process.  A fork, pipe and reap cost about 1.9 ms wall and 3 ms CPU per
+#: worker (2-vCPU Xeon, Linux, 185 MB parent, OpenBLAS threads asleep or
+#: spinning alike); at 0.15 us per written cell and 0.13 us per parsed
+#: one, three workers' forks cost 13 % of the writing and 15 % of the
+#: parsing of 300,000 cells, far less than the half that a second CPU
+#: saves.  Below it the split still saves wall time, for more CPU: a
+#: 181,820-cell force record parsed in 20 ms wall and 33 ms CPU over two
+#: processes, 26 ms and 26 ms in one.
 _FORK_MIN_CELLS = 300_000
-#: most processes, the parent included, that write or parse one record or
-#: fit the windows of one analysis
+#: most processes, the parent included, that write or parse one record
 _MAX_WORKERS = 4
 
 

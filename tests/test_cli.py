@@ -796,13 +796,13 @@ def test_fuzzed_simulate_exits_with_a_contract_code(extras):
 
 def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processes, tmp_path):
     # criterion 10 across worker counts: one process, then three.  Two
-    # forked workers for each of four record I/O splits, and on the sweep
-    # for its window-fit split; stepped windows are fitted in one process
+    # forked workers for each of four record I/O splits (writing and
+    # parsing both records); every window is estimated in one process
     stepped = {
         **MINI_PROGRAM,
         "stepped": {"frequencies": [2.0, 3.0, 9.0, 10.0], "duration_per_step": 8.0, "rest_gap": 1.0},
     }
-    for program, splits in ((stepped, 4), (MINI_SWEEP, 5)):
+    for program in (stepped, MINI_SWEEP):
         root = tmp_path / program["kind"]
         root.mkdir()
         prog, cfg = root / "program.json", root / "cfg.json"
@@ -815,7 +815,7 @@ def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processe
             assert main(["simulate", "-c", str(cfg), "-o", str(sim)]) == 0
             assert main(["analyze", "-c", str(cfg), "--response", str(sim / "response.csv"),
                          "--force", str(sim / "force.csv"), "-o", str(ana)]) == 0
-            assert len(forks) == splits * (n - 1)
+            assert len(forks) == 4 * (n - 1)
         for name in ("sim", "ana"):
             one, three = root / f"{name}1", root / f"{name}3"
             assert sorted(p.name for p in one.iterdir()) == sorted(p.name for p in three.iterdir())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from vibroident.cli import _load_text
-from vibroident.dsp import fit_sine
+from vibroident.dsp import fit_sine, fit_sines_at
 from vibroident.errors import (
     BuildError,
     ComparisonError,
@@ -27,6 +27,7 @@ from vibroident.modal import (
     amplification_factor,
     build_frc,
     curvature_strain,
+    drift_phasors,
     estimate_damping,
     estimate_force_amplitude,
     fit_rigid_body,
@@ -50,11 +51,16 @@ def force_set(channels, fs=512.0, dur=10.0):
     return TimeSeriesSet(0.0, fs, values, tuple(channels), ("kN",) * len(channels))
 
 
+def at_f(t, U, f):
+    """Every row fitted at ``f`` itself, and that omega."""
+    return fit_sines_at(t, U, 2 * math.pi * f).phasor, 2 * math.pi * f
+
+
 class TestForceAmplitude:
     def test_aligned_channels_sum(self):
         chans = {f"a{i}": (100.0, 8.0, 0.0) for i in range(4)}
         geo = {f"a{i}": ForceGeometry([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for i in range(4)}
-        est = estimate_force_amplitude(force_set(chans), geo, 8.0)
+        est = estimate_force_amplitude(force_set(chans), geo, 8.0, drift_phasors)
         assert est.resultant == pytest.approx(400.0, rel=1e-9)
         assert est.torque == pytest.approx(0.0, abs=1e-9)
         assert est.omega == pytest.approx(2 * math.pi * 8.0, rel=1e-9)
@@ -62,7 +68,7 @@ class TestForceAmplitude:
     def test_zero_force_keeps_the_nominal_frequency(self):
         chans = {f"a{i}": (0.0, 8.0, 0.0) for i in range(2)}
         geo = {f"a{i}": ForceGeometry([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for i in range(2)}
-        est = estimate_force_amplitude(force_set(chans), geo, 8.0)
+        est = estimate_force_amplitude(force_set(chans), geo, 8.0, drift_phasors)
         assert est.resultant == 0.0 and est.omega == 2 * math.pi * 8.0
 
     def test_pure_couple(self):
@@ -71,7 +77,7 @@ class TestForceAmplitude:
             "e": ForceGeometry([5.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
             "w": ForceGeometry([-5.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
         }
-        est = estimate_force_amplitude(force_set(chans), geo, 8.0)
+        est = estimate_force_amplitude(force_set(chans), geo, 8.0, drift_phasors)
         assert est.resultant == pytest.approx(0.0, abs=1e-6)
         assert est.torque == pytest.approx(1000.0, rel=1e-9)
 
@@ -79,7 +85,7 @@ class TestForceAmplitude:
         chans = {"a0": (100.0, 8.0, 0.0)}
         geo = {"a1": ForceGeometry([0, 0, 0], [1, 0, 0])}
         with pytest.raises(ForceEstimationError, match="force channel 'a1' missing"):
-            estimate_force_amplitude(force_set(chans), geo, 8.0)
+            estimate_force_amplitude(force_set(chans), geo, 8.0, drift_phasors)
 
     def test_one_batch_equals_one_fit_per_channel(self):
         # on-frequency, off-frequency and noisy channels, each fitted as on its own
@@ -92,7 +98,7 @@ class TestForceAmplitude:
             label: ForceGeometry([5.0 * i - 7.0, 3.0 - 2.0 * i, 0.6], [math.cos(i), math.sin(i), 0.1 * i])
             for i, label in enumerate(chans)
         }
-        est = estimate_force_amplitude(force, geo, 8.0)
+        est = estimate_force_amplitude(force, geo, 8.0, at_f)
         components, torque = np.zeros(3, dtype=complex), 0.0 + 0.0j
         singles = [fit_sine(force[label], 8.0) for label in geo]
         for fit, g in zip(singles, geo.values()):
@@ -101,9 +107,7 @@ class TestForceAmplitude:
             torque += g.position[0] * fvec[1] - g.position[1] * fvec[0]
         assert est.component_phasors.tobytes() == components.tobytes()
         assert np.complex128(est.torque_z_phasor).tobytes() == np.complex128(torque).tobytes()
-        # the drive frequency: the fits' omega weighted by amplitude
-        amp = np.array([fit.amplitude for fit in singles])
-        assert est.omega == pytest.approx(amp @ [fit.omega for fit in singles] / amp.sum(), rel=1e-12)
+        assert est.omega == 2 * math.pi * 8.0
 
 
 class TestBuildFrc:

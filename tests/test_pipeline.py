@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vibroident import dsp, modal, timeseries
-from vibroident.errors import FitError, ForceEstimationError, VibroidentError, WindowError
-from vibroident.cli import _contribution_csv, _deformation_figures, _rbm_csv
-from vibroident.modal import frc_to_csv, linearity_rms, rigid_rows
+from vibroident import timeseries
+from vibroident.errors import FitError, ForceEstimationError, WindowError
+from vibroident.cli import _contribution_csv, _deformation_figures, _load_text, _rbm_csv
+from vibroident.modal import frc_to_csv, linearity_rms, rigid_map, rigid_rows
 from vibroident.pipeline import AnalysisPolicy, analysis_windows, analyze, identify
 from vibroident.simulator import (
     BlockSpec,
@@ -19,10 +20,12 @@ from vibroident.simulator import (
     build_block_model,
     force_timeseries,
     integrate,
+    load_model,
+    load_program,
     sensor_kinematics,
     steady_state_response,
 )
-from vibroident.timeseries import SensorLayout, Station
+from vibroident.timeseries import SensorLayout, Station, extract_window, load_layout
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +81,7 @@ def stepped_run(small_setup):
 
 @pytest.fixture(scope="module")
 def split_run(small_setup):
-    """Six dwells with sensor noise.  Split over two or three processes,
-    the last window (12 Hz) belongs to a forked worker."""
+    """Six dwells with sensor noise."""
     _, sys, layout = small_setup
     prog = v_shape_program((1.5, 3.0, 5.0, 8.0, 10.0, 12.0), dur=8.0, rest=1.0)
     hist = integrate(sys, prog, dt=1.0 / 480)
@@ -88,10 +90,8 @@ def split_run(small_setup):
 
 
 @pytest.fixture(scope="module")
-def split_sweep(small_setup):
-    """A 1.5-13.5 Hz sweep with sensor noise: twelve windows, 2-13 Hz,
-    whose response rows take free fits.  Split over two or three
-    processes, the last window (13 Hz) belongs to a forked worker."""
+def noisy_sweep(small_setup):
+    """A 1.5-13.5 Hz sweep with sensor noise."""
     _, sys, layout = small_setup
     prog = ExcitationProgram(
         kind="sweep", force_points=v_shape_program((1.0,)).force_points,
@@ -100,59 +100,6 @@ def split_sweep(small_setup):
     hist = integrate(sys, prog, dt=1.0 / 480)
     resp = sensor_kinematics(hist, layout, NoiseSpec(rms=0.01, seed=127), output_rate=240.0)
     return resp, force_timeseries(prog, fs=512.0), prog, layout, AnalysisPolicy()
-
-
-def analysis_outcome(resp, force, prog, layout, policy):
-    """Every array of the fitted windows as bytes, or the error raised."""
-    try:
-        res = analyze(resp, force, prog, layout, policy)
-    except VibroidentError as exc:
-        return type(exc), str(exc)
-    forces = [
-        (est.frequency_hz, est.component_phasors.tobytes(), np.complex128(est.torque_z_phasor).tobytes())
-        for est in res.force_estimates
-    ]
-    return res.phasors.tobytes(), res.rigid.tobytes(), forces
-
-
-class TestWindowFitWorkers:
-    """The windows fitted over forked workers give, byte for byte, the
-    one-process result or error."""
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_split_matches_one_process(self, split_sweep, record_io_processes, n):
-        record_io_processes(1)
-        serial = analysis_outcome(*split_sweep)
-        assert len(serial[2]) == 12
-        forks = record_io_processes(n)
-        assert analysis_outcome(*split_sweep) == serial
-        assert len(forks) == n - 1
-
-    @pytest.mark.parametrize("fault", ["exit_1_after_all_bytes", "exit_1_after_half", "sigkill"])
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_failed_worker_gives_the_one_process_result(
-        self, split_sweep, record_io_processes, failing_workers, fault, n
-    ):
-        record_io_processes(1)
-        serial = analysis_outcome(*split_sweep)
-        failing_workers(fault)
-        forks = record_io_processes(n)
-        assert analysis_outcome(*split_sweep) == serial
-        assert len(forks) == n - 1
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_error_in_a_worker_window_matches_one_process(self, split_sweep, record_io_processes, n):
-        resp, force, prog, layout, policy = split_sweep
-        # the force record ends 1.5 cycles into the last window
-        f, t0, _ = analysis_windows(prog, policy)[-1]
-        cut = int((t0 + 1.5 / f - force.start_time) * force.sample_rate)
-        short = force.with_values(force.values[:, :cut])
-        record_io_processes(1)
-        serial = analysis_outcome(resp, short, prog, layout, policy)
-        assert serial[0] is ForceEstimationError and "channel 'a1'" in serial[1]
-        forks = record_io_processes(n)
-        assert analysis_outcome(resp, short, prog, layout, policy) == serial
-        assert len(forks) == n - 1
 
 
 class TestSteppedAnalysis:
@@ -189,11 +136,9 @@ class TestSteppedAnalysis:
             assert np.max(np.abs(h / truth[gated] - 1.0)) <= 5e-3, f
 
     def test_response_rows_take_no_search_or_polish(self, split_run, record_io_processes, monkeypatch):
-        # no row takes a free fit: the force rows are fitted at their phase
-        # drift's omega and the noisy response rows at that omega, all in
-        # this process, though three CPUs would split a sweep's windows
-        for module in (dsp, modal):
-            monkeypatch.setattr(module, "fit_sines", lambda *args: pytest.fail("a row took a free fit"))
+        # the force rows are fitted at their phase drift's omega and the
+        # noisy response rows at that omega, all in this process, though
+        # three CPUs would split the records' I/O
         record_io_processes(3)
         monkeypatch.setattr(timeseries, "_forked", lambda *args: pytest.fail("a window fit was forked"))
         res = analyze(*split_run)
@@ -300,23 +245,54 @@ class TestAnalysisWindows:
 
 
 class TestSweepAnalysis:
-    def test_free_fits_keep_their_frequency_in_the_bracket(self, split_sweep, record_io_processes, monkeypatch):
-        # every response row, the noise-only ones too, stays within +-10 %
-        # of its window's grid frequency
-        record_io_processes(1)
-        fit_sines = dsp.fit_sines
-        ratios = []
+    def test_force_record_that_ends_inside_a_window_raises(self, noisy_sweep):
+        # the force record ends 1.5 cycles into the last window, whose
+        # clipped Hann window would be projected all the same
+        resp, force, prog, layout, policy = noisy_sweep
+        f, t0, _ = analysis_windows(prog, policy)[-1]
+        cut = int((t0 + 1.5 / f - force.start_time) * force.sample_rate)
+        short = force.with_values(force.values[:, :cut])
+        with pytest.raises(ForceEstimationError, match="channel 'a1'.*does not cover the window"):
+            analyze(resp, short, prog, layout, policy)
 
-        def recording(t, U, f):
-            fits = fit_sines(t, U, f)
-            ratios.append(fits.frequency / f)
-            return fits
+    def test_response_record_that_starts_inside_a_window_raises(self, noisy_sweep):
+        resp, force, prog, layout, policy = noisy_sweep
+        # the response record starts half a second into the first window
+        _, t0, _ = analysis_windows(prog, policy)[0]
+        late = extract_window(resp, t0 + 0.5, resp.end_time)
+        with pytest.raises(FitError, match="does not cover the window"):
+            analyze(late, force, prog, layout, policy)
 
-        monkeypatch.setattr(dsp, "fit_sines", recording)
-        analyze(*split_sweep)
-        ratios = np.concatenate(ratios)
-        assert ratios.size == 12 * len(split_sweep[0])
-        assert np.all((0.9 <= ratios) & (ratios <= 1.1))
+    #: the bounds of the comparison with truth, each a share of the window's
+    #: largest channel or of the channel's own transfer function (measured
+    #: at most 6.7e-15 and 7.2e-3)
+    RIGID_RESIDUAL = 1e-3
+    H_ERROR = 1e-2
+
+    @pytest.mark.parametrize("dof", ["x", "y", "z", "yaw"])
+    def test_bundled_sweep_matches_the_steady_state_response(self, dof):
+        # the bundled sweep at 0.4 Hz/s, noise-free, at the default rates:
+        # on a rigid block the rigid-body fit leaves no residual, and every
+        # channel at >= 30 % of the strongest reads the steady-state
+        # transfer function over the measured force, in size and phase
+        program = load_program(_load_text(f"default:sweep_{dof}", "program"))
+        program = replace(program, sweep=replace(program.sweep, rate=0.4))
+        layout = load_layout(_load_text("default", "layout"))
+        sys = assemble_system(load_model(_load_text("default", "model")))
+        hist = integrate(sys, program, dt=1.0 / (200.0 * math.ceil(40.0 * program.f_max / 200.0)))
+        resp = sensor_kinematics(hist, layout, NoiseSpec(rms=0.0), output_rate=200.0)
+        res = analyze(resp, force_timeseries(program, fs=512.0), program, layout)
+        assert list(res.frequencies) == [f for f, _, _ in analysis_windows(program, AnalysisPolicy())]
+        excited = {"X": 0, "Y": 1, "Z": 2, "YAW": 5}[res.dof_excited]
+        bf = program.generalized_amplitude().astype(complex)
+        A = rigid_map(res.channels, layout)
+        for f, row, residual, est in zip(res.frequencies, res.phasors, res.rigid_residual_rms, res.force_estimates):
+            assert residual <= self.RIGID_RESIDUAL * np.max(np.abs(row)), f
+            truth = A @ steady_state_response(sys, bf, 2 * math.pi * f) / bf[excited]
+            force = est.torque_z_phasor if excited == 5 else est.component_phasors[excited]
+            gated = np.abs(truth) >= 0.3 * np.max(np.abs(truth))
+            h = row[gated] / (force * 1e3)
+            assert np.max(np.abs(h / truth[gated] - 1.0)) <= self.H_ERROR, f
 
     def test_windows_inside_run(self, small_setup):
         prog = ExcitationProgram(
