@@ -345,3 +345,25 @@ class TestSweepAnalysis:
             meas = u_arr[np.argmin(np.abs(f_arr - f))] / 1e3
             scale = 6800.0 / est.resultant
             assert meas == pytest.approx(truth * scale, rel=0.05)
+
+
+class TestWindowFitWorkers:
+    """Sweep windows are estimated in this process however many CPUs are
+    usable: the error of a window the force record does not cover is the
+    one-process error, and no worker is forked."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_error_in_a_worker_window_matches_one_process(self, noisy_sweep, record_io_processes, n):
+        resp, force, prog, layout, policy = noisy_sweep
+        # the force record ends 1.5 cycles into the last window
+        f, t0, _ = analysis_windows(prog, policy)[-1]
+        cut = int((t0 + 1.5 / f - force.start_time) * force.sample_rate)
+        short = force.with_values(force.values[:, :cut])
+        record_io_processes(1)
+        with pytest.raises(ForceEstimationError, match="channel 'a1'") as serial:
+            analyze(resp, short, prog, layout, policy)
+        forks = record_io_processes(n)
+        with pytest.raises(ForceEstimationError) as split:
+            analyze(resp, short, prog, layout, policy)
+        assert str(split.value) == str(serial.value)
+        assert forks == []
