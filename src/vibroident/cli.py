@@ -37,6 +37,7 @@ from .errors import (
     NumericError,
     VibroidentError,
     WindowError,
+    check_keys,
 )
 from .modal import GENERALIZED_AXES
 from .pipeline import STRAIN_FIBER_M, AnalysisPolicy, AnalysisResult, analyze
@@ -162,23 +163,17 @@ _CONFIG_RULES = {
 }
 
 
-def _check_keys(doc: dict, known, where: str) -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
-
-
 def _validate_config(doc: dict) -> dict:
     """Merge a config document over _CONFIG_DEFAULTS; reject unknown keys
     and values of the wrong type or range."""
-    _check_keys(doc, _CONFIG_DEFAULTS, "config")
+    check_keys(doc, _CONFIG_DEFAULTS, "config")
     cfg = copy.deepcopy(_CONFIG_DEFAULTS)
     cfg.update(doc)
     for section in ("filter", "window", "strain"):
         value = doc.get(section)
         if value is not None and not isinstance(value, dict):
             raise ConfigError(f"config key {section!r} must be an object or null")
-        _check_keys(value or {}, _CONFIG_DEFAULTS[section], f"config section {section!r}")
+        check_keys(value or {}, _CONFIG_DEFAULTS[section], f"config section {section!r}")
         if section != "strain":   # strain replaces its default whole; null disables it
             cfg[section] = {**_CONFIG_DEFAULTS[section], **(value or {})}
     for key, (ok, requirement) in _CONFIG_RULES.items():

@@ -14,12 +14,10 @@ channels with :func:`fit_sines_drift` and its response channels with
 :func:`fit_sines_at` at the force's frequency.  A sweep window's
 channels, whose frequency runs through the window, are projected instead
 (:func:`hann_phasors`): one Hann-weighted product per record, relative
-to the same projection of the drive.  On the uniform time axis,
-exp(i*w*t_k) is built from two-level powers (about 2*sqrt(n)
-exponentials per row, then one complex product per sample).  The linear
-fits project the samples onto those powers without forming the basis,
-take the sin/cos Gram terms from the closed-form Dirichlet sum and read
-the SSE off the normal equations.
+to the same projection of the drive.  Every window has one frequency, so
+each fit builds one (n, 2) basis for the window (sin/cos, or the Hann
+kernel's real and imaginary parts) and takes one product of every row
+with it; the linear fits solve with the pinv of the basis's 2x2 Gram.
 """
 
 from __future__ import annotations
@@ -301,17 +299,8 @@ class SineFits:
     amplitude: np.ndarray
     omega: np.ndarray
     phase: np.ndarray
-    #: read off the normal equations, sqrt(max(uu - a*su - b*cu, 0) / n).
-    #: The difference cancels sums as large as uu, so it resolves only down
-    #: to about sqrt(eps) of the row's amplitude: a noise-free row of
-    #: amplitude 1e4 read 8.0e-5 against an explicit residual of ~1e-12.
-    #: A clean row's value is roundoff, and an SNR built on it tops out
-    #: near 1e8.
+    #: RMS of the explicit residual u - amplitude * sin(omega * t + phase)
     residual_rms: np.ndarray
-
-    @property
-    def frequency(self) -> np.ndarray:
-        return self.omega / (2.0 * math.pi)
 
     @property
     def phasor(self) -> np.ndarray:
@@ -348,65 +337,30 @@ def _wrap_phase(phi):
     return np.where(out <= -math.pi, out + 2.0 * math.pi, out)
 
 
-def _block_shape(n: int) -> tuple[int, int]:
-    """(rows, m) of the two-level split k = j*m + l, m = ceil(sqrt(n))."""
-    m = math.isqrt(n - 1) + 1
-    return -(-n // m), m
+def _basis(omega: float, phase: float, dt: float, n: int) -> np.ndarray:
+    """The (n, 2) basis of a window's fit: columns sin and cos of
+    phase + omega*k*dt, k < n."""
+    theta = phase + omega * (dt * np.arange(n))
+    return np.column_stack([np.sin(theta), np.cos(theta)])
 
 
-def _powers(omega, phase, dt: float, n: int):
-    """Factors of exp(i*(phase + omega*k*dt)) for k = j*m + l < n.
-
-    ``inner[:, l]`` is exp(i*(phase + omega*l*dt)) and ``outer[:, j]`` is
-    exp(i*omega*j*m*dt); each sample is one product of the two, so a row
-    costs about 2*sqrt(n) exponentials instead of n sines and n cosines.
-    """
-    nj, m = _block_shape(n)
-    inner = np.exp(1j * (phase[:, None] + omega[:, None] * (dt * np.arange(m))))
-    outer = np.exp(1j * (omega[:, None] * (dt * m * np.arange(nj))))
-    return inner, outer
+def _project(U: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """(C, 2) products of the rows of ``U`` with ``basis``, one product per
+    row, so a row gets the same bits in any batch."""
+    return np.matmul(U[:, None, :], basis)[:, 0]
 
 
-def _fold(U: np.ndarray) -> np.ndarray:
-    """Rows zero-padded to the two-level length and folded to (C, rows, m)."""
-    c, n = U.shape
-    nj, m = _block_shape(n)
-    blocks = np.zeros((c, nj * m))
-    blocks[:, :n] = U
-    return blocks.reshape(c, nj, m)
-
-
-def _linear_fits(blocks, uu, omega, dt: float, n: int) -> np.ndarray:
-    """LSF of a*sin(w*tau) + b*cos(w*tau), tau = k*dt, for each row at its
-    own frequency; returns (amplitude, phase, sse) stacked as (3, C).
-
-    The projections s.u and c.u run on the two-level powers without
-    forming the basis.  The Gram terms are Dirichlet sums in closed form,
-    and the SSE comes from the normal equations, uu - a*su - b*cu.
-    """
-    inner, outer = _powers(omega, np.zeros_like(omega), dt, n)
-    d = omega * dt
-    # sum_k exp(2i*w*k*dt) = exp(i*(n-1)*d) * sin(n*d) / sin(d)
-    dirichlet = np.exp(1j * (n - 1) * d) * (np.sin(n * d) / np.sin(d))
-    ss = 0.5 * (n - dirichlet.real)
-    cc = 0.5 * (n + dirichlet.real)
-    sc = 0.5 * dirichlet.imag
-    det = ss * cc - sc * sc
-    flat = det <= 1e-12 * np.maximum(ss * cc, 1e-300)
-    # a row whose sums overflow (or are not finite) gets non-finite values
-    # in its own entries; no other row shares them, so none is warned of
+def _linear_fits(U: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """(C, 2) least-squares coefficients (a, b) of a*basis[:, 0] +
+    b*basis[:, 1] for each row of ``U``: the projections times the pinv of
+    the basis's Gram, which is also the minimum-norm fit where sin and cos
+    are nearly collinear (omega*dt near 0 or pi).  A row whose products
+    overflow (or are not finite) gets non-finite values in its own
+    entries; no other row shares them, so none is warned of."""
+    P = np.linalg.pinv(basis.T @ basis)
     with np.errstate(all="ignore"):
-        part = blocks @ np.stack([inner.real, inner.imag], axis=-1)
-        z = np.einsum("cj,cj->c", outer, part[..., 0] + 1j * part[..., 1])
-        cu, su = z.real, z.imag
-        a = (cc * su - sc * cu) / det
-        b = (ss * cu - sc * su) / det
-        if np.any(flat):
-            # sin and cos nearly collinear (w*dt near 0 or pi): minimum-norm fit
-            gram = np.stack([np.stack([ss, sc], -1), np.stack([sc, cc], -1)], -2)[flat]
-            rhs = np.stack([su, cu], -1)[flat]
-            a[flat], b[flat] = np.einsum("cij,cj->ic", np.linalg.pinv(gram), rhs)
-        return np.array([np.hypot(a, b), np.arctan2(b, a), uu - a * su - b * cu])
+        proj = _project(U, basis)
+        return proj[:, :1] * P[:, 0] + proj[:, 1:] * P[:, 1]
 
 
 def _window(t, U, f: float):
@@ -428,21 +382,29 @@ def fit_sines_at(t, U, omega: float) -> SineFits:
     excitation frequency (Pintelon & Schoukens, *System Identification: A
     Frequency Domain Approach*, 2012).
 
-    Every row takes one linear in-phase/quadrature solve at ``omega``,
-    with no search, so ``omega`` is that of every row.  Phases are
-    reported on the absolute axis; the residual RMS is read off the
-    normal equations, floored at zero (see :class:`SineFits`).
+    Every row is one linear least-squares fit on the window's one sin/cos
+    basis at ``omega``, with no search, so ``omega`` is that of every row.
+    The basis runs on the absolute axis (:func:`_phase_at` of the first
+    sample), so the phases are those of absolute time; the residual RMS is
+    that of the explicit residual of each row.
     """
+    omega = float(omega)
     t, U, dt = _window(t, U, omega / (2.0 * math.pi))
     c, n = U.shape
-    w = np.full(c, float(omega))
-    amp, psi, sse = _linear_fits(_fold(U), np.einsum("cn,cn->c", U, U), w, dt, n)
-    return SineFits(
-        amplitude=amp,
-        omega=w,
-        phase=_wrap_phase(psi - _phase_at(w, float(t[0]))),
-        residual_rms=np.sqrt(np.maximum(sse, 0.0) / n),
-    )
+    basis = _basis(omega, float(_phase_at(omega, float(t[0]))), dt, n)
+    coef = _linear_fits(U, basis)
+    a, b = coef.T
+    with np.errstate(all="ignore"):
+        # the one (C, n) scratch: each row's fitted sine, then its residual
+        r = np.empty_like(U)
+        np.matmul(coef[:, None, :], basis.T, out=r[:, None, :])
+        np.subtract(U, r, out=r)
+        return SineFits(
+            amplitude=np.hypot(a, b),
+            omega=np.full(c, omega),
+            phase=_wrap_phase(np.arctan2(b, a)),
+            residual_rms=np.sqrt(np.einsum("cn,cn->c", r, r) / n),
+        )
 
 
 def fit_sines_drift(t, U, f: float) -> SineFits:
@@ -450,15 +412,16 @@ def fit_sines_drift(t, U, f: float) -> SineFits:
     rows' phase drift near ``f``: :func:`fit_sines_at` at that omega.
 
     Each row takes the linear fit at 2*pi*f on the two halves of the
-    window.  Its phase moves between them by its frequency offset times
-    the distance between the halves' centres; the wrapped phase difference over that distance is the row's
-    offset, and omega is 2*pi*f plus the offsets' mean weighted by the
-    rows' amplitudes (the halves' sum).  Where every amplitude is zero, or
-    the weighted mean is not finite (only where a row's sums overflow),
-    omega stays 2*pi*f.  No row searches its own frequency.  An offset
-    that drifts a row's phase by more than pi across the halves aliases:
-    this is an estimator for a drive at about ``f``, as in a stepped
-    dwell, not for an unknown frequency.
+    window, both on one basis.  Its phase moves between them by its
+    frequency offset times the distance between the halves' starts; the
+    wrapped phase difference over that distance is the row's offset, and
+    omega is 2*pi*f plus the offsets' mean weighted by the rows'
+    amplitudes (the halves' sum).  Where every amplitude is zero, or the
+    weighted mean is not finite (only where a row's sums overflow), omega
+    stays 2*pi*f.  No row searches its own frequency.  An offset that
+    drifts a row's phase by more than pi across the halves aliases: this
+    is an estimator for a drive at about ``f``, as in a stepped dwell, not
+    for an unknown frequency.
 
     A fit at the wrong frequency reads each half's phase slightly off its
     centre, by an amount that depends on the phase, so one pass is off by
@@ -470,15 +433,13 @@ def fit_sines_drift(t, U, f: float) -> SineFits:
     n = U.shape[1]
     h = n // 2
     span = (n - h) * dt
-    halves = [(_fold(V), np.einsum("cn,cn->c", V, V)) for V in (U[:, :h], U[:, n - h :])]
     w0 = omega = 2.0 * math.pi * f
     for _ in range(2):
-        (a1, p1, _), (a2, p2, _) = (
-            _linear_fits(blocks, uu, np.full(len(uu), omega), dt, h) for blocks, uu in halves
-        )
-        weight = a1 + a2
+        basis = _basis(omega, 0.0, dt, h)
+        (a1, b1), (a2, b2) = (_linear_fits(V, basis).T for V in (U[:, :h], U[:, n - h :]))
         with np.errstate(all="ignore"):
-            offset = _wrap_phase(p2 - p1 - omega * span) / span
+            weight = np.hypot(a1, b1) + np.hypot(a2, b2)
+            offset = _wrap_phase(np.arctan2(b2, a2) - np.arctan2(b1, a1) - omega * span) / span
             omega += float(weight @ offset / weight.sum())
         if not math.isfinite(omega):
             omega = w0
@@ -521,6 +482,6 @@ def hann_phasors(t, U, reference, omega: float, t0: float, t1: float) -> np.ndar
     kernel = hann * np.exp(-1j * omega * tau)
     basis = np.column_stack([kernel.real, kernel.imag])
     with np.errstate(all="ignore"):
-        rows = np.atleast_2d(np.asarray(U, dtype=float)) @ basis
-        ref = np.asarray(reference, dtype=float) @ basis
+        rows = _project(np.atleast_2d(np.asarray(U, dtype=float)), basis)
+        ref = _project(np.atleast_2d(np.asarray(reference, dtype=float)), basis)[0]
         return (rows[:, 0] + 1j * rows[:, 1]) / complex(ref[0], ref[1])

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the key check of its
+JSON documents.
 
 Grouped by pipeline stage so the CLI can map them onto exit codes:
 config (2), parse (3), numeric (4), io (5).
@@ -13,6 +14,16 @@ class VibroidentError(Exception):
 
 class ConfigError(VibroidentError):
     pass
+
+
+def check_keys(doc: dict, known, where: str) -> None:
+    """ConfigError unless ``doc`` is an object; else naming every key of
+    ``doc`` that is not in ``known``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
 
 
 # --- ingestion / parsing ---------------------------------------------------

@@ -74,14 +74,10 @@ class ForceEstimate:
 
 def drift_phasors(t, U, f: float):
     """The rows' phasors fitted at the omega of their phase drift near
-    ``f`` (:func:`~vibroident.dsp.fit_sines_drift`), and the drive's omega:
-    the rows' omega weighted by their amplitudes, ``2*pi*f`` where every
-    amplitude is zero."""
+    ``f`` (:func:`~vibroident.dsp.fit_sines_drift`), and that omega, which
+    every row shares: the drive's."""
     fits = fit_sines_drift(t, U, f)
-    total = np.sum(fits.amplitude)
-    with np.errstate(all="ignore"):   # NaN where the amplitudes overflow
-        omega = float(fits.amplitude @ fits.omega / total) if total else 2.0 * math.pi * f
-    return fits.phasor, omega
+    return fits.phasor, float(fits.omega[0])
 
 
 def estimate_force_amplitude(

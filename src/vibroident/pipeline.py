@@ -166,7 +166,7 @@ def analyze(
       fits it.  The force rows and the filtered response rows are each
       weighted by one Hann window and projected onto the grid frequency,
       relative to the same projection of the program's unit drive
-      (:func:`~vibroident.dsp.hann_phasors`): one product per record.
+      (:func:`~vibroident.dsp.hann_phasors`): one product per row.
       Every channel of the window shares that phase reference, and the
       drive's chirp divides out of every force-scaled output.  A window
       that the force or response record does not cover whole raises
@@ -187,7 +187,7 @@ def analyze(
     }
 
     stepped = program.kind == "stepped"
-    rows, force_estimates = [], []
+    rows, force_estimates, forces = [], [], []
     for f, t0, t1 in windows:
         omega = 2.0 * math.pi * f
 
@@ -197,8 +197,10 @@ def analyze(
 
         fit = modal.drift_phasors if stepped else project
         est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f, fit)
-        if not np.all(np.isfinite([*est.component_phasors, est.torque_z_phasor, est.omega])):
-            # as below, only a record whose values overflow the estimate's sums
+        scale = est.torque if dof == "YAW" else est.resultant
+        if not np.all(np.isfinite([*est.component_phasors, est.torque_z_phasor, est.omega, scale])):
+            # as below, only a record whose values overflow the estimate's
+            # sums, or the force's magnitude, gets here
             raise FitError(f"force fit at {f} Hz is not finite")
         window = extract_window(filtered, t0, t1)
         if stepped:
@@ -213,9 +215,9 @@ def analyze(
         accel_phasors = phasors / dsp.filter_gain(coeffs, est.omega / (2.0 * math.pi)) ** 2
         rows.append(-accel_phasors / (est.omega * est.omega))
         force_estimates.append(est)
+        forces.append(scale)
 
     freqs = [f for f, _, _ in windows]
-    forces = [est.torque if dof == "YAW" else est.resultant for est in force_estimates]
     result = identify(
         freqs, keys, np.array(rows), forces, dof, layout, policy, strain_stations, strain_fiber_m
     )

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_keys
 from ..timeseries import TimeSeriesSet
 
 
@@ -166,6 +166,9 @@ def force_timeseries(program: ExcitationProgram, fs: float, duration: float | No
 def load_program(source) -> ExcitationProgram:
     try:
         doc = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
+        check_keys(doc, ("kind", "name", "dof_excited", "force_points", "stepped", "sweep"), "program")
+        for i, fp in enumerate(doc["force_points"]):
+            check_keys(fp, ("id", "location", "direction", "amplitude_n"), f"program force point {i}")
         points = tuple(
             ForcePoint(
                 id=fp["id"],
@@ -179,6 +182,9 @@ def load_program(source) -> ExcitationProgram:
         sweep = None
         if "stepped" in doc:
             sp = doc["stepped"]
+            check_keys(
+                sp, ("frequencies", "duration_per_step", "cycles_per_step", "rest_gap"), "program section 'stepped'"
+            )
             stepped = SteppedSpec(
                 frequencies=tuple(sp["frequencies"]),
                 duration_per_step=sp.get("duration_per_step"),
@@ -187,6 +193,7 @@ def load_program(source) -> ExcitationProgram:
             )
         if "sweep" in doc:
             sw = doc["sweep"]
+            check_keys(sw, ("f0", "f1", "rate"), "program section 'sweep'")
             sweep = SweepSpec(f0=float(sw["f0"]), f1=float(sw["f1"]), rate=float(sw["rate"]))
         return ExcitationProgram(
             kind=doc["kind"],

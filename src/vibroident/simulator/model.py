@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import AssemblyError, ConfigError, EigenError, SolveError
+from ..errors import AssemblyError, ConfigError, EigenError, SolveError, check_keys
 
 DOF_NAMES = ("dx", "dy", "dz", "rx", "ry", "rz")
 
@@ -155,6 +155,9 @@ def load_model(source) -> RigidBlockModel:
     """Read a model document {mass, inertia, cg?, springs:[{attach,dir,k,c}]}."""
     try:
         doc = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
+        check_keys(doc, ("name", "mass", "inertia", "cg", "springs"), "model")
+        for i, sp in enumerate(doc["springs"]):
+            check_keys(sp, ("attach", "dir", "k", "c"), f"model spring {i}")
         springs = tuple(
             SpringElement(
                 attach=np.asarray(sp["attach"], dtype=float),

@@ -34,6 +34,7 @@ from .errors import (
     ParseError,
     SpacingError,
     WindowError,
+    check_keys,
 )
 
 #: relative tolerance on timestamp spacing uniformity
@@ -814,6 +815,9 @@ def load_layout(source) -> SensorLayout:
     """Read a sensor layout document: {stations: [{id, pos, axes?}], groups: {...}}."""
     try:
         doc = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
+        check_keys(doc, ("stations", "groups"), "layout")
+        for i, st in enumerate(doc["stations"]):
+            check_keys(st, ("id", "pos", "axes"), f"layout station {i}")
         stations = tuple(
             Station(
                 id=st["id"],

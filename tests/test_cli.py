@@ -180,6 +180,7 @@ SPRINGS = MODEL["springs"]
 #: bad documents named by a config key: (key, file text)
 BAD_DOCUMENTS = {
     "program_not_json": ("program", "{not json"),
+    "program_force_point_not_object": ("program", json.dumps({**MINI_PROGRAM, "force_points": ["hw1"]})),
     "layout_not_json": ("layout", "[1,2"),
     "layout_groups_not_object": ("layout", '{"stations": [{"id": "T3SW", "pos": [0, 0, 0]}], "groups": []}'),
     "model_negative_mass": ("model", json.dumps({**MODEL, "mass": -1.0})),
@@ -230,6 +231,42 @@ def test_bad_config_exits_2_without_traceback(workdir, command, doc, capsys):
     # the config itself is refused, not the missing analyze inputs
     assert "cannot read input" not in err
     assert not (workdir / "never").exists()
+
+
+LAYOUT = json.loads(cli._load_text("default", "layout"))
+STATIONS = LAYOUT["stations"]
+SWEEP_PROGRAM = {
+    **{k: v for k, v in MINI_PROGRAM.items() if k != "stepped"},
+    "kind": "sweep", "sweep": {"f0": 1.0, "f1": 12.0, "rate": 0.5},
+}
+
+#: a misspelt key at each level of the program, model and layout
+#: documents: (config key, document, the key)
+UNKNOWN_KEYS = {
+    "program": ("program", {**MINI_PROGRAM, "dof_exited": "Y"}, "dof_exited"),
+    "force_point": (
+        "program",
+        {**MINI_PROGRAM, "force_points": [{**MINI_PROGRAM["force_points"][0], "amplitude": 1.0}]},
+        "amplitude",
+    ),
+    "stepped": ("program", {**MINI_PROGRAM, "stepped": {**MINI_PROGRAM["stepped"], "rest": 3.0}}, "rest"),
+    "sweep": ("program", {**SWEEP_PROGRAM, "sweep": {**SWEEP_PROGRAM["sweep"], "f_0": 1.0}}, "f_0"),
+    "model": ("model", {**MODEL, "mas": 1.0}, "mas"),
+    "spring": ("model", {**MODEL, "springs": [{**SPRINGS[0], "C": 1.0}, *SPRINGS[1:]]}, "C"),
+    "layout": ("layout", {**LAYOUT, "group": {}}, "group"),
+    "station": ("layout", {**LAYOUT, "stations": [*STATIONS[:-1], {**STATIONS[-1], "axis": [0, 0, 1]}]}, "axis"),
+}
+
+
+@pytest.mark.parametrize("key, doc, unknown", UNKNOWN_KEYS.values(), ids=list(UNKNOWN_KEYS))
+def test_unknown_document_key_exits_2_naming_it(tmp_path, key, doc, unknown, capsys):
+    (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: str(tmp_path / f"{key}.json")}))
+    assert main(["simulate", "-c", str(cfg), "-o", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown key(s) in ") and repr(unknown) in err
+    assert not (tmp_path / "never").exists()
 
 
 def test_empty_config_hash_is_pinned(tmp_path):

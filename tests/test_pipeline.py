@@ -147,7 +147,7 @@ class TestSteppedAnalysis:
             assert est.omega == pytest.approx(2 * math.pi * f, rel=1e-9)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("peak", [1e303, 1e308])
+    @pytest.mark.parametrize("peak", [1e160, 1e303, 1e308])
     def test_force_fit_that_is_not_finite_raises(self, split_run, peak):
         # a force channel whose values overflow the fit's sums
         resp, force, prog, layout, policy = split_run
