@@ -23,7 +23,6 @@ from .modal import (
     GENERALIZED_AXES,
     DampingEstimate,
     ForceEstimate,
-    ForceGeometry,
     FrequencyResponseCurve,
 )
 from .simulator.excitation import ExcitationProgram
@@ -155,7 +154,9 @@ def analyze(
     Each window gives one row of displacement phasors and one
     :class:`~vibroident.modal.ForceEstimate`, whose rows are estimated
     first (:func:`~vibroident.modal.estimate_force_amplitude`).  An
-    estimate that is not finite raises FitError.
+    estimate that is not finite raises FitError.  A record that lacks the
+    z column of a strain station raises ParseError before any window is
+    estimated.
 
     - In a stepped dwell the block and its actuators move at the one drive
       frequency.  The force rows are fitted at the omega of their phase
@@ -178,13 +179,14 @@ def analyze(
     """
     dof = program.dof_excited.upper()
     keys = _channel_keys(response.labels, layout)
+    missing = [f"{sid}_z" for sid in strain_stations or () if (sid, "z") not in keys]
+    if missing:
+        raise ParseError(f"response record lacks strain column(s) {', '.join(map(repr, missing))}")
     windows = analysis_windows(program, policy)
     coeffs = dsp.design_bandpass(policy.filter_order, policy.f_low, policy.f_high, response.sample_rate)
     filtered = dsp.filtfilt(coeffs, response)
 
-    geometry = {
-        fp.id: ForceGeometry(fp.location, fp.direction) for fp in program.force_points
-    }
+    geometry = {fp.id: (fp.location, fp.direction) for fp in program.force_points}
 
     stepped = program.kind == "stepped"
     rows, force_estimates, forces = [], [], []
@@ -198,7 +200,7 @@ def analyze(
         fit = modal.drift_phasors if stepped else project
         est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f, fit)
         scale = est.torque if dof == "YAW" else est.resultant
-        if not np.all(np.isfinite([*est.component_phasors, est.torque_z_phasor, est.omega, scale])):
+        if not np.all(np.isfinite([*est.generalized, est.omega, scale])):
             # as below, only a record whose values overflow the estimate's
             # sums, or the force's magnitude, gets here
             raise FitError(f"force fit at {f} Hz is not finite")

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..errors import ConfigError, check_keys
 from ..timeseries import TimeSeriesSet
+from .model import influence_matrix
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,6 @@ class ForcePoint:
         d.flags.writeable = False
         object.__setattr__(self, "location", loc)
         object.__setattr__(self, "direction", d)
-
-    def generalized(self) -> np.ndarray:
-        """6-vector of generalized force per unit drive."""
-        return self.amplitude * np.concatenate([self.direction, np.cross(self.location, self.direction)])
 
 
 @dataclass(frozen=True)
@@ -107,6 +104,11 @@ class ExcitationProgram:
             raise ValueError("sweep program needs a sweep spec")
         if not self.force_points:
             raise ValueError("program needs at least one force point")
+        ids = [fp.id for fp in self.force_points]
+        repeated = sorted({str(i) for i in ids if ids.count(i) > 1})
+        if repeated:
+            # force records and the force estimate find an actuator by its id
+            raise ValueError(f"repeated force point id(s): {', '.join(repeated)}")
         object.__setattr__(self, "force_points", tuple(self.force_points))
 
     @property
@@ -123,8 +125,13 @@ class ExcitationProgram:
         return self.sweep.duration
 
     def generalized_amplitude(self) -> np.ndarray:
-        """Constant 6-vector multiplying the unit drive signal."""
-        return np.sum([fp.generalized() for fp in self.force_points], axis=0)
+        """Constant 6-vector multiplying the unit drive signal: each force
+        point's amplitude times its :func:`~.model.influence_matrix` row,
+        summed in force point order."""
+        points = self.force_points
+        rows = influence_matrix([fp.location for fp in points], [fp.direction for fp in points])
+        amplitudes = np.array([fp.amplitude for fp in points])
+        return np.sum(amplitudes[:, None] * rows, axis=0)
 
     def drive(self, t: np.ndarray) -> np.ndarray:
         """Unit-amplitude drive signal shared by all force points."""

@@ -38,12 +38,15 @@ class SpringElement:
         object.__setattr__(self, "direction", direction)
 
 
-def influence_matrix(springs) -> np.ndarray:
-    """Row s, (d_s, r_s x d_s), maps the generalized coordinates to the
-    displacement along the axis d_s of spring s attached at r_s."""
-    attach = np.array([s.attach for s in springs]).reshape(-1, 3)
-    direction = np.array([s.direction for s in springs]).reshape(-1, 3)
-    return np.hstack([direction, np.cross(attach, direction)])
+def influence_matrix(positions, directions) -> np.ndarray:
+    """The small-rotation row (d, r x d) of a point r and a unit direction
+    d: its product with {dx, dy, dz, rx, ry, rz} is the displacement along
+    d at r and, by virtual work, a force f along d at r is the generalized
+    force f times it.  The springs, actuators, sensors and the rigid-body
+    fit all take their rows from here.  ``(..., 3)`` positions and
+    directions broadcast together to ``(..., 6)`` rows."""
+    r, d = np.broadcast_arrays(np.asarray(positions, dtype=float), np.asarray(directions, dtype=float))
+    return np.concatenate([d, np.cross(r, d)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,9 @@ class SystemMatrices:
 
 def assemble_system(model: RigidBlockModel) -> SystemMatrices:
     """K = B^T diag(k) B and C = B^T diag(c) B with B the springs'
-    influence matrix; M = diag(m, m, m) + inertia."""
-    B = influence_matrix(model.springs)
+    :func:`influence_matrix`; M = diag(m, m, m) + inertia."""
+    pairs = np.reshape([(s.attach, s.direction) for s in model.springs], (-1, 2, 3))
+    B = influence_matrix(pairs[:, 0], pairs[:, 1])
     K = B.T @ (np.array([s.k for s in model.springs]).reshape(-1, 1) * B)
     C = B.T @ (np.array([s.c for s in model.springs]).reshape(-1, 1) * B)
     M = np.zeros((6, 6))

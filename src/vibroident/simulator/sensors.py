@@ -9,6 +9,7 @@ import numpy as np
 from ..errors import DomainError
 from ..timeseries import SensorLayout, TimeSeriesSet
 from .integrate import StateHistory
+from .model import influence_matrix
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -31,7 +32,9 @@ def sensor_kinematics(
     noise: NoiseSpec = NoiseSpec(),
     output_rate: float | None = None,
 ) -> TimeSeriesSet:
-    """Per-station acceleration a_i = a_0 + alpha x r_i (linearized).
+    """Channel accelerations (a_0 + alpha x r) . axis, linearized: each
+    channel's :func:`~.model.influence_matrix` row (axis, r x axis) times
+    the generalized acceleration, in one channels x 6 product.
 
     The centripetal term is quadratic in the small rotational velocity and
     omitted.  Channels are named ``<station>_<axis>``; optional white noise
@@ -52,17 +55,11 @@ def sensor_kinematics(
 
     idx = np.arange(0, len(history.t), step)
     t0 = float(history.t[0])
-    acc_tr = history.a[idx, :3]
-    acc_rot = history.a[idx, 3:]
-
-    rng = np.random.default_rng(noise.seed)
-    values = np.empty((3 * len(layout.stations), len(idx)))
-    for s, st in enumerate(layout.stations):
-        a_st = acc_tr + np.cross(acc_rot, st.position[None, :])
-        for axis in range(3):
-            vals = values[3 * s + axis]
-            vals[:] = a_st @ st.axes[axis]
-            if noise.rms > 0.0:
-                vals += rng.normal(0.0, noise.rms, size=vals.shape)
+    positions = np.reshape([st.position for st in layout.stations], (-1, 1, 3))
+    axes = np.reshape([st.axes for st in layout.stations], (-1, 3, 3))
+    values = influence_matrix(positions, axes).reshape(-1, 6) @ history.a[idx].T
+    if noise.rms > 0.0:
+        # the same numbers as one draw per channel, in channel order
+        values += np.random.default_rng(noise.seed).normal(0.0, noise.rms, size=values.shape)
     labels = [channel_label(st.id, axis) for st in layout.stations for axis in range(3)]
     return TimeSeriesSet(t0, output_rate, values, labels, ["m/s^2"] * len(labels))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import vibroident
 from vibroident import cli
 from vibroident.cli import _atomic_write, config_hash, load_run_config, main
-from vibroident.timeseries import parse_timeseries_csv
+from vibroident.timeseries import TimeSeriesSet, parse_timeseries_csv, serialize_timeseries_csv
 
 MINI_PROGRAM = {
     "kind": "stepped",
@@ -181,6 +181,12 @@ SPRINGS = MODEL["springs"]
 BAD_DOCUMENTS = {
     "program_not_json": ("program", "{not json"),
     "program_force_point_not_object": ("program", json.dumps({**MINI_PROGRAM, "force_points": ["hw1"]})),
+    "program_repeated_force_point_id": (
+        "program",
+        json.dumps({**MINI_PROGRAM, "force_points": [
+            fp if i != 1 else {**fp, "id": "hw1"} for i, fp in enumerate(MINI_PROGRAM["force_points"])
+        ]}),
+    ),
     "layout_not_json": ("layout", "[1,2"),
     "layout_groups_not_object": ("layout", '{"stations": [{"id": "T3SW", "pos": [0, 0, 0]}], "groups": []}'),
     "model_negative_mass": ("model", json.dumps({**MODEL, "mass": -1.0})),
@@ -439,6 +445,28 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not (workdir / "nope_label").exists()
+
+    def test_record_without_a_strain_column_is_parse_error(self, workdir, simulated, capsys):
+        # the default strain stations are T3SW, T2S and T3SE; without the
+        # T2S_z column the record is refused before any window is fitted,
+        # and with strain off it analyzes
+        record = parse_timeseries_csv(simulated / "response.csv")
+        keep = [c for c, label in enumerate(record.labels) if label != "T2S_z"]
+        short = TimeSeriesSet(
+            record.start_time, record.sample_rate, record.values[keep],
+            [record.labels[c] for c in keep], [record.units[c] for c in keep],
+        )
+        (workdir / "no_T2S_z.csv").write_bytes(serialize_timeseries_csv(short))
+        args = ["--response", str(workdir / "no_T2S_z.csv"), "--force", str(simulated / "force.csv")]
+        rc = main(["analyze", "-c", str(workdir / "cfg.json"), *args, "-o", str(workdir / "nope_strain")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "'T2S_z'" in err and "Traceback" not in err
+        assert not (workdir / "nope_strain").exists()
+        cfg = workdir / "cfg_no_strain.json"
+        cfg.write_text(json.dumps({**json.loads((workdir / "cfg.json").read_text()), "strain": None}))
+        assert main(["analyze", "-c", str(cfg), *args, "-o", str(workdir / "ana_no_strain")]) == 0
+        assert json.loads((workdir / "ana_no_strain" / "damping.json").read_text())["strain"] is None
 
 
 class TestLinearity:

@@ -22,7 +22,6 @@ from vibroident.errors import (
 from vibroident.modal import (
     AXIS_ROW,
     DEFAULT_XI_GRID,
-    ForceGeometry,
     FrequencyResponseCurve,
     amplification_factor,
     build_frc,
@@ -42,6 +41,7 @@ from vibroident.modal import (
 )
 from vibroident.pipeline import AnalysisPolicy, analysis_windows
 from vibroident.simulator import assemble_system, load_model, load_program, steady_state_response
+from vibroident.simulator.model import influence_matrix
 from vibroident.timeseries import SensorLayout, Station, TimeSeriesSet, load_layout
 
 
@@ -59,7 +59,7 @@ def at_f(t, U, f):
 class TestForceAmplitude:
     def test_aligned_channels_sum(self):
         chans = {f"a{i}": (100.0, 8.0, 0.0) for i in range(4)}
-        geo = {f"a{i}": ForceGeometry([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for i in range(4)}
+        geo = {f"a{i}": ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for i in range(4)}
         est = estimate_force_amplitude(force_set(chans), geo, 8.0, drift_phasors)
         assert est.resultant == pytest.approx(400.0, rel=1e-9)
         assert est.torque == pytest.approx(0.0, abs=1e-9)
@@ -67,15 +67,15 @@ class TestForceAmplitude:
 
     def test_zero_force_keeps_the_nominal_frequency(self):
         chans = {f"a{i}": (0.0, 8.0, 0.0) for i in range(2)}
-        geo = {f"a{i}": ForceGeometry([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for i in range(2)}
+        geo = {f"a{i}": ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for i in range(2)}
         est = estimate_force_amplitude(force_set(chans), geo, 8.0, drift_phasors)
         assert est.resultant == 0.0 and est.omega == 2 * math.pi * 8.0
 
     def test_pure_couple(self):
         chans = {"e": (100.0, 8.0, 0.0), "w": (100.0, 8.0, math.pi)}
         geo = {
-            "e": ForceGeometry([5.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
-            "w": ForceGeometry([-5.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+            "e": ([5.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+            "w": ([-5.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
         }
         est = estimate_force_amplitude(force_set(chans), geo, 8.0, drift_phasors)
         assert est.resultant == pytest.approx(0.0, abs=1e-6)
@@ -83,7 +83,7 @@ class TestForceAmplitude:
 
     def test_missing_channel(self):
         chans = {"a0": (100.0, 8.0, 0.0)}
-        geo = {"a1": ForceGeometry([0, 0, 0], [1, 0, 0])}
+        geo = {"a1": ([0, 0, 0], [1, 0, 0])}
         with pytest.raises(ForceEstimationError, match="force channel 'a1' missing"):
             estimate_force_amplitude(force_set(chans), geo, 8.0, drift_phasors)
 
@@ -95,19 +95,37 @@ class TestForceAmplitude:
         noisy[3] += 20.0 * np.random.default_rng(2).standard_normal(noisy.shape[1])
         force = force.with_values(noisy)
         geo = {
-            label: ForceGeometry([5.0 * i - 7.0, 3.0 - 2.0 * i, 0.6], [math.cos(i), math.sin(i), 0.1 * i])
+            label: ([5.0 * i - 7.0, 3.0 - 2.0 * i, 0.6], [math.cos(i), math.sin(i), 0.1 * i])
             for i, label in enumerate(chans)
         }
         est = estimate_force_amplitude(force, geo, 8.0, at_f)
-        components, torque = np.zeros(3, dtype=complex), 0.0 + 0.0j
-        singles = [fit_sine(force[label], 8.0) for label in geo]
-        for fit, g in zip(singles, geo.values()):
-            fvec = fit.phasor * g.direction
-            components += fvec
-            torque += g.position[0] * fvec[1] - g.position[1] * fvec[0]
-        assert est.component_phasors.tobytes() == components.tobytes()
-        assert np.complex128(est.torque_z_phasor).tobytes() == np.complex128(torque).tobytes()
+        singles = [fit_sine(force[label], 8.0).phasor * influence_matrix(*geo[label]) for label in geo]
+        assert est.generalized.tobytes() == np.sum(singles, axis=0).tobytes()
         assert est.omega == 2 * math.pi * 8.0
+
+    def test_generalized_force_matches_the_lever_arm_sums(self):
+        # the force path before the one map, kept as the reference: the
+        # channels' force vectors summed, the torque about z from their
+        # x/y lever arms, and the moments about x and y by np.cross
+        rng = np.random.default_rng(12)
+        chans = {f"a{i}": (rng.uniform(50.0, 150.0), 8.0, rng.uniform(-3.0, 3.0)) for i in range(6)}
+        geo = {}
+        for label in chans:
+            d = rng.normal(size=3)
+            geo[label] = (rng.uniform(-8.0, 8.0, 3), d / np.linalg.norm(d))
+        force = force_set(chans)
+        est = estimate_force_amplitude(force, geo, 8.0, at_f)
+        phasors, _ = at_f(force.times(), force.values, 8.0)
+        components, torque, moment = np.zeros(3, dtype=complex), 0.0 + 0.0j, np.zeros(3, dtype=complex)
+        for phasor, (position, direction) in zip(phasors, geo.values()):
+            fvec = phasor * direction
+            components += fvec
+            torque += position[0] * fvec[1] - position[1] * fvec[0]
+            moment += np.cross(position, fvec)
+        assert np.all(np.abs(est.generalized[:3] - components) <= 1e-15 * np.max(np.abs(components)))
+        assert abs(est.generalized[5] - torque) <= 1e-15 * abs(torque)
+        assert np.all(np.abs(est.generalized[3:] - moment) <= 1e-15 * np.max(np.abs(moment)))
+        assert est.resultant == np.linalg.norm(np.abs(components)) and est.torque == abs(est.generalized[5])
 
 
 class TestBuildFrc:
@@ -257,6 +275,9 @@ class TestRigidBody:
         ]
         assert np.array_equal(rigid_rows(points[0]), maps[0])
         assert np.array_equal(rigid_rows(points), maps)
+        # the rows of influence_matrix along x, y and z, value for value
+        stack = np.random.default_rng(4).uniform(-20.0, 20.0, (50, 3))
+        assert np.array_equal(rigid_rows(stack), influence_matrix(stack[:, None, :], np.eye(3)))
 
     def test_rigid_map_rows_follow_the_station_axes(self):
         rng = np.random.default_rng(5)

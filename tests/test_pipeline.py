@@ -132,7 +132,7 @@ class TestSteppedAnalysis:
                 for sid, ax in res.channels
             ])
             gated = np.abs(truth) >= 0.3 * np.max(np.abs(truth))
-            h = row[gated] / (est.component_phasors[0] * 1e3)
+            h = row[gated] / (est.generalized[0] * 1e3)
             assert np.max(np.abs(h / truth[gated] - 1.0)) <= 5e-3, f
 
     def test_response_rows_take_no_search_or_polish(self, split_run, record_io_processes, monkeypatch):
@@ -289,9 +289,8 @@ class TestSweepAnalysis:
         for f, row, residual, est in zip(res.frequencies, res.phasors, res.rigid_residual_rms, res.force_estimates):
             assert residual <= self.RIGID_RESIDUAL * np.max(np.abs(row)), f
             truth = A @ steady_state_response(sys, bf, 2 * math.pi * f) / bf[excited]
-            force = est.torque_z_phasor if excited == 5 else est.component_phasors[excited]
             gated = np.abs(truth) >= 0.3 * np.max(np.abs(truth))
-            h = row[gated] / (force * 1e3)
+            h = row[gated] / (est.generalized[excited] * 1e3)
             assert np.max(np.abs(h / truth[gated] - 1.0)) <= self.H_ERROR, f
 
     def test_windows_inside_run(self, small_setup):

@@ -72,14 +72,14 @@ class TestAssemble:
         with pytest.raises(AssemblyError):
             assemble_system(m)  # five unsupported DOFs -> mechanism
         # inspect the raw contribution instead
-        b = influence_matrix(m.springs)[0]
+        b = influence_matrix(m.springs[0].attach, m.springs[0].direction)
         K = 123.0 * np.outer(b, b)
         assert K[2, 2] == 123.0
         assert np.count_nonzero(K) == 1
 
     def test_symmetric_pair_cancels_coupling(self):
         a, k = 1.5, 200.0
-        rows = influence_matrix([SpringElement([sx * a, 0, 0], [0, 0, 1], k) for sx in (-1, 1)])
+        rows = influence_matrix([[sx * a, 0, 0] for sx in (-1, 1)], [0, 0, 1])
         K = sum(k * np.outer(b, b) for b in rows)
         assert K[2, 2] == pytest.approx(2 * k)
         assert K[4, 4] == pytest.approx(2 * k * a**2)
@@ -90,7 +90,7 @@ class TestAssemble:
         # matrix, measure the spring force, compare with -K @ q
         a, k, eps = 2.0, 50.0, 1e-7
         spring = SpringElement([a, 0, 0], [0, 0, 1], k)
-        b = influence_matrix([spring])[0]
+        b = influence_matrix(spring.attach, spring.direction)
         K = k * np.outer(b, b)
         assert K[2, 4] == pytest.approx(-k * a)
         assert K[4, 2] == pytest.approx(K[2, 4])
@@ -110,13 +110,30 @@ class TestAssemble:
         assert predicted[2] == pytest.approx(force_vec[2], rel=1e-6)
         assert predicted[4] == pytest.approx(moment_vec[1], rel=1e-6)
 
+    def test_one_row_maps_motion_and_force_by_virtual_work(self):
+        # a unit force along d at r is the generalized force (d, r x d):
+        # the force and its moment about the reference point.  Its virtual
+        # work on any small motion q = (t, theta) is the displacement along
+        # d at r, (t + theta x r) . d, which the same row must give
+        rng = np.random.default_rng(3)
+        r = rng.uniform(-10.0, 10.0, (50, 3))
+        d = rng.normal(size=(50, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        q = rng.normal(size=(50, 6))
+        rows = influence_matrix(r, d)
+        assert np.array_equal(rows, np.hstack([d, np.cross(r, d)]))
+        along_d = np.sum((q[:, :3] + np.cross(q[:, 3:], r)) * d, axis=1)
+        assert np.allclose(np.sum(rows * q, axis=1), along_d, rtol=0, atol=1e-12)
+        # positions and directions broadcast: every point along x, y and z
+        assert np.array_equal(influence_matrix(r[:, None, :], np.eye(3))[:, 1], influence_matrix(r, [0, 1, 0]))
+
     def test_stacked_sum_matches_per_spring_loop(self):
         # B^T diag(k) B sums in another order than the loop over springs
         model = small_block()
         sys = assemble_system(model)
         K, C = np.zeros((6, 6)), np.zeros((6, 6))
         for spring in model.springs:
-            b = influence_matrix([spring])[0]
+            b = influence_matrix(spring.attach, spring.direction)
             K += spring.k * np.outer(b, b)
             C += spring.c * np.outer(b, b)
         assert np.max(np.abs(sys.K - K)) < 1e-14 * np.max(np.abs(K))
@@ -392,6 +409,11 @@ class TestBlockRecurrence:
         assert f"{t_raise:.3f}" == f"{t[first]:.3f}"
 
 
+def skew(w):
+    """The matrix of w x ."""
+    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+
+
 def two_station_layout():
     return SensorLayout(
         stations=(
@@ -429,6 +451,52 @@ class TestSensors:
         assert np.allclose(out["A_x"].values, 0.0)
         assert np.allclose(out["A_y"].values, 1.0)
         assert np.allclose(out["A_z"].values, 0.0)
+
+    def test_channels_match_the_per_station_formula(self):
+        # the per-station loop the record was once written with, kept as
+        # the reference: (a_tr + alpha x r) . axis per channel, then one
+        # noise draw per channel in channel order
+        from vibroident.simulator.integrate import StateHistory
+
+        rng = np.random.default_rng(8)
+        n, step = 2001, 5
+        a = rng.normal(size=(n, 6)) * [1.0, 1.0, 1.0, 0.1, 0.1, 0.1]
+        hist = StateHistory(t=np.arange(n) / 1000, u=np.zeros((n, 6)), v=np.zeros((n, 6)), a=a)
+        stations = tuple(
+            Station(f"S{i}", rng.uniform(-16.0, 16.0, 3), sla.expm(skew(rng.normal(size=3)))) for i in range(7)
+        )
+        layout = SensorLayout(stations=stations)
+        noise = NoiseSpec(rms=0.05, seed=4)
+        idx = np.arange(0, n, step)
+        draws = np.random.default_rng(noise.seed)
+        reference, noise_rows = [], []
+        for st in stations:
+            a_st = a[idx, :3] + np.cross(a[idx, 3:], st.position[None, :])
+            for axis in st.axes:
+                reference.append(a_st @ axis)
+                noise_rows.append(draws.normal(0.0, noise.rms, size=len(idx)))
+        reference = np.array(reference)
+        clean = sensor_kinematics(hist, layout, output_rate=200.0).values
+        peak = np.max(np.abs(reference), axis=1, keepdims=True)
+        assert np.all(np.abs(clean - reference) <= 1e-15 * peak)
+        noisy = sensor_kinematics(hist, layout, noise, output_rate=200.0).values
+        assert np.array_equal(noisy, clean + np.array(noise_rows))
+
+    def test_tilted_channel_against_finite_rotation(self):
+        # independent oracle: move a station with tilted axes by the exact
+        # rotation matrix and read the displacement along each axis; the
+        # channels read accelerations through the same linear map
+        from vibroident.simulator.integrate import StateHistory
+
+        eps = 1e-7
+        axes = sla.expm(skew([0.3, -0.5, 0.8]))
+        station = Station("T", np.array([4.0, -2.5, 1.5]), axes)
+        q = eps * np.array([0.4, -1.0, 0.7, 0.9, 0.3, -0.6])
+        hist = StateHistory(t=np.arange(2) / 200, u=np.zeros((2, 6)), v=np.zeros((2, 6)), a=np.tile(q, (2, 1)))
+        out = sensor_kinematics(hist, SensorLayout(stations=(station,)))
+        disp = sla.expm(skew(q[3:])) @ station.position + q[:3] - station.position
+        for axis, name in zip(axes, "xyz"):
+            assert out[f"T_{name}"].values[0] == pytest.approx(axis @ disp, rel=1e-6)
 
     def test_noise_deterministic_and_scaled(self):
         from vibroident.simulator.integrate import StateHistory
