@@ -15,13 +15,19 @@ channels with :func:`fit_sines_drift` and its response channels with
 channels, whose frequency runs through the window, are projected instead
 (:func:`hann_phasors`): one Hann-weighted product per record, relative
 to the same projection of the drive.  Every window has one frequency, so
-each fit builds one (n, 2) basis for the window (sin/cos, or the Hann
-kernel's real and imaginary parts) and takes one product of every row
-with it; the linear fits solve with the pinv of the basis's 2x2 Gram.
+each estimate is two steps: build the window's one (n, 2) basis, with all
+of its checks (:func:`sine_basis`: sin/cos, whose linear fits solve with
+the pinv of its 2x2 Gram; :func:`hann_basis`: the Hann kernel's real and
+imaginary parts, with the reference's projection), then apply it to rows
+(:class:`SineBasis`, :class:`HannBasis`), one product per row.  A row
+gets the same bits in any batch, so the analysis builds each window's
+basis once and applies it to one block of filtered channels at a time
+(:func:`block_rows`, the filter's one block rule).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +53,12 @@ class FilterCoefficients:
     def pad_len(self) -> int:
         """Edge padding of the zero-phase filter: three times 2n+1 taps."""
         return 3 * (2 * len(self.sos) + 1)
+
+    @functools.cached_property
+    def operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(W, F, steady) of :func:`filtfilt`'s blocked recurrence, built
+        once per design."""
+        return _block_operators(self.sos)
 
 
 @dataclass(frozen=True)
@@ -192,6 +204,7 @@ _FILTER_BLOCK = 64
 #: padded cells (rows x samples) of one block of rows of the zero-phase
 #: filter, which builds its scratch for one block at a time, so it does
 #: not grow with the record: about 18 bytes per cell (tracemalloc), 5 MB
+#: (:func:`block_rows`)
 _BLOCK_CELLS = 1 << 18
 #: blocks per drive-term product.  OpenBLAS runs larger products (about
 #: 1e6 multiply-adds and up) on several threads.  On 2 cores, one product
@@ -226,6 +239,28 @@ def _cascade_pass(W: np.ndarray, F: np.ndarray, x: np.ndarray, s0: np.ndarray, o
         o[:] = zr[:, :m].reshape(-1)[:n]
 
 
+def _block_operators(sos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W maps a block's samples, and F the state before it, to the block's
+    outputs (first m columns) and the state after it (last 2n); ``steady``
+    is the state of a unit constant input, (I - A)^-1 B."""
+    A, B, C, D = _state_space(sos)
+    m = _FILTER_BLOCK
+    P, G = block_operators(A, B, m)
+    W = np.zeros((m, m + len(A)))
+    W[:, 1:m] = G[:, :-1] @ C
+    np.fill_diagonal(W, D)
+    W[:, m:] = G[:, -1]
+    F = np.hstack([(C @ P[:m]).T, P[m].T])
+    return W, F, np.linalg.solve(np.eye(len(A)) - A, B)
+
+
+def block_rows(coeffs: FilterCoefficients, n: int) -> int:
+    """Rows of ``n`` samples in one block of the zero-phase filter: as
+    many as keep the block's padded cells within ``_BLOCK_CELLS``, at
+    least one."""
+    return max(1, _BLOCK_CELLS // (n + 2 * coeffs.pad_len))
+
+
 def filtfilt(coeffs: FilterCoefficients, record: TimeSeries | TimeSeriesSet):
     """Forward-backward zero-phase filtering of a TimeSeries or of each row
     of a TimeSeriesSet; effective magnitude |H|^2.  As in scipy's
@@ -245,7 +280,7 @@ def filtfilt(coeffs: FilterCoefficients, record: TimeSeries | TimeSeriesSet):
     (see ``recurrence.block_operators``), and the state is carried from
     block to block by one small product per block.
 
-    Rows are filtered a block of rows at a time (``_BLOCK_CELLS``) into one
+    Rows are filtered a block of rows at a time (:func:`block_rows`) into one
     preallocated output matrix, so the padded copy and the drive terms
     exist for one block only; a row never shares a product with another,
     so blocking does not change a bit.
@@ -258,21 +293,10 @@ def filtfilt(coeffs: FilterCoefficients, record: TimeSeries | TimeSeriesSet):
     edge = coeffs.pad_len
     if n <= edge:
         raise FilterError(f"series length {n} <= padding requirement {edge}")
-    A, B, C, D = _state_space(coeffs.sos)
-    m = _FILTER_BLOCK
-    P, G = block_operators(A, B, m)
-    # W maps a block's samples, and F the state before it, to the block's
-    # outputs (first m columns) and the state after it (last 2n)
-    W = np.zeros((m, m + len(A)))
-    W[:, 1:m] = G[:, :-1] @ C
-    np.fill_diagonal(W, D)
-    W[:, m:] = G[:, -1]
-    F = np.hstack([(C @ P[:m]).T, P[m].T])
-    steady = np.linalg.solve(np.eye(len(A)) - A, B)
-
+    W, F, steady = coeffs.operators
     x = record.values.reshape(-1, n)
     out = np.empty(x.shape)
-    step = max(1, _BLOCK_CELLS // (n + 2 * edge))
+    step = block_rows(coeffs, n)
     for lo in range(0, len(x), step):
         xb = x[lo : lo + step]
         ext = np.concatenate(
@@ -350,30 +374,88 @@ def _project(U: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.matmul(U[:, None, :], basis)[:, 0]
 
 
-def _linear_fits(U: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """(C, 2) least-squares coefficients (a, b) of a*basis[:, 0] +
-    b*basis[:, 1] for each row of ``U``: the projections times the pinv of
-    the basis's Gram, which is also the minimum-norm fit where sin and cos
-    are nearly collinear (omega*dt near 0 or pi).  A row whose products
-    overflow (or are not finite) gets non-finite values in its own
-    entries; no other row shares them, so none is warned of."""
-    P = np.linalg.pinv(basis.T @ basis)
+def _rows(U) -> np.ndarray:
+    """``U`` as a float matrix, one row per channel."""
+    return np.atleast_2d(np.asarray(U, dtype=float))
+
+
+def _polar(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude and wrapped phase of a*sin + b*cos, per (a, b) row."""
+    a, b = coef.T
     with np.errstate(all="ignore"):
-        proj = _project(U, basis)
-        return proj[:, :1] * P[:, 0] + proj[:, 1:] * P[:, 1]
+        return np.hypot(a, b), _wrap_phase(np.arctan2(b, a))
 
 
-def _window(t, U, f: float):
-    """``t`` and the rows of ``U`` as float arrays, and the sample spacing;
-    FitError unless ``f`` is positive and the window covers >= 3 of its cycles."""
+@dataclass(frozen=True)
+class SineBasis:
+    """One window's linear fit at ``omega`` on its (n, 2) basis
+    (:func:`_basis`)."""
+
+    omega: float
+    basis: np.ndarray
+
+    @functools.cached_property
+    def gram_pinv(self) -> np.ndarray:
+        """The pinv of the basis's 2x2 Gram."""
+        return np.linalg.pinv(self.basis.T @ self.basis)
+
+    def coefficients(self, U: np.ndarray) -> np.ndarray:
+        """(C, 2) least-squares coefficients (a, b) of a*basis[:, 0] +
+        b*basis[:, 1] for each row of ``U``: the projections times the
+        Gram's pinv, which is also the minimum-norm fit where sin and cos
+        are nearly collinear (omega*dt near 0 or pi).  A row whose
+        products overflow (or are not finite) gets non-finite values in its
+        own entries; no other row shares them, so none is warned of."""
+        P = self.gram_pinv
+        with np.errstate(all="ignore"):
+            proj = _project(U, self.basis)
+            return proj[:, :1] * P[:, 0] + proj[:, 1:] * P[:, 1]
+
+    def fit(self, U) -> SineFits:
+        """The fit of every row of ``U`` (n samples each) on the basis,
+        with the RMS of each row's explicit residual."""
+        U = _rows(U)
+        coef = self.coefficients(U)
+        amplitude, phase = _polar(coef)
+        with np.errstate(all="ignore"):
+            # the one (C, n) scratch: each row's fitted sine, then its residual
+            r = np.empty_like(U)
+            np.matmul(coef[:, None, :], self.basis.T, out=r[:, None, :])
+            np.subtract(U, r, out=r)
+            return SineFits(
+                amplitude=amplitude,
+                omega=np.full(len(U), self.omega),
+                phase=phase,
+                residual_rms=np.sqrt(np.einsum("cn,cn->c", r, r) / U.shape[1]),
+            )
+
+    def phasors(self, U) -> np.ndarray:
+        """The complex amplitude of every row's fit (:attr:`SineFits.phasor`),
+        with no residual."""
+        amplitude, phase = _polar(self.coefficients(_rows(U)))
+        return amplitude * np.exp(1j * phase)
+
+
+def _window(t, f: float):
+    """``t`` as a float array and its sample spacing; FitError unless
+    ``f`` is positive and the samples cover >= 3 of its cycles."""
     t = np.asarray(t, dtype=float)
-    U = np.atleast_2d(np.asarray(U, dtype=float))
     if not 0.0 < f < math.inf:
         raise FitError(f"fit frequency must be finite and positive, got {f} Hz")
     span = float(t[-1] - t[0])
     if span * f < 3.0:
         raise FitError(f"window covers {span * f:.2f} cycles of {f} Hz; need >= 3")
-    return t, U, span / (U.shape[1] - 1)
+    return t, span / (len(t) - 1)
+
+
+def sine_basis(t, omega: float) -> SineBasis:
+    """The basis of the fit at angular frequency ``omega`` on the samples
+    ``t``, on the absolute axis (:func:`_phase_at` of the first sample), so
+    the fitted phases are those of absolute time.  FitError unless
+    ``omega`` is positive and the samples cover >= 3 of its cycles."""
+    omega = float(omega)
+    t, dt = _window(t, omega / (2.0 * math.pi))
+    return SineBasis(omega, _basis(omega, float(_phase_at(omega, float(t[0]))), dt, len(t)))
 
 
 def fit_sines_at(t, U, omega: float) -> SineFits:
@@ -383,28 +465,11 @@ def fit_sines_at(t, U, omega: float) -> SineFits:
     Frequency Domain Approach*, 2012).
 
     Every row is one linear least-squares fit on the window's one sin/cos
-    basis at ``omega``, with no search, so ``omega`` is that of every row.
-    The basis runs on the absolute axis (:func:`_phase_at` of the first
-    sample), so the phases are those of absolute time; the residual RMS is
-    that of the explicit residual of each row.
+    basis at ``omega`` (:func:`sine_basis`), with no search, so ``omega``
+    is that of every row; the residual RMS is that of the explicit
+    residual of each row.
     """
-    omega = float(omega)
-    t, U, dt = _window(t, U, omega / (2.0 * math.pi))
-    c, n = U.shape
-    basis = _basis(omega, float(_phase_at(omega, float(t[0]))), dt, n)
-    coef = _linear_fits(U, basis)
-    a, b = coef.T
-    with np.errstate(all="ignore"):
-        # the one (C, n) scratch: each row's fitted sine, then its residual
-        r = np.empty_like(U)
-        np.matmul(coef[:, None, :], basis.T, out=r[:, None, :])
-        np.subtract(U, r, out=r)
-        return SineFits(
-            amplitude=np.hypot(a, b),
-            omega=np.full(c, omega),
-            phase=_wrap_phase(np.arctan2(b, a)),
-            residual_rms=np.sqrt(np.einsum("cn,cn->c", r, r) / n),
-        )
+    return sine_basis(t, omega).fit(U)
 
 
 def fit_sines_drift(t, U, f: float) -> SineFits:
@@ -429,14 +494,15 @@ def fit_sines_drift(t, U, f: float) -> SineFits:
     3.2 cycles, 4.8e-5 of omega at an offset of 1e-3.  A second pass at
     the first pass's omega takes that to 2.2e-6.
     """
-    t, U, dt = _window(t, U, f)
+    t, dt = _window(t, f)
+    U = _rows(U)
     n = U.shape[1]
     h = n // 2
     span = (n - h) * dt
     w0 = omega = 2.0 * math.pi * f
     for _ in range(2):
-        basis = _basis(omega, 0.0, dt, h)
-        (a1, b1), (a2, b2) = (_linear_fits(V, basis).T for V in (U[:, :h], U[:, n - h :]))
+        basis = SineBasis(omega, _basis(omega, 0.0, dt, h))
+        (a1, b1), (a2, b2) = (basis.coefficients(V).T for V in (U[:, :h], U[:, n - h :]))
         with np.errstate(all="ignore"):
             weight = np.hypot(a1, b1) + np.hypot(a2, b2)
             offset = _wrap_phase(np.arctan2(b2, a2) - np.arctan2(b1, a1) - omega * span) / span
@@ -451,6 +517,41 @@ def fit_sine(ts: TimeSeries, f: float) -> SineFit:
     """Fit amplitude and phase of a single sinusoid at ``f`` Hz: the
     one-row case of :func:`fit_sines_at` at 2*pi*f."""
     return fit_sines_at(ts.times(), ts.values[None, :], 2.0 * math.pi * f)[0]
+
+
+@dataclass(frozen=True)
+class HannBasis:
+    """One window's Hann projection: the (n, 2) basis, the real and
+    imaginary parts of the Hann-weighted kernel at each of its n samples,
+    and the reference's projection onto it."""
+
+    basis: np.ndarray
+    reference: complex
+
+    def phasors(self, U) -> np.ndarray:
+        """Every row's projection divided by the reference's; a row whose
+        projection overflows gets non-finite values."""
+        with np.errstate(all="ignore"):
+            rows = _project(_rows(U), self.basis)
+            return (rows[:, 0] + 1j * rows[:, 1]) / self.reference
+
+
+def hann_basis(t, reference, omega: float, t0: float, t1: float) -> HannBasis:
+    """The projection of :func:`hann_phasors` on the samples ``t``, with
+    ``reference`` (one row) projected.  FitError unless the samples cover
+    the window whole: no sample spacing may fit between an end of the
+    window and the first or last sample."""
+    t = np.asarray(t, dtype=float)
+    if t.size < 2 or t[0] - (t[1] - t[0]) >= t0 or t[-1] + (t[-1] - t[-2]) <= t1:
+        span = f"[{t[0]:.6g}, {t[-1]:.6g}] s" if t.size else "no samples"
+        raise FitError(f"record ({span}) does not cover the window [{t0:.6g}, {t1:.6g}] s")
+    tau = t - 0.5 * (t0 + t1)
+    hann = np.where(np.abs(tau) <= 0.5 * (t1 - t0), np.cos(math.pi * tau / (t1 - t0)) ** 2, 0.0)
+    kernel = hann * np.exp(-1j * omega * tau)
+    basis = np.column_stack([kernel.real, kernel.imag])
+    with np.errstate(all="ignore"):
+        ref = _project(_rows(reference), basis)[0]
+    return HannBasis(basis, complex(ref[0], ref[1]))
 
 
 def hann_phasors(t, U, reference, omega: float, t0: float, t1: float) -> np.ndarray:
@@ -469,19 +570,8 @@ def hann_phasors(t, U, reference, omega: float, t0: float, t1: float) -> np.ndar
     ``t1``, ``omega`` and a reference share one phase reference, whatever
     their sample rate.
 
-    FitError unless the samples cover the window whole: no sample spacing
-    may fit between an end of the window and the first or last sample.
-    A row whose projection overflows gets non-finite values.
+    The projection is built once (:func:`hann_basis`, with its coverage
+    FitError) and applied to the rows; a row whose projection overflows
+    gets non-finite values.
     """
-    t = np.asarray(t, dtype=float)
-    if t.size < 2 or t[0] - (t[1] - t[0]) >= t0 or t[-1] + (t[-1] - t[-2]) <= t1:
-        span = f"[{t[0]:.6g}, {t[-1]:.6g}] s" if t.size else "no samples"
-        raise FitError(f"record ({span}) does not cover the window [{t0:.6g}, {t1:.6g}] s")
-    tau = t - 0.5 * (t0 + t1)
-    hann = np.where(np.abs(tau) <= 0.5 * (t1 - t0), np.cos(math.pi * tau / (t1 - t0)) ** 2, 0.0)
-    kernel = hann * np.exp(-1j * omega * tau)
-    basis = np.column_stack([kernel.real, kernel.imag])
-    with np.errstate(all="ignore"):
-        rows = _project(np.atleast_2d(np.asarray(U, dtype=float)), basis)
-        ref = _project(np.atleast_2d(np.asarray(reference, dtype=float)), basis)[0]
-        return (rows[:, 0] + 1j * rows[:, 1]) / complex(ref[0], ref[1])
+    return hann_basis(t, reference, omega, t0, t1).phasors(U)

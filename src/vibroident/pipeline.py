@@ -1,13 +1,14 @@
 """End-to-end analysis: records in, identified dynamics out.
 
-Two steps.  :func:`analyze` band-pass filters the response, windows each
-dwell (or sweep crossing), sine-fits (or, in a sweep, projects) every
-channel into one row of displacement phasors and estimates the force
-amplitude from the native-rate force records.  :func:`identify` turns that frequencies x
-channels phasor matrix and the forces into the force-scaled FRCs,
-rigid-body motion, natural frequency, damping, amplification and strain;
-it runs as well on phasors from any other source, such as the exact
-steady-state response.
+Two steps.  :func:`analyze` estimates the force amplitude of each dwell
+(or sweep crossing) from the native-rate force records, then band-pass
+filters the response one block of channels at a time and sine-fits (or,
+in a sweep, projects) every channel of every window into one row of
+displacement phasors, so no filtered copy of the whole record is held.
+:func:`identify` turns that frequencies x channels phasor matrix and the
+forces into the force-scaled FRCs, rigid-body motion, natural frequency,
+damping, amplification and strain; it runs as well on phasors from any
+other source, such as the exact steady-state response.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .modal import (
 )
 from .simulator.excitation import ExcitationProgram
 from .simulator.sensors import AXIS_NAMES
-from .timeseries import SensorLayout, TimeSeriesSet, extract_window
+from .timeseries import SensorLayout, TimeSeriesSet, extract_window, window_span
 
 #: rigid-motion FRC axis measured for each excited DOF
 EXCITED_AXIS = {"X": "dx", "Y": "dy", "Z": "dz", "YAW": "rz"}
@@ -152,22 +153,40 @@ def analyze(
     """Estimate the records' phasors and forces, then :func:`identify`.
 
     Each window gives one row of displacement phasors and one
-    :class:`~vibroident.modal.ForceEstimate`, whose rows are estimated
-    first (:func:`~vibroident.modal.estimate_force_amplitude`).  An
-    estimate that is not finite raises FitError.  A record that lacks the
+    :class:`~vibroident.modal.ForceEstimate`, in two passes:
+
+    1. Per window: the force estimate
+       (:func:`~vibroident.modal.estimate_force_amplitude`), then the
+       response's estimator, built once with all of its checks: the
+       window's index span in the response (by
+       :func:`~vibroident.timeseries.extract_window`'s rule,
+       :func:`~vibroident.timeseries.window_span`) and its (n, 2) basis.
+    2. Per block of response channels (:func:`~vibroident.dsp.block_rows`,
+       the filter's one block rule): :func:`~vibroident.dsp.filtfilt` of the
+       block's rows, every window's basis applied to them; only their
+       phasors are kept.  A row never shares a product with another, in
+       the filter or in a basis, so the blocks do not change a bit, and
+       no filtered copy of the record is held.
+
+    So the force estimates of every window run before any response row
+    is filtered.  An estimate that is not finite raises FitError: a
+    force's in its window's turn, a phasor's after the last block, for
+    the first window and channel that has one.  A record that lacks the
     z column of a strain station raises ParseError before any window is
     estimated.
 
     - In a stepped dwell the block and its actuators move at the one drive
       frequency.  The force rows are fitted at the omega of their phase
       drift (:func:`~vibroident.modal.drift_phasors`), and every response
-      row at that omega, in one linear solve per window
-      (:func:`~vibroident.dsp.fit_sines_at`).
+      row at that omega, in one linear solve on the window's sin/cos
+      basis (:func:`~vibroident.dsp.sine_basis`, as in
+      :func:`~vibroident.dsp.fit_sines_at`).
     - In a sweep window the frequency runs through the window, so no sine
       fits it.  The force rows and the filtered response rows are each
       weighted by one Hann window and projected onto the grid frequency,
       relative to the same projection of the program's unit drive
-      (:func:`~vibroident.dsp.hann_phasors`): one product per row.
+      (:func:`~vibroident.dsp.hann_basis`, as in
+      :func:`~vibroident.dsp.hann_phasors`): one product per row.
       Every channel of the window shares that phase reference, and the
       drive's chirp divides out of every force-scaled output.  A window
       that the force or response record does not cover whole raises
@@ -184,12 +203,13 @@ def analyze(
         raise ParseError(f"response record lacks strain column(s) {', '.join(map(repr, missing))}")
     windows = analysis_windows(program, policy)
     coeffs = dsp.design_bandpass(policy.filter_order, policy.f_low, policy.f_high, response.sample_rate)
-    filtered = dsp.filtfilt(coeffs, response)
 
     geometry = {fp.id: (fp.location, fp.direction) for fp in program.force_points}
+    rate = response.sample_rate
 
+    # pass 1, per window: the force estimate and the response estimator
     stepped = program.kind == "stepped"
-    rows, force_estimates, forces = [], [], []
+    force_estimates, forces, estimators = [], [], []
     for f, t0, t1 in windows:
         omega = 2.0 * math.pi * f
 
@@ -204,22 +224,40 @@ def analyze(
             # as below, only a record whose values overflow the estimate's
             # sums, or the force's magnitude, gets here
             raise FitError(f"force fit at {f} Hz is not finite")
-        window = extract_window(filtered, t0, t1)
+        span = window_span(response, t0, t1)
+        # extract_window(response, t0, t1).times(), with no copy of the window
+        t = (response.start_time + span.start / rate) + np.arange(span.stop - span.start) / rate
         if stepped:
-            phasors = dsp.fit_sines_at(window.times(), window.values, est.omega).phasor
+            basis = dsp.sine_basis(t, est.omega)
         else:
-            phasors, _ = project(window.times(), window.values, f)
-        if not np.all(np.isfinite(phasors)):
-            # only a record whose values overflow the estimate's sums gets here
-            label = response.labels[int(np.argmin(np.isfinite(phasors)))]
-            raise FitError(f"phasor of channel {label!r} at {f} Hz is not finite")
-        # forward+backward filtering scales amplitudes by |H|^2; undo it
-        accel_phasors = phasors / dsp.filter_gain(coeffs, est.omega / (2.0 * math.pi)) ** 2
-        rows.append(-accel_phasors / (est.omega * est.omega))
+            basis = dsp.hann_basis(t, program.drive(t), omega, t0, t1)
+        estimators.append((span, basis))
         force_estimates.append(est)
         forces.append(scale)
 
+    # pass 2, per block of channels: filter the rows, keep their phasors
+    phasors = np.empty((len(windows), len(response)), dtype=complex)
+    step = dsp.block_rows(coeffs, response.values.shape[-1])
+    for lo in range(0, len(response), step):
+        chans = slice(lo, lo + step)
+        block = replace(
+            response, values=response.values[chans], labels=response.labels[chans], units=response.units[chans]
+        )
+        filtered = dsp.filtfilt(coeffs, block).values
+        for (span, basis), out in zip(estimators, phasors):
+            out[chans] = basis.phasors(filtered[:, span])
+
     freqs = [f for f, _, _ in windows]
+    rows = []
+    for f, row, est in zip(freqs, phasors, force_estimates):
+        if not np.all(np.isfinite(row)):
+            # only a record whose values overflow the estimate's sums gets here
+            label = response.labels[int(np.argmin(np.isfinite(row)))]
+            raise FitError(f"phasor of channel {label!r} at {f} Hz is not finite")
+        # forward+backward filtering scales amplitudes by |H|^2; undo it
+        accel_phasors = row / dsp.filter_gain(coeffs, est.omega / (2.0 * math.pi)) ** 2
+        rows.append(-accel_phasors / (est.omega * est.omega))
+
     result = identify(
         freqs, keys, np.array(rows), forces, dof, layout, policy, strain_stations, strain_fiber_m
     )

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import signal
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -111,7 +112,7 @@ class TimeSeriesSet(_UniformAxis):
             raise ValueError("values must be a non-empty (channels, samples) matrix")
         if not len(labels) == len(units) == len(values):
             raise ValueError(f"{len(values)} channels need as many labels and units")
-        duplicates = sorted({lab for lab in labels if labels.count(lab) > 1})
+        duplicates = sorted(lab for lab, k in Counter(labels).items() if k > 1)
         if duplicates:
             raise ValueError(f"duplicate channel label(s): {', '.join(duplicates)}")
         object.__setattr__(self, "values", values)
@@ -776,9 +777,8 @@ def synchronize(response: TimeSeriesSet, force: TimeSeriesSet) -> None:
         raise AlignmentError(f"streams overlap for {max(t1 - t0, 0.0):.3f} s; need > 1 s")
 
 
-def extract_window(record: TimeSeries | TimeSeriesSet, t0: float, t1: float):
-    """Samples with timestamps in [t0, t1] of a TimeSeries, or of every
-    channel of a TimeSeriesSet; start_time updated.
+def window_span(record: TimeSeries | TimeSeriesSet, t0: float, t1: float) -> slice:
+    """Sample indices of the timestamps in [t0, t1] of ``record``'s time axis.
 
     A bound within 1e-12 s of a sample keeps it.  The index ends are
     computed from the bounds, then each is stepped to that exact rule, so
@@ -808,7 +808,18 @@ def extract_window(record: TimeSeries | TimeSeriesSet, t0: float, t1: float):
             f"window [{t0}, {t1}] selects no samples from "
             f"[{start_time}, {time(n - 1)}]"
         )
-    return replace(record, start_time=time(i0), values=record.values[..., i0:i1])
+    return slice(i0, i1)
+
+
+def extract_window(record: TimeSeries | TimeSeriesSet, t0: float, t1: float):
+    """Samples with timestamps in [t0, t1] of a TimeSeries, or of every
+    channel of a TimeSeriesSet (:func:`window_span`); start_time updated."""
+    span = window_span(record, t0, t1)
+    return replace(
+        record,
+        start_time=record.start_time + span.start / record.sample_rate,
+        values=record.values[..., span],
+    )
 
 
 def load_layout(source) -> SensorLayout:

@@ -407,7 +407,7 @@ class TestFitSinesAt:
         assert np.all(fits.residual_rms < 1e-11 * np.maximum(amp, 1.0))
 
     def test_rows_take_one_linear_solve(self):
-        # one linear solve (_linear_fits) on one basis at the given omega,
+        # one linear solve (SineBasis.coefficients) on one basis at the given omega,
         # once for all rows; the residual of a noisy row is that of its
         # parameters
         t = 40.0 + np.arange(801) / 200.0
@@ -415,7 +415,7 @@ class TestFitSinesAt:
         w = 2 * np.pi * 8.0
         at = fit_sines_at(t, U, w)
         dt = (t[-1] - t[0]) / (t.size - 1)
-        a, b = dsp._linear_fits(U, _basis(w, float(_phase_at(w, t[0])), dt, t.size)).T
+        a, b = dsp.SineBasis(w, _basis(w, float(_phase_at(w, t[0])), dt, t.size)).coefficients(U).T
         assert at.amplitude.tobytes() == np.hypot(a, b).tobytes()
         assert at.phase.tobytes() == dsp._wrap_phase(np.arctan2(b, a)).tobytes()
         for row, u in enumerate(U):

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vibroident import timeseries
+from vibroident import dsp, timeseries
 from vibroident.errors import FitError, ForceEstimationError, WindowError
 from vibroident.cli import _contribution_csv, _deformation_figures, _load_text, _rbm_csv
 from vibroident.modal import frc_to_csv, linearity_rms, rigid_map, rigid_rows
@@ -244,6 +245,20 @@ class TestAnalysisWindows:
         assert analysis_windows(single_dwell(10.0, 30.0), policy) == [(10.0, 0.0, 2.0)]
 
 
+def bundled_noise_free(name, **changes):
+    """The bundled program ``name`` with its spec's ``changes``, simulated
+    noise-free at the default rates: (response, force, program, layout,
+    system)."""
+    program = load_program(_load_text(f"default:{name}", "program"))
+    spec = getattr(program, program.kind)
+    program = replace(program, **{program.kind: replace(spec, **changes)})
+    layout = load_layout(_load_text("default", "layout"))
+    sys = assemble_system(load_model(_load_text("default", "model")))
+    hist = integrate(sys, program, dt=1.0 / (200.0 * math.ceil(40.0 * program.f_max / 200.0)))
+    resp = sensor_kinematics(hist, layout, NoiseSpec(rms=0.0), output_rate=200.0)
+    return resp, force_timeseries(program, fs=512.0), program, layout, sys
+
+
 class TestSweepAnalysis:
     def test_force_record_that_ends_inside_a_window_raises(self, noisy_sweep):
         # the force record ends 1.5 cycles into the last window, whose
@@ -275,13 +290,8 @@ class TestSweepAnalysis:
         # on a rigid block the rigid-body fit leaves no residual, and every
         # channel at >= 30 % of the strongest reads the steady-state
         # transfer function over the measured force, in size and phase
-        program = load_program(_load_text(f"default:sweep_{dof}", "program"))
-        program = replace(program, sweep=replace(program.sweep, rate=0.4))
-        layout = load_layout(_load_text("default", "layout"))
-        sys = assemble_system(load_model(_load_text("default", "model")))
-        hist = integrate(sys, program, dt=1.0 / (200.0 * math.ceil(40.0 * program.f_max / 200.0)))
-        resp = sensor_kinematics(hist, layout, NoiseSpec(rms=0.0), output_rate=200.0)
-        res = analyze(resp, force_timeseries(program, fs=512.0), program, layout)
+        resp, force, program, layout, sys = bundled_noise_free(f"sweep_{dof}", rate=0.4)
+        res = analyze(resp, force, program, layout)
         assert list(res.frequencies) == [f for f, _, _ in analysis_windows(program, AnalysisPolicy())]
         excited = {"X": 0, "Y": 1, "Z": 2, "YAW": 5}[res.dof_excited]
         bf = program.generalized_amplitude().astype(complex)
@@ -366,3 +376,61 @@ class TestWindowFitWorkers:
             analyze(resp, short, prog, layout, policy)
         assert str(split.value) == str(serial.value)
         assert forks == []
+
+
+class TestChannelBlocks:
+    """The response is filtered and estimated one block of channels at a
+    time; the blocks change no bit of any output."""
+
+    @pytest.mark.parametrize("name, changes", [
+        ("stepped_x", dict(frequencies=(2.0, 4.0, 7.0, 9.5, 11.0, 14.0), duration_per_step=8.0, rest_gap=2.0)),
+        ("sweep_yaw", dict(rate=0.4)),
+    ])
+    def test_block_rule_changes_no_bit(self, monkeypatch, name, changes):
+        resp, force, program, layout, _ = bundled_noise_free(name, **changes)
+        rows = dsp.block_rows(dsp.design_bandpass(5, 1.0, 25.0, 200.0), resp.values.shape[1])
+        assert 1 < rows < len(resp), "the default rule makes blocks of several rows"
+        results = []
+        # one row per block, the default rule, every row in one block
+        for cells in (1, dsp._BLOCK_CELLS, 1 << 40):
+            monkeypatch.setattr(dsp, "_BLOCK_CELLS", cells)
+            results.append(analyze(resp, force, program, layout))
+        first = results[0]
+        for res in results[1:]:
+            for field in ("phasors", "rigid", "contributions"):
+                assert getattr(res, field).tobytes() == getattr(first, field).tobytes()
+            assert len(res.force_estimates) == len(first.force_estimates)
+            for est, ref in zip(res.force_estimates, first.force_estimates):
+                assert est.generalized.tobytes() == ref.generalized.tobytes()
+                assert (est.frequency_hz, est.omega) == (ref.frequency_hz, ref.omega)
+
+    def test_analyze_holds_no_filtered_copy(self, small_setup):
+        # a 60-channel x 60,000-sample record (29 MB), several times the
+        # filter's block scratch: analyze's peak traced allocation stays
+        # below half of it, where a filtered copy alone is all of it
+        _, sys, _ = small_setup
+        rng = np.random.default_rng(11)
+        positions = rng.uniform([-4.0, -2.0, -1.0], [4.0, 2.0, 1.0], size=(20, 3))
+        layout = SensorLayout(tuple(Station(f"S{i}", p, np.eye(3)) for i, p in enumerate(positions)), {})
+        prog = v_shape_program((2.0, 3.0, 6.0, 7.5, 8.0, 8.5, 11.0), dur=38.0, rest=4.0)
+        rate = 200.0
+        t = np.arange(60_000) / rate
+        bf = prog.generalized_amplitude().astype(complex)
+        accel = np.zeros((60, t.size))
+        for t_on, t_off, f in prog.stepped.schedule():
+            w = 2 * math.pi * f
+            on = (t >= t_on) & (t < t_off)
+            u6 = steady_state_response(sys, bf, w)
+            phasor = np.concatenate([rigid_rows(p) @ u6 for p in positions])
+            accel[:, on] = (-w * w * phasor[:, None] * np.exp(1j * w * t[on])).imag
+        labels = tuple(f"S{i}_{axis}" for i in range(20) for axis in "xyz")
+        resp = timeseries.TimeSeriesSet(0.0, rate, accel, labels, ("m/s^2",) * 60)
+        force = force_timeseries(prog, fs=512.0)
+        tracemalloc.start()
+        try:
+            res = analyze(resp, force, prog, layout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(res.frequencies) == list(prog.stepped.frequencies)
+        assert peak < 0.5 * resp.values.nbytes, f"peak {peak / 1e6:.1f} MB of a {resp.values.nbytes / 1e6:.1f} MB record"
