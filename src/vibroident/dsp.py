@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignError, FilterError, FitError
-from .recurrence import block_operators
+from .recurrence import block_operators, carry
 from .timeseries import TimeSeries, TimeSeriesSet, _veltkamp
 
 
@@ -203,40 +203,40 @@ def _state_space(sos: np.ndarray):
 _FILTER_BLOCK = 64
 #: padded cells (rows x samples) of one block of rows of the zero-phase
 #: filter, which builds its scratch for one block at a time, so it does
-#: not grow with the record: about 18 bytes per cell (tracemalloc), 5 MB
+#: not grow with the record: about 12 bytes per cell (tracemalloc), 3 MB
 #: (:func:`block_rows`)
 _BLOCK_CELLS = 1 << 18
-#: blocks per drive-term product.  OpenBLAS runs larger products (about
-#: 1e6 multiply-adds and up) on several threads.  On 2 cores, one product
-#: per row saved no wall time on an 87 x 24,796 record (0.07-0.13 s a
-#: call either way, 8 fresh processes each) and took 0.01 s more CPU a
-#: call with the CLI's sleeping idle threads; with spinning ones, twice
-#: the CPU time.
+#: most blocks per BLAS call of a row's stacked products: OpenBLAS threads
+#: larger ones.  On 2 cores, an 87 x 24,796 record filtered in 25 ms wall
+#: and 50 ms CPU with one call per row, in 22 ms of each with 128 blocks.
 _PRODUCT_BLOCKS = 128
 
 
 def _cascade_pass(W: np.ndarray, F: np.ndarray, x: np.ndarray, s0: np.ndarray, out: np.ndarray) -> None:
     """One pass of the recurrence over the rows of ``x`` into ``out`` (which
     may be ``x`` itself), from the states ``s0`` before each row's first
-    sample.  Rows never share a product, so each is computed exactly as if
-    filtered alone."""
+    sample: the blocks' drive states, carried after ``s0`` by
+    :func:`recurrence.carry`, then their outputs plus the free response of
+    the state before each.  Rows never share a product, so each is
+    computed exactly as if filtered alone."""
     rows, n = x.shape
-    m = len(W)
-    nb = -(-n // m)
-    z = np.empty((rows, nb, W.shape[1]))
+    m, k = len(W), len(F)
+    nc = -(-n // (m * _PRODUCT_BLOCKS))         # nb blocks in nc equal products
+    nb = nc * -(-n // (m * nc))
+    states = np.empty((rows, nb + 1, k))
+    states[:, 0] = s0
     padded = np.zeros(nb * m)
-    blocks = padded.reshape(nb, m)
-    for row, zr in zip(x, z):
+    blocks = padded.reshape(nc, -1, m)
+    for row, sr in zip(x, states):
         padded[:n] = row
-        for i in range(0, nb, _PRODUCT_BLOCKS):
-            np.matmul(blocks[i : i + _PRODUCT_BLOCKS], W, out=zr[i : i + _PRODUCT_BLOCKS])
-    s = s0[:, None, :]
-    for b in range(nb):
-        block = z[:, b : b + 1]
-        block += s @ F
-        s = block[..., m:]
-    for zr, o in zip(z, out):
-        o[:] = zr[:, :m].reshape(-1)[:n]
+        np.matmul(blocks, W[:, m:], out=sr[1:].reshape(nc, -1, k))
+    carry(states, F[:, m:])
+    y = np.empty(blocks.shape)
+    for row, sr, o in zip(x, states, out):
+        padded[:n] = row
+        np.matmul(blocks, W[:, :m], out=y)
+        y += sr[:-1].reshape(nc, -1, k) @ F[:, :m]
+        o[:] = y.reshape(-1)[:n]
 
 
 def _block_operators(sos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,11 +277,11 @@ def filtfilt(coeffs: FilterCoefficients, record: TimeSeries | TimeSeriesSet):
         s'   = A^m s + sum_{i=0..m-1} A^(m-1-i) B x[i],
 
     so the drive terms of all blocks are products with one Toeplitz matrix
-    (see ``recurrence.block_operators``), and the state is carried from
-    block to block by one small product per block.
+    (see ``recurrence.block_operators``), the states s' are carried by a
+    doubling scan (``recurrence.carry``), and then the outputs y get C A^j s.
 
     Rows are filtered a block of rows at a time (:func:`block_rows`) into one
-    preallocated output matrix, so the padded copy and the drive terms
+    preallocated output matrix, so the padded copy and the carried states
     exist for one block only; a row never shares a product with another,
     so blocking does not change a bit.
     """

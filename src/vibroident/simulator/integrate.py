@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import IntegrationError
-from ..recurrence import block_operators
+from ..recurrence import block_operators, carry
 from .excitation import ExcitationProgram
 from .model import SystemMatrices
 
@@ -26,8 +26,10 @@ class StateHistory:
         return 1.0 / float(self.t[1] - self.t[0])
 
 
-#: samples per block of the matrix recurrence
-BLOCK = 256
+#: samples per block m.  On 2 cores a 99,183-step record integrates in
+#: 4.7-4.9 ms at any m from 16 to 256; the (m + 18) x 18 m operator holds
+#: 0.76 MB at 64, 10 MB at 256
+BLOCK = 64
 
 
 def _step_map(sys: SystemMatrices, bf: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -77,13 +79,11 @@ def integrate(
 
     i.e. ``X = P[1:m+1] @ x[k] + T @ H`` with the powers ``P[j] = A^j`` and
     responses ``H[j] = A^j B`` built once, and ``T`` the lower-triangular
-    Toeplitz matrix of the block's drive.  The ``T @ H`` terms do not depend
-    on the state, so those of all blocks are one product with the block
-    drives; the state is then carried from block to block, one Python
-    iteration per block.  Only matrix products are used: no
-    eigendecomposition, so nothing depends on the conditioning of A's
-    eigenvectors and no step-by-step fallback is needed.  Rounding grows
-    with j as in a step loop, and the two agree to ~1e-13 of each DOF's peak.
+    Toeplitz matrix of the block's drive.  The block-end states are carried
+    by a doubling scan (``recurrence.carry``), then all samples are one
+    product of [block drive, state before the block].  Only matrix products
+    are used: no eigendecomposition, so nothing depends on the conditioning
+    of A's eigenvectors.  A step loop agrees to ~1e-14 of each DOF's peak.
 
     Raises IntegrationError at the first sample whose displacement exceeds
     1e6 x the static deflection under the program's force amplitude.
@@ -115,26 +115,24 @@ def integrate(
 
     A, B = _step_map(sys, bf, dt)
     m = max(min(BLOCK, n - 1), 1)
-    # G[s, r] = H[r - s]: row b of D @ G is T_b @ H
     P, G = block_operators(A, B, m)
     nb = -(-(n - 1) // m)
     D = np.zeros((nb, m))
     D.reshape(-1)[: n - 1] = drive[1:]
-    X = np.empty((1 + nb * m, 18))
-    X[0] = np.concatenate([u_0, v_0, a_0])
-    blocks = X[1:].reshape(nb, m, 18)
-    np.matmul(D, G.reshape(m, m * 18), out=X[1:].reshape(nb, m * 18))
-
-    # add the free response to each block's state and carry it on
-    powers = P[1:].reshape(m * 18, 18)
-    for b in range(nb):
-        block = blocks[b]
-        block += (powers @ X[b * m]).reshape(m, 18)
-        over = ~(np.abs(block[: n - 1 - b * m, :6]) <= u_limit)   # NaN counts as over
-        if over.any():
-            i = 1 + b * m + int(np.argmax(over.any(axis=1)))
-            raise IntegrationError(f"response exceeded 1e6 x static estimate at t={t[i]:.3f} s")
-    u = np.ascontiguousarray(X[:n, :6])
-    v = np.ascontiguousarray(X[:n, 6:12])
-    a = np.ascontiguousarray(X[:n, 12:])
+    # the state before each block: x[0], then the block ends, carried
+    ends = np.concatenate([[np.concatenate([u_0, v_0, a_0])], D @ G[:, -1]])
+    # block b's samples from [its drive, the state before it], one product
+    # into the (u, v, a) planes: drive response G, free response P[1:]
+    op = np.vstack([G.reshape(m, m * 18), P[1:].transpose(2, 0, 1).reshape(18, m * 18)])
+    op = op.reshape(m + 18, m, 3, 6).transpose(2, 0, 1, 3).reshape(3, m + 18, m * 6)
+    X = np.empty((3, 1 + nb * m, 6))
+    X[:, 0] = ends[0].reshape(3, 6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        carry(ends, P[m].T)
+        np.matmul(np.hstack([D, ends[:-1]]), op, out=X[:, 1:].reshape(3, nb, m * 6))
+        over = ~(np.abs(X[0, 1:n]) <= u_limit)     # NaN counts as over
+    if over.any():
+        i = 1 + int(np.argmax(over.any(axis=1)))
+        raise IntegrationError(f"response exceeded 1e6 x static estimate at t={t[i]:.3f} s")
+    u, v, a = X[:, :n]
     return StateHistory(t=t, u=u, v=v, a=a)

@@ -188,22 +188,26 @@ class TestScipyReference:
         assert np.max(np.abs(gain / exact - 1.0)) < 1e-10
 
     def test_rows_match_sosfiltfilt(self, order, fs, f_low, f_high):
-        # bench length (24,796 samples); offset, sub-corner drift, in-band tone, noise
+        # bench length (24,796 samples), and twice a full default row
+        # (180,000: 12 scan levels); offset, sub-corner drift, in-band
+        # tone, noise
         c = design_bandpass(order, f_low, f_high, fs)
         ref_sos = sps.butter(order, [f_low, f_high], btype="bandpass", fs=fs, output="sos")
         rng = np.random.default_rng(order)
-        t = np.arange(24796) / fs
-        values = (
-            rng.standard_normal((4, t.size))
-            + rng.uniform(-3.0, 3.0, (4, 1))
-            + 2.0 * np.sin(2 * np.pi * 0.4 * f_low * t)
-            + 5.0 * np.sin(2 * np.pi * math.sqrt(f_low * f_high) * t)
-        )
-        record = TimeSeriesSet(0.0, fs, values, ("a", "b", "c", "d"), ("m",) * 4)
-        out = filtfilt(c, record).values
-        for row, x in zip(out, values):
-            ref = sps.sosfiltfilt(ref_sos, x, padtype="odd", padlen=c.pad_len)
-            assert np.max(np.abs(row - ref)) < 1e-10 * np.max(np.abs(ref))
+        for rows, n in ((4, 24796), (2, 180000)):
+            t = np.arange(n) / fs
+            values = (
+                rng.standard_normal((rows, t.size))
+                + rng.uniform(-3.0, 3.0, (rows, 1))
+                + 2.0 * np.sin(2 * np.pi * 0.4 * f_low * t)
+                + 5.0 * np.sin(2 * np.pi * math.sqrt(f_low * f_high) * t)
+            )
+            labels = tuple("abcd"[:rows])
+            record = TimeSeriesSet(0.0, fs, values, labels, ("m",) * rows)
+            out = filtfilt(c, record).values
+            for row, x in zip(out, values):
+                ref = sps.sosfiltfilt(ref_sos, x, padtype="odd", padlen=c.pad_len)
+                assert np.max(np.abs(row - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
 def grid_search_sine(t, u, f_fixed, a_span=(0.0, 2.0), rounds=6, n=81):

@@ -379,6 +379,9 @@ RECURRENCE_CASES = {
         assemble_system(small_block()), oblique_stepped(), (BLOCK // 2) * DT, U0, V0,
     ),
     "two_samples": lambda: (assemble_system(small_block()), oblique_stepped(), DT, U0, V0),
+    "thousand_blocks": lambda: (
+        assemble_system(small_block()), oblique_stepped(21.0), (1000 * BLOCK + 17) * DT, U0, V0,
+    ),
 }
 
 
@@ -395,6 +398,7 @@ class TestBlockRecurrence:
             assert np.all(peak > 0)
             assert np.all(np.abs(got - want) <= 1e-11 * peak)
 
+    @pytest.mark.filterwarnings("error")
     def test_runaway_raises_at_first_sample_over_limit(self):
         sys = assemble_system(small_block())
         unstable = SystemMatrices(sys.M, -sys.C, sys.K)     # negative damping grows
@@ -404,6 +408,35 @@ class TestBlockRecurrence:
         t_raise = float(re.search(r"t=([0-9.]+) s", str(exc.value)).group(1))
         assert t_raise < prog.duration
         t, u, _, _ = newmark_loop(unstable, prog, DT)
+        u_limit = 1e6 * np.max(np.abs(np.linalg.solve(sys.K, prog.generalized_amplitude())))
+        first = int(np.argmax(np.any(np.abs(u) > u_limit, axis=1)))
+        assert f"{t_raise:.3f}" == f"{t[first]:.3f}"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("excited", ["stable", "runaway"])
+    def test_states_that_stay_zero_beside_a_runaway(self, excited):
+        # y, rx and rz are not forced and not coupled to x, z and ry, so
+        # they stay exactly zero, while their powers of A overflow within
+        # four blocks (damping -20 x theirs); the forced DOFs keep their
+        # damping or run away as above
+        sys = assemble_system(small_block())
+        quiet = np.ix_([1, 3, 5], [1, 3, 5])
+        damping = sys.C * (1.0 if excited == "stable" else -1.0)
+        damping[quiet] = -20.0 * sys.C[quiet]
+        mixed = SystemMatrices(sys.M, damping, sys.K)
+        prog = x_program(amp=1e5, duration=8.0)
+        t, u, v, a = newmark_loop(mixed, prog, DT)
+        assert np.all(u[:, [1, 3, 5]] == 0.0)
+        if excited == "stable":
+            hist = integrate(mixed, prog, dt=DT)
+            assert np.all(hist.u[:, [1, 3, 5]] == 0.0)
+            for got, want in zip((hist.u, hist.v, hist.a), (u, v, a)):
+                peak = np.max(np.abs(want), axis=0)
+                assert np.all(np.abs(got - want) <= 1e-11 * peak)
+            return
+        with pytest.raises(IntegrationError) as exc:
+            integrate(mixed, prog, dt=DT)
+        t_raise = float(re.search(r"t=([0-9.]+) s", str(exc.value)).group(1))
         u_limit = 1e6 * np.max(np.abs(np.linalg.solve(sys.K, prog.generalized_amplitude())))
         first = int(np.argmax(np.any(np.abs(u) > u_limit, axis=1)))
         assert f"{t_raise:.3f}" == f"{t[first]:.3f}"
