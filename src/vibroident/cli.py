@@ -153,11 +153,11 @@ _CONFIG_RULES = {
     "window.max_len_s": _POSITIVE,
     "f_ref_force_kn": _POSITIVE,
     "f_ref_torque_knm": _POSITIVE,
-    "rotation_lever_m": _NUMBER,
-    "damping_channel_floor": _NUMBER,
+    "rotation_lever_m": _POSITIVE,
+    "damping_channel_floor": (lambda v: _real(v) and 0 <= v <= 1, "a number in [0, 1]"),
     "strain.stations": (
-        lambda v: isinstance(v, list) and len(v) == 3 and all(isinstance(s, str) for s in v),
-        "a list of three station ids",
+        lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v) and len(set(v)) == len(v) == 3,
+        "a list of three distinct station ids",
     ),
     "strain.fiber_m": _POSITIVE,
 }

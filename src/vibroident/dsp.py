@@ -2,27 +2,22 @@
 
 Band-pass Butterworth design (bilinear transform with pre-warping,
 realized as second-order sections), zero-phase filtering as one blocked
-state recurrence, and sine least-squares fits.  numpy is the only
-dependency.
+state recurrence, and the one-frequency estimators of a window.  numpy is
+the only dependency.
 
-The sine fits are batched: :func:`fit_sines_at` fits every channel of a
-window at one known frequency in one linear in-phase/quadrature solve,
-:func:`fit_sines_drift` at the one frequency of the channels' phase
-drift between the window's halves, and :func:`fit_sine` is the one-row
-fit at a given frequency.  The analysis fits a stepped dwell's force
-channels with :func:`fit_sines_drift` and its response channels with
-:func:`fit_sines_at` at the force's frequency.  A sweep window's
-channels, whose frequency runs through the window, are projected instead
-(:func:`hann_phasors`): one Hann-weighted product per record, relative
-to the same projection of the drive.  Every window has one frequency, so
-each estimate is two steps: build the window's one (n, 2) basis, with all
-of its checks (:func:`sine_basis`: sin/cos, whose linear fits solve with
-the pinv of its 2x2 Gram; :func:`hann_basis`: the Hann kernel's real and
-imaginary parts, with the reference's projection), then apply it to rows
-(:class:`SineBasis`, :class:`HannBasis`), one product per row.  A row
-gets the same bits in any batch, so the analysis builds each window's
-basis once and applies it to one block of filtered channels at a time
-(:func:`block_rows`, the filter's one block rule).
+Every analysis window has one frequency and one estimator, which both of
+its records use: an (n, 2) basis built once for the window, with all of
+its checks, then applied to rows, one product per row.  A stepped
+dwell's is :func:`sine_basis` (:class:`SineBasis`: sin/cos, whose linear
+fits solve with the pinv of its 2x2 Gram), at the omega of the force
+rows' phase drift (:func:`drift_omega`).  A sweep window's frequency
+runs through it, so its estimator is :func:`hann_basis`
+(:class:`HannBasis`: the Hann kernel's real and imaginary parts, relative
+to the same projection of the drive).  A row gets the same bits in any
+batch, so the analysis applies each window's basis to one block of
+filtered channels at a time (:func:`block_rows`, the filter's one block
+rule).  :func:`fit_sine` is the one-row fit at a given frequency, with
+its explicit residual.
 """
 
 from __future__ import annotations
@@ -316,29 +311,6 @@ _TWO_PI_MID = 6.357301884918343e-08
 _TWO_PI_LO = 2.4492935982947064e-16
 
 
-@dataclass(frozen=True)
-class SineFits:
-    """Row-wise fits of one window: u_c(t) = amplitude[c] * sin(omega[c] * t + phase[c])."""
-
-    amplitude: np.ndarray
-    omega: np.ndarray
-    phase: np.ndarray
-    #: RMS of the explicit residual u - amplitude * sin(omega * t + phase)
-    residual_rms: np.ndarray
-
-    @property
-    def phasor(self) -> np.ndarray:
-        return self.amplitude * np.exp(1j * self.phase)
-
-    def __getitem__(self, row: int) -> SineFit:
-        return SineFit(
-            amplitude=float(self.amplitude[row]),
-            omega=float(self.omega[row]),
-            phase=float(self.phase[row]),
-            residual_rms=float(self.residual_rms[row]),
-        )
-
-
 def _phase_at(omega, t0: float) -> np.ndarray:
     """omega * t0 reduced modulo 2*pi, to about 1e-15 rad.
 
@@ -411,27 +383,8 @@ class SineBasis:
             proj = _project(U, self.basis)
             return proj[:, :1] * P[:, 0] + proj[:, 1:] * P[:, 1]
 
-    def fit(self, U) -> SineFits:
-        """The fit of every row of ``U`` (n samples each) on the basis,
-        with the RMS of each row's explicit residual."""
-        U = _rows(U)
-        coef = self.coefficients(U)
-        amplitude, phase = _polar(coef)
-        with np.errstate(all="ignore"):
-            # the one (C, n) scratch: each row's fitted sine, then its residual
-            r = np.empty_like(U)
-            np.matmul(coef[:, None, :], self.basis.T, out=r[:, None, :])
-            np.subtract(U, r, out=r)
-            return SineFits(
-                amplitude=amplitude,
-                omega=np.full(len(U), self.omega),
-                phase=phase,
-                residual_rms=np.sqrt(np.einsum("cn,cn->c", r, r) / U.shape[1]),
-            )
-
     def phasors(self, U) -> np.ndarray:
-        """The complex amplitude of every row's fit (:attr:`SineFits.phasor`),
-        with no residual."""
+        """The complex amplitude of every row's fit (:attr:`SineFit.phasor`)."""
         amplitude, phase = _polar(self.coefficients(_rows(U)))
         return amplitude * np.exp(1j * phase)
 
@@ -449,32 +402,22 @@ def _window(t, f: float):
 
 
 def sine_basis(t, omega: float) -> SineBasis:
-    """The basis of the fit at angular frequency ``omega`` on the samples
-    ``t``, on the absolute axis (:func:`_phase_at` of the first sample), so
-    the fitted phases are those of absolute time.  FitError unless
-    ``omega`` is positive and the samples cover >= 3 of its cycles."""
+    """The stepped-sine estimator at a known excitation frequency
+    (Pintelon & Schoukens, *System Identification: A Frequency Domain
+    Approach*, 2012): the basis of the linear fit at angular frequency
+    ``omega`` on the samples ``t``, on the absolute axis (:func:`_phase_at`
+    of the first sample), so the fitted phases are those of absolute time.
+    Every row is one linear least-squares fit on it, with no search.
+    FitError unless ``omega`` is positive and the samples cover >= 3 of its
+    cycles."""
     omega = float(omega)
     t, dt = _window(t, omega / (2.0 * math.pi))
     return SineBasis(omega, _basis(omega, float(_phase_at(omega, float(t[0]))), dt, len(t)))
 
 
-def fit_sines_at(t, U, omega: float) -> SineFits:
-    """Fit u_c(t) = A_c * sin(omega * t + phi_c) to every row of ``U`` at
-    one known angular frequency: the stepped-sine estimator at a known
-    excitation frequency (Pintelon & Schoukens, *System Identification: A
-    Frequency Domain Approach*, 2012).
-
-    Every row is one linear least-squares fit on the window's one sin/cos
-    basis at ``omega`` (:func:`sine_basis`), with no search, so ``omega``
-    is that of every row; the residual RMS is that of the explicit
-    residual of each row.
-    """
-    return sine_basis(t, omega).fit(U)
-
-
-def fit_sines_drift(t, U, f: float) -> SineFits:
-    """Fit every row of ``U`` at the one angular frequency taken from the
-    rows' phase drift near ``f``: :func:`fit_sines_at` at that omega.
+def drift_omega(t, U, f: float) -> float:
+    """The one angular frequency of the rows of ``U`` near ``f``, from
+    their phase drift: the omega a stepped dwell's rows are fitted at.
 
     Each row takes the linear fit at 2*pi*f on the two halves of the
     window, both on one basis.  Its phase moves between them by its
@@ -494,7 +437,7 @@ def fit_sines_drift(t, U, f: float) -> SineFits:
     3.2 cycles, 4.8e-5 of omega at an offset of 1e-3.  A second pass at
     the first pass's omega takes that to 2.2e-6.
     """
-    t, dt = _window(t, f)
+    _, dt = _window(t, f)
     U = _rows(U)
     n = U.shape[1]
     h = n // 2
@@ -508,23 +451,31 @@ def fit_sines_drift(t, U, f: float) -> SineFits:
             offset = _wrap_phase(np.arctan2(b2, a2) - np.arctan2(b1, a1) - omega * span) / span
             omega += float(weight @ offset / weight.sum())
         if not math.isfinite(omega):
-            omega = w0
-            break
-    return fit_sines_at(t, U, omega)
+            return w0
+    return omega
 
 
 def fit_sine(ts: TimeSeries, f: float) -> SineFit:
     """Fit amplitude and phase of a single sinusoid at ``f`` Hz: the
-    one-row case of :func:`fit_sines_at` at 2*pi*f."""
-    return fit_sines_at(ts.times(), ts.values[None, :], 2.0 * math.pi * f)[0]
+    linear fit on :func:`sine_basis` at 2*pi*f, with the RMS of the
+    explicit residual, the row minus its fitted sine."""
+    fit = sine_basis(ts.times(), 2.0 * math.pi * f)
+    u = _rows(ts.values)
+    coef = fit.coefficients(u)
+    (amplitude,), (phase,) = _polar(coef)
+    with np.errstate(all="ignore"):
+        r = u - coef @ fit.basis.T
+        (rms,) = np.sqrt(np.einsum("cn,cn->c", r, r) / u.shape[1])
+    return SineFit(float(amplitude), fit.omega, float(phase), float(rms))
 
 
 @dataclass(frozen=True)
 class HannBasis:
-    """One window's Hann projection: the (n, 2) basis, the real and
-    imaginary parts of the Hann-weighted kernel at each of its n samples,
-    and the reference's projection onto it."""
+    """One window's Hann projection at ``omega``: the (n, 2) basis, the
+    real and imaginary parts of the Hann-weighted kernel at each of its n
+    samples, and the reference's projection onto it."""
 
+    omega: float
     basis: np.ndarray
     reference: complex
 
@@ -537,10 +488,25 @@ class HannBasis:
 
 
 def hann_basis(t, reference, omega: float, t0: float, t1: float) -> HannBasis:
-    """The projection of :func:`hann_phasors` on the samples ``t``, with
-    ``reference`` (one row) projected.  FitError unless the samples cover
-    the window whole: no sample spacing may fit between an end of the
-    window and the first or last sample."""
+    """The estimator of a window whose frequency runs through it: complex
+    amplitudes at ``omega`` over one Hann window on [t0, t1], relative to
+    ``reference`` (one row on the samples ``t``); samples outside the
+    window weigh nothing.
+
+    Each row and the reference are weighted by the window and projected
+    onto exp(-i*omega*(t - t_c)), t_c the window's centre; a row's phasor
+    (:meth:`HannBasis.phasors`) is its projection divided by the
+    reference's.  A row that is the reference scaled by a gets a; a
+    response to a swept drive gets the transfer function at about
+    ``omega``, since the window's share of the chirp divides out (spectral
+    division, Mueller & Massarani, *J. Audio Eng. Soc.* 49(6), 2001;
+    localised in time as in Pintelon & Schoukens, *System Identification*,
+    2nd ed., 2012).  Rows that share ``t0``, ``t1``, ``omega`` and a
+    reference share one phase reference, whatever their sample rate.
+
+    FitError unless the samples cover the window whole: no sample spacing
+    may fit between an end of the window and the first or last sample.
+    """
     t = np.asarray(t, dtype=float)
     if t.size < 2 or t[0] - (t[1] - t[0]) >= t0 or t[-1] + (t[-1] - t[-2]) <= t1:
         span = f"[{t[0]:.6g}, {t[-1]:.6g}] s" if t.size else "no samples"
@@ -551,27 +517,4 @@ def hann_basis(t, reference, omega: float, t0: float, t1: float) -> HannBasis:
     basis = np.column_stack([kernel.real, kernel.imag])
     with np.errstate(all="ignore"):
         ref = _project(_rows(reference), basis)[0]
-    return HannBasis(basis, complex(ref[0], ref[1]))
-
-
-def hann_phasors(t, U, reference, omega: float, t0: float, t1: float) -> np.ndarray:
-    """Complex amplitudes of the rows of ``U`` at ``omega`` over one Hann
-    window on [t0, t1], relative to ``reference`` (one row, the same
-    samples); samples outside the window weigh nothing.
-
-    Each row and the reference are weighted by the window and projected
-    onto exp(-i*omega*(t - t_c)), t_c the window's centre; a row's phasor
-    is its projection divided by the reference's.  A row that is the
-    reference scaled by a gets a; a response to a swept drive gets the
-    transfer function at about ``omega``, since the window's share of the
-    chirp divides out (spectral division, Mueller & Massarani, *J. Audio
-    Eng. Soc.* 49(6), 2001; localised in time as in Pintelon & Schoukens,
-    *System Identification*, 2nd ed., 2012).  Rows that share ``t0``,
-    ``t1``, ``omega`` and a reference share one phase reference, whatever
-    their sample rate.
-
-    The projection is built once (:func:`hann_basis`, with its coverage
-    FitError) and applied to the rows; a row whose projection overflows
-    gets non-finite values.
-    """
-    return hann_basis(t, reference, omega, t0, t1).phasors(U)
+    return HannBasis(float(omega), basis, complex(ref[0], ref[1]))

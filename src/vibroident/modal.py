@@ -4,6 +4,9 @@ Everything downstream of the per-channel phasors: force-amplitude
 estimation, force-normalized FRC construction with group averaging,
 least-squares rigid-body motion, SDOF amplification matching for the
 damping ratio, linearity comparison, and the bending-strain estimate.
+The force rows of a window are read through the window's one estimator
+(:func:`~vibroident.dsp.sine_basis` or :func:`~vibroident.dsp.hann_basis`),
+the same one its response rows go through.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import NoReturn
 import numpy as np
 
 # fit_sine stays importable from here: the benchmark tracer wraps modal.fit_sine
-from .dsp import fit_sine, fit_sines_drift
+from .dsp import fit_sine
 from .errors import (
     BuildError,
     ComparisonError,
@@ -46,9 +49,10 @@ class ForceEstimate:
     #: complex (6,): the force channels' phasors times their
     #: :func:`~vibroident.simulator.model.influence_matrix` rows, summed
     generalized: np.ndarray
-    #: the drive's angular frequency, rad/s: in a stepped dwell that of the
-    #: channels' phase drift (:func:`drift_phasors`), in a sweep window
-    #: that of its grid frequency
+    #: the drive's angular frequency, rad/s, that of the window's estimator
+    #: basis: in a stepped dwell that of the channels' phase drift
+    #: (:func:`~vibroident.dsp.drift_omega`), in a sweep window that of
+    #: its grid frequency
     omega: float
 
     @property
@@ -64,43 +68,38 @@ class ForceEstimate:
         return abs(self.generalized[5])
 
 
-def drift_phasors(t, U, f: float):
-    """The rows' phasors fitted at the omega of their phase drift near
-    ``f`` (:func:`~vibroident.dsp.fit_sines_drift`), and that omega, which
-    every row shares: the drive's."""
-    fits = fit_sines_drift(t, U, f)
-    return fits.phasor, float(fits.omega[0])
-
-
 def estimate_force_amplitude(
     force: TimeSeriesSet,
     geometry: dict[str, tuple[np.ndarray, np.ndarray]],
     f: float,
-    fit,
+    estimator,
 ) -> ForceEstimate:
     """The generalized force of the channels named by ``geometry``: each
     channel's phasor times the
     :func:`~vibroident.simulator.model.influence_matrix` row of its
     (location, direction), summed in geometry order.
 
-    The rows are estimated in one batched ``fit(t, U, f)`` call, which
-    returns their complex amplitudes (kN) and the drive's angular
-    frequency: :func:`drift_phasors` in a stepped dwell, the Hann
-    projection (:func:`~vibroident.dsp.hann_phasors`) in a sweep window.
-    ForceEstimationError names the first channel, in geometry order, that
-    is missing or whose fit fails.
+    ``estimator(t, U)`` builds the window's one basis for the rows ``U``
+    on the samples ``t``: :func:`~vibroident.dsp.sine_basis` at the omega
+    of their phase drift in a stepped dwell,
+    :func:`~vibroident.dsp.hann_basis` in a sweep window.  Its
+    ``phasors(U)`` are the rows' complex amplitudes (kN) and its ``omega``
+    the drive's.  ForceEstimationError names the first channel, in
+    geometry order, that is missing or whose estimate fails.
     """
     labels = list(geometry)
     index = {label: c for c, label in enumerate(force.labels)}
-    # the channels before the first missing one are fitted, and their
+    # the channels before the first missing one are estimated, and their
     # errors raised, first
     present = list(itertools.takewhile(index.__contains__, labels))
     phasors, omega = np.zeros(0, dtype=complex), math.nan
     if present:
+        U = force.values[[index[label] for label in present]]
         try:
-            phasors, omega = fit(force.times(), force.values[[index[label] for label in present]], f)
+            basis = estimator(force.times(), U)
         except FitError as exc:
             raise ForceEstimationError(f"estimate failed on channel {present[0]!r}: {exc}") from exc
+        phasors, omega = basis.phasors(U), basis.omega
     if len(present) < len(labels):
         raise ForceEstimationError(f"force channel {labels[len(present)]!r} missing")
     pairs = np.reshape([geometry[label] for label in labels], (-1, 2, 3))

@@ -1,10 +1,9 @@
 """End-to-end analysis: records in, identified dynamics out.
 
-Two steps.  :func:`analyze` estimates the force amplitude of each dwell
-(or sweep crossing) from the native-rate force records, then band-pass
-filters the response one block of channels at a time and sine-fits (or,
-in a sweep, projects) every channel of every window into one row of
-displacement phasors, so no filtered copy of the whole record is held.
+Two steps.  :func:`analyze` reads each dwell (or sweep crossing) through
+one estimator, the window's basis: first the native-rate force records,
+then the response, band-pass filtered one block of channels at a time,
+so no filtered copy of the whole record is held.
 :func:`identify` turns that frequencies x channels phasor matrix and the
 forces into the force-scaled FRCs, rigid-body motion, natural frequency,
 damping, amplification and strain; it runs as well on phasors from any
@@ -153,14 +152,14 @@ def analyze(
     """Estimate the records' phasors and forces, then :func:`identify`.
 
     Each window gives one row of displacement phasors and one
-    :class:`~vibroident.modal.ForceEstimate`, in two passes:
+    :class:`~vibroident.modal.ForceEstimate` through one estimator, the
+    window's (n, 2) basis, which its force rows and its response rows both
+    go through, in two passes:
 
-    1. Per window: the force estimate
+    1. Per window: the force estimate on the force record's basis
        (:func:`~vibroident.modal.estimate_force_amplitude`), then the
-       response's estimator, built once with all of its checks: the
-       window's index span in the response (by
-       :func:`~vibroident.timeseries.extract_window`'s rule,
-       :func:`~vibroident.timeseries.window_span`) and its (n, 2) basis.
+       response's basis at the force's omega, on the window's index span
+       in the response (:func:`~vibroident.timeseries.window_span`).
     2. Per block of response channels (:func:`~vibroident.dsp.block_rows`,
        the filter's one block rule): :func:`~vibroident.dsp.filtfilt` of the
        block's rows, every window's basis applied to them; only their
@@ -175,21 +174,21 @@ def analyze(
     z column of a strain station raises ParseError before any window is
     estimated.
 
+    The estimator, and the source of its omega, follow the program's kind:
+
     - In a stepped dwell the block and its actuators move at the one drive
-      frequency.  The force rows are fitted at the omega of their phase
-      drift (:func:`~vibroident.modal.drift_phasors`), and every response
-      row at that omega, in one linear solve on the window's sin/cos
-      basis (:func:`~vibroident.dsp.sine_basis`, as in
-      :func:`~vibroident.dsp.fit_sines_at`).
+      frequency.  The estimator is the window's sin/cos basis
+      (:func:`~vibroident.dsp.sine_basis`), one linear solve per row, at
+      the omega of the force rows' phase drift
+      (:func:`~vibroident.dsp.drift_omega`).
     - In a sweep window the frequency runs through the window, so no sine
-      fits it.  The force rows and the filtered response rows are each
-      weighted by one Hann window and projected onto the grid frequency,
-      relative to the same projection of the program's unit drive
-      (:func:`~vibroident.dsp.hann_basis`, as in
-      :func:`~vibroident.dsp.hann_phasors`): one product per row.
-      Every channel of the window shares that phase reference, and the
-      drive's chirp divides out of every force-scaled output.  A window
-      that the force or response record does not cover whole raises
+      fits it.  The estimator weights the rows by one Hann window and
+      projects them onto the grid frequency, relative to the same
+      projection of the program's unit drive
+      (:func:`~vibroident.dsp.hann_basis`), at 2*pi*f.  Every channel of
+      the window shares that phase reference, and the drive's chirp
+      divides out of every force-scaled output.  A window that the force
+      or response record does not cover whole raises
       ForceEstimationError or FitError.
 
     The filter gain and the -1/omega^2 that takes acceleration to
@@ -211,14 +210,17 @@ def analyze(
     stepped = program.kind == "stepped"
     force_estimates, forces, estimators = [], [], []
     for f, t0, t1 in windows:
-        omega = 2.0 * math.pi * f
+        def estimator(t, omega):
+            # the window's one basis, for its force rows and its response rows
+            if stepped:
+                return dsp.sine_basis(t, omega)
+            return dsp.hann_basis(t, program.drive(t), omega, t0, t1)
 
-        def project(t, U, _f):
-            # one Hann window, omega and drive reference for both records
-            return dsp.hann_phasors(t, U, program.drive(t), omega, t0, t1), omega
+        def force_basis(t, U):
+            # the omega of the force rows' phase drift in a dwell, the grid's in a sweep
+            return estimator(t, dsp.drift_omega(t, U, f) if stepped else 2.0 * math.pi * f)
 
-        fit = modal.drift_phasors if stepped else project
-        est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f, fit)
+        est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f, force_basis)
         scale = est.torque if dof == "YAW" else est.resultant
         if not np.all(np.isfinite([*est.generalized, est.omega, scale])):
             # as below, only a record whose values overflow the estimate's
@@ -227,11 +229,7 @@ def analyze(
         span = window_span(response, t0, t1)
         # extract_window(response, t0, t1).times(), with no copy of the window
         t = (response.start_time + span.start / rate) + np.arange(span.stop - span.start) / rate
-        if stepped:
-            basis = dsp.sine_basis(t, est.omega)
-        else:
-            basis = dsp.hann_basis(t, program.drive(t), omega, t0, t1)
-        estimators.append((span, basis))
+        estimators.append((span, estimator(t, est.omega)))
         force_estimates.append(est)
         forces.append(scale)
 

@@ -168,6 +168,11 @@ BAD_CONFIGS = {
     "strain_unknown_station": {"strain": {"stations": ["T3SW", "T2S", "NOPE"]}},
     "strain_two_stations": {"strain": {"stations": ["T3SW", "T2S"]}},
     "strain_without_stations": {"strain": {"fiber_m": 2.0}},
+    "strain_repeated_station": {"strain": {"stations": ["T3SW", "T3SW", "T3SE"]}},
+    "damping_floor_negative": {"damping_channel_floor": -0.5},
+    "damping_floor_above_one": {"damping_channel_floor": 1.5},
+    "rotation_lever_negative": {"rotation_lever_m": -16.5},
+    "rotation_lever_zero": {"rotation_lever_m": 0},
     # deleted keys are refused like any other unknown key
     "force_low_freq_cut": {"force_low_freq_cut": 1.0},
     "noise_tone_hz": {"noise_tone_hz": 0.5},

@@ -13,10 +13,11 @@ from vibroident.dsp import (
     filter_gain,
     _basis,
     _phase_at,
+    drift_omega,
     filtfilt,
     fit_sine,
-    fit_sines_at,
-    hann_phasors,
+    hann_basis,
+    sine_basis,
 )
 from vibroident.errors import DesignError, FilterError, FitError
 from vibroident.timeseries import TimeSeries, TimeSeriesSet
@@ -318,30 +319,52 @@ def batch_rows(t, seed=17):
 W8 = 2 * np.pi * 8.0
 
 
+def explicit_residual_rms(t, U, omega):
+    """RMS of each row minus the sine of its fit on :func:`sine_basis`."""
+    phasor = sine_basis(t, omega).phasors(U)
+    r = U - np.abs(phasor)[:, None] * np.sin(omega * t + np.angle(phasor)[:, None])
+    return np.sqrt(np.mean(r * r, axis=1))
+
+
+def estimators(t):
+    """A window's two estimators on the samples ``t``: the sin/cos basis
+    at 8 Hz and the Hann projection at 8 Hz relative to a unit sine."""
+    t0, t1 = t[0] + 0.01, t[-1] - 0.01
+    return {
+        "sine": sine_basis(t, W8),
+        "hann": hann_basis(t, np.sin(W8 * t), W8, t0, t1),
+    }
+
+
 class TestFitSines:
-    """The batched fit of every row at one frequency, :func:`fit_sines_at`,
-    row by row."""
+    """The rows of one window on its one basis, :meth:`SineBasis.phasors`
+    and :meth:`HannBasis.phasors`, row by row."""
 
     def test_rows_match_single_row_fits(self):
         t = 312.4 + np.arange(1201) / 200.0
         U = batch_rows(t)
-        fits = fit_sines_at(t, U, W8)
-        assert fits.amplitude.shape == (len(U),)
+        basis = sine_basis(t, W8)
+        phasors = basis.phasors(U)
+        assert phasors.shape == (len(U),)
         for row, u in enumerate(U):
             single = fit_sine(TimeSeries(t[0], 200.0, u), 8.0)
-            got = fits[row]
-            for name in ("amplitude", "omega", "residual_rms"):
-                assert getattr(got, name) == pytest.approx(getattr(single, name), rel=1e-12, abs=1e-300)
-            assert got.phase == pytest.approx(single.phase, rel=1e-12, abs=1e-12)
+            assert basis.omega == single.omega
+            assert abs(phasors[row]) == pytest.approx(single.amplitude, rel=1e-12, abs=1e-300)
+            assert phasors[row] == pytest.approx(single.phasor, rel=1e-12, abs=1e-300)
 
     def test_rows_of_a_large_batch_equal_one_row_calls(self):
+        # both estimators; the channel blocks of the analysis rely on this
         t = 312.4 + np.arange(1201) / 200.0
         U = np.vstack([batch_rows(t, seed) for seed in range(10)])
-        fits = fit_sines_at(t, U, W8)
+        bases = estimators(t)
+        for basis in bases.values():
+            batch = basis.phasors(U)
+            for row in range(len(U)):
+                assert batch[row : row + 1].tobytes() == basis.phasors(U[row : row + 1]).tobytes()
+        basis = bases["sine"]
+        coef = basis.coefficients(U)
         for row in range(len(U)):
-            one = fit_sines_at(t, U[row : row + 1], W8)
-            for name in ("amplitude", "omega", "phase", "residual_rms"):
-                assert getattr(fits, name)[row : row + 1].tobytes() == getattr(one, name).tobytes()
+            assert coef[row : row + 1].tobytes() == basis.coefficients(U[row : row + 1]).tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degenerate_rows_leave_the_other_rows_unchanged(self):
@@ -356,24 +379,22 @@ class TestFitSines:
             np.sin(w * t) * (np.arange(t.size) % 2), # every other sample
             np.full(t.size, np.nan),
         ])
-        mixed = fit_sines_at(t, np.vstack([degenerate[:3], normal, degenerate[3:]]), W8)
-        alone = fit_sines_at(t, normal, W8)
         rows = slice(3, 3 + len(normal))
-        for name in ("amplitude", "omega", "phase", "residual_rms"):
-            assert getattr(mixed, name)[rows].tobytes() == getattr(alone, name).tobytes()
+        for basis in estimators(t).values():
+            mixed = basis.phasors(np.vstack([degenerate[:3], normal, degenerate[3:]]))
+            assert mixed[rows].tobytes() == basis.phasors(normal).tobytes()
 
     def test_residual_is_that_of_the_returned_parameters(self):
         t = 40.0 + np.arange(801) / 200.0
-        U = batch_rows(t)
-        fits = fit_sines_at(t, U, W8)
-        for row, u in enumerate(U):
-            r = u - fits.amplitude[row] * np.sin(fits.omega[row] * t + fits.phase[row])
-            assert fits.residual_rms[row] == pytest.approx(math.sqrt(np.mean(r * r)), rel=1e-6, abs=1e-12)
+        for u in batch_rows(t):
+            fit = fit_sine(TimeSeries(t[0], 200.0, u), 8.0)
+            r = u - fit.amplitude * np.sin(fit.omega * t + fit.phase)
+            assert fit.residual_rms == pytest.approx(math.sqrt(np.mean(r * r)), rel=1e-6, abs=1e-12)
 
     def test_short_window_raises(self):
         t = np.arange(50) / 200.0
         with pytest.raises(FitError):
-            fit_sines_at(t, np.zeros((3, 50)), 2 * np.pi * 10.0)
+            sine_basis(t, 2 * np.pi * 10.0)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended long double")
     @given(
@@ -397,6 +418,8 @@ class TestFitSines:
 
 
 class TestFitSinesAt:
+    """:func:`sine_basis` at a known omega."""
+
     def test_noise_free_rows_recover_their_phasors(self):
         # a late window: phases are reported on the absolute axis
         t = 312.4 + np.arange(1201) / 200.0
@@ -404,36 +427,37 @@ class TestFitSinesAt:
         amp = np.array([1.0, 2.5, 1e-3, 1e4, 0.0])
         phase = np.array([0.3, -2.0, 3.1, -0.7, 0.0])
         U = amp[:, None] * np.sin(w * t + phase[:, None])
-        fits = fit_sines_at(t, U, w)
-        assert np.max(np.abs(fits.phasor - amp * np.exp(1j * phase)) / np.maximum(amp, 1.0)) < 1e-9
-        assert np.all(fits.omega == w)
+        basis = sine_basis(t, w)
+        assert np.max(np.abs(basis.phasors(U) - amp * np.exp(1j * phase)) / np.maximum(amp, 1.0)) < 1e-9
+        assert basis.omega == w
         # the explicit residual: measured up to 9e-13 of the amplitude
-        assert np.all(fits.residual_rms < 1e-11 * np.maximum(amp, 1.0))
+        assert np.all(explicit_residual_rms(t, U, w) < 1e-11 * np.maximum(amp, 1.0))
 
     def test_rows_take_one_linear_solve(self):
-        # one linear solve (SineBasis.coefficients) on one basis at the given omega,
-        # once for all rows; the residual of a noisy row is that of its
-        # parameters
+        # one linear solve (SineBasis.coefficients) on one basis at the given
+        # omega, once for all rows; a row's one-row fit is that row of it
         t = 40.0 + np.arange(801) / 200.0
         U = batch_rows(t)
         w = 2 * np.pi * 8.0
-        at = fit_sines_at(t, U, w)
+        basis = sine_basis(t, w)
         dt = (t[-1] - t[0]) / (t.size - 1)
         a, b = dsp.SineBasis(w, _basis(w, float(_phase_at(w, t[0])), dt, t.size)).coefficients(U).T
-        assert at.amplitude.tobytes() == np.hypot(a, b).tobytes()
-        assert at.phase.tobytes() == dsp._wrap_phase(np.arctan2(b, a)).tobytes()
+        amplitude, phase = np.hypot(a, b), dsp._wrap_phase(np.arctan2(b, a))
+        assert basis.phasors(U).tobytes() == (amplitude * np.exp(1j * phase)).tobytes()
         for row, u in enumerate(U):
-            r = u - at.amplitude[row] * np.sin(at.omega[row] * t + at.phase[row])
-            assert at.residual_rms[row] == pytest.approx(math.sqrt(np.mean(r * r)), rel=1e-6, abs=1e-12)
+            single = fit_sine(TimeSeries(t[0], 200.0, u), 8.0)
+            assert (single.amplitude, single.phase) == (amplitude[row], phase[row])
 
     @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf, 2 * np.pi * 0.4])
     def test_bad_frequency_or_short_window_raises(self, omega):
         t = np.arange(1201) / 200.0
         with pytest.raises(FitError):
-            fit_sines_at(t, np.zeros((2, t.size)), omega)
+            sine_basis(t, omega)
 
 
 class TestFitSinesDrift:
+    """:func:`drift_omega`, the omega of a stepped dwell's rows."""
+
     #: largest |omega / true omega - 1| over the three window lengths, the
     #: three frequencies and the rows' phases, per frequency offset, as
     #: measured (1.73e-6, 2.02e-6, 2.65e-6 and 1.80e-5; the last on 3.2
@@ -455,33 +479,40 @@ class TestFitSinesDrift:
             for _ in range(4):
                 phase = rng.uniform(-np.pi, np.pi, 4)
                 U = amp[:, None] * np.sin(w * t + phase[:, None]) + 0.01 * rng.standard_normal((4, t.size))
-                fits = dsp.fit_sines_drift(t, U, f)
-                assert np.all(fits.omega == fits.omega[0])
-                assert abs(fits.omega[0] / w - 1.0) <= self.OMEGA_ERROR[offset]
-                at_drive = fit_sines_at(t, U, w)
+                omega = drift_omega(t, U, f)
+                assert abs(omega / w - 1.0) <= self.OMEGA_ERROR[offset]
+                at_drift = np.abs(sine_basis(t, omega).phasors(U))
+                at_drive = np.abs(sine_basis(t, w).phasors(U))
                 # measured: up to 8.0e-7 (1.65e-6 against free fits of each row)
-                assert np.max(np.abs(fits.amplitude / at_drive.amplitude - 1.0)) <= 1.7e-6
+                assert np.max(np.abs(at_drift / at_drive - 1.0)) <= 1.7e-6
 
     def test_rows_are_fitted_at_the_drift_omega(self):
+        # rows of a drive 0.2 % off the nominal frequency fit to noise at the
+        # drift's omega, and leave a large residual at the nominal one
         t = 40.0 + np.arange(801) / 200.0
-        U = batch_rows(t)
-        fits = dsp.fit_sines_drift(t, U, 8.0)
-        at = fit_sines_at(t, U, fits.omega[0])
-        for name in ("amplitude", "omega", "phase", "residual_rms"):
-            assert getattr(fits, name).tobytes() == getattr(at, name).tobytes()
+        w = W8 * 1.002
+        U = np.array([[100.0], [80.0], [0.0]]) * np.sin(w * t + np.array([[0.4], [-2.0], [0.0]]))
+        U = U + 0.01 * np.random.default_rng(3).standard_normal(U.shape)
+        omega = drift_omega(t, U, 8.0)
+        assert sine_basis(t, omega).omega == omega
+        at_drift, at_nominal = explicit_residual_rms(t, U, omega), explicit_residual_rms(t, U, W8)
+        assert np.all(at_drift[:2] < 0.02) and np.all(at_nominal[:2] > 0.05 * np.array([100.0, 80.0]))
 
     def test_zero_rows_keep_the_nominal_frequency(self):
         t = np.arange(1201) / 200.0
-        fits = dsp.fit_sines_drift(t, np.zeros((3, t.size)), 8.0)
-        assert np.all(fits.omega == 2 * np.pi * 8.0) and np.all(fits.amplitude == 0.0)
+        U = np.zeros((3, t.size))
+        omega = drift_omega(t, U, 8.0)
+        assert omega == 2 * np.pi * 8.0 and np.all(sine_basis(t, omega).phasors(U) == 0.0)
 
     def test_short_window_raises(self):
         t = np.arange(201) / 200.0
         with pytest.raises(FitError):
-            dsp.fit_sines_drift(t, np.ones((2, t.size)), 2.0)
+            drift_omega(t, np.ones((2, t.size)), 2.0)
 
 
 class TestHannPhasors:
+    """:func:`hann_basis` and its :meth:`HannBasis.phasors`."""
+
     def test_rows_read_their_phasor_against_a_chirp_reference(self):
         # one chirp (1 Hz + 0.4 Hz/s, 5 Hz at 10 s) at two sample rates:
         # rows that are the reference scaled and shifted read that factor;
@@ -492,7 +523,9 @@ class TestHannPhasors:
             amp = np.array([1.0, 2.5, 1e4, 0.0])
             shift = np.array([0.0, 0.7, -2.0, 0.0])
             U = amp[:, None] * np.sin(phi + shift[:, None])
-            got = hann_phasors(t, U, np.sin(phi), 2 * np.pi * 5.0, 7.5, 12.5)
+            basis = hann_basis(t, np.sin(phi), 2 * np.pi * 5.0, 7.5, 12.5)
+            assert basis.omega == 2 * np.pi * 5.0
+            got = basis.phasors(U)
             assert got[0] == pytest.approx(1.0, abs=1e-14)
             # measured 2.3e-6: the window's leakage of the negative frequency
             assert np.max(np.abs(got - amp * np.exp(1j * shift)) / np.maximum(amp, 1.0)) < 1e-5
@@ -501,7 +534,7 @@ class TestHannPhasors:
     def test_window_the_samples_do_not_cover_raises(self, cut):
         # the samples at the window's ends weigh nothing; cut one more
         t = 7.5 + np.arange(1001) / 200.0
-        U = np.sin(2 * np.pi * 5.0 * t)[None, :]
-        hann_phasors(t, U, U[0], 2 * np.pi * 5.0, 7.5, 12.5)
+        u = np.sin(2 * np.pi * 5.0 * t)
+        hann_basis(t, u, 2 * np.pi * 5.0, 7.5, 12.5)
         with pytest.raises(FitError, match="does not cover the window"):
-            hann_phasors(t[cut], U[:, cut], U[0, cut], 2 * np.pi * 5.0, 7.5, 12.5)
+            hann_basis(t[cut], u[cut], 2 * np.pi * 5.0, 7.5, 12.5)

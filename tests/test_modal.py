@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from vibroident.cli import _load_text
-from vibroident.dsp import fit_sine, fit_sines_at
+from vibroident.dsp import drift_omega, fit_sine, sine_basis
 from vibroident.errors import (
     BuildError,
     ComparisonError,
@@ -26,7 +26,6 @@ from vibroident.modal import (
     amplification_factor,
     build_frc,
     curvature_strain,
-    drift_phasors,
     estimate_damping,
     estimate_force_amplitude,
     fit_rigid_body,
@@ -51,16 +50,21 @@ def force_set(channels, fs=512.0, dur=10.0):
     return TimeSeriesSet(0.0, fs, values, tuple(channels), ("kN",) * len(channels))
 
 
-def at_f(t, U, f):
-    """Every row fitted at ``f`` itself, and that omega."""
-    return fit_sines_at(t, U, 2 * math.pi * f).phasor, 2 * math.pi * f
+def at_drift(t, U):
+    """The window's basis at the omega of the rows' phase drift near 8 Hz."""
+    return sine_basis(t, drift_omega(t, U, 8.0))
+
+
+def at_f(t, U):
+    """The window's basis at 8 Hz itself."""
+    return sine_basis(t, 2 * math.pi * 8.0)
 
 
 class TestForceAmplitude:
     def test_aligned_channels_sum(self):
         chans = {f"a{i}": (100.0, 8.0, 0.0) for i in range(4)}
         geo = {f"a{i}": ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for i in range(4)}
-        est = estimate_force_amplitude(force_set(chans), geo, 8.0, drift_phasors)
+        est = estimate_force_amplitude(force_set(chans), geo, 8.0, at_drift)
         assert est.resultant == pytest.approx(400.0, rel=1e-9)
         assert est.torque == pytest.approx(0.0, abs=1e-9)
         assert est.omega == pytest.approx(2 * math.pi * 8.0, rel=1e-9)
@@ -68,7 +72,7 @@ class TestForceAmplitude:
     def test_zero_force_keeps_the_nominal_frequency(self):
         chans = {f"a{i}": (0.0, 8.0, 0.0) for i in range(2)}
         geo = {f"a{i}": ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for i in range(2)}
-        est = estimate_force_amplitude(force_set(chans), geo, 8.0, drift_phasors)
+        est = estimate_force_amplitude(force_set(chans), geo, 8.0, at_drift)
         assert est.resultant == 0.0 and est.omega == 2 * math.pi * 8.0
 
     def test_pure_couple(self):
@@ -77,7 +81,7 @@ class TestForceAmplitude:
             "e": ([5.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
             "w": ([-5.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
         }
-        est = estimate_force_amplitude(force_set(chans), geo, 8.0, drift_phasors)
+        est = estimate_force_amplitude(force_set(chans), geo, 8.0, at_drift)
         assert est.resultant == pytest.approx(0.0, abs=1e-6)
         assert est.torque == pytest.approx(1000.0, rel=1e-9)
 
@@ -85,7 +89,7 @@ class TestForceAmplitude:
         chans = {"a0": (100.0, 8.0, 0.0)}
         geo = {"a1": ([0, 0, 0], [1, 0, 0])}
         with pytest.raises(ForceEstimationError, match="force channel 'a1' missing"):
-            estimate_force_amplitude(force_set(chans), geo, 8.0, drift_phasors)
+            estimate_force_amplitude(force_set(chans), geo, 8.0, at_drift)
 
     def test_one_batch_equals_one_fit_per_channel(self):
         # on-frequency, off-frequency and noisy channels, each fitted as on its own
@@ -115,7 +119,7 @@ class TestForceAmplitude:
             geo[label] = (rng.uniform(-8.0, 8.0, 3), d / np.linalg.norm(d))
         force = force_set(chans)
         est = estimate_force_amplitude(force, geo, 8.0, at_f)
-        phasors, _ = at_f(force.times(), force.values, 8.0)
+        phasors = at_f(force.times(), force.values).phasors(force.values)
         components, torque, moment = np.zeros(3, dtype=complex), 0.0 + 0.0j, np.zeros(3, dtype=complex)
         for phasor, (position, direction) in zip(phasors, geo.values()):
             fvec = phasor * direction
