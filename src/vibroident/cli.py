@@ -38,6 +38,7 @@ from .errors import (
     VibroidentError,
     WindowError,
     check_keys,
+    is_real,
 )
 from .modal import GENERALIZED_AXES
 from .pipeline import STRAIN_FIBER_M, AnalysisPolicy, AnalysisResult, analyze
@@ -123,20 +124,17 @@ _CONFIG_DEFAULTS = {
 }
 
 
-def _real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 _TEXT = (lambda v: isinstance(v, str), "a string")
-_NUMBER = (_real, "a number")
-_POSITIVE = (lambda v: _real(v) and v > 0, "a number > 0")
-_NON_NEGATIVE = (lambda v: _real(v) and v >= 0, "a number >= 0")
+_NUMBER = (is_real, "a number")
+_POSITIVE = (lambda v: is_real(v) and v > 0, "a number > 0")
+_NON_NEGATIVE = (lambda v: is_real(v) and v >= 0, "a number >= 0")
 
-#: what each config value must be, by dotted key
+#: what each config value must be, by dotted key; a number is one that
+#: :func:`~vibroident.errors.is_real` takes, as in every document
 _CONFIG_RULES = {
     "model": _TEXT,
     "layout": _TEXT,
@@ -154,7 +152,7 @@ _CONFIG_RULES = {
     "f_ref_force_kn": _POSITIVE,
     "f_ref_torque_knm": _POSITIVE,
     "rotation_lever_m": _POSITIVE,
-    "damping_channel_floor": (lambda v: _real(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "damping_channel_floor": (lambda v: is_real(v) and 0 <= v <= 1, "a number in [0, 1]"),
     "strain.stations": (
         lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v) and len(set(v)) == len(v) == 3,
         "a list of three distinct station ids",

@@ -2,22 +2,20 @@
 
 Band-pass Butterworth design (bilinear transform with pre-warping,
 realized as second-order sections), zero-phase filtering as one blocked
-state recurrence, and the one-frequency estimators of a window.  numpy is
+state recurrence, and the one estimator of an analysis window.  numpy is
 the only dependency.
 
-Every analysis window has one frequency and one estimator, which both of
-its records use: an (n, 2) basis built once for the window, with all of
-its checks, then applied to rows, one product per row.  A stepped
-dwell's is :func:`sine_basis` (:class:`SineBasis`: sin/cos, whose linear
-fits solve with the pinv of its 2x2 Gram), at the omega of the force
-rows' phase drift (:func:`drift_omega`).  A sweep window's frequency
-runs through it, so its estimator is :func:`hann_basis`
-(:class:`HannBasis`: the Hann kernel's real and imaginary parts, relative
-to the same projection of the drive).  A row gets the same bits in any
-batch, so the analysis applies each window's basis to one block of
-filtered channels at a time (:func:`block_rows`, the filter's one block
-rule).  :func:`fit_sine` is the one-row fit at a given frequency, with
-its explicit residual.
+Every analysis window, a stepped dwell or a sweep crossing, has one
+frequency and one estimator, which both of its records use:
+:func:`hann_basis` (:class:`HannBasis`), the Hann kernel's real and
+imaginary parts at the window's frequency, built once for the window
+with all of its checks, then applied to rows, one product per row, and
+divided by the same projection of the program's drive.  A row gets the
+same bits in any batch, so the analysis applies each window's basis to
+one block of filtered channels at a time (:func:`block_rows`, the
+filter's one block rule).  :func:`fit_sine` is the one-row least-squares
+fit of a sinusoid at a given frequency (:func:`sine_basis`), with its
+explicit residual.
 """
 
 from __future__ import annotations
@@ -351,13 +349,6 @@ def _rows(U) -> np.ndarray:
     return np.atleast_2d(np.asarray(U, dtype=float))
 
 
-def _polar(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude and wrapped phase of a*sin + b*cos, per (a, b) row."""
-    a, b = coef.T
-    with np.errstate(all="ignore"):
-        return np.hypot(a, b), _wrap_phase(np.arctan2(b, a))
-
-
 @dataclass(frozen=True)
 class SineBasis:
     """One window's linear fit at ``omega`` on its (n, 2) basis
@@ -366,93 +357,38 @@ class SineBasis:
     omega: float
     basis: np.ndarray
 
-    @functools.cached_property
-    def gram_pinv(self) -> np.ndarray:
-        """The pinv of the basis's 2x2 Gram."""
-        return np.linalg.pinv(self.basis.T @ self.basis)
-
     def coefficients(self, U: np.ndarray) -> np.ndarray:
         """(C, 2) least-squares coefficients (a, b) of a*basis[:, 0] +
-        b*basis[:, 1] for each row of ``U``: the projections times the
-        Gram's pinv, which is also the minimum-norm fit where sin and cos
-        are nearly collinear (omega*dt near 0 or pi).  A row whose
-        products overflow (or are not finite) gets non-finite values in its
-        own entries; no other row shares them, so none is warned of."""
-        P = self.gram_pinv
+        b*basis[:, 1] for each row of ``U``: the projections times the pinv
+        of the basis's 2x2 Gram, which is also the minimum-norm fit where
+        sin and cos are nearly collinear (omega*dt near 0 or pi).  A row
+        whose products overflow (or are not finite) gets non-finite values
+        in its own entries; no other row shares them, so none is warned
+        of."""
+        P = np.linalg.pinv(self.basis.T @ self.basis)
         with np.errstate(all="ignore"):
             proj = _project(U, self.basis)
             return proj[:, :1] * P[:, 0] + proj[:, 1:] * P[:, 1]
 
-    def phasors(self, U) -> np.ndarray:
-        """The complex amplitude of every row's fit (:attr:`SineFit.phasor`)."""
-        amplitude, phase = _polar(self.coefficients(_rows(U)))
-        return amplitude * np.exp(1j * phase)
 
-
-def _window(t, f: float):
-    """``t`` as a float array and its sample spacing; FitError unless
-    ``f`` is positive and the samples cover >= 3 of its cycles."""
+def sine_basis(t, omega: float) -> SineBasis:
+    """The basis of :func:`fit_sine`: the linear fit at angular frequency
+    ``omega`` on the samples ``t``, on the absolute axis (:func:`_phase_at`
+    of the first sample), so the fitted phases are those of absolute time
+    (the sine-fit estimator at a known frequency, Pintelon & Schoukens,
+    *System Identification: A Frequency Domain Approach*, 2012).  FitError
+    unless ``omega`` is positive and the samples cover >= 3 of its
+    cycles."""
+    omega = float(omega)
     t = np.asarray(t, dtype=float)
+    f = omega / (2.0 * math.pi)
     if not 0.0 < f < math.inf:
         raise FitError(f"fit frequency must be finite and positive, got {f} Hz")
     span = float(t[-1] - t[0])
     if span * f < 3.0:
         raise FitError(f"window covers {span * f:.2f} cycles of {f} Hz; need >= 3")
-    return t, span / (len(t) - 1)
-
-
-def sine_basis(t, omega: float) -> SineBasis:
-    """The stepped-sine estimator at a known excitation frequency
-    (Pintelon & Schoukens, *System Identification: A Frequency Domain
-    Approach*, 2012): the basis of the linear fit at angular frequency
-    ``omega`` on the samples ``t``, on the absolute axis (:func:`_phase_at`
-    of the first sample), so the fitted phases are those of absolute time.
-    Every row is one linear least-squares fit on it, with no search.
-    FitError unless ``omega`` is positive and the samples cover >= 3 of its
-    cycles."""
-    omega = float(omega)
-    t, dt = _window(t, omega / (2.0 * math.pi))
+    dt = span / (len(t) - 1)
     return SineBasis(omega, _basis(omega, float(_phase_at(omega, float(t[0]))), dt, len(t)))
-
-
-def drift_omega(t, U, f: float) -> float:
-    """The one angular frequency of the rows of ``U`` near ``f``, from
-    their phase drift: the omega a stepped dwell's rows are fitted at.
-
-    Each row takes the linear fit at 2*pi*f on the two halves of the
-    window, both on one basis.  Its phase moves between them by its
-    frequency offset times the distance between the halves' starts; the
-    wrapped phase difference over that distance is the row's offset, and
-    omega is 2*pi*f plus the offsets' mean weighted by the rows'
-    amplitudes (the halves' sum).  Where every amplitude is zero, or the
-    weighted mean is not finite (only where a row's sums overflow), omega
-    stays 2*pi*f.  No row searches its own frequency.  An offset that
-    drifts a row's phase by more than pi across the halves aliases: this
-    is an estimator for a drive at about ``f``, as in a stepped dwell, not
-    for an unknown frequency.
-
-    A fit at the wrong frequency reads each half's phase slightly off its
-    centre, by an amount that depends on the phase, so one pass is off by
-    a few per cent of the offset on short windows: on noise-free rows of
-    3.2 cycles, 4.8e-5 of omega at an offset of 1e-3.  A second pass at
-    the first pass's omega takes that to 2.2e-6.
-    """
-    _, dt = _window(t, f)
-    U = _rows(U)
-    n = U.shape[1]
-    h = n // 2
-    span = (n - h) * dt
-    w0 = omega = 2.0 * math.pi * f
-    for _ in range(2):
-        basis = SineBasis(omega, _basis(omega, 0.0, dt, h))
-        (a1, b1), (a2, b2) = (basis.coefficients(V).T for V in (U[:, :h], U[:, n - h :]))
-        with np.errstate(all="ignore"):
-            weight = np.hypot(a1, b1) + np.hypot(a2, b2)
-            offset = _wrap_phase(np.arctan2(b2, a2) - np.arctan2(b1, a1) - omega * span) / span
-            omega += float(weight @ offset / weight.sum())
-        if not math.isfinite(omega):
-            return w0
-    return omega
 
 
 def fit_sine(ts: TimeSeries, f: float) -> SineFit:
@@ -462,8 +398,9 @@ def fit_sine(ts: TimeSeries, f: float) -> SineFit:
     fit = sine_basis(ts.times(), 2.0 * math.pi * f)
     u = _rows(ts.values)
     coef = fit.coefficients(u)
-    (amplitude,), (phase,) = _polar(coef)
+    (a, b), = coef
     with np.errstate(all="ignore"):
+        amplitude, phase = np.hypot(a, b), _wrap_phase(np.arctan2(b, a))
         r = u - coef @ fit.basis.T
         (rms,) = np.sqrt(np.einsum("cn,cn->c", r, r) / u.shape[1])
     return SineFit(float(amplitude), fit.omega, float(phase), float(rms))
@@ -471,11 +408,10 @@ def fit_sine(ts: TimeSeries, f: float) -> SineFit:
 
 @dataclass(frozen=True)
 class HannBasis:
-    """One window's Hann projection at ``omega``: the (n, 2) basis, the
-    real and imaginary parts of the Hann-weighted kernel at each of its n
-    samples, and the reference's projection onto it."""
+    """One window's Hann projection: the (n, 2) basis, the real and
+    imaginary parts of the Hann-weighted kernel at each of its n samples,
+    and the reference's projection onto it."""
 
-    omega: float
     basis: np.ndarray
     reference: complex
 
@@ -488,21 +424,24 @@ class HannBasis:
 
 
 def hann_basis(t, reference, omega: float, t0: float, t1: float) -> HannBasis:
-    """The estimator of a window whose frequency runs through it: complex
-    amplitudes at ``omega`` over one Hann window on [t0, t1], relative to
-    ``reference`` (one row on the samples ``t``); samples outside the
-    window weigh nothing.
+    """The estimator of every analysis window: complex amplitudes at
+    ``omega`` over one Hann window on [t0, t1], relative to ``reference``
+    (one row on the samples ``t``); samples outside the window weigh
+    nothing.
 
     Each row and the reference are weighted by the window and projected
     onto exp(-i*omega*(t - t_c)), t_c the window's centre; a row's phasor
     (:meth:`HannBasis.phasors`) is its projection divided by the
-    reference's.  A row that is the reference scaled by a gets a; a
-    response to a swept drive gets the transfer function at about
-    ``omega``, since the window's share of the chirp divides out (spectral
-    division, Mueller & Massarani, *J. Audio Eng. Soc.* 49(6), 2001;
-    localised in time as in Pintelon & Schoukens, *System Identification*,
-    2nd ed., 2012).  Rows that share ``t0``, ``t1``, ``omega`` and a
-    reference share one phase reference, whatever their sample rate.
+    reference's.  A row that is the reference scaled by a gets a.  A
+    response to the drive gets the transfer function at about ``omega``:
+    in a stepped dwell the drive's one frequency, in a sweep window the
+    frequency it crosses, since the window's share of the chirp divides
+    out (spectral division, Mueller & Massarani, *J. Audio Eng. Soc.*
+    49(6), 2001; localised in time as in Pintelon & Schoukens, *System
+    Identification*, 2nd ed., 2012).  The window weighs its ends down, so
+    a dwell's start and stop leak little into it.  Rows that share ``t0``,
+    ``t1``, ``omega`` and a reference share one phase reference, whatever
+    their sample rate.
 
     FitError unless the samples cover the window whole: no sample spacing
     may fit between an end of the window and the first or last sample.
@@ -517,4 +456,4 @@ def hann_basis(t, reference, omega: float, t0: float, t1: float) -> HannBasis:
     basis = np.column_stack([kernel.real, kernel.imag])
     with np.errstate(all="ignore"):
         ref = _project(_rows(reference), basis)[0]
-    return HannBasis(float(omega), basis, complex(ref[0], ref[1]))
+    return HannBasis(basis, complex(ref[0], ref[1]))

@@ -1,9 +1,11 @@
-"""Exception types shared across the toolkit, and the key check of its
-JSON documents.
+"""Exception types shared across the toolkit, and the key and number
+checks of its JSON documents.
 
 Grouped by pipeline stage so the CLI can map them onto exit codes:
 config (2), parse (3), numeric (4), io (5).
 """
+
+import math
 
 
 class VibroidentError(Exception):
@@ -24,6 +26,24 @@ def check_keys(doc: dict, known, where: str) -> None:
     unknown = sorted(set(doc) - set(known))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+
+
+def is_real(value) -> bool:
+    """Whether a document's ``value`` is a finite real number: an integer
+    or a float, not a boolean, a string or null."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_real(doc: dict, keys, where: str) -> None:
+    """ConfigError unless each of ``keys`` that ``doc`` sets, to anything
+    but null, is a finite real number (:func:`is_real`) or a list of them,
+    nested to any depth."""
+    def ok(v):
+        return all(map(ok, v)) if isinstance(v, list) else is_real(v)
+
+    for key in keys:
+        if doc.get(key) is not None and not ok(doc[key]):
+            raise ConfigError(f"{where} key {key!r} must be a finite number or a list of them, got {doc[key]!r}")
 
 
 # --- ingestion / parsing ---------------------------------------------------

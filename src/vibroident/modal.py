@@ -5,8 +5,8 @@ estimation, force-normalized FRC construction with group averaging,
 least-squares rigid-body motion, SDOF amplification matching for the
 damping ratio, linearity comparison, and the bending-strain estimate.
 The force rows of a window are read through the window's one estimator
-(:func:`~vibroident.dsp.sine_basis` or :func:`~vibroident.dsp.hann_basis`),
-the same one its response rows go through.
+(:func:`~vibroident.dsp.hann_basis`), the same one its response rows go
+through.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ class ForceEstimate:
     #: complex (6,): the force channels' phasors times their
     #: :func:`~vibroident.simulator.model.influence_matrix` rows, summed
     generalized: np.ndarray
-    #: the drive's angular frequency, rad/s, that of the window's estimator
-    #: basis: in a stepped dwell that of the channels' phase drift
-    #: (:func:`~vibroident.dsp.drift_omega`), in a sweep window that of
-    #: its grid frequency
-    omega: float
 
     @property
     def resultant(self) -> float:
@@ -79,34 +74,33 @@ def estimate_force_amplitude(
     :func:`~vibroident.simulator.model.influence_matrix` row of its
     (location, direction), summed in geometry order.
 
-    ``estimator(t, U)`` builds the window's one basis for the rows ``U``
-    on the samples ``t``: :func:`~vibroident.dsp.sine_basis` at the omega
-    of their phase drift in a stepped dwell,
-    :func:`~vibroident.dsp.hann_basis` in a sweep window.  Its
-    ``phasors(U)`` are the rows' complex amplitudes (kN) and its ``omega``
-    the drive's.  ForceEstimationError names the first channel, in
-    geometry order, that is missing or whose estimate fails.
+    ``estimator(t)`` builds the window's one basis on the samples ``t``
+    (:func:`~vibroident.dsp.hann_basis` in the analysis); its
+    ``phasors(U)`` (:meth:`~vibroident.dsp.HannBasis.phasors`) are the
+    rows' complex amplitudes (kN).
+    ForceEstimationError names the first channel, in geometry order, that
+    is missing or whose estimate fails.
     """
     labels = list(geometry)
     index = {label: c for c, label in enumerate(force.labels)}
     # the channels before the first missing one are estimated, and their
     # errors raised, first
     present = list(itertools.takewhile(index.__contains__, labels))
-    phasors, omega = np.zeros(0, dtype=complex), math.nan
+    phasors = np.zeros(0, dtype=complex)
     if present:
         U = force.values[[index[label] for label in present]]
         try:
-            basis = estimator(force.times(), U)
+            basis = estimator(force.times())
         except FitError as exc:
             raise ForceEstimationError(f"estimate failed on channel {present[0]!r}: {exc}") from exc
-        phasors, omega = basis.phasors(U), basis.omega
+        phasors = basis.phasors(U)
     if len(present) < len(labels):
         raise ForceEstimationError(f"force channel {labels[len(present)]!r} missing")
     pairs = np.reshape([geometry[label] for label in labels], (-1, 2, 3))
     rows = influence_matrix(pairs[:, 0], pairs[:, 1])
     with np.errstate(all="ignore"):   # NaN where an amplitude overflows
         generalized = np.sum(phasors[:, None] * rows, axis=0)
-    return ForceEstimate(frequency_hz=f, generalized=generalized, omega=omega)
+    return ForceEstimate(frequency_hz=f, generalized=generalized)
 
 
 @dataclass(frozen=True)

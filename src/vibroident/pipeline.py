@@ -38,12 +38,14 @@ STRAIN_FIBER_M = 2.9
 
 @dataclass(frozen=True)
 class AnalysisPolicy:
-    """Knobs of the identification chain; defaults follow the test campaign."""
+    """Knobs of the identification chain; defaults follow the test campaign.
+    ``skip_cycles`` and ``max_window_s`` set the stepped windows
+    (:func:`analysis_windows`)."""
 
     filter_order: int = 5
     f_low: float = 1.0
     f_high: float = 25.0
-    skip_cycles: float = 10.0
+    skip_cycles: float = 2.0
     max_window_s: float = 40.0
     f_ref_force_kn: float = 6800.0
     f_ref_torque_knm: float = 117000.0
@@ -99,15 +101,13 @@ SWEEP_WINDOW_HZ = 2.0
 def analysis_windows(program: ExcitationProgram, policy: AnalysisPolicy) -> list[tuple[float, float, float]]:
     """(f, t0, t1) per analysis point, from the program's own schedule.
 
-    A stepped window starts ``skip_cycles`` into its dwell and ends one
-    cycle before the dwell does, or ``max_window_s`` after it starts if
-    that is sooner; it must hold at least 3 cycles (WindowError).  The
-    cycle at the end keeps out the drive's stop, which the backward pass
-    of :func:`~vibroident.dsp.filtfilt` carries back into the dwell: a
-    fit at the drive's fixed frequency cannot absorb that echo.  On the
-    noise-free default stepped-X record (``f_low`` 1 Hz), the rigid dx
-    amplitude at 1 Hz is 2.84 % off with the window ending at the dwell's
-    end, and 0.08 % off with this rule.
+    A stepped window starts ``skip_cycles`` into its dwell and ends where
+    the dwell does, or ``max_window_s`` after it starts if that is
+    sooner; it must hold at least 3 cycles (WindowError).  The Hann
+    window of the estimator (:func:`~vibroident.dsp.hann_basis`) weighs
+    the dwell's start and stop down itself, the stop's echo that the
+    backward pass of :func:`~vibroident.dsp.filtfilt` carries back into
+    the dwell included.
 
     A sweep window is the span in which the sweep crosses the
     ``SWEEP_WINDOW_HZ`` band centred on a 1 Hz grid point,
@@ -118,7 +118,7 @@ def analysis_windows(program: ExcitationProgram, policy: AnalysisPolicy) -> list
     if program.kind == "stepped":
         for t_on, t_off, f in program.stepped.schedule():
             t0 = t_on + policy.skip_cycles / f
-            t1 = min(t_off - 1.0 / f, t0 + policy.max_window_s)
+            t1 = min(t_off, t0 + policy.max_window_s)
             if (t1 - t0) * f < 3.0:
                 raise WindowError(
                     f"dwell at {f} Hz leaves {(t1 - t0) * f:.2f} cycles after the transient skip"
@@ -153,13 +153,17 @@ def analyze(
 
     Each window gives one row of displacement phasors and one
     :class:`~vibroident.modal.ForceEstimate` through one estimator, the
-    window's (n, 2) basis, which its force rows and its response rows both
-    go through, in two passes:
+    window's (n, 2) Hann basis at 2*pi*f relative to the program's unit
+    drive (:func:`~vibroident.dsp.hann_basis`), which its force rows and
+    its response rows both go through, stepped dwell or sweep crossing
+    alike.  A response to the drive reads its transfer function times the
+    force, and every channel of the window shares one phase reference.
+    It runs in two passes:
 
     1. Per window: the force estimate on the force record's basis
        (:func:`~vibroident.modal.estimate_force_amplitude`), then the
-       response's basis at the force's omega, on the window's index span
-       in the response (:func:`~vibroident.timeseries.window_span`).
+       response's basis on the window's index span in the response
+       (:func:`~vibroident.timeseries.window_span`).
     2. Per block of response channels (:func:`~vibroident.dsp.block_rows`,
        the filter's one block rule): :func:`~vibroident.dsp.filtfilt` of the
        block's rows, every window's basis applied to them; only their
@@ -170,30 +174,14 @@ def analyze(
     So the force estimates of every window run before any response row
     is filtered.  An estimate that is not finite raises FitError: a
     force's in its window's turn, a phasor's after the last block, for
-    the first window and channel that has one.  A record that lacks the
-    z column of a strain station raises ParseError before any window is
-    estimated.
-
-    The estimator, and the source of its omega, follow the program's kind:
-
-    - In a stepped dwell the block and its actuators move at the one drive
-      frequency.  The estimator is the window's sin/cos basis
-      (:func:`~vibroident.dsp.sine_basis`), one linear solve per row, at
-      the omega of the force rows' phase drift
-      (:func:`~vibroident.dsp.drift_omega`).
-    - In a sweep window the frequency runs through the window, so no sine
-      fits it.  The estimator weights the rows by one Hann window and
-      projects them onto the grid frequency, relative to the same
-      projection of the program's unit drive
-      (:func:`~vibroident.dsp.hann_basis`), at 2*pi*f.  Every channel of
-      the window shares that phase reference, and the drive's chirp
-      divides out of every force-scaled output.  A window that the force
-      or response record does not cover whole raises
-      ForceEstimationError or FitError.
+    the first window and channel that has one.  A window that the force
+    or response record does not cover whole raises ForceEstimationError
+    or FitError.  A record that lacks the z column of a strain station
+    raises ParseError before any window is estimated.
 
     The filter gain and the -1/omega^2 that takes acceleration to
-    displacement are evaluated at the drive's omega.  Every window is
-    estimated in this process.
+    displacement are evaluated at f.  Every window is estimated in this
+    process.
     """
     dof = program.dof_excited.upper()
     keys = _channel_keys(response.labels, layout)
@@ -207,29 +195,22 @@ def analyze(
     rate = response.sample_rate
 
     # pass 1, per window: the force estimate and the response estimator
-    stepped = program.kind == "stepped"
     force_estimates, forces, estimators = [], [], []
     for f, t0, t1 in windows:
-        def estimator(t, omega):
+        def estimator(t):
             # the window's one basis, for its force rows and its response rows
-            if stepped:
-                return dsp.sine_basis(t, omega)
-            return dsp.hann_basis(t, program.drive(t), omega, t0, t1)
+            return dsp.hann_basis(t, program.drive(t), 2.0 * math.pi * f, t0, t1)
 
-        def force_basis(t, U):
-            # the omega of the force rows' phase drift in a dwell, the grid's in a sweep
-            return estimator(t, dsp.drift_omega(t, U, f) if stepped else 2.0 * math.pi * f)
-
-        est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f, force_basis)
+        est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f, estimator)
         scale = est.torque if dof == "YAW" else est.resultant
-        if not np.all(np.isfinite([*est.generalized, est.omega, scale])):
+        if not np.all(np.isfinite([*est.generalized, scale])):
             # as below, only a record whose values overflow the estimate's
             # sums, or the force's magnitude, gets here
             raise FitError(f"force fit at {f} Hz is not finite")
         span = window_span(response, t0, t1)
         # extract_window(response, t0, t1).times(), with no copy of the window
         t = (response.start_time + span.start / rate) + np.arange(span.stop - span.start) / rate
-        estimators.append((span, estimator(t, est.omega)))
+        estimators.append((span, estimator(t)))
         force_estimates.append(est)
         forces.append(scale)
 
@@ -247,14 +228,14 @@ def analyze(
 
     freqs = [f for f, _, _ in windows]
     rows = []
-    for f, row, est in zip(freqs, phasors, force_estimates):
+    for f, row in zip(freqs, phasors):
         if not np.all(np.isfinite(row)):
             # only a record whose values overflow the estimate's sums gets here
             label = response.labels[int(np.argmin(np.isfinite(row)))]
             raise FitError(f"phasor of channel {label!r} at {f} Hz is not finite")
         # forward+backward filtering scales amplitudes by |H|^2; undo it
-        accel_phasors = row / dsp.filter_gain(coeffs, est.omega / (2.0 * math.pi)) ** 2
-        rows.append(-accel_phasors / (est.omega * est.omega))
+        omega = 2.0 * math.pi * f
+        rows.append(-row / dsp.filter_gain(coeffs, f) ** 2 / (omega * omega))
 
     result = identify(
         freqs, keys, np.array(rows), forces, dof, layout, policy, strain_stations, strain_fiber_m

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, check_keys
+from ..errors import ConfigError, check_keys, check_real
 from ..timeseries import TimeSeriesSet
 from .model import influence_matrix
 
@@ -171,11 +171,15 @@ def force_timeseries(program: ExcitationProgram, fs: float, duration: float | No
 
 
 def load_program(source) -> ExcitationProgram:
+    """Read a program document: {kind, name?, dof_excited?, force_points,
+    stepped | sweep}; every number checked by
+    :func:`~vibroident.errors.check_real`."""
     try:
         doc = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
         check_keys(doc, ("kind", "name", "dof_excited", "force_points", "stepped", "sweep"), "program")
         for i, fp in enumerate(doc["force_points"]):
             check_keys(fp, ("id", "location", "direction", "amplitude_n"), f"program force point {i}")
+            check_real(fp, ("location", "direction", "amplitude_n"), f"program force point {i}")
         points = tuple(
             ForcePoint(
                 id=fp["id"],
@@ -189,9 +193,9 @@ def load_program(source) -> ExcitationProgram:
         sweep = None
         if "stepped" in doc:
             sp = doc["stepped"]
-            check_keys(
-                sp, ("frequencies", "duration_per_step", "cycles_per_step", "rest_gap"), "program section 'stepped'"
-            )
+            keys = ("frequencies", "duration_per_step", "cycles_per_step", "rest_gap")
+            check_keys(sp, keys, "program section 'stepped'")
+            check_real(sp, keys, "program section 'stepped'")
             stepped = SteppedSpec(
                 frequencies=tuple(sp["frequencies"]),
                 duration_per_step=sp.get("duration_per_step"),
@@ -201,6 +205,7 @@ def load_program(source) -> ExcitationProgram:
         if "sweep" in doc:
             sw = doc["sweep"]
             check_keys(sw, ("f0", "f1", "rate"), "program section 'sweep'")
+            check_real(sw, ("f0", "f1", "rate"), "program section 'sweep'")
             sweep = SweepSpec(f0=float(sw["f0"]), f1=float(sw["f1"]), rate=float(sw["rate"]))
         return ExcitationProgram(
             kind=doc["kind"],

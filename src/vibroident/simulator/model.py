@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import AssemblyError, ConfigError, EigenError, SolveError, check_keys
+from ..errors import AssemblyError, ConfigError, EigenError, SolveError, check_keys, check_real
 
 DOF_NAMES = ("dx", "dy", "dz", "rx", "ry", "rz")
 
@@ -156,12 +156,15 @@ def steady_state_response(sys: SystemMatrices, force_phasor: np.ndarray, omega: 
 
 
 def load_model(source) -> RigidBlockModel:
-    """Read a model document {mass, inertia, cg?, springs:[{attach,dir,k,c}]}."""
+    """Read a model document {mass, inertia, cg?, springs:[{attach,dir,k,c}]};
+    every number checked by :func:`~vibroident.errors.check_real`."""
     try:
         doc = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
         check_keys(doc, ("name", "mass", "inertia", "cg", "springs"), "model")
+        check_real(doc, ("mass", "inertia", "cg"), "model")
         for i, sp in enumerate(doc["springs"]):
             check_keys(sp, ("attach", "dir", "k", "c"), f"model spring {i}")
+            check_real(sp, ("attach", "dir", "k", "c"), f"model spring {i}")
         springs = tuple(
             SpringElement(
                 attach=np.asarray(sp["attach"], dtype=float),

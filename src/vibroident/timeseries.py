@@ -36,6 +36,7 @@ from .errors import (
     SpacingError,
     WindowError,
     check_keys,
+    check_real,
 )
 
 #: relative tolerance on timestamp spacing uniformity
@@ -823,12 +824,14 @@ def extract_window(record: TimeSeries | TimeSeriesSet, t0: float, t1: float):
 
 
 def load_layout(source) -> SensorLayout:
-    """Read a sensor layout document: {stations: [{id, pos, axes?}], groups: {...}}."""
+    """Read a sensor layout document: {stations: [{id, pos, axes?}], groups: {...}};
+    every number checked by :func:`~vibroident.errors.check_real`."""
     try:
         doc = json.loads(source) if isinstance(source, (str, bytes)) else json.load(source)
         check_keys(doc, ("stations", "groups"), "layout")
         for i, st in enumerate(doc["stations"]):
             check_keys(st, ("id", "pos", "axes"), f"layout station {i}")
+            check_real(st, ("pos", "axes"), f"layout station {i}")
         stations = tuple(
             Station(
                 id=st["id"],

@@ -181,6 +181,8 @@ BAD_CONFIGS = {
 
 MODEL = json.loads(cli._load_text("default", "model"))
 SPRINGS = MODEL["springs"]
+LAYOUT = json.loads(cli._load_text("default", "layout"))
+STATIONS = LAYOUT["stations"]
 
 #: bad documents named by a config key: (key, file text)
 BAD_DOCUMENTS = {
@@ -209,6 +211,20 @@ BAD_DOCUMENTS = {
     ),
     "program_negative_rest_gap": (
         "program", json.dumps({**MINI_PROGRAM, "stepped": {**MINI_PROGRAM["stepped"], "rest_gap": -3}}),
+    ),
+    # numbers given as strings or booleans, which float() would take
+    "program_string_rest_gap": (
+        "program", json.dumps({**MINI_PROGRAM, "stepped": {**MINI_PROGRAM["stepped"], "rest_gap": "2"}}),
+    ),
+    "program_boolean_amplitude": (
+        "program",
+        json.dumps({**MINI_PROGRAM, "force_points": [
+            {**fp, "amplitude_n": True} if i == 0 else fp for i, fp in enumerate(MINI_PROGRAM["force_points"])
+        ]}),
+    ),
+    "model_string_k": ("model", json.dumps({**MODEL, "springs": [{**SPRINGS[0], "k": "1e9"}, *SPRINGS[1:]]})),
+    "layout_string_pos": (
+        "layout", json.dumps({**LAYOUT, "stations": [{**STATIONS[0], "pos": ["0", 0, 0]}, *STATIONS[1:]]}),
     ),
 }
 
@@ -244,8 +260,6 @@ def test_bad_config_exits_2_without_traceback(workdir, command, doc, capsys):
     assert not (workdir / "never").exists()
 
 
-LAYOUT = json.loads(cli._load_text("default", "layout"))
-STATIONS = LAYOUT["stations"]
 SWEEP_PROGRAM = {
     **{k: v for k, v in MINI_PROGRAM.items() if k != "stepped"},
     "kind": "sweep", "sweep": {"f0": 1.0, "f1": 12.0, "rate": 0.5},
@@ -284,7 +298,7 @@ def test_empty_config_hash_is_pinned(tmp_path):
     cfg = tmp_path / "empty.json"
     cfg.write_text("{}")
     assert config_hash(load_run_config(str(cfg))) == (
-        "68282ba474b78b2ca90b57387e141d6e1870647d4fc9786500ad287c0758f2f2"
+        "dbd0943df4f55d73ccdbd973db4501f64f54e3cf380fa408ac7d2b55b3b13a6c"
     )
 
 

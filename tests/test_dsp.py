@@ -13,7 +13,6 @@ from vibroident.dsp import (
     filter_gain,
     _basis,
     _phase_at,
-    drift_omega,
     filtfilt,
     fit_sine,
     hann_basis,
@@ -319,32 +318,39 @@ def batch_rows(t, seed=17):
 W8 = 2 * np.pi * 8.0
 
 
+def fitted_phasors(t, U, omega):
+    """The complex amplitude of each row's fit on :func:`sine_basis`."""
+    a, b = sine_basis(t, omega).coefficients(U).T
+    return np.hypot(a, b) * np.exp(1j * np.arctan2(b, a))
+
+
 def explicit_residual_rms(t, U, omega):
     """RMS of each row minus the sine of its fit on :func:`sine_basis`."""
-    phasor = sine_basis(t, omega).phasors(U)
+    phasor = fitted_phasors(t, U, omega)
     r = U - np.abs(phasor)[:, None] * np.sin(omega * t + np.angle(phasor)[:, None])
     return np.sqrt(np.mean(r * r, axis=1))
 
 
 def estimators(t):
-    """A window's two estimators on the samples ``t``: the sin/cos basis
-    at 8 Hz and the Hann projection at 8 Hz relative to a unit sine."""
+    """Row maps on the samples ``t``: the analysis window's Hann projection
+    at 8 Hz relative to a unit sine, and :func:`fit_sine`'s coefficients
+    at 8 Hz."""
     t0, t1 = t[0] + 0.01, t[-1] - 0.01
     return {
-        "sine": sine_basis(t, W8),
-        "hann": hann_basis(t, np.sin(W8 * t), W8, t0, t1),
+        "sine": sine_basis(t, W8).coefficients,
+        "hann": hann_basis(t, np.sin(W8 * t), W8, t0, t1).phasors,
     }
 
 
 class TestFitSines:
-    """The rows of one window on its one basis, :meth:`SineBasis.phasors`
+    """The rows of one window on one basis, :meth:`SineBasis.coefficients`
     and :meth:`HannBasis.phasors`, row by row."""
 
     def test_rows_match_single_row_fits(self):
         t = 312.4 + np.arange(1201) / 200.0
         U = batch_rows(t)
         basis = sine_basis(t, W8)
-        phasors = basis.phasors(U)
+        phasors = fitted_phasors(t, U, W8)
         assert phasors.shape == (len(U),)
         for row, u in enumerate(U):
             single = fit_sine(TimeSeries(t[0], 200.0, u), 8.0)
@@ -353,18 +359,13 @@ class TestFitSines:
             assert phasors[row] == pytest.approx(single.phasor, rel=1e-12, abs=1e-300)
 
     def test_rows_of_a_large_batch_equal_one_row_calls(self):
-        # both estimators; the channel blocks of the analysis rely on this
+        # both row maps; the channel blocks of the analysis rely on the Hann one
         t = 312.4 + np.arange(1201) / 200.0
         U = np.vstack([batch_rows(t, seed) for seed in range(10)])
-        bases = estimators(t)
-        for basis in bases.values():
-            batch = basis.phasors(U)
+        for rows_of in estimators(t).values():
+            batch = rows_of(U)
             for row in range(len(U)):
-                assert batch[row : row + 1].tobytes() == basis.phasors(U[row : row + 1]).tobytes()
-        basis = bases["sine"]
-        coef = basis.coefficients(U)
-        for row in range(len(U)):
-            assert coef[row : row + 1].tobytes() == basis.coefficients(U[row : row + 1]).tobytes()
+                assert batch[row : row + 1].tobytes() == rows_of(U[row : row + 1]).tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degenerate_rows_leave_the_other_rows_unchanged(self):
@@ -380,9 +381,9 @@ class TestFitSines:
             np.full(t.size, np.nan),
         ])
         rows = slice(3, 3 + len(normal))
-        for basis in estimators(t).values():
-            mixed = basis.phasors(np.vstack([degenerate[:3], normal, degenerate[3:]]))
-            assert mixed[rows].tobytes() == basis.phasors(normal).tobytes()
+        for rows_of in estimators(t).values():
+            mixed = rows_of(np.vstack([degenerate[:3], normal, degenerate[3:]]))
+            assert mixed[rows].tobytes() == rows_of(normal).tobytes()
 
     def test_residual_is_that_of_the_returned_parameters(self):
         t = 40.0 + np.arange(801) / 200.0
@@ -427,9 +428,8 @@ class TestFitSinesAt:
         amp = np.array([1.0, 2.5, 1e-3, 1e4, 0.0])
         phase = np.array([0.3, -2.0, 3.1, -0.7, 0.0])
         U = amp[:, None] * np.sin(w * t + phase[:, None])
-        basis = sine_basis(t, w)
-        assert np.max(np.abs(basis.phasors(U) - amp * np.exp(1j * phase)) / np.maximum(amp, 1.0)) < 1e-9
-        assert basis.omega == w
+        assert np.max(np.abs(fitted_phasors(t, U, w) - amp * np.exp(1j * phase)) / np.maximum(amp, 1.0)) < 1e-9
+        assert sine_basis(t, w).omega == w
         # the explicit residual: measured up to 9e-13 of the amplitude
         assert np.all(explicit_residual_rms(t, U, w) < 1e-11 * np.maximum(amp, 1.0))
 
@@ -439,11 +439,11 @@ class TestFitSinesAt:
         t = 40.0 + np.arange(801) / 200.0
         U = batch_rows(t)
         w = 2 * np.pi * 8.0
-        basis = sine_basis(t, w)
         dt = (t[-1] - t[0]) / (t.size - 1)
-        a, b = dsp.SineBasis(w, _basis(w, float(_phase_at(w, t[0])), dt, t.size)).coefficients(U).T
+        coef = dsp.SineBasis(w, _basis(w, float(_phase_at(w, t[0])), dt, t.size)).coefficients(U)
+        assert sine_basis(t, w).coefficients(U).tobytes() == coef.tobytes()
+        a, b = coef.T
         amplitude, phase = np.hypot(a, b), dsp._wrap_phase(np.arctan2(b, a))
-        assert basis.phasors(U).tobytes() == (amplitude * np.exp(1j * phase)).tobytes()
         for row, u in enumerate(U):
             single = fit_sine(TimeSeries(t[0], 200.0, u), 8.0)
             assert (single.amplitude, single.phase) == (amplitude[row], phase[row])
@@ -456,21 +456,27 @@ class TestFitSinesAt:
 
 
 class TestFitSinesDrift:
-    """:func:`drift_omega`, the omega of a stepped dwell's rows."""
+    """A stepped dwell whose drive drifts off its nominal frequency, read
+    as the analysis reads it: :func:`hann_basis` at the program's nominal
+    omega, each row over the force row."""
 
-    #: largest |omega / true omega - 1| over the three window lengths, the
-    #: three frequencies and the rows' phases, per frequency offset, as
-    #: measured (1.73e-6, 2.02e-6, 2.65e-6 and 1.80e-5; the last on 3.2
-    #: cycles).  Free-frequency fits of each row were off by up to about
-    #: 1e-5 on the same rows, and 0 and 1e-4 are within that noise
-    OMEGA_ERROR = {0.0: 1.8e-6, 1e-4: 2.1e-6, 1e-3: 2.7e-6, 1e-2: 1.8e-5}
+    #: largest |ratio at the nominal omega / ratio at the drive's omega - 1|
+    #: over the three window lengths, the three frequencies and the rows'
+    #: phases, per frequency offset, as measured (1.1e-16, 9.8e-7, 9.5e-6
+    #: and 6.9e-5)
+    RATIO_CHANGE = {0.0: 1e-15, 1e-4: 1.5e-6, 1e-3: 1.5e-5, 1e-2: 1e-4}
+    #: largest |ratio / true ratio - 1| per window length in cycles, as
+    #: measured (2.4e-3, 1.2e-4 and 5.0e-5): the negative frequency's image
+    #: through the short window, and the noise; the offset moves none of them
+    TRUTH_ERROR = {3.2: 3e-3, 6.0: 2e-4, 20.0: 1e-4}
 
-    @pytest.mark.parametrize("offset", sorted(OMEGA_ERROR))
+    @pytest.mark.parametrize("offset", sorted(RATIO_CHANGE))
     @pytest.mark.parametrize("cycles", [3.2, 6.0, 20.0])
     def test_drift_omega_tracks_an_offset_drive(self, cycles, offset):
-        # four rows at 1e-4 noise of their amplitude, at one drive
-        # frequency off the nominal one; the drift's omega stays close to
-        # the drive's and the amplitudes to those of the fit at the drive's omega
+        # four response rows and a force row at 1e-4 noise of their
+        # amplitude, at one drive frequency off the nominal one: the rows
+        # over the force read at the nominal omega stay close to the same
+        # ratios read at the drive's omega, and to the true ones
         rng = np.random.default_rng(int(cycles * 10) + int(1e4 * offset))
         amp = np.array([100.0, 80.0, 120.0, 60.0])
         for f in (1.5, 8.0, 20.0):
@@ -479,35 +485,14 @@ class TestFitSinesDrift:
             for _ in range(4):
                 phase = rng.uniform(-np.pi, np.pi, 4)
                 U = amp[:, None] * np.sin(w * t + phase[:, None]) + 0.01 * rng.standard_normal((4, t.size))
-                omega = drift_omega(t, U, f)
-                assert abs(omega / w - 1.0) <= self.OMEGA_ERROR[offset]
-                at_drift = np.abs(sine_basis(t, omega).phasors(U))
-                at_drive = np.abs(sine_basis(t, w).phasors(U))
-                # measured: up to 8.0e-7 (1.65e-6 against free fits of each row)
-                assert np.max(np.abs(at_drift / at_drive - 1.0)) <= 1.7e-6
-
-    def test_rows_are_fitted_at_the_drift_omega(self):
-        # rows of a drive 0.2 % off the nominal frequency fit to noise at the
-        # drift's omega, and leave a large residual at the nominal one
-        t = 40.0 + np.arange(801) / 200.0
-        w = W8 * 1.002
-        U = np.array([[100.0], [80.0], [0.0]]) * np.sin(w * t + np.array([[0.4], [-2.0], [0.0]]))
-        U = U + 0.01 * np.random.default_rng(3).standard_normal(U.shape)
-        omega = drift_omega(t, U, 8.0)
-        assert sine_basis(t, omega).omega == omega
-        at_drift, at_nominal = explicit_residual_rms(t, U, omega), explicit_residual_rms(t, U, W8)
-        assert np.all(at_drift[:2] < 0.02) and np.all(at_nominal[:2] > 0.05 * np.array([100.0, 80.0]))
-
-    def test_zero_rows_keep_the_nominal_frequency(self):
-        t = np.arange(1201) / 200.0
-        U = np.zeros((3, t.size))
-        omega = drift_omega(t, U, 8.0)
-        assert omega == 2 * np.pi * 8.0 and np.all(sine_basis(t, omega).phasors(U) == 0.0)
-
-    def test_short_window_raises(self):
-        t = np.arange(201) / 200.0
-        with pytest.raises(FitError):
-            drift_omega(t, np.ones((2, t.size)), 2.0)
+                F = 50.0 * np.sin(w * t + 0.3) + 0.01 * rng.standard_normal(t.size)
+                nominal = hann_basis(t, np.sin(2 * np.pi * f * t), 2 * np.pi * f, t[0], t[-1])
+                drive = hann_basis(t, np.sin(w * t), w, t[0], t[-1])
+                at_nominal = nominal.phasors(U) / nominal.phasors(F)[0]
+                at_drive = drive.phasors(U) / drive.phasors(F)[0]
+                assert np.max(np.abs(at_nominal / at_drive - 1.0)) <= self.RATIO_CHANGE[offset]
+                truth = amp * np.exp(1j * (phase - 0.3)) / 50.0
+                assert np.max(np.abs(at_nominal / truth - 1.0)) <= self.TRUTH_ERROR[cycles]
 
 
 class TestHannPhasors:
@@ -524,7 +509,6 @@ class TestHannPhasors:
             shift = np.array([0.0, 0.7, -2.0, 0.0])
             U = amp[:, None] * np.sin(phi + shift[:, None])
             basis = hann_basis(t, np.sin(phi), 2 * np.pi * 5.0, 7.5, 12.5)
-            assert basis.omega == 2 * np.pi * 5.0
             got = basis.phasors(U)
             assert got[0] == pytest.approx(1.0, abs=1e-14)
             # measured 2.3e-6: the window's leakage of the negative frequency

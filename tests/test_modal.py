@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from vibroident.cli import _load_text
-from vibroident.dsp import drift_omega, fit_sine, sine_basis
+from vibroident.dsp import hann_basis
 from vibroident.errors import (
     BuildError,
     ComparisonError,
@@ -50,30 +50,26 @@ def force_set(channels, fs=512.0, dur=10.0):
     return TimeSeriesSet(0.0, fs, values, tuple(channels), ("kN",) * len(channels))
 
 
-def at_drift(t, U):
-    """The window's basis at the omega of the rows' phase drift near 8 Hz."""
-    return sine_basis(t, drift_omega(t, U, 8.0))
-
-
-def at_f(t, U):
-    """The window's basis at 8 Hz itself."""
-    return sine_basis(t, 2 * math.pi * 8.0)
+def at_f(t):
+    """The window's basis on the samples ``t``: the Hann projection at
+    8 Hz over all of them, relative to a unit sine at 8 Hz."""
+    w = 2 * math.pi * 8.0
+    return hann_basis(t, np.sin(w * t), w, t[0], t[-1])
 
 
 class TestForceAmplitude:
     def test_aligned_channels_sum(self):
         chans = {f"a{i}": (100.0, 8.0, 0.0) for i in range(4)}
         geo = {f"a{i}": ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for i in range(4)}
-        est = estimate_force_amplitude(force_set(chans), geo, 8.0, at_drift)
+        est = estimate_force_amplitude(force_set(chans), geo, 8.0, at_f)
         assert est.resultant == pytest.approx(400.0, rel=1e-9)
         assert est.torque == pytest.approx(0.0, abs=1e-9)
-        assert est.omega == pytest.approx(2 * math.pi * 8.0, rel=1e-9)
 
-    def test_zero_force_keeps_the_nominal_frequency(self):
+    def test_zero_force_reads_zero(self):
         chans = {f"a{i}": (0.0, 8.0, 0.0) for i in range(2)}
         geo = {f"a{i}": ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) for i in range(2)}
-        est = estimate_force_amplitude(force_set(chans), geo, 8.0, at_drift)
-        assert est.resultant == 0.0 and est.omega == 2 * math.pi * 8.0
+        est = estimate_force_amplitude(force_set(chans), geo, 8.0, at_f)
+        assert est.resultant == 0.0 and est.torque == 0.0
 
     def test_pure_couple(self):
         chans = {"e": (100.0, 8.0, 0.0), "w": (100.0, 8.0, math.pi)}
@@ -81,7 +77,7 @@ class TestForceAmplitude:
             "e": ([5.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
             "w": ([-5.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
         }
-        est = estimate_force_amplitude(force_set(chans), geo, 8.0, at_drift)
+        est = estimate_force_amplitude(force_set(chans), geo, 8.0, at_f)
         assert est.resultant == pytest.approx(0.0, abs=1e-6)
         assert est.torque == pytest.approx(1000.0, rel=1e-9)
 
@@ -89,10 +85,10 @@ class TestForceAmplitude:
         chans = {"a0": (100.0, 8.0, 0.0)}
         geo = {"a1": ([0, 0, 0], [1, 0, 0])}
         with pytest.raises(ForceEstimationError, match="force channel 'a1' missing"):
-            estimate_force_amplitude(force_set(chans), geo, 8.0, at_drift)
+            estimate_force_amplitude(force_set(chans), geo, 8.0, at_f)
 
     def test_one_batch_equals_one_fit_per_channel(self):
-        # on-frequency, off-frequency and noisy channels, each fitted as on its own
+        # on-frequency, off-frequency and noisy channels, each read as on its own
         chans = {"n": (90.0, 8.0, 0.4), "s": (110.0, 8.0, -2.0), "e": (70.0, 8.3, 1.0), "w": (100.0, 8.0, 2.5)}
         force = force_set(chans)
         noisy = force.values.copy()
@@ -103,9 +99,9 @@ class TestForceAmplitude:
             for i, label in enumerate(chans)
         }
         est = estimate_force_amplitude(force, geo, 8.0, at_f)
-        singles = [fit_sine(force[label], 8.0).phasor * influence_matrix(*geo[label]) for label in geo]
+        basis = at_f(force.times())
+        singles = [basis.phasors(force[label].values)[0] * influence_matrix(*geo[label]) for label in geo]
         assert est.generalized.tobytes() == np.sum(singles, axis=0).tobytes()
-        assert est.omega == 2 * math.pi * 8.0
 
     def test_generalized_force_matches_the_lever_arm_sums(self):
         # the force path before the one map, kept as the reference: the
@@ -119,7 +115,7 @@ class TestForceAmplitude:
             geo[label] = (rng.uniform(-8.0, 8.0, 3), d / np.linalg.norm(d))
         force = force_set(chans)
         est = estimate_force_amplitude(force, geo, 8.0, at_f)
-        phasors = at_f(force.times(), force.values).phasors(force.values)
+        phasors = at_f(force.times()).phasors(force.values)
         components, torque, moment = np.zeros(3, dtype=complex), 0.0 + 0.0j, np.zeros(3, dtype=complex)
         for phasor, (position, direction) in zip(phasors, geo.values()):
             fvec = phasor * direction
