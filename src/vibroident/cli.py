@@ -13,6 +13,7 @@ atomic rename, never partially.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
 import json
@@ -56,8 +57,10 @@ from .timeseries import (
     SensorLayout,
     load_layout,
     parse_timeseries_csv,
+    # stays importable from here: the benchmark tracer wraps cli.serialize_timeseries_csv
     serialize_timeseries_csv,
     synchronize,
+    write_timeseries_csv,
 )
 
 EXIT_OK = 0
@@ -240,16 +243,15 @@ def policy_from_config(cfg: dict) -> AnalysisPolicy:
     )
 
 
-def _atomic_write(path: Path, data: str | bytes) -> None:
-    """Write ``data``, text as UTF-8 whatever the locale, through a temp
-    file unique to this call in the target's directory, then rename it
-    over the target."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+@contextlib.contextmanager
+def _atomic_file(path: Path):
+    """Yield a binary file that becomes ``path`` when the block ends: a
+    temp file unique to this call in the target's directory, renamed over
+    the target, or removed if the block raised."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         # mkstemp creates 0600; give the file the mode a plain open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -260,11 +262,19 @@ def _atomic_write(path: Path, data: str | bytes) -> None:
         raise
 
 
+def _atomic_write(path: Path, data: str | bytes) -> None:
+    """Write ``data``, text as UTF-8 whatever the locale, through
+    :func:`_atomic_file`."""
+    with _atomic_file(path) as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+
+
 #: most values one buffer of ``simulate`` may hold: the integrator's
 #: (u, v, a) history, or the response or force record with its time
 #: column.  The bundled programs at the default config need at most
-#: 9.5 M (stepped_z); 40 M values are 320 MB as float64 and about 0.8 GB
-#: as CSV text.
+#: 9.5 M (stepped_z); 40 M values are 320 MB as float64.  Their CSV text,
+#: about 0.8 GB, is never in memory: it streams into the file one block
+#: at a time.
 MAX_RECORD_CELLS = 40_000_000
 
 
@@ -330,8 +340,9 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "response.csv", serialize_timeseries_csv(response))
-    _atomic_write(out / "force.csv", serialize_timeseries_csv(force))
+    for name, record in (("response.csv", response), ("force.csv", force)):
+        with _atomic_file(out / name) as fh:
+            write_timeseries_csv(record, fh)
     _atomic_write(out / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out / 'response.csv'}, {out / 'force.csv'}, {out / 'manifest.json'}")
     return EXIT_OK

@@ -9,8 +9,8 @@ CSV layout (UTF-8): first column ``t`` in seconds, remaining columns are
 channel labels; ``#`` lines are comments.  Timestamps must be uniform; the
 sample rate is inferred from the median delta.  Records of different rates
 are never resampled: each is windowed on its own time axis.  A record file
-is parsed by byte ranges read from the file in bounded pieces, so its text
-is never held whole.
+is written one block of rows at a time and parsed by byte ranges read from
+the file in bounded pieces, so its text is never held whole.
 """
 
 from __future__ import annotations
@@ -18,11 +18,14 @@ from __future__ import annotations
 import array
 import contextlib
 import functools
+import io
 import itertools
 import json
 import math
 import os
+import shutil
 import signal
+import tempfile
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -183,14 +186,13 @@ class SensorLayout:
 
 
 #: records with fewer cells than this are written and parsed in one
-#: process.  A fork, pipe and reap cost about 1.9 ms wall and 3 ms CPU per
-#: worker (2-vCPU Xeon, Linux, 185 MB parent, OpenBLAS threads asleep or
-#: spinning alike); at 0.15 us per written cell and 0.13 us per parsed
-#: one, three workers' forks cost 13 % of the writing and 15 % of the
-#: parsing of 300,000 cells, far less than the half that a second CPU
-#: saves.  Below it the split still saves wall time, for more CPU: a
-#: 181,820-cell force record parsed in 20 ms wall and 33 ms CPU over two
-#: processes, 26 ms and 26 ms in one.
+#: process.  A fork, spill file and reap cost about 1.7 ms wall and 1.8 ms
+#: CPU per worker (2-vCPU Xeon, Linux, 185 MB parent); at 0.15 us per
+#: written cell and 0.13 us per parsed one, three workers' forks cost 11 %
+#: of the writing and 13 % of the parsing of 300,000 cells, far less than
+#: the half that a second CPU saves.  Below it the split still saves wall
+#: time, for more CPU: a 181,820-cell force record parsed in 20 ms wall and
+#: 33 ms CPU over two processes, 26 ms and 26 ms in one.
 _FORK_MIN_CELLS = 300_000
 #: most processes, the parent included, that write or parse one record
 _MAX_WORKERS = 4
@@ -207,46 +209,49 @@ def _worker_count(cells: int) -> int:
 @contextlib.contextmanager
 def _forked(ranges, send):
     """Run ``send(lo, hi, out)`` for each ``(lo, hi)`` pair of ``ranges``
-    in its own forked child, which writes raw bytes to the binary stream
-    ``out`` and ends with ``os._exit``: 0 once ``send`` returned, 1 if it
-    raised.
+    in its own forked child, which writes raw bytes to ``out``, an unnamed
+    temp file (its spill file, opened before the fork), and ends with
+    ``os._exit``: 0 once ``send`` returned, 1 if it raised.
 
-    Yields the read ends of the children's pipes, in ``ranges`` order; the
-    caller works on its own share first, then reads them.  Nothing is
-    pickled.  Leaving the block closes the pipes and reaps every child,
-    killing them first if the block raised.  A pipe or fork that fails
-    raises OSError, and a child that does not exit 0 ChildProcessError, so
-    output of a worker that did not finish is never kept.
+    Yields ``join``: the caller works on its own share first, then calls
+    ``join()``, which reaps every child and returns their spill files,
+    rewound, in ``ranges`` order.  Nothing is pickled, and a child never
+    waits for a reader.  ``join`` raises ChildProcessError if a child did
+    not exit 0, so output of a worker that did not finish is never read; a
+    temp file or fork that fails raises OSError.  Leaving the block kills
+    and reaps every child not yet joined, then closes the spill files.
     """
-    pipes, pids = [], []
+    spills, pids = [], []
+
+    def join():
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+        pids.clear()
+        if failed:
+            raise ChildProcessError(f"{failed} forked worker(s) did not exit 0")
+        for spill in spills:
+            spill.seek(0)
+        return spills
+
     try:
         for lo, hi in ranges:
-            r, w = os.pipe()
-            pipes.append(open(r, "rb"))
-            with open(w, "wb") as out:
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        for pipe in pipes:
-                            os.close(pipe.fileno())
-                        send(lo, hi, out)
-                        out.flush()
-                        code = 0
-                    finally:
-                        os._exit(code)
+            spills.append(tempfile.TemporaryFile())
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    send(lo, hi, spills[-1])
+                    spills[-1].flush()
+                    code = 0
+                finally:
+                    os._exit(code)
             pids.append(pid)
-        yield pipes
-    except BaseException:
+        yield join
+    finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
-    if failed:
-        raise ChildProcessError(f"{failed} forked worker(s) did not exit 0")
+            os.waitpid(pid, 0)
+        for spill in spills:
+            spill.close()
 
 
 #: bytes per read of a record file
@@ -385,10 +390,11 @@ def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> tuple[np.nd
 
     The first ``(start, stop)`` byte range is parsed here and transposed
     into place; every other range is parsed by a forked worker, which opens
-    the file, reads its own range, sends its row count, then its rows
-    column by column, each read straight into its segment of the matrix,
-    then its ``units:`` lines.  ValueError as from ``_load_rows``; OSError
-    if a worker fails.
+    the file, reads its own range and writes to its spill file its row
+    count, then its rows column by column, then its ``units:`` lines.  Once
+    every worker has exited 0, each spill file's columns are read straight
+    into their segments of the matrix.  ValueError as from ``_load_rows``;
+    OSError if a worker fails.
     """
 
     def send(start, stop, out):
@@ -398,9 +404,10 @@ def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> tuple[np.nd
             out.write(np.ascontiguousarray(column).data)
         out.write("\n".join(found).encode("utf-8"))
 
-    with _forked(ranges[1:], send) as pipes:
+    with _forked(ranges[1:], send) as join:
         own, found = _load_rows(path, *ranges[0], ncol)
-        heads = [pipe.read(8) for pipe in pipes]
+        spills = join()
+        heads = [spill.read(8) for spill in spills]
         if any(len(head) != 8 for head in heads):
             raise ChildProcessError("short row count from a record parse worker")
         counts = [int.from_bytes(head, "little") for head in heads]
@@ -408,12 +415,12 @@ def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> tuple[np.nd
         cols[:, : len(own)] = own.T
         row = len(own)
         del own
-        for pipe, count in zip(pipes, counts):
+        for spill, count in zip(spills, counts):
             for segment in cols[:, row : row + count]:
-                if pipe.readinto(segment) != segment.nbytes:
+                if spill.readinto(segment) != segment.nbytes:
                     raise ChildProcessError("short read from a record parse worker")
             row += count
-            found.extend(filter(None, pipe.read().decode("utf-8").split("\n")))
+            found.extend(filter(None, spill.read().decode("utf-8").split("\n")))
     return cols, found
 
 
@@ -715,18 +722,28 @@ def _format_cells(v: np.ndarray, sep: np.ndarray, out: np.ndarray) -> None:
         out[rows, cols] = np.frombuffer(text, _U8).reshape(-1, 3)
 
 
-def serialize_timeseries_csv(tss: TimeSeriesSet) -> bytes:
-    """Inverse of :func:`parse_timeseries_csv`, as UTF-8 bytes: the time
-    column as ``repr``, so the start time and the inferred rate round-trip
-    exactly, and every data cell as ``'%.14g' % v`` (``_CELL_DIGITS``).
-    Parsing the text and writing it again gives the same bytes.
+#: bytes per piece when a worker's spill file is appended to the record
+_COPY_BYTES = 1 << 20
+
+
+def write_timeseries_csv(tss: TimeSeriesSet, fh) -> None:
+    """Write the record into the seekable binary file ``fh`` as UTF-8 CSV,
+    the inverse of :func:`parse_timeseries_csv`: the time column as
+    ``repr``, so the start time and the inferred rate round-trip exactly,
+    and every data cell as ``'%.14g' % v`` (``_CELL_DIGITS``).  Parsing the
+    text and writing it again gives the same bytes.
 
     Blocks of about ``_WRITE_CELLS`` cells are laid out by
     ``_format_cells``, each cell in 24 zero-padded bytes after a 32-byte
-    time cell, and the padding is dropped by one ``bytes.translate``.  A
-    large record is formatted over up to ``min(CPUs, 4)`` processes:
-    forked workers format equal ranges of rows and send them as ASCII; the
-    bytes are the same as from one process.
+    time cell; one ``bytes.translate`` drops the padding and the block goes
+    straight to its file, so no process holds the text of a record or of a
+    range.  A large record is written over up to ``min(CPUs, 4)``
+    processes: this one writes the header and the first range of rows into
+    ``fh``, forked workers write the other ranges into their spill files,
+    and once every worker has exited 0 those are appended in range order,
+    ``_COPY_BYTES`` at a time; the bytes are the same as from one process.
+    If a worker fails, ``fh`` is truncated back to where the record started
+    and the whole record is written here, so no partial text is left.
     """
     t, values = tss.times(), tss.values
     channels = len(tss)
@@ -734,8 +751,7 @@ def serialize_timeseries_csv(tss: TimeSeriesSet) -> bytes:
     sep[-1] = ord("\n")
     block = max(1, _WRITE_CELLS // (channels + 1))
 
-    def rows(lo: int, hi: int) -> bytes:
-        parts = []
+    def rows(lo: int, hi: int, out) -> None:
         for i in range(lo, hi, block):
             n = min(i + block, hi) - i
             words = np.zeros((n, 4 + 3 * channels), _U8)
@@ -746,24 +762,33 @@ def serialize_timeseries_csv(tss: TimeSeriesSet) -> bytes:
             words[:, 3] = ord(",")
             cells = np.ascontiguousarray(values[:, i : i + n].T)
             _format_cells(cells, sep, words[:, 4:].reshape(n, channels, 3))
-            parts.append(words.tobytes().translate(None, b"\0"))
-        return b"".join(parts)
+            out.write(words.tobytes().translate(None, b"\0"))
 
-    def send(lo: int, hi: int, out) -> None:
-        out.write(rows(lo, hi))
-
+    units = ",".join(f"{label}={unit}" for label, unit in zip(tss.labels, tss.units))
+    head = (f"# units: {units}\n" + ",".join(["t", *tss.labels]) + "\n").encode("utf-8")
     n = len(t)
     step = -(-n // _worker_count(n + values.size))
     ranges = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    start = fh.tell()
     try:
-        with _forked(ranges[1:], send) as pipes:
-            parts = [rows(*ranges[0]), *(pipe.read() for pipe in pipes)]
+        with _forked(ranges[1:], rows) as join:
+            fh.write(head)
+            rows(*ranges[0], fh)
+            for spill in join():
+                shutil.copyfileobj(spill, fh, _COPY_BYTES)
     except OSError:
         # a worker failed: the whole record in this process, never a partial text
-        parts = [rows(0, n)]
-    units = ",".join(f"{label}={unit}" for label, unit in zip(tss.labels, tss.units))
-    head = f"# units: {units}\n" + ",".join(["t", *tss.labels]) + "\n"
-    return b"".join([head.encode("utf-8"), *parts])
+        fh.seek(start)
+        fh.truncate()
+        fh.write(head)
+        rows(0, n, fh)
+
+
+def serialize_timeseries_csv(tss: TimeSeriesSet) -> bytes:
+    """The record as :func:`write_timeseries_csv` writes it, as bytes."""
+    buf = io.BytesIO()
+    write_timeseries_csv(tss, buf)
+    return buf.getvalue()
 
 
 def synchronize(response: TimeSeriesSet, force: TimeSeriesSet) -> None:

@@ -38,10 +38,11 @@ def record_io_processes(monkeypatch):
 
 @pytest.fixture
 def failing_workers(monkeypatch):
-    """``use(fault)`` makes every forked worker fail once it has sent its
-    bytes: it exits 1 after all of them (``"exit_1_after_all_bytes"``) or
-    after half of them (``"exit_1_after_half"``), or it is killed by
-    SIGKILL after all of them (``"sigkill"``)."""
+    """``use(fault)`` makes every forked worker fail once it has written
+    its bytes into its spill file: it exits 1 after all of them
+    (``"exit_1_after_all_bytes"``) or after half of them
+    (``"exit_1_after_half"``), or it is killed by SIGKILL after all of them
+    (``"sigkill"``).  The parent must then read none of them."""
     forked = timeseries._forked
 
     def use(fault):

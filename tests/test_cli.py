@@ -907,6 +907,24 @@ def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processe
                 assert path.read_bytes() == (three / path.name).read_bytes(), (program["kind"], path.name)
 
 
+@pytest.mark.parametrize("fault", ["exit_1_after_all_bytes", "exit_1_after_half", "sigkill"])
+def test_simulate_with_failed_workers_writes_whole_records(workdir, record_io_processes, failing_workers, tmp_path, fault):
+    # every forked writer fails after spilling its range: the records are
+    # rewritten in one process over the truncated files, and no temp or
+    # partial file is left beside them
+    cfg = str(workdir / "cfg.json")
+    record_io_processes(1)
+    assert main(["simulate", "-c", cfg, "-o", str(tmp_path / "one")]) == 0
+    failing_workers(fault)
+    forks = record_io_processes(3)
+    assert main(["simulate", "-c", cfg, "-o", str(tmp_path / "split")]) == 0
+    assert len(forks) == 4
+    names = ["force.csv", "manifest.json", "response.csv"]
+    assert sorted(p.name for p in (tmp_path / "split").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ_SETTINGS
 @given(target=st.sampled_from(["response", "force"]), edits=st.lists(EDIT, min_size=1, max_size=3))

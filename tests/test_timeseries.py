@@ -1,3 +1,4 @@
+import filecmp
 import io
 import math
 import os
@@ -18,6 +19,7 @@ from vibroident.timeseries import (
     parse_timeseries_csv,
     serialize_timeseries_csv,
     synchronize,
+    write_timeseries_csv,
 )
 
 
@@ -495,6 +497,29 @@ def test_parse_holds_no_copy_of_the_file(record_file, record_io_processes, n):
         tracemalloc.stop()
     assert tss.values.tobytes() == at_14_digits(values).tobytes() and len(forks) == n - 1
     assert peak < os.path.getsize(path)
+
+
+def test_writer_holds_no_copy_of_the_text(tmp_path, record_io_processes):
+    # a 27 MB text of 24 channels, written in one process, then over two.
+    # The peak, about 4.5 MB, is one block's formatting whatever the
+    # record's size; a writer that joins the text holds twice the text
+    values = np.random.default_rng(2).standard_normal((24, 60_000))
+    tss = TimeSeriesSet(0.0, 200.0, values, tuple(f"c{i}" for i in range(24)), ("m",) * 24)
+    timeseries._cell_tables()   # built once per process, not per record
+    paths = []
+    for n in (1, 2):
+        forks = record_io_processes(n)
+        paths.append(tmp_path / f"record{n}.csv")
+        with open(paths[-1], "wb") as fh:
+            tracemalloc.start()
+            try:
+                write_timeseries_csv(tss, fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = os.path.getsize(paths[-1])
+        assert size > 4e6 and peak < size / 4 and len(forks) == n - 1
+    assert filecmp.cmp(*paths, shallow=False)
 
 
 class TestSynchronize:
