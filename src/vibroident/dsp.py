@@ -195,10 +195,15 @@ def _state_space(sos: np.ndarray):
 #: samples per block of the filter recurrence
 _FILTER_BLOCK = 64
 #: padded cells (rows x samples) of one block of rows of the zero-phase
-#: filter, which builds its scratch for one block at a time, so it does
-#: not grow with the record: about 12 bytes per cell (tracemalloc), 3 MB
-#: (:func:`block_rows`)
-_BLOCK_CELLS = 1 << 18
+#: filter (:func:`block_rows`), which builds its scratch and its output
+#: for one block at a time, so its memory does not grow with the record.
+#: On the benchmark's stepped X record (87 x 24,796 samples, 24,862
+#: padded) one call on a block of 5 rows peaks at 2.79 MB under
+#: tracemalloc, scratch plus output, 22.5 B per padded cell; 1 << 18 made
+#: blocks of 10 rows at 4.94 MB (19.9 B) and in-process
+#: ``pipeline.analyze`` about 8 % faster, 1 << 16 blocks of 2 rows at
+#: 1.51 MB and it about 50 % slower (2-vCPU Xeon, numpy 2.4.6)
+_BLOCK_CELLS = 1 << 17
 #: most blocks per BLAS call of a row's stacked products: OpenBLAS threads
 #: larger ones.  On 2 cores, an 87 x 24,796 record filtered in 25 ms wall
 #: and 50 ms CPU with one call per row, in 22 ms of each with 128 blocks.

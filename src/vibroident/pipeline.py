@@ -225,6 +225,8 @@ def analyze(
         filtered = dsp.filtfilt(coeffs, block).values
         for (span, basis), out in zip(estimators, phasors):
             out[chans] = basis.phasors(filtered[:, span])
+        # freed before the next block is filtered: one block alive at a time
+        del filtered
 
     freqs = [f for f, _, _ in windows]
     rows = []

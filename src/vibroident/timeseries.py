@@ -357,13 +357,18 @@ def _parse_cells(rows, ncol: int) -> np.ndarray:
     return np.array(data, dtype=float).reshape(-1, ncol)
 
 
-def _load_rows(path, start: int, stop: int, ncol: int) -> tuple[np.ndarray, list[str]]:
+#: most data lines that go to one ``np.loadtxt`` call, and rows that are
+#: transposed into the record's matrix at once
+_FILL_ROWS = 1024
+
+
+def _row_blocks(path, start: int, stop: int, ncol: int, found: list[str]):
     """``np.loadtxt`` of the data lines of the file's bytes ``[start, stop)``,
-    each piece decoded, split and stripped in C, one line at a time to the
-    parser, which skips ``#`` comments itself; with the ``_unit_lines`` of
-    the pieces, in file order.  ValueError unless the bytes are UTF-8 and
-    every row has ``ncol`` cells."""
-    found: list[str] = []
+    as blocks of rows of at most ``_FILL_ROWS`` lines each: each piece is
+    decoded, split and stripped in C, one line at a time to the parser,
+    which skips ``#`` comments itself.  The ``_unit_lines`` of the pieces
+    are added to ``found``, in file order.  ValueError unless the bytes are
+    UTF-8 and every row has ``ncol`` cells."""
 
     def pieces(chunks):
         for chunk in chunks:
@@ -374,13 +379,12 @@ def _load_rows(path, start: int, stop: int, ncol: int) -> tuple[np.ndarray, list
         lines = itertools.chain.from_iterable(
             filter(None, map(str.strip, piece.split("\n"))) for piece in pieces(chunks)
         )
-        first = next((line for line in lines if not line.startswith("#")), None)
-        if first is None:
-            return np.empty((0, ncol)), found
-        data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
-    if data.shape[1] != ncol:
-        raise ValueError("column count mismatch")
-    return data, found
+        while (first := next((line for line in lines if not line.startswith("#")), None)) is not None:
+            block = itertools.chain([first], itertools.islice(lines, _FILL_ROWS - 1))
+            rows = np.loadtxt(block, delimiter=",", ndmin=2)
+            if rows.shape[1] != ncol:
+                raise ValueError("column count mismatch")
+            yield rows
 
 
 def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> tuple[np.ndarray, list[str]]:
@@ -388,37 +392,47 @@ def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> tuple[np.nd
     row 0 the times, row c the channel of column c; and the lines that
     hold ``units:``, in file order.
 
-    The first ``(start, stop)`` byte range is parsed here and transposed
-    into place; every other range is parsed by a forked worker, which opens
-    the file, reads its own range and writes to its spill file its row
-    count, then its rows column by column, then its ``units:`` lines.  Once
-    every worker has exited 0, each spill file's columns are read straight
-    into their segments of the matrix.  ValueError as from ``_load_rows``;
-    OSError if a worker fails.
+    Each ``(start, stop)`` byte range is parsed by its own process, the
+    first by this one and every other by a forked worker.  Each writes to
+    an unnamed temp file of its own (the workers' spill files) its row
+    count (written last, into 8 bytes reserved at the start), then its
+    rows, row-major, one ``_row_blocks`` block at a time, then its
+    ``units:`` lines, so no process holds its range's rows whole.
+    Once every worker has exited 0, the matrix is allocated and filled
+    from the files in range order, ``_FILL_ROWS`` rows at a time through
+    one buffer, each transposed into place.  ValueError as from
+    ``_row_blocks``; OSError if a worker or a temp file fails.
     """
 
     def send(start, stop, out):
-        rows, found = _load_rows(path, start, stop, ncol)
-        out.write(len(rows).to_bytes(8, "little"))
-        for column in rows.T:
-            out.write(np.ascontiguousarray(column).data)
+        found: list[str] = []
+        out.write(bytes(8))
+        count = 0
+        for rows in _row_blocks(path, start, stop, ncol, found):
+            out.write(rows.data)
+            count += len(rows)
         out.write("\n".join(found).encode("utf-8"))
+        out.seek(0)
+        out.write(count.to_bytes(8, "little"))
 
-    with _forked(ranges[1:], send) as join:
-        own, found = _load_rows(path, *ranges[0], ncol)
-        spills = join()
+    with _forked(ranges[1:], send) as join, tempfile.TemporaryFile() as mine:
+        send(*ranges[0], mine)
+        mine.seek(0)
+        spills = [mine, *join()]
         heads = [spill.read(8) for spill in spills]
         if any(len(head) != 8 for head in heads):
-            raise ChildProcessError("short row count from a record parse worker")
+            raise ChildProcessError("short row count in a record parse's temp file")
         counts = [int.from_bytes(head, "little") for head in heads]
-        cols = np.empty((ncol, len(own) + sum(counts)))
-        cols[:, : len(own)] = own.T
-        row = len(own)
-        del own
+        cols = np.empty((ncol, sum(counts)))
+        buf = np.empty((min(_FILL_ROWS, max(counts)), ncol))
+        found = []
+        row = 0
         for spill, count in zip(spills, counts):
-            for segment in cols[:, row : row + count]:
-                if spill.readinto(segment) != segment.nbytes:
-                    raise ChildProcessError("short read from a record parse worker")
+            for lo in range(row, row + count, _FILL_ROWS):
+                part = buf[: row + count - lo]
+                if spill.readinto(part) != part.nbytes:
+                    raise ChildProcessError("short read from a record parse's temp file")
+                cols[:, lo : lo + len(part)] = part.T
             row += count
             found.extend(filter(None, spill.read().decode("utf-8").split("\n")))
     return cols, found
@@ -445,10 +459,11 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
     start, and the data bytes are cut at newlines into up to
     ``min(CPUs, 4)`` byte ranges.  Each range is read, in bounded pieces, by
     its own process (forked workers and the parent), whose data lines go to
-    ``np.loadtxt`` one at a time, and which finds the ``units:`` lines of
-    its own pieces.  Any failure re-parses the whole file in this process;
-    the file is read a second time, to find row numbers or on that
-    re-parse, on the error paths only.
+    ``np.loadtxt`` one at a time, in blocks of rows that are spilled to a
+    temp file before the record's matrix is allocated, and which finds the
+    ``units:`` lines of its own pieces.  Any failure re-parses the whole
+    file in this process; the file is read a second time, to find row
+    numbers or on that re-parse, on the error paths only.
     """
     file_units: dict[str, str] = {}
     read: list[tuple[int, int]] = []
@@ -586,15 +601,17 @@ def _cell_tables() -> SimpleNamespace:
             lo.append((den - num * q) / (den * q))
     hi = np.array(hi)
     head, tail = _veltkamp(hi)
-    four = [f"{n:04d}" for n in range(10_000)]
+    # the four decimal digits of each n < 10**4, most significant first
+    k = np.arange(10_000)[:, None]
+    digits = k // np.array([1000, 100, 10, 1]) % 10
     xs = np.arange(-_X_OFFSET, _X_OFFSET + 1)
     fixed = (xs >= -4) & (xs < _CELL_DIGITS)
     small = fixed & (xs < 0)
     keep = np.where(small, 0, np.where(fixed, xs + 1, 1))
     return SimpleNamespace(
         hi=hi, head=head, tail=tail, lo=np.array(lo),
-        four=np.frombuffer("".join(four).encode("ascii"), "<u4").astype(_U8),
-        zeros=np.array([4 - len(s.rstrip("0")) for s in four]),
+        four=((digits + ord("0")) << np.array([0, 8, 16, 24])).sum(axis=1).astype(_U8),
+        zeros=(k % np.array([10, 100, 1000, 10_000]) == 0).sum(axis=1),
         keep=keep, dot=np.where(small, _CELL_DIGITS, keep), dotted=~small,
         zlen=np.where(small, 1 - xs, 0),
         mask_lo=np.array([(1 << 8 * min(n, 8)) - 1 for n in range(16)], _U8),

@@ -446,6 +446,31 @@ class TestChannelBlocks:
                 assert est.generalized.tobytes() == ref.generalized.tobytes()
                 assert est.frequency_hz == ref.frequency_hz
 
+    def test_one_filtered_block_alive(self):
+        # the benchmark's stepped X record (30 cycles per step, 0.5 s rests;
+        # 87 x 24,796): analyze's peak exceeds one block's filtfilt by the
+        # window bases and phasors, 0.45 MB, less than one block's output
+        # (0.99 MB, 5 rows).  A block still held while the next is filtered
+        # adds its output: excess 2.43 MB against a 1.98 MB block of 10 rows
+        resp, force, program, layout, _ = bundled_noise_free(
+            "stepped_x", duration_per_step=None, cycles_per_step=30.0, rest_gap=0.5
+        )
+        coeffs = dsp.design_bandpass(5, 1.0, 25.0, resp.sample_rate)
+        n = resp.values.shape[1]
+        rows = dsp.block_rows(coeffs, n)
+        block = replace(resp, values=resp.values[:rows], labels=resp.labels[:rows], units=resp.units[:rows])
+        peaks = []
+        for run in (lambda: dsp.filtfilt(coeffs, block), lambda: analyze(resp, force, program, layout)):
+            run()   # once untraced: caches, such as the filter's operators
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 1 < rows < len(resp) and n > 20_000
+        assert peaks[1] - peaks[0] < rows * n * 8, f"excess {(peaks[1] - peaks[0]) / 1e6:.2f} MB"
+
     def test_analyze_holds_no_filtered_copy(self, small_setup):
         # a 60-channel x 60,000-sample record (29 MB), several times the
         # filter's block scratch: analyze's peak traced allocation stays

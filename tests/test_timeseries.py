@@ -179,6 +179,16 @@ class TestCellKernel:
         tss = TimeSeriesSet(start, 0.5, np.array([[1.0, -2.5e-7, 3e20]]), ("a",), ("m",))
         assert serialize_timeseries_csv(tss) == plain_csv(tss)
 
+    def test_digit_tables_equal_their_text_construction(self):
+        # four[n]: the ASCII of f"{n:04d}" as a little-endian word; zeros[n]:
+        # its count of trailing '0', built from the text of each n
+        tab = timeseries._cell_tables.__wrapped__()
+        text = [f"{n:04d}" for n in range(10_000)]
+        four = np.frombuffer("".join(text).encode("ascii"), "<u4").astype(timeseries._U8)
+        zeros = np.array([4 - len(s.rstrip("0")) for s in text])
+        assert tab.four.dtype == four.dtype and tab.four.tobytes() == four.tobytes()
+        assert tab.zeros.dtype == zeros.dtype and tab.zeros.tobytes() == zeros.tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_record_matches_plain_python(self, record_io_processes, n):
         values = np.random.default_rng(11).standard_normal((5, 1500)) * np.logspace(-9, 3, 5)[:, None]
@@ -317,6 +327,23 @@ class TestParseEdges:
         with pytest.raises(SpacingError) as exc:
             parse_timeseries_csv(record_file(broken_csv("spacing")))
         assert exc.value.row == WORKER_ROWS - 18
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_blocks_of_a_few_rows_change_nothing(self, record_file, record_io_processes, monkeypatch, rows, n):
+        # each process parses and spills its range a block of rows at a
+        # time; blocks that end on comments, blanks or the range's end
+        # change no value, unit or reported row
+        path = record_file(messy_csv())
+        record_io_processes(1)
+        whole = parse_timeseries_csv(path)
+        broken = {kind: parse_outcome(record_file(broken_csv(kind))) for kind in ("bad_cell", "short_row", "nan")}
+        monkeypatch.setattr(timeseries, "_FILL_ROWS", rows)
+        record_io_processes(n)
+        again = parse_timeseries_csv(path)
+        assert again.values.tobytes() == whole.values.tobytes() and again.units == whole.units
+        for kind, outcome in broken.items():
+            assert parse_outcome(record_file(broken_csv(kind))) == outcome
 
 
 #: 589 samples: not a multiple of 2 or 3, so a split's ranges differ in length
@@ -497,6 +524,28 @@ def test_parse_holds_no_copy_of_the_file(record_file, record_io_processes, n):
         tracemalloc.stop()
     assert tss.values.tobytes() == at_14_digits(values).tobytes() and len(forks) == n - 1
     assert peak < os.path.getsize(path)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_parse_holds_one_copy_of_the_record(tmp_path, record_io_processes, n):
+    # a 24-channel x 60,000-sample record, an 11.5 MB matrix.  Each process
+    # spills its rows to a temp file before the matrix exists, so the matrix
+    # is the parse's one large allocation: about 1.17x with the finiteness
+    # check's mask, where holding the parsed rows beside it took 2.1x in one
+    # process and 1.6x over two
+    values = np.random.default_rng(4).standard_normal((24, 60_000))
+    path = tmp_path / "record.csv"
+    with open(path, "wb") as fh:
+        write_timeseries_csv(TimeSeriesSet(0.0, 200.0, values, tuple(f"c{i}" for i in range(24)), ("m",) * 24), fh)
+    forks = record_io_processes(n)
+    tracemalloc.start()
+    try:
+        tss = parse_timeseries_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tss.values.nbytes >= 10e6 and len(forks) == n - 1
+    assert peak <= 1.3 * tss.values.nbytes, f"peak {peak / tss.values.nbytes:.2f}x the matrix"
 
 
 def test_writer_holds_no_copy_of_the_text(tmp_path, record_io_processes):
