@@ -14,8 +14,7 @@ divided by the same projection of the program's drive.  A row gets the
 same bits in any batch, so the analysis applies each window's basis to
 one block of filtered channels at a time (:func:`block_rows`, the
 filter's one block rule).  :func:`fit_sine` is the one-row least-squares
-fit of a sinusoid at a given frequency (:func:`sine_basis`), with its
-explicit residual.
+fit of a sinusoid at a given frequency, with its explicit residual.
 """
 
 from __future__ import annotations
@@ -354,61 +353,36 @@ def _rows(U) -> np.ndarray:
     return np.atleast_2d(np.asarray(U, dtype=float))
 
 
-@dataclass(frozen=True)
-class SineBasis:
-    """One window's linear fit at ``omega`` on its (n, 2) basis
-    (:func:`_basis`)."""
-
-    omega: float
-    basis: np.ndarray
-
-    def coefficients(self, U: np.ndarray) -> np.ndarray:
-        """(C, 2) least-squares coefficients (a, b) of a*basis[:, 0] +
-        b*basis[:, 1] for each row of ``U``: the projections times the pinv
-        of the basis's 2x2 Gram, which is also the minimum-norm fit where
-        sin and cos are nearly collinear (omega*dt near 0 or pi).  A row
-        whose products overflow (or are not finite) gets non-finite values
-        in its own entries; no other row shares them, so none is warned
-        of."""
-        P = np.linalg.pinv(self.basis.T @ self.basis)
-        with np.errstate(all="ignore"):
-            proj = _project(U, self.basis)
-            return proj[:, :1] * P[:, 0] + proj[:, 1:] * P[:, 1]
-
-
-def sine_basis(t, omega: float) -> SineBasis:
-    """The basis of :func:`fit_sine`: the linear fit at angular frequency
-    ``omega`` on the samples ``t``, on the absolute axis (:func:`_phase_at`
-    of the first sample), so the fitted phases are those of absolute time
-    (the sine-fit estimator at a known frequency, Pintelon & Schoukens,
-    *System Identification: A Frequency Domain Approach*, 2012).  FitError
-    unless ``omega`` is positive and the samples cover >= 3 of its
-    cycles."""
-    omega = float(omega)
-    t = np.asarray(t, dtype=float)
-    f = omega / (2.0 * math.pi)
+def fit_sine(ts: TimeSeries, f: float) -> SineFit:
+    """Fit amplitude and phase of a single sinusoid at ``f`` Hz: the
+    linear fit at omega = 2*pi*f on the window's (n, 2) basis
+    (:func:`_basis`), on the absolute axis (:func:`_phase_at` of the first
+    sample), so the fitted phase is that of absolute time (the sine-fit
+    estimator at a known frequency, Pintelon & Schoukens, *System
+    Identification: A Frequency Domain Approach*, 2012).  The coefficients
+    are the row's projections times the pinv of the basis's 2x2 Gram,
+    which is also the minimum-norm fit where sin and cos are nearly
+    collinear (omega*dt near 0 or pi); the RMS is that of the explicit
+    residual, the row minus its fitted sine.  FitError unless ``f`` is
+    finite and positive and the samples cover >= 3 of its cycles."""
     if not 0.0 < f < math.inf:
         raise FitError(f"fit frequency must be finite and positive, got {f} Hz")
+    omega = 2.0 * math.pi * float(f)
+    t = ts.times()
     span = float(t[-1] - t[0])
     if span * f < 3.0:
         raise FitError(f"window covers {span * f:.2f} cycles of {f} Hz; need >= 3")
-    dt = span / (len(t) - 1)
-    return SineBasis(omega, _basis(omega, float(_phase_at(omega, float(t[0]))), dt, len(t)))
-
-
-def fit_sine(ts: TimeSeries, f: float) -> SineFit:
-    """Fit amplitude and phase of a single sinusoid at ``f`` Hz: the
-    linear fit on :func:`sine_basis` at 2*pi*f, with the RMS of the
-    explicit residual, the row minus its fitted sine."""
-    fit = sine_basis(ts.times(), 2.0 * math.pi * f)
+    basis = _basis(omega, float(_phase_at(omega, float(t[0]))), span / (len(t) - 1), len(t))
+    P = np.linalg.pinv(basis.T @ basis)
     u = _rows(ts.values)
-    coef = fit.coefficients(u)
-    (a, b), = coef
     with np.errstate(all="ignore"):
+        proj = _project(u, basis)
+        coef = proj[:, :1] * P[:, 0] + proj[:, 1:] * P[:, 1]
+        (a, b), = coef
         amplitude, phase = np.hypot(a, b), _wrap_phase(np.arctan2(b, a))
-        r = u - coef @ fit.basis.T
+        r = u - coef @ basis.T
         (rms,) = np.sqrt(np.einsum("cn,cn->c", r, r) / u.shape[1])
-    return SineFit(float(amplitude), fit.omega, float(phase), float(rms))
+    return SineFit(float(amplitude), omega, float(phase), float(rms))
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,11 @@ from .errors import (
     ParseError,
     RankError,
 )
-from .simulator.model import influence_matrix
+from .simulator.model import DOF_NAMES, influence_matrix
+from .simulator.sensors import AXIS_NAMES
 from .timeseries import SensorLayout, TimeSeriesSet, _freeze
 
-GENERALIZED_AXES = ("dx", "dy", "dz", "rx", "ry", "rz")
+GENERALIZED_AXES = DOF_NAMES
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,7 @@ def rigid_rows(position: np.ndarray) -> np.ndarray:
     return _ROWS_AT_ORIGIN + (p @ _ROWS_PER_METRE).reshape(p.shape[:-1] + (3, 6))
 
 
-AXIS_ROW = {"x": 0, "y": 1, "z": 2}
+AXIS_ROW = {axis: row for row, axis in enumerate(AXIS_NAMES)}
 
 
 def rigid_map(channels, layout: SensorLayout) -> np.ndarray:

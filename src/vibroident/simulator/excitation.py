@@ -200,7 +200,7 @@ def load_program(source) -> ExcitationProgram:
                 frequencies=tuple(sp["frequencies"]),
                 duration_per_step=sp.get("duration_per_step"),
                 cycles_per_step=sp.get("cycles_per_step"),
-                rest_gap=float(sp.get("rest_gap", 5.0)),
+                rest_gap=float(sp.get("rest_gap", SteppedSpec.rest_gap)),
             )
         if "sweep" in doc:
             sw = doc["sweep"]
@@ -212,8 +212,8 @@ def load_program(source) -> ExcitationProgram:
             force_points=points,
             stepped=stepped,
             sweep=sweep,
-            dof_excited=doc.get("dof_excited", "X"),
-            name=doc.get("name", "program"),
+            dof_excited=doc.get("dof_excited", ExcitationProgram.dof_excited),
+            name=doc.get("name", ExcitationProgram.name),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad program document: {exc}") from exc

@@ -170,7 +170,7 @@ def load_model(source) -> RigidBlockModel:
                 attach=np.asarray(sp["attach"], dtype=float),
                 direction=np.asarray(sp["dir"], dtype=float),
                 k=float(sp["k"]),
-                c=float(sp.get("c", 0.0)),
+                c=float(sp.get("c", SpringElement.c)),
             )
             for sp in doc["springs"]
         )
@@ -179,7 +179,7 @@ def load_model(source) -> RigidBlockModel:
             inertia=np.asarray(doc["inertia"], dtype=float),
             springs=springs,
             cg=np.asarray(doc.get("cg", [0.0, 0.0, 0.0]), dtype=float),
-            name=doc.get("name", "block"),
+            name=doc.get("name", RigidBlockModel.name),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model document: {exc}") from exc

@@ -207,35 +207,30 @@ def _worker_count(cells: int) -> int:
 
 
 @contextlib.contextmanager
-def _forked(ranges, send):
-    """Run ``send(lo, hi, out)`` for each ``(lo, hi)`` pair of ``ranges``
-    in its own forked child, which writes raw bytes to ``out``, an unnamed
-    temp file (its spill file, opened before the fork), and ends with
-    ``os._exit``: 0 once ``send`` returned, 1 if it raised.
+def _forked(ranges, send, first):
+    """Run ``send(lo, hi, out)`` for each ``(lo, hi)`` pair of ``ranges``:
+    the first in this process into the binary file ``first``, every other
+    in its own forked child into its spill file, an unnamed temp file
+    opened before the fork.  A child ends with ``os._exit``: 0 once
+    ``send`` returned, 1 if it raised.  Nothing is pickled, and a child
+    never waits for a reader.
 
-    Yields ``join``: the caller works on its own share first, then calls
-    ``join()``, which reaps every child and returns their spill files,
-    rewound, in ``ranges`` order.  Nothing is pickled, and a child never
-    waits for a reader.  ``join`` raises ChildProcessError if a child did
-    not exit 0, so output of a worker that did not finish is never read; a
-    temp file or fork that fails raises OSError.  Leaving the block kills
-    and reaps every child not yet joined, then closes the spill files.
+    One failure rule: a range whose fork raised OSError, or whose child
+    did not exit 0, is sent again by this process into its emptied spill
+    file, so a failed worker costs its own range only and no byte it wrote
+    is read.  An error of ``send`` here, or a temp file that cannot be
+    made, propagates.  Yields the spill files, rewound, in ``ranges``
+    order; leaving the block kills and reaps every child not yet reaped,
+    then closes the spill files.
     """
     spills, pids = [], []
-
-    def join():
-        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
-        pids.clear()
-        if failed:
-            raise ChildProcessError(f"{failed} forked worker(s) did not exit 0")
-        for spill in spills:
-            spill.seek(0)
-        return spills
-
     try:
-        for lo, hi in ranges:
+        for lo, hi in ranges[1:]:
             spills.append(tempfile.TemporaryFile())
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = None
             if pid == 0:
                 code = 1
                 try:
@@ -245,9 +240,18 @@ def _forked(ranges, send):
                 finally:
                     os._exit(code)
             pids.append(pid)
-        yield join
+        send(*ranges[0], first)
+        for k, ((lo, hi), spill) in enumerate(zip(ranges[1:], spills)):
+            failed = pids[k] is None or os.waitpid(pids[k], 0)[1] != 0
+            pids[k] = None
+            if failed:
+                spill.seek(0)
+                spill.truncate()
+                send(lo, hi, spill)
+            spill.seek(0)
+        yield spills
     finally:
-        for pid in pids:
+        for pid in filter(None, pids):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for spill in spills:
@@ -392,16 +396,16 @@ def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> tuple[np.nd
     row 0 the times, row c the channel of column c; and the lines that
     hold ``units:``, in file order.
 
-    Each ``(start, stop)`` byte range is parsed by its own process, the
-    first by this one and every other by a forked worker.  Each writes to
-    an unnamed temp file of its own (the workers' spill files) its row
-    count (written last, into 8 bytes reserved at the start), then its
-    rows, row-major, one ``_row_blocks`` block at a time, then its
-    ``units:`` lines, so no process holds its range's rows whole.
-    Once every worker has exited 0, the matrix is allocated and filled
+    Each ``(start, stop)`` byte range is parsed by its own process
+    (:func:`_forked`), the first by this one and every other by a forked
+    worker.  Each writes to an unnamed temp file of its own (the workers'
+    spill files) its row count (written last, into 8 bytes reserved at the
+    start), then its rows, row-major, one ``_row_blocks`` block at a time,
+    then its ``units:`` lines, so no process holds its range's rows whole.
+    Once every range is in its file, the matrix is allocated and filled
     from the files in range order, ``_FILL_ROWS`` rows at a time through
     one buffer, each transposed into place.  ValueError as from
-    ``_row_blocks``; OSError if a worker or a temp file fails.
+    ``_row_blocks``; OSError if a temp file fails or reads short.
     """
 
     def send(start, stop, out):
@@ -415,13 +419,12 @@ def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> tuple[np.nd
         out.seek(0)
         out.write(count.to_bytes(8, "little"))
 
-    with _forked(ranges[1:], send) as join, tempfile.TemporaryFile() as mine:
-        send(*ranges[0], mine)
+    with tempfile.TemporaryFile() as mine, _forked(ranges, send, mine) as spills:
         mine.seek(0)
-        spills = [mine, *join()]
+        spills = [mine, *spills]
         heads = [spill.read(8) for spill in spills]
         if any(len(head) != 8 for head in heads):
-            raise ChildProcessError("short row count in a record parse's temp file")
+            raise OSError("short row count in a record parse's temp file")
         counts = [int.from_bytes(head, "little") for head in heads]
         cols = np.empty((ncol, sum(counts)))
         buf = np.empty((min(_FILL_ROWS, max(counts)), ncol))
@@ -431,7 +434,7 @@ def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> tuple[np.nd
             for lo in range(row, row + count, _FILL_ROWS):
                 part = buf[: row + count - lo]
                 if spill.readinto(part) != part.nbytes:
-                    raise ChildProcessError("short read from a record parse's temp file")
+                    raise OSError("short read from a record parse's temp file")
                 cols[:, lo : lo + len(part)] = part.T
             row += count
             found.extend(filter(None, spill.read().decode("utf-8").split("\n")))
@@ -461,9 +464,12 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
     its own process (forked workers and the parent), whose data lines go to
     ``np.loadtxt`` one at a time, in blocks of rows that are spilled to a
     temp file before the record's matrix is allocated, and which finds the
-    ``units:`` lines of its own pieces.  Any failure re-parses the whole
-    file in this process; the file is read a second time, to find row
-    numbers or on that re-parse, on the error paths only.
+    ``units:`` lines of its own pieces.  A range whose worker failed is
+    parsed again here (:func:`_forked`).  A range that does not parse
+    sends the whole file to a cell-by-cell re-scan in this process, which
+    reports the exact row or accepts what ``float()`` accepts; the file is
+    read a second time, on that re-scan or to find a row number, on the
+    error paths only.  OSError if a temp file cannot be made.
     """
     file_units: dict[str, str] = {}
     read: list[tuple[int, int]] = []
@@ -495,20 +501,14 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
             nl = next(pieces, b"").find(b"\n")
         cuts.append(size if nl < 0 else max(at + nl + 1, cuts[-1]))
     cuts.append(size)
-    cols = None
-    if parts > 1:
-        # only the fast path is split: any failure re-runs the whole file here
-        with contextlib.suppress(ValueError, OSError):
-            cols, found = _load_columns(path, list(zip(cuts, cuts[1:])), ncol)
-    if cols is None:
-        try:
-            cols, found = _load_columns(path, [(start, size)], ncol)
-        except ValueError:
-            # re-scan: report the exact row, or accept what float() accepts
-            file_units, found = {}, []
-            with contextlib.closing(_content_lines(path, file_units)) as content:
-                rows = _parse_cells(itertools.islice(content, 1, None), ncol)
-            cols = np.ascontiguousarray(rows.T)
+    try:
+        cols, found = _load_columns(path, list(zip(cuts, cuts[1:])), ncol)
+    except ValueError:
+        # re-scan: report the exact row, or accept what float() accepts
+        file_units, found = {}, []
+        with contextlib.closing(_content_lines(path, file_units)) as content:
+            rows = _parse_cells(itertools.islice(content, 1, None), ncol)
+        cols = np.ascontiguousarray(rows.T)
     # the ranges start after the header; a units line between the header
     # and the first data row, seen twice, gives the same units
     for line in found:
@@ -744,7 +744,7 @@ _COPY_BYTES = 1 << 20
 
 
 def write_timeseries_csv(tss: TimeSeriesSet, fh) -> None:
-    """Write the record into the seekable binary file ``fh`` as UTF-8 CSV,
+    """Write the record into the binary file ``fh`` as UTF-8 CSV,
     the inverse of :func:`parse_timeseries_csv`: the time column as
     ``repr``, so the start time and the inferred rate round-trip exactly,
     and every data cell as ``'%.14g' % v`` (``_CELL_DIGITS``).  Parsing the
@@ -755,12 +755,12 @@ def write_timeseries_csv(tss: TimeSeriesSet, fh) -> None:
     time cell; one ``bytes.translate`` drops the padding and the block goes
     straight to its file, so no process holds the text of a record or of a
     range.  A large record is written over up to ``min(CPUs, 4)``
-    processes: this one writes the header and the first range of rows into
-    ``fh``, forked workers write the other ranges into their spill files,
-    and once every worker has exited 0 those are appended in range order,
-    ``_COPY_BYTES`` at a time; the bytes are the same as from one process.
-    If a worker fails, ``fh`` is truncated back to where the record started
-    and the whole record is written here, so no partial text is left.
+    processes (:func:`_forked`): this one writes the header and the first
+    range of rows into ``fh``, forked workers write the other ranges into
+    their spill files, a range whose worker failed is written again here,
+    and the spill files are appended in range order, ``_COPY_BYTES`` at a
+    time; the bytes are the same as from one process.  OSError if a spill
+    file cannot be made.
     """
     t, values = tss.times(), tss.values
     channels = len(tss)
@@ -786,19 +786,10 @@ def write_timeseries_csv(tss: TimeSeriesSet, fh) -> None:
     n = len(t)
     step = -(-n // _worker_count(n + values.size))
     ranges = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    start = fh.tell()
-    try:
-        with _forked(ranges[1:], rows) as join:
-            fh.write(head)
-            rows(*ranges[0], fh)
-            for spill in join():
-                shutil.copyfileobj(spill, fh, _COPY_BYTES)
-    except OSError:
-        # a worker failed: the whole record in this process, never a partial text
-        fh.seek(start)
-        fh.truncate()
-        fh.write(head)
-        rows(0, n, fh)
+    fh.write(head)
+    with _forked(ranges, rows, fh) as spills:
+        for spill in spills:
+            shutil.copyfileobj(spill, fh, _COPY_BYTES)
 
 
 def serialize_timeseries_csv(tss: TimeSeriesSet) -> bytes:

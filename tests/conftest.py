@@ -42,12 +42,17 @@ def failing_workers(monkeypatch):
     its bytes into its spill file: it exits 1 after all of them
     (``"exit_1_after_all_bytes"``) or after half of them
     (``"exit_1_after_half"``), or it is killed by SIGKILL after all of them
-    (``"sigkill"``).  The parent must then read none of them."""
+    (``"sigkill"``).  The parent, which sends its own range and every
+    failed worker's range itself, is left alone; it must read none of the
+    failed workers' bytes."""
     forked = timeseries._forked
+    parent = os.getpid()
 
     def use(fault):
-        def faulty(ranges, send):
+        def faulty(ranges, send, first):
             def failing_send(lo, hi, out):
+                if os.getpid() == parent:
+                    return send(lo, hi, out)
                 buf = io.BytesIO()
                 send(lo, hi, buf)
                 data = buf.getvalue()
@@ -57,7 +62,7 @@ def failing_workers(monkeypatch):
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise RuntimeError("worker fails after writing")
 
-            return forked(ranges, failing_send)
+            return forked(ranges, failing_send, first)
 
         monkeypatch.setattr(timeseries, "_forked", faulty)
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vibroident
-from vibroident import cli
+from vibroident import cli, timeseries
 from vibroident.cli import _atomic_write, config_hash, load_run_config, main
 from vibroident.timeseries import TimeSeriesSet, parse_timeseries_csv, serialize_timeseries_csv
 
@@ -909,9 +909,9 @@ def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processe
 
 @pytest.mark.parametrize("fault", ["exit_1_after_all_bytes", "exit_1_after_half", "sigkill"])
 def test_simulate_with_failed_workers_writes_whole_records(workdir, record_io_processes, failing_workers, tmp_path, fault):
-    # every forked writer fails after spilling its range: the records are
-    # rewritten in one process over the truncated files, and no temp or
-    # partial file is left beside them
+    # every forked writer fails after spilling its range: the parent writes
+    # each failed range again, and no temp or partial file is left beside
+    # the records
     cfg = str(workdir / "cfg.json")
     record_io_processes(1)
     assert main(["simulate", "-c", cfg, "-o", str(tmp_path / "one")]) == 0
@@ -923,6 +923,21 @@ def test_simulate_with_failed_workers_writes_whole_records(workdir, record_io_pr
     assert sorted(p.name for p in (tmp_path / "split").iterdir()) == names
     for name in names:
         assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+
+def test_simulate_without_spill_files_exits_5_and_leaves_no_file(workdir, record_io_processes, monkeypatch, tmp_path):
+    # a record split over workers needs their spill files: if none can be
+    # made, simulate fails with the I/O code and leaves nothing behind
+    def refuse(*args, **kwargs):
+        raise OSError("no temp file")
+
+    record_io_processes(3)
+    monkeypatch.setattr(timeseries.tempfile, "TemporaryFile", refuse)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["simulate", "-c", str(workdir / "cfg.json"), "-o", str(tmp_path / "out")]) == 5
+    assert "no temp file" in err.getvalue()
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -16,7 +16,6 @@ from vibroident.dsp import (
     filtfilt,
     fit_sine,
     hann_basis,
-    sine_basis,
 )
 from vibroident.errors import DesignError, FilterError, FitError
 from vibroident.timeseries import TimeSeries, TimeSeriesSet
@@ -318,54 +317,24 @@ def batch_rows(t, seed=17):
 W8 = 2 * np.pi * 8.0
 
 
-def fitted_phasors(t, U, omega):
-    """The complex amplitude of each row's fit on :func:`sine_basis`."""
-    a, b = sine_basis(t, omega).coefficients(U).T
-    return np.hypot(a, b) * np.exp(1j * np.arctan2(b, a))
-
-
-def explicit_residual_rms(t, U, omega):
-    """RMS of each row minus the sine of its fit on :func:`sine_basis`."""
-    phasor = fitted_phasors(t, U, omega)
-    r = U - np.abs(phasor)[:, None] * np.sin(omega * t + np.angle(phasor)[:, None])
-    return np.sqrt(np.mean(r * r, axis=1))
-
-
-def estimators(t):
-    """Row maps on the samples ``t``: the analysis window's Hann projection
-    at 8 Hz relative to a unit sine, and :func:`fit_sine`'s coefficients
-    at 8 Hz."""
-    t0, t1 = t[0] + 0.01, t[-1] - 0.01
-    return {
-        "sine": sine_basis(t, W8).coefficients,
-        "hann": hann_basis(t, np.sin(W8 * t), W8, t0, t1).phasors,
-    }
+def window_phasors(t):
+    """The analysis window's row map on the samples ``t``: its Hann
+    projection at 8 Hz relative to a unit sine."""
+    return hann_basis(t, np.sin(W8 * t), W8, t[0] + 0.01, t[-1] - 0.01).phasors
 
 
 class TestFitSines:
-    """The rows of one window on one basis, :meth:`SineBasis.coefficients`
-    and :meth:`HannBasis.phasors`, row by row."""
-
-    def test_rows_match_single_row_fits(self):
-        t = 312.4 + np.arange(1201) / 200.0
-        U = batch_rows(t)
-        basis = sine_basis(t, W8)
-        phasors = fitted_phasors(t, U, W8)
-        assert phasors.shape == (len(U),)
-        for row, u in enumerate(U):
-            single = fit_sine(TimeSeries(t[0], 200.0, u), 8.0)
-            assert basis.omega == single.omega
-            assert abs(phasors[row]) == pytest.approx(single.amplitude, rel=1e-12, abs=1e-300)
-            assert phasors[row] == pytest.approx(single.phasor, rel=1e-12, abs=1e-300)
+    """The rows of one window through :meth:`HannBasis.phasors`, row by
+    row, and :func:`fit_sine` on one row."""
 
     def test_rows_of_a_large_batch_equal_one_row_calls(self):
-        # both row maps; the channel blocks of the analysis rely on the Hann one
+        # the channel blocks of the analysis rely on it
         t = 312.4 + np.arange(1201) / 200.0
         U = np.vstack([batch_rows(t, seed) for seed in range(10)])
-        for rows_of in estimators(t).values():
-            batch = rows_of(U)
-            for row in range(len(U)):
-                assert batch[row : row + 1].tobytes() == rows_of(U[row : row + 1]).tobytes()
+        rows_of = window_phasors(t)
+        batch = rows_of(U)
+        for row in range(len(U)):
+            assert batch[row : row + 1].tobytes() == rows_of(U[row : row + 1]).tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degenerate_rows_leave_the_other_rows_unchanged(self):
@@ -381,9 +350,9 @@ class TestFitSines:
             np.full(t.size, np.nan),
         ])
         rows = slice(3, 3 + len(normal))
-        for rows_of in estimators(t).values():
-            mixed = rows_of(np.vstack([degenerate[:3], normal, degenerate[3:]]))
-            assert mixed[rows].tobytes() == rows_of(normal).tobytes()
+        rows_of = window_phasors(t)
+        mixed = rows_of(np.vstack([degenerate[:3], normal, degenerate[3:]]))
+        assert mixed[rows].tobytes() == rows_of(normal).tobytes()
 
     def test_residual_is_that_of_the_returned_parameters(self):
         t = 40.0 + np.arange(801) / 200.0
@@ -393,9 +362,8 @@ class TestFitSines:
             assert fit.residual_rms == pytest.approx(math.sqrt(np.mean(r * r)), rel=1e-6, abs=1e-12)
 
     def test_short_window_raises(self):
-        t = np.arange(50) / 200.0
         with pytest.raises(FitError):
-            sine_basis(t, 2 * np.pi * 10.0)
+            fit_sine(TimeSeries(0.0, 200.0, np.zeros(50)), 10.0)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended long double")
     @given(
@@ -419,40 +387,38 @@ class TestFitSines:
 
 
 class TestFitSinesAt:
-    """:func:`sine_basis` at a known omega."""
+    """:func:`fit_sine` at a known omega."""
 
     def test_noise_free_rows_recover_their_phasors(self):
         # a late window: phases are reported on the absolute axis
         t = 312.4 + np.arange(1201) / 200.0
         w = 2 * np.pi * 8.3
-        amp = np.array([1.0, 2.5, 1e-3, 1e4, 0.0])
-        phase = np.array([0.3, -2.0, 3.1, -0.7, 0.0])
-        U = amp[:, None] * np.sin(w * t + phase[:, None])
-        assert np.max(np.abs(fitted_phasors(t, U, w) - amp * np.exp(1j * phase)) / np.maximum(amp, 1.0)) < 1e-9
-        assert sine_basis(t, w).omega == w
-        # the explicit residual: measured up to 9e-13 of the amplitude
-        assert np.all(explicit_residual_rms(t, U, w) < 1e-11 * np.maximum(amp, 1.0))
+        for amp, phase in zip([1.0, 2.5, 1e-3, 1e4, 0.0], [0.3, -2.0, 3.1, -0.7, 0.0]):
+            fit = fit_sine(TimeSeries(t[0], 200.0, amp * np.sin(w * t + phase)), 8.3)
+            assert fit.omega == w
+            assert abs(fit.phasor - amp * np.exp(1j * phase)) / max(amp, 1.0) < 1e-9
+            # the explicit residual: measured up to 9e-13 of the amplitude
+            r = amp * np.sin(w * t + phase) - fit.amplitude * np.sin(w * t + fit.phase)
+            assert math.sqrt(np.mean(r * r)) < 1e-11 * max(amp, 1.0)
 
     def test_rows_take_one_linear_solve(self):
-        # one linear solve (SineBasis.coefficients) on one basis at the given
-        # omega, once for all rows; a row's one-row fit is that row of it
+        # one linear solve on the basis at the given omega, phased at the
+        # first sample: the projections times the pinv of the 2x2 Gram
         t = 40.0 + np.arange(801) / 200.0
-        U = batch_rows(t)
         w = 2 * np.pi * 8.0
         dt = (t[-1] - t[0]) / (t.size - 1)
-        coef = dsp.SineBasis(w, _basis(w, float(_phase_at(w, t[0])), dt, t.size)).coefficients(U)
-        assert sine_basis(t, w).coefficients(U).tobytes() == coef.tobytes()
-        a, b = coef.T
-        amplitude, phase = np.hypot(a, b), dsp._wrap_phase(np.arctan2(b, a))
-        for row, u in enumerate(U):
+        basis = _basis(w, float(_phase_at(w, t[0])), dt, t.size)
+        P = np.linalg.pinv(basis.T @ basis)
+        for u in batch_rows(t):
+            proj = dsp._project(u[None], basis)
+            a, b = (proj[:, :1] * P[:, 0] + proj[:, 1:] * P[:, 1])[0]
             single = fit_sine(TimeSeries(t[0], 200.0, u), 8.0)
-            assert (single.amplitude, single.phase) == (amplitude[row], phase[row])
+            assert (single.amplitude, single.phase) == (np.hypot(a, b), dsp._wrap_phase(np.arctan2(b, a)))
 
     @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf, 2 * np.pi * 0.4])
     def test_bad_frequency_or_short_window_raises(self, omega):
-        t = np.arange(1201) / 200.0
         with pytest.raises(FitError):
-            sine_basis(t, omega)
+            fit_sine(TimeSeries(0.0, 200.0, np.zeros(1201)), omega / (2 * np.pi))
 
 
 class TestFitSinesDrift:

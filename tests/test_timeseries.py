@@ -478,6 +478,62 @@ class TestRecordIOWorkers:
         assert parse_timeseries_csv(path).values.tobytes() == values
         assert len(forks) == 4
 
+    @pytest.mark.parametrize("fault", ["exit_1_after_all_bytes", "exit_1_after_half", "sigkill"])
+    def test_parent_formats_and_parses_each_row_once(
+        self, record_file, record_io_processes, failing_workers, monkeypatch, fault
+    ):
+        # a failed worker costs its own range: the parent sends that range
+        # again, and no other row, whichever way the worker failed
+        tss = worker_record()
+        record_io_processes(1)
+        text = serialize_timeseries_csv(tss)
+        path = record_file(text)
+        values = parse_timeseries_csv(path).values.tobytes()
+        parent, rows = os.getpid(), {"formatted": 0, "parsed": 0}
+        format_cells, row_blocks = timeseries._format_cells, timeseries._row_blocks
+
+        def counted_format(v, sep, out):
+            if os.getpid() == parent:
+                rows["formatted"] += len(v)
+            format_cells(v, sep, out)
+
+        def counted_blocks(*args):
+            for block in row_blocks(*args):
+                if os.getpid() == parent:
+                    rows["parsed"] += len(block)
+                yield block
+
+        monkeypatch.setattr(timeseries, "_format_cells", counted_format)
+        monkeypatch.setattr(timeseries, "_row_blocks", counted_blocks)
+        failing_workers(fault)
+        forks = record_io_processes(3)
+        assert serialize_timeseries_csv(tss) == text
+        assert parse_timeseries_csv(path).values.tobytes() == values
+        assert rows == {"formatted": WORKER_ROWS, "parsed": WORKER_ROWS} and len(forks) == 4
+
+    def test_refused_fork_gives_the_one_process_results(self, record_file, record_io_processes, monkeypatch):
+        # every range whose fork raised is sent by the parent itself, so
+        # the bytes, the values and a bad cell's error and row are those of
+        # one process
+        tss = worker_record()
+        record_io_processes(1)
+        text = serialize_timeseries_csv(tss)
+        path, broken = record_file(text), record_file(broken_csv("bad_cell"))
+        values, serial = parse_timeseries_csv(path).values.tobytes(), parse_outcome(broken)
+        assert serial[0] is ParseError and serial[2] == WORKER_ROWS - 18
+        record_io_processes(3)
+        refused = []
+
+        def refuse():
+            refused.append(1)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert serialize_timeseries_csv(tss) == text
+        assert parse_timeseries_csv(path).values.tobytes() == values
+        assert parse_outcome(broken) == serial
+        assert len(refused) == 6
+
 
 def test_record_starting_at_rest_is_sized_from_its_line_lengths(record_file, monkeypatch):
     # 24,000 x 5 cells after a first row of zeros an eighth as long as the
