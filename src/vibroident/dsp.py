@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DesignError, FilterError, FitError
 from .recurrence import block_operators, carry
-from .timeseries import TimeSeries, TimeSeriesSet, _veltkamp
+from .timeseries import TimeSeries, TimeSeriesSet
 
 
 @dataclass(frozen=True)
@@ -311,6 +311,13 @@ def filtfilt(coeffs: FilterCoefficients, record: TimeSeries | TimeSeriesSet):
 _TWO_PI_HI = 6.283185243606567
 _TWO_PI_MID = 6.357301884918343e-08
 _TWO_PI_LO = 2.4492935982947064e-16
+
+
+def _veltkamp(x):
+    """Split into a 26-bit head and the exact remainder."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
 
 
 def _phase_at(omega, t0: float) -> np.ndarray:

@@ -178,8 +178,8 @@ def load_model(source) -> RigidBlockModel:
             mass=float(doc["mass"]),
             inertia=np.asarray(doc["inertia"], dtype=float),
             springs=springs,
-            cg=np.asarray(doc.get("cg", [0.0, 0.0, 0.0]), dtype=float),
-            name=doc.get("name", RigidBlockModel.name),
+            # the dataclass's defaults, where the document has no value
+            **{key: doc[key] for key in ("cg", "name") if key in doc},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model document: {exc}") from exc

@@ -187,12 +187,12 @@ class SensorLayout:
 
 #: records with fewer cells than this are written and parsed in one
 #: process.  A fork, spill file and reap cost about 1.7 ms wall and 1.8 ms
-#: CPU per worker (2-vCPU Xeon, Linux, 185 MB parent); at 0.15 us per
-#: written cell and 0.13 us per parsed one, three workers' forks cost 11 %
-#: of the writing and 13 % of the parsing of 300,000 cells, far less than
-#: the half that a second CPU saves.  Below it the split still saves wall
-#: time, for more CPU: a 181,820-cell force record parsed in 20 ms wall and
-#: 33 ms CPU over two processes, 26 ms and 26 ms in one.
+#: CPU per worker (2-vCPU Xeon, Linux, 185 MB parent); at 0.08 us per
+#: written cell and 0.10 us per parsed one (7-digit cells), three workers'
+#: forks cost 21 % of the writing and 17 % of the parsing of 300,000 cells,
+#: far less than the half that a second CPU saves.  Below it the split
+#: still saves wall time, for more CPU: a 181,820-cell force record parsed
+#: in 20 ms wall and 33 ms CPU over two processes, 26 ms and 26 ms in one.
 _FORK_MIN_CELLS = 300_000
 #: most processes, the parent included, that write or parse one record
 _MAX_WORKERS = 4
@@ -549,16 +549,15 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
 
 #: cells, the time column's included, that the record writer formats at once
 _WRITE_CELLS = 1 << 14
-#: significant digits of each written data cell.  14 digits are far finer
-#: than the 1e-3 m/s^2 sensor noise (real loggers write 7), and they keep
-#: CPython's float parser on its exact fast path (Clinger: at most 15
-#: digits), which ``repr``'s 17 leave at 1.8x the cost per parsed cell.
-#: The writer's kernel, ``_format_cells``, lays out exactly this many.
-_CELL_DIGITS = 14
-#: magnitudes whose cells the kernel decides itself: for them every term of
-#: the double-double product |v| * 10**(13 - X) is a normal double.  Zeros
+#: significant digits of each written data cell, a data logger's: a 24-bit
+#: converter resolves about 7.2, and the default sensor noise of 1e-3 m/s^2
+#: is about the size of a typical cell.  The writer's kernel,
+#: ``_format_cells``, lays out exactly this many.
+_CELL_DIGITS = 7
+#: magnitudes whose cells the kernel decides itself: for them the power
+#: 10**(6 - X) and the product |v| * 10**(6 - X) are normal doubles.  Zeros
 #: are written natively too; nan, inf, subnormals and the extremes by
-#: ``'%.14g'``
+#: ``'%.7g'``
 _KERNEL_RANGE = (1e-280, 1e280)
 #: the decimal exponents X of kernel cells lie in [-281, 281]; the tables
 #: are indexed by X + _X_OFFSET
@@ -566,58 +565,36 @@ _X_OFFSET = 281
 _U8 = np.dtype("<u8")
 
 
-def _veltkamp(x):
-    """Split into a 26-bit head and the exact remainder."""
-    c = 134217729.0 * x
-    hi = c - (c - x)
-    return hi, x - hi
-
-
 @functools.cache
 def _cell_tables() -> SimpleNamespace:
     """The tables of ``_format_cells``, built on the first record write.
 
-    By X + _X_OFFSET, for p = 13 - X: ``hi + lo`` is 10**p to about
-    2**-106, ``hi`` correctly rounded and ``lo`` the correctly rounded rest
-    (exact integer arithmetic), and ``hi`` is split into ``head`` and
-    ``tail`` by ``_veltkamp``.  ``four[n]`` is the ASCII of ``f"{n:04d}"`` as a
-    little-endian word and ``zeros[n]`` its count of trailing '0'.  Also by
-    X + _X_OFFSET: ``keep``, the fewest leading digits written; ``dot``, the
-    digit a '.' goes before; ``dotted``, whether one may; ``zlen``, the
-    length of the "0.00" prefix of fixed notation below 1.  By byte count
-    or position in a 14-digit mantissa: ``mask_lo``/``mask_hi`` keep its
-    first n bytes, ``dot_lo``/``dot_hi`` are a '.' at byte q.  ``prefix``
-    is "-" and "0.000"[:zlen], by 6 * sign + zlen.
+    By X + _X_OFFSET: ``power``, 10**(6 - X) correctly rounded; ``keep``,
+    the fewest leading digits written; ``dot``, the digit a '.' goes before;
+    ``dotted``, whether one may; ``zlen``, the length of the "0.00" prefix
+    of fixed notation below 1.  ``four[n]`` is the ASCII of ``f"{n:04d}"``
+    as a little-endian word and ``zeros[n]`` its count of trailing '0'.  By
+    byte count or position in a 7-digit mantissa: ``mask`` keeps its first
+    n bytes, ``point`` is a '.' at byte q.  ``prefix`` is "-" and
+    "0.000"[:zlen], by 6 * sign + zlen.
     """
-    hi, lo = [], []
-    for p in range(13 + _X_OFFSET, 12 - _X_OFFSET, -1):
-        if p >= 0:
-            hi.append(float(10**p))
-            lo.append(float(10**p - int(hi[-1])))
-        else:
-            q = 10**-p
-            hi.append(1 / q)
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * q) / (den * q))
-    hi = np.array(hi)
-    head, tail = _veltkamp(hi)
+    xs = np.arange(-_X_OFFSET, _X_OFFSET + 1)
+    # int -> float and int / int are correctly rounded
+    power = np.array([float(10 ** (6 - x)) if x <= 6 else 1 / 10 ** (x - 6) for x in xs.tolist()])
     # the four decimal digits of each n < 10**4, most significant first
     k = np.arange(10_000)[:, None]
     digits = k // np.array([1000, 100, 10, 1]) % 10
-    xs = np.arange(-_X_OFFSET, _X_OFFSET + 1)
     fixed = (xs >= -4) & (xs < _CELL_DIGITS)
     small = fixed & (xs < 0)
     keep = np.where(small, 0, np.where(fixed, xs + 1, 1))
     return SimpleNamespace(
-        hi=hi, head=head, tail=tail, lo=np.array(lo),
+        power=power,
         four=((digits + ord("0")) << np.array([0, 8, 16, 24])).sum(axis=1).astype(_U8),
         zeros=(k % np.array([10, 100, 1000, 10_000]) == 0).sum(axis=1),
         keep=keep, dot=np.where(small, _CELL_DIGITS, keep), dotted=~small,
         zlen=np.where(small, 1 - xs, 0),
-        mask_lo=np.array([(1 << 8 * min(n, 8)) - 1 for n in range(16)], _U8),
-        mask_hi=np.array([(1 << 8 * max(n - 8, 0)) - 1 for n in range(16)], _U8),
-        dot_lo=np.array([ord(".") << 8 * q if q < 8 else 0 for q in range(16)], _U8),
-        dot_hi=np.array([ord(".") << 8 * (q - 8) if q >= 8 else 0 for q in range(16)], _U8),
+        mask=np.array([(1 << 8 * n) - 1 for n in range(8)], _U8),
+        point=np.array([ord(".") << 8 * q for q in range(8)], _U8),
         prefix=np.array(
             [int.from_bytes(("-" * neg + "0.000"[:z]).encode(), "little") for neg in (0, 1) for z in range(6)],
             _U8,
@@ -625,28 +602,20 @@ def _cell_tables() -> SimpleNamespace:
     )
 
 
-def _correction(a: np.ndarray, xi: np.ndarray, p: np.ndarray, tab: SimpleNamespace) -> np.ndarray:
-    """What to add to ``p = a * tab.hi[xi]`` for the exact product
-    a * 10**(13 - X), X = xi - _X_OFFSET, to about 2**-104 of it: the
-    rounding error of ``p`` (Dekker's product) plus a * ``lo``."""
-    head, tail = tab.head[xi], tab.tail[xi]
-    ah, al = _veltkamp(a)
-    return (((ah * head - p) + ah * tail + al * head) + al * tail) + a * tab.lo[xi]
-
-
 def _format_cells(v: np.ndarray, sep: np.ndarray, out: np.ndarray) -> None:
-    """Write ``'%.14g' % v`` and the column's separator byte ``sep[c]`` into
-    the 24 bytes of ``out[r, c]``, three ``'<u8'`` words, zero-padded.
+    """Write ``'%.7g' % v`` and the column's separator byte ``sep[c]`` into
+    the 16 bytes of ``out[r, c]``, two ``'<u8'`` words, zero-padded.
 
     ``v`` is a C-ordered ``(rows, C)`` block.  Each cell's decimal exponent
-    X comes from ``log10``, corrected wherever the scaled mantissa falls
-    outside [1e13, 1e14); the 14-digit mantissa is the double-double
-    product rounded to the nearest integer, its digits come from a 4-digit
-    table, and the text is laid out in the words: sign, "0.00" prefix,
-    digits with the dot, trailing zeros trimmed, ``e±XX[X]`` and the
-    separator.  Cells the kernel cannot decide exactly (outside
-    ``_KERNEL_RANGE`` and not zero, or within 1e-7 of a rounding tie) are
-    written by ``'%.14g'``.
+    X comes from ``log10``, corrected wherever the scaled mantissa
+    p = |v| * 10**(6 - X) falls outside [1e6, 1e7).  p is one product with
+    a correctly rounded power, within 3e-9 of exact, and the 7-digit
+    mantissa is p rounded to the nearest integer.  Its digits come from one
+    3-digit and one 4-digit lookup, and the text is laid out in the words:
+    sign, "0.00" prefix, digits with the dot, trailing zeros trimmed,
+    ``e±XX[X]`` and the separator.  Cells the kernel cannot decide exactly
+    (outside ``_KERNEL_RANGE`` and not zero, or within 1e-7 of a rounding
+    tie) are written by ``'%.7g'``.
     """
     tab = _cell_tables()
     a = np.abs(v)
@@ -654,73 +623,50 @@ def _format_cells(v: np.ndarray, sep: np.ndarray, out: np.ndarray) -> None:
     native = (a >= _KERNEL_RANGE[0]) & (a <= _KERNEL_RANGE[1])
     a[~native] = 1.0
     xi = (np.floor(np.log10(a)) + _X_OFFSET).astype(np.intp)
-    p = a * tab.hi[xi]
-    off = np.flatnonzero((p < 1e13) | (p >= 1e14))
+    p = a * tab.power[xi]
+    off = np.flatnonzero((p < 1e6) | (p >= 1e7))
     if off.size:
-        xi.flat[off] += np.where(p.flat[off] < 1e13, -1, 1)
-        p.flat[off] = a.flat[off] * tab.hi[xi.flat[off]]
-    bad = ~(native | zero) | (p < 1e13) | (p > 1e14)
+        xi.flat[off] += np.where(p.flat[off] < 1e6, -1, 1)
+        p.flat[off] = a.flat[off] * tab.power[xi.flat[off]]
     m = np.rint(p)
-    # p is within 0.02 of the exact product, which therefore rounds to
-    # another integer than p only where p is within 0.05 of a tie
-    near = np.flatnonzero(np.abs(p - m) > 0.45)
-    if near.size:
-        pn, mn = p.flat[near], m.flat[near]
-        frac = (pn - mn) + _correction(a.flat[near], xi.flat[near], pn, tab)
-        m.flat[near] = mn + (frac > 0.5) - (frac < -0.5)
-        bad.flat[near[np.abs(np.abs(frac) - 0.5) < 1e-7]] = True
-    fallback = np.flatnonzero(bad)
-    # a mantissa rounded up to 10**14 is 10**13 of the next decade
-    carry = m == 1e14
+    # the exact product rounds to another integer than p only where p is
+    # within 3e-9 of a tie
+    fallback = np.flatnonzero(~(native | zero) | (p < 1e6) | (p > 1e7) | (np.abs(p - m) > 0.5 - 1e-7))
+    # a mantissa rounded up to 10**7 is 10**6 of the next decade
+    carry = m == 1e7
     xi += carry
-    m = (m - 9e13 * carry).astype(np.int64)
+    m = (m - 9e6 * carry).astype(np.int64)
 
-    # the 14 digits as ASCII, first digit in the lowest byte of `lo`
-    d0 = m // 10**12
-    m -= d0 * 10**12
-    d1 = m // 10**8
-    m -= d1 * 10**8
-    d2 = m // 10**4
-    d3 = m - d2 * 10**4
-    four = tab.four
-    f2 = four[d2]
-    lo = (four[d0] >> 16) | (four[d1] << 16) | (f2 << 48)
-    lo -= zero   # zero went through as 1.0: its "1" becomes "0"
-    hi = (f2 >> 16) | (four[d3] << 16)
-    k = _CELL_DIGITS - tab.zeros[d3]
-    more = np.flatnonzero(d3 == 0)
-    if more.size:
-        d0, d1, d2 = d0.flat[more], d1.flat[more], d2.flat[more]
-        k.flat[more] -= tab.zeros[d2] + (d2 == 0) * (tab.zeros[d1] + (d1 == 0) * (d0 % 10 == 0))
+    # the 7 digits as ASCII, the first in the lowest byte
+    d0 = m // 10**4
+    d1 = m - d0 * 10**4
+    s = (tab.four[d0] >> 8) | (tab.four[d1] << 24)
+    s -= zero   # zero went through as 1.0: its "1" becomes "0"
+    k = _CELL_DIGITS - tab.zeros[d1] - (d1 == 0) * tab.zeros[d0]
 
     # keep max(k, keep) digits, then insert the dot before digit q
     keep = np.maximum(k, tab.keep[xi])
     dot = (k > tab.keep[xi]) & tab.dotted[xi]
     q = tab.dot[xi]
-    lo &= tab.mask_lo[keep]
-    hi &= tab.mask_hi[keep]
-    q_lo, q_hi = tab.mask_lo[q], tab.mask_hi[q]
-    up = lo & ~q_lo
-    s_lo = (lo & q_lo) | (up << 8) | dot * tab.dot_lo[q]
-    s_hi = (hi & q_hi) | ((hi & ~q_hi) << 8) | (up >> 56) | dot * tab.dot_hi[q]
+    s &= tab.mask[keep]
+    below = tab.mask[q]
+    s = (s & below) | ((s & ~below) << 8) | dot * tab.point[q]
 
     # append "e±XX[X]" in exponent notation, then the separator.  Shifts
-    # of a '<u8' by 64 or more bits, and the wrapped "negative" counts
-    # below, give 0 in numpy.
+    # of a '<u8' by 64 or more bits give 0 in numpy.
     suffix = np.broadcast_to(sep, v.shape).copy()
     expo = np.flatnonzero((xi < _X_OFFSET - 4) | (xi >= _X_OFFSET + _CELL_DIGITS))
     if expo.size:
         ex = xi.flat[expo] - _X_OFFSET
         three = np.abs(ex) >= 100
-        e_digits = four[np.abs(ex)] >> (16 - 8 * three).astype(_U8)
+        e_digits = tab.four[np.abs(ex)] >> (16 - 8 * three).astype(_U8)
         sign = np.where(ex < 0, ord("-"), ord("+")).astype(_U8)
         suffix.flat[expo] = (
             ord("e") | (sign << 8) | (e_digits << 16) | (suffix.flat[expo] << (32 + 8 * three).astype(_U8))
         )
     b = (8 * (keep + dot)).astype(_U8)
-    w0 = s_lo | (suffix << b)
-    w1 = s_hi | (suffix << (b - 64)) | (suffix >> (64 - b))
-    w2 = suffix >> (128 - b)
+    w0 = s | (suffix << b)
+    w1 = suffix >> (64 - b)
 
     # shift right past the sign and "0.00" prefix, and put them in front
     neg = np.signbit(v)
@@ -728,15 +674,14 @@ def _format_cells(v: np.ndarray, sep: np.ndarray, out: np.ndarray) -> None:
     t = (8 * (z + neg)).astype(_U8)
     out[..., 0] = (w0 << t) | tab.prefix[z + 6 * neg]
     out[..., 1] = (w1 << t) | (w0 >> (64 - t))
-    out[..., 2] = (w2 << t) | (w1 >> (64 - t))
 
     if fallback.size:
         rows, cols = np.divmod(fallback, v.shape[1])
         text = b"".join(
-            (f"%.{_CELL_DIGITS}g" % v.flat[i]).encode("ascii").ljust(23, b"\0") + bytes([sep[c]])
+            (f"%.{_CELL_DIGITS}g" % v.flat[i]).encode("ascii").ljust(15, b"\0") + bytes([sep[c]])
             for i, c in zip(fallback.tolist(), cols.tolist())
         )
-        out[rows, cols] = np.frombuffer(text, _U8).reshape(-1, 3)
+        out[rows, cols] = np.frombuffer(text, _U8).reshape(-1, 2)
 
 
 #: bytes per piece when a worker's spill file is appended to the record
@@ -747,11 +692,12 @@ def write_timeseries_csv(tss: TimeSeriesSet, fh) -> None:
     """Write the record into the binary file ``fh`` as UTF-8 CSV,
     the inverse of :func:`parse_timeseries_csv`: the time column as
     ``repr``, so the start time and the inferred rate round-trip exactly,
-    and every data cell as ``'%.14g' % v`` (``_CELL_DIGITS``).  Parsing the
-    text and writing it again gives the same bytes.
+    and every data cell as ``'%.7g' % v`` (``_CELL_DIGITS``), a data
+    logger's resolution.  Parsing the text and writing it again gives the
+    same bytes.
 
     Blocks of about ``_WRITE_CELLS`` cells are laid out by
-    ``_format_cells``, each cell in 24 zero-padded bytes after a 32-byte
+    ``_format_cells``, each cell in 16 zero-padded bytes after a 32-byte
     time cell; one ``bytes.translate`` drops the padding and the block goes
     straight to its file, so no process holds the text of a record or of a
     range.  A large record is written over up to ``min(CPUs, 4)``
@@ -771,14 +717,14 @@ def write_timeseries_csv(tss: TimeSeriesSet, fh) -> None:
     def rows(lo: int, hi: int, out) -> None:
         for i in range(lo, hi, block):
             n = min(i + block, hi) - i
-            words = np.zeros((n, 4 + 3 * channels), _U8)
+            words = np.zeros((n, 4 + 2 * channels), _U8)
             # a list's repr is its floats' reprs joined by ", ", made in C;
             # the longest repr of a double has 24 characters
             times = np.array(repr(t[i : i + n].tolist())[1:-1].split(", "), "S24")
             words[:, :3] = times.view(_U8).reshape(n, 3)
             words[:, 3] = ord(",")
             cells = np.ascontiguousarray(values[:, i : i + n].T)
-            _format_cells(cells, sep, words[:, 4:].reshape(n, channels, 3))
+            _format_cells(cells, sep, words[:, 4:].reshape(n, channels, 2))
             out.write(words.tobytes().translate(None, b"\0"))
 
     units = ",".join(f"{label}={unit}" for label, unit in zip(tss.labels, tss.units))

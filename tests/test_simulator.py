@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -578,6 +579,14 @@ class TestProgramIO:
         for a, b in zip(again.springs, model.springs):
             assert np.array_equal(a.attach, b.attach)
             assert a.k == b.k and a.c == b.c
+
+    def test_model_without_cg_or_name_takes_the_dataclass_defaults(self):
+        doc = json.loads(dump_model(small_block()))
+        del doc["cg"], doc["name"]
+        again = load_model(json.dumps(doc))
+        assert again.cg.tolist() == [0.0, 0.0, 0.0] and not again.cg.flags.writeable
+        assert again.name == "block"
+        assert json.loads(dump_model(again)) == {**doc, "cg": [0.0, 0.0, 0.0], "name": "block"}
 
     def test_program_roundtrip(self):
         prog = ExcitationProgram(
