@@ -2,19 +2,18 @@
 
 Band-pass Butterworth design (bilinear transform with pre-warping,
 realized as second-order sections), zero-phase filtering as one blocked
-state recurrence, and the one estimator of an analysis window.  numpy is
-the only dependency.
+state recurrence and its exact transpose, and the one estimator of an
+analysis window.  numpy is the only dependency.
 
 Every analysis window, a stepped dwell or a sweep crossing, has one
 frequency and one estimator, which both of its records use:
 :func:`hann_basis` (:class:`HannBasis`), the Hann kernel's real and
-imaginary parts at the window's frequency, built once for the window
-with all of its checks, then applied to rows, one product per row, and
-divided by the same projection of the program's drive.  A row gets the
-same bits in any batch, so the analysis applies each window's basis to
-one block of filtered channels at a time (:func:`block_rows`, the
-filter's one block rule).  :func:`fit_sine` is the one-row least-squares
-fit of a sinusoid at a given frequency, with its explicit residual.
+imaginary parts at the window's frequency, applied to rows, one product
+per row, and divided by the same projection of the program's drive.  The
+analysis applies a response window's kernel, filtered by
+:func:`filtfilt_transpose`, to the raw rows.  :func:`fit_sine` is the
+one-row least-squares fit of a sinusoid at a given frequency, with its
+explicit residual.
 """
 
 from __future__ import annotations
@@ -193,16 +192,6 @@ def _state_space(sos: np.ndarray):
 
 #: samples per block of the filter recurrence
 _FILTER_BLOCK = 64
-#: padded cells (rows x samples) of one block of rows of the zero-phase
-#: filter (:func:`block_rows`), which builds its scratch and its output
-#: for one block at a time, so its memory does not grow with the record.
-#: On the benchmark's stepped X record (87 x 24,796 samples, 24,862
-#: padded) one call on a block of 5 rows peaks at 2.79 MB under
-#: tracemalloc, scratch plus output, 22.5 B per padded cell; 1 << 18 made
-#: blocks of 10 rows at 4.94 MB (19.9 B) and in-process
-#: ``pipeline.analyze`` about 8 % faster, 1 << 16 blocks of 2 rows at
-#: 1.51 MB and it about 50 % slower (2-vCPU Xeon, numpy 2.4.6)
-_BLOCK_CELLS = 1 << 17
 #: most blocks per BLAS call of a row's stacked products: OpenBLAS threads
 #: larger ones.  On 2 cores, an 87 x 24,796 record filtered in 25 ms wall
 #: and 50 ms CPU with one call per row, in 22 ms of each with 128 blocks.
@@ -251,13 +240,6 @@ def _block_operators(sos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return W, F, np.linalg.solve(np.eye(len(A)) - A, B)
 
 
-def block_rows(coeffs: FilterCoefficients, n: int) -> int:
-    """Rows of ``n`` samples in one block of the zero-phase filter: as
-    many as keep the block's padded cells within ``_BLOCK_CELLS``, at
-    least one."""
-    return max(1, _BLOCK_CELLS // (n + 2 * coeffs.pad_len))
-
-
 def filtfilt(coeffs: FilterCoefficients, record: TimeSeries | TimeSeriesSet):
     """Forward-backward zero-phase filtering of a TimeSeries or of each row
     of a TimeSeriesSet; effective magnitude |H|^2.  As in scipy's
@@ -277,10 +259,8 @@ def filtfilt(coeffs: FilterCoefficients, record: TimeSeries | TimeSeriesSet):
     (see ``recurrence.block_operators``), the states s' are carried by a
     doubling scan (``recurrence.carry``), and then the outputs y get C A^j s.
 
-    Rows are filtered a block of rows at a time (:func:`block_rows`) into one
-    preallocated output matrix, so the padded copy and the carried states
-    exist for one block only; a row never shares a product with another,
-    so blocking does not change a bit.
+    A row never shares a product with another, so it gets the same bits
+    in any batch.
     """
     n = record.values.shape[-1]
     if record.sample_rate != coeffs.fs:
@@ -292,18 +272,51 @@ def filtfilt(coeffs: FilterCoefficients, record: TimeSeries | TimeSeriesSet):
         raise FilterError(f"series length {n} <= padding requirement {edge}")
     W, F, steady = coeffs.operators
     x = record.values.reshape(-1, n)
-    out = np.empty(x.shape)
-    step = block_rows(coeffs, n)
-    for lo in range(0, len(x), step):
-        xb = x[lo : lo + step]
-        ext = np.concatenate(
-            [2.0 * xb[:, :1] - xb[:, edge:0:-1], xb, 2.0 * xb[:, -1:] - xb[:, -2 : -edge - 2 : -1]], axis=1
-        )
-        _cascade_pass(W, F, ext, steady * ext[:, :1], ext)
-        back = ext[:, ::-1]
-        _cascade_pass(W, F, back, steady * back[:, :1], back)
-        out[lo : lo + step] = ext[:, edge:-edge]
-    return record.with_values(out.reshape(record.values.shape))
+    ext = np.concatenate(
+        [2.0 * x[:, :1] - x[:, edge:0:-1], x, 2.0 * x[:, -1:] - x[:, -2 : -edge - 2 : -1]], axis=1
+    )
+    _cascade_pass(W, F, ext, steady * ext[:, :1], ext)
+    back = ext[:, ::-1]
+    _cascade_pass(W, F, back, steady * back[:, :1], back)
+    return record.with_values(ext[:, edge:-edge].reshape(record.values.shape))
+
+
+def filtfilt_transpose(coeffs: FilterCoefficients, rows) -> np.ndarray:
+    """The transpose L^T of :func:`filtfilt`'s linear map L on rows as long
+    as the record: <L x, k> = <x, L^T k>, so a kernel filtered here reads
+    from raw rows what it reads from filtered ones.  L pads a row oddly,
+    then runs two passes, each the zero-state cascade H plus the free
+    response g of ``steady`` times the pass's first sample (the initial
+    states of Gustafsson, *IEEE Trans. Signal Process.* 44(4), 1996).  In
+    reverse order: a row is zero-embedded in the padded length, H runs
+    forward with <g, the reversed row> added at the last sample, then
+    reversed with <g, its input> added at the first, and the padding is
+    folded back onto the samples it copied.  Rows never share a product.
+    """
+    k = _rows(rows)
+    n = k.shape[1]
+    edge = coeffs.pad_len
+    if n <= edge:
+        raise FilterError(f"series length {n} <= padding requirement {edge}")
+    W, F, steady = coeffs.operators
+    # the rows zero-embedded, and below them g, in one forward pass
+    u = np.zeros((len(k) + 1, n + 2 * edge))
+    u[:-1, edge:-edge] = k
+    s0 = np.zeros((len(u), len(steady)))
+    s0[-1] = steady
+    _cascade_pass(W, F, u, s0, u)
+    g, u = u[-1], u[:-1]
+    u[:, -1] += np.einsum("rn,n->r", k, g[::-1][edge:-edge])
+    head = np.einsum("rn,n->r", u, g)
+    back = u[:, ::-1]
+    _cascade_pass(W, F, back, 0.0, back)
+    u[:, 0] += head
+    out = u[:, edge:-edge]
+    out[:, 0] += 2.0 * u[:, :edge].sum(axis=1)
+    out[:, 1 : edge + 1] -= u[:, edge - 1 :: -1]
+    out[:, -1] += 2.0 * u[:, -edge:].sum(axis=1)
+    out[:, -edge - 1 : -1] -= u[:, : -edge - 1 : -1]
+    return out
 
 
 # 2*pi in three parts; the first two carry 26 significant bits, so their

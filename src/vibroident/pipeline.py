@@ -1,9 +1,8 @@
 """End-to-end analysis: records in, identified dynamics out.
 
 Two steps.  :func:`analyze` reads each dwell (or sweep crossing) through
-one estimator, the window's basis: first the native-rate force records,
-then the response, band-pass filtered one block of channels at a time,
-so no filtered copy of the whole record is held.
+one estimator, the window's basis: on the native-rate force records, and,
+filtered by the transpose of the band-pass filter, on the raw response.
 :func:`identify` turns that frequencies x channels phasor matrix and the
 forces into the force-scaled FRCs, rigid-body motion, natural frequency,
 damping, amplification and strain; it runs as well on phasors from any
@@ -158,26 +157,24 @@ def analyze(
     its response rows both go through, stepped dwell or sweep crossing
     alike.  A response to the drive reads its transfer function times the
     force, and every channel of the window shares one phase reference.
-    It runs in two passes:
 
-    1. Per window: the force estimate on the force record's basis
-       (:func:`~vibroident.modal.estimate_force_amplitude`), then the
-       response's basis on the window's index span in the response
-       (:func:`~vibroident.timeseries.window_span`).
-    2. Per block of response channels (:func:`~vibroident.dsp.block_rows`,
-       the filter's one block rule): :func:`~vibroident.dsp.filtfilt` of the
-       block's rows, every window's basis applied to them; only their
-       phasors are kept.  A row never shares a product with another, in
-       the filter or in a basis, so the blocks do not change a bit, and
-       no filtered copy of the record is held.
+    Per window: the force estimate on the force record's basis
+    (:func:`~vibroident.modal.estimate_force_amplitude`), then the
+    response's basis on the window's index span in the response
+    (:func:`~vibroident.timeseries.window_span`), zero-embedded in the
+    record's length and filtered by
+    :func:`~vibroident.dsp.filtfilt_transpose`.  Applied to the raw rows,
+    it reads what the basis reads from the rows filtered by
+    :func:`~vibroident.dsp.filtfilt`; no filtered row is made, and a row
+    never shares a product with another, so no phasor depends on the
+    other channels.
 
-    So the force estimates of every window run before any response row
-    is filtered.  An estimate that is not finite raises FitError: a
-    force's in its window's turn, a phasor's after the last block, for
-    the first window and channel that has one.  A window that the force
-    or response record does not cover whole raises ForceEstimationError
-    or FitError.  A record that lacks the z column of a strain station
-    raises ParseError before any window is estimated.
+    An estimate that is not finite raises FitError in its window's turn,
+    the force's before the response's, whose error names the first
+    channel that has one.  A window that the force or response record
+    does not cover whole raises ForceEstimationError or FitError.  A
+    record that lacks the z column of a strain station raises ParseError
+    before any window is estimated.
 
     The filter gain and the -1/omega^2 that takes acceleration to
     displacement are evaluated at f.  Every window is estimated in this
@@ -192,14 +189,15 @@ def analyze(
     coeffs = dsp.design_bandpass(policy.filter_order, policy.f_low, policy.f_high, response.sample_rate)
 
     geometry = {fp.id: (fp.location, fp.direction) for fp in program.force_points}
-    rate = response.sample_rate
+    n, rate = response.values.shape[-1], response.sample_rate
 
-    # pass 1, per window: the force estimate and the response estimator
-    force_estimates, forces, estimators = [], [], []
+    forces, force_estimates, rows = [], [], []
     for f, t0, t1 in windows:
+        omega = 2.0 * math.pi * f
+
         def estimator(t):
             # the window's one basis, for its force rows and its response rows
-            return dsp.hann_basis(t, program.drive(t), 2.0 * math.pi * f, t0, t1)
+            return dsp.hann_basis(t, program.drive(t), omega, t0, t1)
 
         est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f, estimator)
         scale = est.torque if dof == "YAW" else est.resultant
@@ -210,37 +208,25 @@ def analyze(
         span = window_span(response, t0, t1)
         # extract_window(response, t0, t1).times(), with no copy of the window
         t = (response.start_time + span.start / rate) + np.arange(span.stop - span.start) / rate
-        estimators.append((span, estimator(t)))
-        force_estimates.append(est)
-        forces.append(scale)
-
-    # pass 2, per block of channels: filter the rows, keep their phasors
-    phasors = np.empty((len(windows), len(response)), dtype=complex)
-    step = dsp.block_rows(coeffs, response.values.shape[-1])
-    for lo in range(0, len(response), step):
-        chans = slice(lo, lo + step)
-        block = replace(
-            response, values=response.values[chans], labels=response.labels[chans], units=response.units[chans]
-        )
-        filtered = dsp.filtfilt(coeffs, block).values
-        for (span, basis), out in zip(estimators, phasors):
-            out[chans] = basis.phasors(filtered[:, span])
-        # freed before the next block is filtered: one block alive at a time
-        del filtered
-
-    freqs = [f for f, _, _ in windows]
-    rows = []
-    for f, row in zip(freqs, phasors):
+        basis = estimator(t)
+        # <filtfilt(x), k> = <x, filtfilt_transpose(k)>: the raw rows read
+        # the kernel filtered in place of themselves
+        kernel = np.zeros((2, n))
+        kernel[:, span] = basis.basis.T
+        basis = replace(basis, basis=dsp.filtfilt_transpose(coeffs, kernel).T)
+        row = basis.phasors(response.values)
         if not np.all(np.isfinite(row)):
             # only a record whose values overflow the estimate's sums gets here
             label = response.labels[int(np.argmin(np.isfinite(row)))]
             raise FitError(f"phasor of channel {label!r} at {f} Hz is not finite")
+        forces.append(scale)
+        force_estimates.append(est)
         # forward+backward filtering scales amplitudes by |H|^2; undo it
-        omega = 2.0 * math.pi * f
         rows.append(-row / dsp.filter_gain(coeffs, f) ** 2 / (omega * omega))
 
     result = identify(
-        freqs, keys, np.array(rows), forces, dof, layout, policy, strain_stations, strain_fiber_m
+        [f for f, _, _ in windows], keys, np.array(rows), forces, dof, layout, policy,
+        strain_stations, strain_fiber_m,
     )
     return replace(result, force_estimates=tuple(force_estimates))
 

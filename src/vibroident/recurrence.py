@@ -39,7 +39,7 @@ def carry(s: np.ndarray, T: np.ndarray) -> None:
     nb = s.shape[-2]
     d = 1
     while d < nb:
-        T = np.nan_to_num(T, nan=np.finfo(float).max)
+        T = T if np.isfinite(T).all() else np.nan_to_num(T, nan=np.finfo(float).max)
         s[..., d:, :] += s[..., :-d, :] @ T
         d *= 2
         if d < nb:

@@ -138,16 +138,40 @@ class TestFiltFilt:
         for row, ts in zip(out, tss):
             assert np.array_equal(row.values, filtfilt(c, ts).values)
 
-    def test_rows_beyond_one_block_equal_rows_filtered_alone(self):
-        c = design_bandpass(5, 1.0, 25.0, 200.0)
-        n = 3000
-        rows = dsp._BLOCK_CELLS // (n + 2 * c.pad_len) + 3
-        rng = np.random.default_rng(8)
-        labels = tuple(f"c{i}" for i in range(rows))
-        tss = TimeSeriesSet(0.5, 200.0, rng.standard_normal((rows, n)), labels, ("m",) * rows)
-        out = filtfilt(c, tss)
-        for row, ts in zip(out, tss):
-            assert row.values.tobytes() == filtfilt(c, ts).values.tobytes()
+
+#: (order, fs, n): orders 1, 5 and MAX_ORDER at both rates, from one sample
+#: past the padding (n = None) to a long record
+TRANSPOSE_CASES = [
+    (order, fs, n) for order in (1, 5, dsp.MAX_ORDER) for fs in (200.0, 512.0) for n in (None, 3001, 30000)
+]
+
+
+@pytest.mark.parametrize("order, fs, n", TRANSPOSE_CASES)
+def test_transpose_is_the_adjoint_of_filtfilt(order, fs, n):
+    # <filtfilt(x), k> = <x, filtfilt_transpose(k)> for kernels on the first
+    # sample, on the last, on both edges' padding and on the whole record,
+    # within 1e-13 of the largest the product can be, |filtfilt(x)| |k|
+    c = design_bandpass(order, 1.0, 25.0, fs)
+    n = n or c.pad_len + 1
+    rng = np.random.default_rng(order * n)
+    x = rng.standard_normal((3, n)) + rng.uniform(-3.0, 3.0, (3, 1))
+    edge = min(n // 2, 2 * c.pad_len)
+    k = np.zeros((4, n))
+    k[0, 0] = k[1, -1] = 1.0
+    k[2, :edge] = np.hanning(edge)
+    k[2, -edge:] -= np.hanning(edge)
+    k[3] = rng.standard_normal(n)
+    filtered = filtfilt(c, TimeSeriesSet(0.0, fs, x, ("a", "b", "c"), ("m",) * 3)).values
+    kt = dsp.filtfilt_transpose(c, k)
+    assert kt.shape == k.shape
+    scale = np.linalg.norm(filtered, axis=1)[:, None] * np.linalg.norm(k, axis=1)
+    assert np.max(np.abs(filtered @ k.T - x @ kt.T) / scale) < 1e-13
+
+
+def test_transpose_too_short_raises():
+    c = design_bandpass(5, 1.0, 25.0, 200.0)
+    with pytest.raises(FilterError):
+        dsp.filtfilt_transpose(c, np.ones((2, c.pad_len)))
 
 
 #: (fs, f_low, f_high): the analysis default, the same band at 512 Hz, and

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vibroident import dsp, timeseries
+from vibroident import timeseries
 from vibroident.errors import FitError, ForceEstimationError, WindowError
 from vibroident.cli import _contribution_csv, _deformation_figures, _load_text, _rbm_csv
 from vibroident.modal import frc_to_csv, linearity_rms, rigid_map, rigid_rows
@@ -153,6 +153,28 @@ class TestSteppedAnalysis:
         values[0] *= peak / np.abs(values[0]).max()
         with pytest.raises(FitError, match="force fit at 1.5 Hz is not finite"):
             analyze(resp, force.with_values(values), prog, layout, policy)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("response_window, force_window, match", [
+        (0, 2, "phasor of channel 'TA_x' at 1.5 Hz is not finite"),
+        (0, 0, "force fit at 1.5 Hz is not finite"),
+    ])
+    def test_first_window_with_a_fault_raises(self, split_run, response_window, force_window, match):
+        # a channel whose values overflow its window's sums, in the response
+        # and in the force: the windows are estimated in turn, each one's
+        # force before its response, so the first window with a fault raises
+        resp, force, prog, layout, policy = split_run
+        windows = analysis_windows(prog, policy)
+
+        def overflow(record, w):
+            _, t0, t1 = windows[w]
+            span = timeseries.window_span(record, t0, t1)
+            values = record.values.copy()
+            values[0, span] = values[0, span] / np.abs(values[0, span]).max() * 1e308
+            return record.with_values(values)
+
+        with pytest.raises(FitError, match=match):
+            analyze(overflow(resp, response_window), overflow(force, force_window), prog, layout, policy)
 
     def test_identify_reproduces_analysis(self, stepped_run):
         res, _, _, layout = stepped_run
@@ -421,55 +443,46 @@ class TestWindowFitWorkers:
 
 
 class TestChannelBlocks:
-    """The response is filtered and estimated one block of channels at a
-    time; the blocks change no bit of any output."""
+    """Each window's filtered kernel is applied to each raw channel row
+    alone: a block of the channels gets the same bits as the whole record."""
 
     @pytest.mark.parametrize("name, changes", [
         ("stepped_x", dict(frequencies=(2.0, 4.0, 7.0, 9.5, 11.0, 14.0), duration_per_step=8.0, rest_gap=2.0)),
         ("sweep_yaw", dict(rate=0.4)),
     ])
-    def test_block_rule_changes_no_bit(self, monkeypatch, name, changes):
+    def test_channel_subset_changes_no_bit(self, name, changes):
         resp, force, program, layout, _ = bundled_noise_free(name, **changes)
-        rows = dsp.block_rows(dsp.design_bandpass(5, 1.0, 25.0, 200.0), resp.values.shape[1])
-        assert 1 < rows < len(resp), "the default rule makes blocks of several rows"
-        results = []
-        # one row per block, the default rule, every row in one block
-        for cells in (1, dsp._BLOCK_CELLS, 1 << 40):
-            monkeypatch.setattr(dsp, "_BLOCK_CELLS", cells)
-            results.append(analyze(resp, force, program, layout))
-        first = results[0]
-        for res in results[1:]:
-            for field in ("phasors", "rigid", "contributions"):
-                assert getattr(res, field).tobytes() == getattr(first, field).tobytes()
-            assert len(res.force_estimates) == len(first.force_estimates)
-            for est, ref in zip(res.force_estimates, first.force_estimates):
-                assert est.generalized.tobytes() == ref.generalized.tobytes()
-                assert est.frequency_hz == ref.frequency_hz
+        whole = analyze(resp, force, program, layout)
+        # every other channel, from the second on
+        keep = slice(1, None, 2)
+        subset = replace(resp, values=resp.values[keep], labels=resp.labels[keep], units=resp.units[keep])
+        part = analyze(subset, force, program, layout)
+        assert 6 < len(part.channels) < len(whole.channels)
+        for c, key in enumerate(part.channels):
+            column = whole.phasors[:, whole.channels.index(key)]
+            assert part.phasors[:, c].tobytes() == column.tobytes()
+        for est, ref in zip(part.force_estimates, whole.force_estimates, strict=True):
+            assert est.generalized.tobytes() == ref.generalized.tobytes()
 
-    def test_one_filtered_block_alive(self):
+    def test_peak_within_twelve_rows(self):
         # the benchmark's stepped X record (30 cycles per step, 0.5 s rests;
-        # 87 x 24,796): analyze's peak exceeds one block's filtfilt by the
-        # window bases and phasors, 0.45 MB, less than one block's output
-        # (0.99 MB, 5 rows).  A block still held while the next is filtered
-        # adds its output: excess 2.43 MB against a 1.98 MB block of 10 rows
+        # 87 x 24,796): analyze's traced peak, one window's filtered
+        # kernels with their scratch, read 1.98 MB (10.0 rows of the
+        # record); filtered copies of a few channels held beside them
+        # would pass 12 rows
         resp, force, program, layout, _ = bundled_noise_free(
             "stepped_x", duration_per_step=None, cycles_per_step=30.0, rest_gap=0.5
         )
-        coeffs = dsp.design_bandpass(5, 1.0, 25.0, resp.sample_rate)
         n = resp.values.shape[1]
-        rows = dsp.block_rows(coeffs, n)
-        block = replace(resp, values=resp.values[:rows], labels=resp.labels[:rows], units=resp.units[:rows])
-        peaks = []
-        for run in (lambda: dsp.filtfilt(coeffs, block), lambda: analyze(resp, force, program, layout)):
-            run()   # once untraced: caches, such as the filter's operators
-            tracemalloc.start()
-            try:
-                run()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert 1 < rows < len(resp) and n > 20_000
-        assert peaks[1] - peaks[0] < rows * n * 8, f"excess {(peaks[1] - peaks[0]) / 1e6:.2f} MB"
+        analyze(resp, force, program, layout)   # once untraced: caches, such as the filter's operators
+        tracemalloc.start()
+        try:
+            analyze(resp, force, program, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n > 20_000
+        assert peak < 12 * n * 8, f"peak {peak / (8 * n):.1f} rows of {n} samples"
 
     def test_analyze_holds_no_filtered_copy(self, small_setup):
         # a 60-channel x 60,000-sample record (29 MB), several times the
