@@ -56,6 +56,7 @@ from .simulator import (
 from .timeseries import (
     SensorLayout,
     load_layout,
+    open_timeseries_csv,
     parse_timeseries_csv,
     # stays importable from here: the benchmark tracer wraps cli.serialize_timeseries_csv
     serialize_timeseries_csv,
@@ -455,21 +456,23 @@ def cmd_analyze(args) -> int:
     program = load_program(_load_text(cfg["program"], "program"))
     policy = policy_from_config(cfg)
 
-    try:
-        response = parse_timeseries_csv(args.response)
-        force = parse_timeseries_csv(args.force)
-    except OSError as exc:
-        raise ConfigError(f"cannot read input: {exc}") from exc
-
-    # the records must overlap; each is windowed on its own time axis
-    synchronize(response, force)
-
     strain = cfg["strain"] or {}
-    result = analyze(
-        response, force, program, layout, policy,
-        strain_stations=tuple(strain["stations"]) if strain else None,
-        strain_fiber_m=float(strain.get("fiber_m", STRAIN_FIBER_M)),
-    )
+    with contextlib.ExitStack() as stack:
+        try:
+            # the response stays in its parse's spill files, read as a stream
+            response = stack.enter_context(open_timeseries_csv(args.response))
+            force = parse_timeseries_csv(args.force)
+        except OSError as exc:
+            raise ConfigError(f"cannot read input: {exc}") from exc
+
+        # the records must overlap; each is windowed on its own time axis
+        synchronize(response, force)
+
+        result = analyze(
+            response, force, program, layout, policy,
+            strain_stations=tuple(strain["stations"]) if strain else None,
+            strain_fiber_m=float(strain.get("fiber_m", STRAIN_FIBER_M)),
+        )
     damping_doc = {
         "config_sha256": config_hash(cfg),
         "dof_excited": result.dof_excited,

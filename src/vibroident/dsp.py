@@ -10,10 +10,12 @@ frequency and one estimator, which both of its records use:
 :func:`hann_basis` (:class:`HannBasis`), the Hann kernel's real and
 imaginary parts at the window's frequency, applied to rows, one product
 per row, and divided by the same projection of the program's drive.  The
-analysis applies a response window's kernel, filtered by
-:func:`filtfilt_transpose`, to the raw rows.  :func:`fit_sine` is the
-one-row least-squares fit of a sinusoid at a given frequency, with its
-explicit residual.
+analysis filters a response window's kernel by :func:`filtfilt_transpose`,
+keeps it on the support that :func:`kernel_support` cuts, and applies
+every window's kernel to the raw rows in one pass over a stream of blocks
+of rows (:func:`project_blocks`).  :func:`fit_sine` is the one-row
+least-squares fit of a sinusoid at a given frequency, with its explicit
+residual.
 """
 
 from __future__ import annotations
@@ -317,6 +319,52 @@ def filtfilt_transpose(coeffs: FilterCoefficients, rows) -> np.ndarray:
     out[:, -1] += 2.0 * u[:, -edge:].sum(axis=1)
     out[:, -edge - 1 : -1] -= u[:, : -edge - 1 : -1]
     return out
+
+
+def kernel_support(kernel: np.ndarray, share: float) -> tuple[int, int, float]:
+    """The shortest index range [a, b) of an (n, 2) ``kernel`` outside which
+    its weight, the sum of |k| = hypot of its two columns, is at most
+    ``share`` of the whole, half of it on each side; and the weight outside
+    [a, b), the most that a row of values of at most 1 in size reads there."""
+    weight = np.hypot(kernel[:, 0], kernel[:, 1])
+    tail = np.cumsum(weight[::-1])
+    head = np.cumsum(weight, out=weight)
+    budget = 0.5 * share * head[-1]
+    a = int(np.searchsorted(head, budget, side="right"))
+    b = max(len(head) - int(np.searchsorted(tail, budget, side="right")), a)
+    dropped = (head[a - 1] if a else 0.0) + (tail[len(head) - b - 1] if b < len(head) else 0.0)
+    return a, b, float(dropped)
+
+
+def project_blocks(record, kernels) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of ``record`` times each of ``kernels``, read as a stream of
+    blocks of rows (:meth:`~vibroident.timeseries.TimeSeriesSet.blocks`).
+
+    ``kernels`` holds ``(first, k)`` pairs, ``k`` an (m, 2) kernel on the
+    samples ``first`` to ``first + m - 1``, zero elsewhere: its support.
+    Each block is multiplied once by the kernels whose support meets it,
+    stacked into one (rows, 2 x kernels) matrix that is zero where a
+    support ends inside the block, one product per row, so a row gets the
+    same bits in any batch of rows.  Returns the (rows, kernels, 2) sums,
+    and a (blocks, 3) array of each block's first row, end row and largest
+    |value| (NaN if it holds one).
+    """
+    sums = np.zeros((len(record), len(kernels), 2))
+    peaks = []
+    with np.errstate(all="ignore"):
+        for lo, block in record.blocks():
+            hi = lo + block.shape[1]
+            peaks.append((lo, hi, np.maximum(block.max(), -block.min())))
+            on = [j for j, (a, k) in enumerate(kernels) if a < hi and lo < a + len(k)]
+            if not on:
+                continue
+            stacked = np.zeros((hi - lo, len(on), 2))
+            for i, j in enumerate(on):
+                a, k = kernels[j]
+                r0, r1 = max(a, lo), min(a + len(k), hi)
+                stacked[r0 - lo : r1 - lo, i] = k[r0 - a : r1 - a]
+            sums[:, on] += _project(block, stacked.reshape(hi - lo, -1)).reshape(len(sums), -1, 2)
+    return sums, np.array(peaks).reshape(-1, 3)
 
 
 # 2*pi in three parts; the first two carry 26 significant bits, so their

@@ -2,11 +2,13 @@
 
 Two steps.  :func:`analyze` reads each dwell (or sweep crossing) through
 one estimator, the window's basis: on the native-rate force records, and,
-filtered by the transpose of the band-pass filter, on the raw response.
-:func:`identify` turns that frequencies x channels phasor matrix and the
-forces into the force-scaled FRCs, rigid-body motion, natural frequency,
-damping, amplification and strain; it runs as well on phasors from any
-other source, such as the exact steady-state response.
+filtered by the transpose of the band-pass filter and cut to the support
+where its weight lies, on the raw response, which it reads once as a
+stream of blocks of rows, so that a parsed response never becomes a
+matrix.  :func:`identify` turns that frequencies x channels phasor matrix
+and the forces into the force-scaled FRCs, rigid-body motion, natural
+frequency, damping, amplification and strain; it runs as well on phasors
+from any other source, such as the exact steady-state response.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .modal import (
 )
 from .simulator.excitation import ExcitationProgram
 from .simulator.sensors import AXIS_NAMES
-from .timeseries import SensorLayout, TimeSeriesSet, extract_window, window_span
+from .timeseries import RecordStream, SensorLayout, TimeSeriesSet, extract_window, window_span
 
 #: rigid-motion FRC axis measured for each excited DOF
 EXCITED_AXIS = {"X": "dx", "Y": "dy", "Z": "dz", "YAW": "rz"}
@@ -139,8 +141,42 @@ def analysis_windows(program: ExcitationProgram, policy: AnalysisPolicy) -> list
     return out
 
 
+#: a response kernel is kept on the shortest index range outside which its
+#: weight is at most this share of the whole (:func:`~vibroident.dsp.kernel_support`).
+#: The bundled programs' lowest windows, whose accelerations are small
+#: beside the rest of the record, need 1e-19 to stay within ``CUT_BOUND``;
+#: each decade lower widens a support by about 2 s at the 1 Hz corner
+KERNEL_CUT = 1e-20
+#: the most a cut may drop, as a share of its window's largest phasor: its
+#: dropped weight times the largest |value| of the blocks outside its
+#: support.  A window past it is projected again with its whole kernel
+CUT_BOUND = 1e-16
+
+
+def _estimator(program: ExcitationProgram, f: float, t0: float, t1: float):
+    """The window's one basis, for its force rows and its response rows."""
+    omega = 2.0 * math.pi * f
+    return lambda t: dsp.hann_basis(t, program.drive(t), omega, t0, t1)
+
+
+def _response_kernel(response, coeffs, program, f: float, t0: float, t1: float) -> tuple[complex, np.ndarray]:
+    """The reference of the window's basis on the response, and its (n, 2)
+    kernel zero-embedded in the record's length and filtered by the
+    transpose of the band-pass filter."""
+    span = window_span(response, t0, t1)
+    rate = response.sample_rate
+    # extract_window(response, t0, t1).times(), with no copy of the window
+    t = (response.start_time + span.start / rate) + np.arange(span.stop - span.start) / rate
+    basis = _estimator(program, f, t0, t1)(t)
+    kernel = np.zeros((2, response.samples))
+    kernel[:, span] = basis.basis.T
+    # <filtfilt(x), k> = <x, filtfilt_transpose(k)>: the raw rows read the
+    # kernel filtered in place of themselves
+    return basis.reference, dsp.filtfilt_transpose(coeffs, kernel).T
+
+
 def analyze(
-    response: TimeSeriesSet,
+    response: TimeSeriesSet | RecordStream,
     force: TimeSeriesSet,
     program: ExcitationProgram,
     layout: SensorLayout,
@@ -158,23 +194,32 @@ def analyze(
     alike.  A response to the drive reads its transfer function times the
     force, and every channel of the window shares one phase reference.
 
-    Per window: the force estimate on the force record's basis
-    (:func:`~vibroident.modal.estimate_force_amplitude`), then the
-    response's basis on the window's index span in the response
-    (:func:`~vibroident.timeseries.window_span`), zero-embedded in the
+    Every force estimate comes before any response estimate, window by
+    window (:func:`~vibroident.modal.estimate_force_amplitude`).  Then each
+    window's basis on its index span in the response
+    (:func:`~vibroident.timeseries.window_span`) is zero-embedded in the
     record's length and filtered by
-    :func:`~vibroident.dsp.filtfilt_transpose`.  Applied to the raw rows,
+    :func:`~vibroident.dsp.filtfilt_transpose`: applied to the raw rows,
     it reads what the basis reads from the rows filtered by
-    :func:`~vibroident.dsp.filtfilt`; no filtered row is made, and a row
-    never shares a product with another, so no phasor depends on the
-    other channels.
+    :func:`~vibroident.dsp.filtfilt`, so no filtered row is made.  Each
+    filtered kernel is kept on its cut support
+    (:func:`~vibroident.dsp.kernel_support`, ``KERNEL_CUT``), and one pass
+    over the response's blocks of rows (:func:`~vibroident.dsp.project_blocks`)
+    reads every window's phasors; ``response`` is a record in memory or a
+    :class:`~vibroident.timeseries.RecordStream` of a parse's spill files,
+    and no channels x samples matrix is made of the latter.  After the
+    pass, a window whose dropped weight times the largest |value| of the
+    blocks outside its support exceeds ``CUT_BOUND`` of its largest
+    phasor, or is not finite, is projected again with its whole kernel by
+    a second pass.  A row never shares a product with another, so no
+    phasor depends on the other channels.
 
-    An estimate that is not finite raises FitError in its window's turn,
-    the force's before the response's, whose error names the first
-    channel that has one.  A window that the force or response record
-    does not cover whole raises ForceEstimationError or FitError.  A
-    record that lacks the z column of a strain station raises ParseError
-    before any window is estimated.
+    An estimate that is not finite raises FitError (exit code 4): the
+    first window's force with one, in the force's turn, else the first
+    window's response, whose error names the first channel that has one.  A window that the force or response
+    record does not cover whole raises ForceEstimationError or FitError.
+    A record that lacks the z column of a strain station raises
+    ParseError before any window is estimated.
 
     The filter gain and the -1/omega^2 that takes acceleration to
     displacement are evaluated at f.  Every window is estimated in this
@@ -189,38 +234,49 @@ def analyze(
     coeffs = dsp.design_bandpass(policy.filter_order, policy.f_low, policy.f_high, response.sample_rate)
 
     geometry = {fp.id: (fp.location, fp.direction) for fp in program.force_points}
-    n, rate = response.values.shape[-1], response.sample_rate
-
-    forces, force_estimates, rows = [], [], []
+    forces, force_estimates = [], []
     for f, t0, t1 in windows:
-        omega = 2.0 * math.pi * f
-
-        def estimator(t):
-            # the window's one basis, for its force rows and its response rows
-            return dsp.hann_basis(t, program.drive(t), omega, t0, t1)
-
-        est = modal.estimate_force_amplitude(extract_window(force, t0, t1), geometry, f, estimator)
+        est = modal.estimate_force_amplitude(
+            extract_window(force, t0, t1), geometry, f, _estimator(program, f, t0, t1)
+        )
         scale = est.torque if dof == "YAW" else est.resultant
         if not np.all(np.isfinite([*est.generalized, scale])):
             # as below, only a record whose values overflow the estimate's
             # sums, or the force's magnitude, gets here
             raise FitError(f"force fit at {f} Hz is not finite")
-        span = window_span(response, t0, t1)
-        # extract_window(response, t0, t1).times(), with no copy of the window
-        t = (response.start_time + span.start / rate) + np.arange(span.stop - span.start) / rate
-        basis = estimator(t)
-        # <filtfilt(x), k> = <x, filtfilt_transpose(k)>: the raw rows read
-        # the kernel filtered in place of themselves
-        kernel = np.zeros((2, n))
-        kernel[:, span] = basis.basis.T
-        basis = replace(basis, basis=dsp.filtfilt_transpose(coeffs, kernel).T)
-        row = basis.phasors(response.values)
+        forces.append(scale)
+        force_estimates.append(est)
+
+    references, kernels, dropped = [], [], []
+    for window in windows:
+        reference, kernel = _response_kernel(response, coeffs, program, *window)
+        a, b, weight = dsp.kernel_support(kernel, KERNEL_CUT)
+        references.append(reference)
+        kernels.append((a, kernel[a:b].copy()))
+        dropped.append(weight)
+        del kernel   # the whole-length kernel, before the next one is filtered
+    sums, peaks = dsp.project_blocks(response, kernels)
+    first, end, peak = peaks.T
+    redo = []
+    with np.errstate(all="ignore"):
+        for j, (a, k) in enumerate(kernels):
+            # the largest |value| of the blocks that hold a sample outside the support
+            outside = np.max(peak[(first < a) | (end > a + len(k))], initial=0.0)
+            if not dropped[j] * outside <= CUT_BOUND * np.max(np.hypot(*sums[:, j].T)):
+                redo.append(j)
+    if redo:
+        whole = [(0, _response_kernel(response, coeffs, program, *windows[j])[1].copy()) for j in redo]
+        sums[:, redo] = dsp.project_blocks(response, whole)[0]
+
+    rows = []
+    for (f, _, _), reference, s in zip(windows, references, sums.transpose(1, 0, 2)):
+        with np.errstate(all="ignore"):
+            row = (s[:, 0] + 1j * s[:, 1]) / reference
         if not np.all(np.isfinite(row)):
             # only a record whose values overflow the estimate's sums gets here
             label = response.labels[int(np.argmin(np.isfinite(row)))]
             raise FitError(f"phasor of channel {label!r} at {f} Hz is not finite")
-        forces.append(scale)
-        force_estimates.append(est)
+        omega = 2.0 * math.pi * f
         # forward+backward filtering scales amplitudes by |H|^2; undo it
         rows.append(-row / dsp.filter_gain(coeffs, f) ** 2 / (omega * omega))
 

@@ -3,7 +3,9 @@ the overlap check between records, index windows, and sensor layouts.
 
 A record (:class:`TimeSeriesSet`) is one ``(channels, samples)`` matrix
 on a uniform time axis, with a label and a unit per row; it is
-simulated, written, parsed, filtered and windowed whole.
+simulated, written, parsed, filtered and windowed whole.  A parsed
+record can also stay in its parse's spill files (:class:`RecordStream`);
+both read as a stream of blocks of rows, keyed by row index.
 
 CSV layout (UTF-8): first column ``t`` in seconds, remaining columns are
 channel labels; ``#`` lines are comments.  Timestamps must be uniform; the
@@ -58,16 +60,21 @@ class _UniformAxis:
     the record epoch."""
 
     @property
+    def samples(self) -> int:
+        """Samples per channel."""
+        return self.values.shape[-1]
+
+    @property
     def duration(self) -> float:
         """(samples - 1) / sample_rate, exactly."""
-        return (self.values.shape[-1] - 1) / self.sample_rate
+        return (self.samples - 1) / self.sample_rate
 
     @property
     def end_time(self) -> float:
         return self.start_time + self.duration
 
     def times(self) -> np.ndarray:
-        return self.start_time + np.arange(self.values.shape[-1]) / self.sample_rate
+        return self.start_time + np.arange(self.samples) / self.sample_rate
 
     def with_values(self, values: np.ndarray):
         return replace(self, values=values)
@@ -111,17 +118,10 @@ class TimeSeriesSet(_UniformAxis):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         values = _freeze(self.values)
-        labels, units = tuple(self.labels), tuple(self.units)
         if values.ndim != 2 or values.size == 0:
             raise ValueError("values must be a non-empty (channels, samples) matrix")
-        if not len(labels) == len(units) == len(values):
-            raise ValueError(f"{len(values)} channels need as many labels and units")
-        duplicates = sorted(lab for lab, k in Counter(labels).items() if k > 1)
-        if duplicates:
-            raise ValueError(f"duplicate channel label(s): {', '.join(duplicates)}")
+        _check_channels(self, len(values))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "units", units)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -137,6 +137,75 @@ class TimeSeriesSet(_UniformAxis):
             return self._row(self.labels.index(label))
         except ValueError:
             raise KeyError(label) from None
+
+    def blocks(self):
+        """(first row, channels x rows view) of each block of ``_FILL_ROWS``
+        rows, in row order: the stream of blocks that
+        :meth:`RecordStream.blocks` reads from a parse's spill files."""
+        for lo in range(0, self.samples, _FILL_ROWS):
+            yield lo, self.values[:, lo : lo + _FILL_ROWS]
+
+
+def _check_channels(record, channels: int) -> None:
+    """Freeze ``record``'s labels and units as tuples; ValueError unless its
+    ``channels`` rows have as many labels, all unique, and units."""
+    labels, units = tuple(record.labels), tuple(record.units)
+    if not len(labels) == len(units) == channels:
+        raise ValueError(f"{channels} channels need as many labels and units")
+    duplicates = sorted(lab for lab, k in Counter(labels).items() if k > 1)
+    if duplicates:
+        raise ValueError(f"duplicate channel label(s): {', '.join(duplicates)}")
+    object.__setattr__(record, "labels", labels)
+    object.__setattr__(record, "units", units)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordStream(_UniformAxis):
+    """A parsed record whose rows stay in its parse's spill files
+    (:func:`open_timeseries_csv`): the time axis, labels and units of a
+    :class:`TimeSeriesSet`, and its rows read back as a stream of blocks
+    (:meth:`RecordStream.blocks`) while the parse's ``with`` block is open."""
+
+    start_time: float
+    sample_rate: float
+    labels: tuple[str, ...]
+    units: tuple[str, ...]
+    #: (spill file, first row, rows) of each parsed byte range, in row order
+    ranges: tuple[tuple[object, int, int], ...]
+
+    def __post_init__(self):
+        _check_channels(self, len(self.labels))
+
+    @property
+    def samples(self) -> int:
+        _, first, rows = self.ranges[-1]
+        return first + rows
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def blocks(self):
+        """(first row, channels x rows block) of each block of
+        ``_FILL_ROWS`` rows, in row order, as :meth:`TimeSeriesSet.blocks`
+        gives them: a block's rows are read from the spill files that hold
+        them, through one buffer, so no block depends on where a byte
+        range ends, and transposed into a second.  OSError if a spill file
+        reads short."""
+        n, channels = self.samples, len(self.labels)
+        rows = np.empty((min(_FILL_ROWS, n), channels))
+        block = np.empty((channels, len(rows)))
+        for lo in range(0, n, _FILL_ROWS):
+            hi = min(lo + _FILL_ROWS, n)
+            for spill, first, count in self.ranges:
+                a, b = max(lo, first), min(hi, first + count)
+                if a < b:
+                    part = rows[a - lo : b - lo]
+                    spill.seek(_SPILL_HEAD + (a - first) * channels * 8)
+                    if spill.readinto(part) != part.nbytes:
+                        raise OSError("short read from a record parse's temp file")
+            out = block[:, : hi - lo]
+            out[...] = rows[: hi - lo].T
+            yield lo, out
 
 
 @dataclass(frozen=True)
@@ -361,8 +430,8 @@ def _parse_cells(rows, ncol: int) -> np.ndarray:
     return np.array(data, dtype=float).reshape(-1, ncol)
 
 
-#: most data lines that go to one ``np.loadtxt`` call, and rows that are
-#: transposed into the record's matrix at once
+#: most data lines that go to one ``np.loadtxt`` call, and rows per block
+#: of a record read as a stream (:meth:`TimeSeriesSet.blocks`)
 _FILL_ROWS = 1024
 
 
@@ -391,54 +460,31 @@ def _row_blocks(path, start: int, stop: int, ncol: int, found: list[str]):
             yield rows
 
 
-def _load_columns(path, ranges: list[tuple[int, int]], ncol: int) -> tuple[np.ndarray, list[str]]:
-    """The data rows of the file as one C-ordered ``(ncol, rows)`` matrix:
-    row 0 the times, row c the channel of column c; and the lines that
-    hold ``units:``, in file order.
+#: bytes before a spill file's rows: its row count, then the count of its
+#: leading rows whose cells are all finite
+_SPILL_HEAD = 16
 
-    Each ``(start, stop)`` byte range is parsed by its own process
-    (:func:`_forked`), the first by this one and every other by a forked
-    worker.  Each writes to an unnamed temp file of its own (the workers'
-    spill files) its row count (written last, into 8 bytes reserved at the
-    start), then its rows, row-major, one ``_row_blocks`` block at a time,
-    then its ``units:`` lines, so no process holds its range's rows whole.
-    Once every range is in its file, the matrix is allocated and filled
-    from the files in range order, ``_FILL_ROWS`` rows at a time through
-    one buffer, each transposed into place.  ValueError as from
-    ``_row_blocks``; OSError if a temp file fails or reads short.
-    """
 
-    def send(start, stop, out):
-        found: list[str] = []
-        out.write(bytes(8))
-        count = 0
-        for rows in _row_blocks(path, start, stop, ncol, found):
-            out.write(rows.data)
-            count += len(rows)
-        out.write("\n".join(found).encode("utf-8"))
-        out.seek(0)
-        out.write(count.to_bytes(8, "little"))
-
-    with tempfile.TemporaryFile() as mine, _forked(ranges, send, mine) as spills:
-        mine.seek(0)
-        spills = [mine, *spills]
-        heads = [spill.read(8) for spill in spills]
-        if any(len(head) != 8 for head in heads):
-            raise OSError("short row count in a record parse's temp file")
-        counts = [int.from_bytes(head, "little") for head in heads]
-        cols = np.empty((ncol, sum(counts)))
-        buf = np.empty((min(_FILL_ROWS, max(counts)), ncol))
-        found = []
-        row = 0
-        for spill, count in zip(spills, counts):
-            for lo in range(row, row + count, _FILL_ROWS):
-                part = buf[: row + count - lo]
-                if spill.readinto(part) != part.nbytes:
-                    raise OSError("short read from a record parse's temp file")
-                cols[:, lo : lo + len(part)] = part.T
-            row += count
-            found.extend(filter(None, spill.read().decode("utf-8").split("\n")))
-    return cols, found
+def _spill_range(path, ncol: int, start: int, stop: int, out) -> None:
+    """Parse the data rows of the file's bytes ``[start, stop)``
+    (``_row_blocks``) into the binary file ``out``: after ``_SPILL_HEAD``
+    bytes, written last, the channel cells row-major, one block at a time,
+    then the time column, then the ``units:`` lines, so the channels'
+    rows can be read back by row index without the times."""
+    found: list[str] = []
+    out.write(bytes(_SPILL_HEAD))
+    count, finite, times = 0, None, [np.empty(0)]
+    for rows in _row_blocks(path, start, stop, ncol, found):
+        if finite is None:
+            ok = np.isfinite(rows).all(axis=1)
+            finite = None if ok.all() else count + int(np.argmin(ok))
+        out.write(np.ascontiguousarray(rows[:, 1:]).data)
+        times.append(rows[:, 0].copy())
+        count += len(rows)
+    out.write(np.concatenate(times).data)
+    out.write("\n".join(found).encode("utf-8"))
+    out.seek(0)
+    out.write(count.to_bytes(8, "little") + (count if finite is None else finite).to_bytes(8, "little"))
 
 
 def _median(x: np.ndarray) -> float:
@@ -452,25 +498,10 @@ def _median(x: np.ndarray) -> float:
     return float((lo + hi) / 2)
 
 
-def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSeriesSet:
-    """Parse the CSV file at ``path`` (UTF-8) into a record of the data columns.
-
-    ``units`` optionally maps column labels to physical units; a
-    ``# units: a=kN,b=m/s^2`` comment line anywhere in the file serves the
-    same purpose (later lines win, the explicit argument wins over all).
-    The file is never held whole: the header is found by reading from the
-    start, and the data bytes are cut at newlines into up to
-    ``min(CPUs, 4)`` byte ranges.  Each range is read, in bounded pieces, by
-    its own process (forked workers and the parent), whose data lines go to
-    ``np.loadtxt`` one at a time, in blocks of rows that are spilled to a
-    temp file before the record's matrix is allocated, and which finds the
-    ``units:`` lines of its own pieces.  A range whose worker failed is
-    parsed again here (:func:`_forked`).  A range that does not parse
-    sends the whole file to a cell-by-cell re-scan in this process, which
-    reports the exact row or accepts what ``float()`` accepts; the file is
-    read a second time, on that re-scan or to find a row number, on the
-    error paths only.  OSError if a temp file cannot be made.
-    """
+def _data_ranges(path) -> tuple[list[str], dict[str, str], list[tuple[int, int]]]:
+    """The header's labels, the units of the ``# units:`` lines read up to
+    its first data row, and the data bytes cut at newlines into one
+    ``(start, stop)`` range per process (:func:`_worker_count`)."""
     file_units: dict[str, str] = {}
     read: list[tuple[int, int]] = []
     with contextlib.closing(_content_lines(path, file_units, read)) as content:
@@ -501,23 +532,18 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
             nl = next(pieces, b"").find(b"\n")
         cuts.append(size if nl < 0 else max(at + nl + 1, cuts[-1]))
     cuts.append(size)
-    try:
-        cols, found = _load_columns(path, list(zip(cuts, cuts[1:])), ncol)
-    except ValueError:
-        # re-scan: report the exact row, or accept what float() accepts
-        file_units, found = {}, []
-        with contextlib.closing(_content_lines(path, file_units)) as content:
-            rows = _parse_cells(itertools.islice(content, 1, None), ncol)
-        cols = np.ascontiguousarray(rows.T)
-    # the ranges start after the header; a units line between the header
-    # and the first data row, seen twice, gives the same units
-    for line in found:
-        _add_units(file_units, line)
-    if not np.isfinite(cols).all():
-        lineno = _data_row_lineno(path, int(np.argmin(np.isfinite(cols).all(axis=0))))
-        raise ParseError(f"row {lineno}: non-finite cell", row=lineno)
+    return header, file_units, list(zip(cuts, cuts[1:]))
 
-    t = cols[0]
+
+def _time_axis(path, t: np.ndarray, finite: int) -> tuple[float, float]:
+    """Start time and rate of the time column ``t``, the median spacing's
+    rate snapped to an integer within ``SPACING_RTOL``.  ParseError with its
+    line number at the first row with a non-finite cell (data row
+    ``finite``, if there is one) or with too few rows; SpacingError at the
+    first spacing that is not positive or not uniform."""
+    if finite < len(t):
+        lineno = _data_row_lineno(path, finite)
+        raise ParseError(f"row {lineno}: non-finite cell", row=lineno)
     if len(t) < 2:
         raise ParseError("need at least two samples to infer the sample rate")
     dt = np.diff(t)
@@ -537,14 +563,107 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
     # snap to an integer rate when the inferred value is within spacing tolerance
     if abs(rate - round(rate)) < SPACING_RTOL * rate:
         rate = float(round(rate))
+    return float(t[0]), rate
 
-    units = {**file_units, **(units or {})}
-    try:
-        return TimeSeriesSet(
-            float(t[0]), rate, cols[1:], header[1:], [units.get(h, "1") for h in header[1:]]
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+
+def _spilled_axis(path, spills, ncol: int, file_units: dict[str, str]) -> tuple[float, float, tuple]:
+    """Start time and rate (:func:`_time_axis`) of the rows that the
+    ``spills``, rewound, hold in range order, and the (spill file, first
+    row, rows) of each; the ``units:`` lines of each are added to
+    ``file_units``.  Only the time columns are read.  OSError if a spill
+    file reads short."""
+    heads = [spill.read(_SPILL_HEAD) for spill in spills]
+    if any(len(head) != _SPILL_HEAD for head in heads):
+        raise OSError("short row count in a record parse's temp file")
+    counts = [int.from_bytes(head[:8], "little") for head in heads]
+    t = np.empty(sum(counts))
+    finite, ranges, first = len(t), [], 0
+    for spill, head, count in zip(spills, heads, counts):
+        spill.seek(_SPILL_HEAD + count * (ncol - 1) * 8)
+        part = t[first : first + count]
+        if spill.readinto(part) != part.nbytes:
+            raise OSError("short read from a record parse's temp file")
+        # the ranges start after the header; a units line between the
+        # header and the first data row, seen twice, gives the same units
+        for line in filter(None, spill.read().decode("utf-8").split("\n")):
+            _add_units(file_units, line)
+        leading = int.from_bytes(head[8:], "little")
+        if finite == len(t) and leading < count:
+            finite = first + leading
+        ranges.append((spill, first, count))
+        first += count
+    return *_time_axis(path, t, finite), tuple(ranges)
+
+
+@contextlib.contextmanager
+def open_timeseries_csv(path, units: dict[str, str] | None = None):
+    """Parse the CSV file at ``path`` (UTF-8) for a stream of its rows: yields
+    a :class:`RecordStream`, whose blocks are read while the ``with`` block
+    is open, or a :class:`TimeSeriesSet` where the cell-by-cell re-scan
+    read the file.  Units, checks and errors are those of
+    :func:`parse_timeseries_csv`, all raised before this yields.
+
+    The file is never held whole: the header is found by reading from the
+    start, and the data bytes are cut at newlines into up to
+    ``min(CPUs, 4)`` byte ranges.  Each range is read, in bounded pieces,
+    by its own process (forked workers and the parent), whose data lines go
+    to ``np.loadtxt`` one at a time, in blocks of rows that are spilled to
+    a temp file (:func:`_spill_range`) with the count of leading rows whose
+    cells are all finite, and which finds the ``units:`` lines of its own
+    pieces.  A range whose worker failed is parsed again here
+    (:func:`_forked`).  This process then reads the time columns alone and
+    checks them; the channels' rows stay in the spill files.  A range that
+    does not parse sends the whole file to a cell-by-cell re-scan in this
+    process, which reports the exact row or accepts what ``float()``
+    accepts; the file is read a second time, on that re-scan or to find a
+    row number, on the error paths only.  OSError if a temp file cannot be
+    made or reads short.
+    """
+    header, file_units, ranges = _data_ranges(path)
+    ncol = len(header)
+    with contextlib.ExitStack() as stack:
+        try:
+            mine = stack.enter_context(tempfile.TemporaryFile())
+            spills = stack.enter_context(_forked(ranges, functools.partial(_spill_range, path, ncol), mine))
+        except ValueError:
+            # re-scan: report the exact row, or accept what float() accepts
+            file_units = {}
+            with contextlib.closing(_content_lines(path, file_units)) as content:
+                rows = _parse_cells(itertools.islice(content, 1, None), ncol)
+            ok = np.isfinite(rows).all(axis=1)
+            start_time, rate = _time_axis(path, rows[:, 0], len(rows) if ok.all() else int(np.argmin(ok)))
+            record = functools.partial(TimeSeriesSet, start_time, rate, rows[:, 1:].T)
+        else:
+            mine.seek(0)
+            start_time, rate, spilled = _spilled_axis(path, [mine, *spills], ncol, file_units)
+            record = functools.partial(RecordStream, start_time, rate, ranges=spilled)
+        units = {**file_units, **(units or {})}
+        try:
+            record = record(header[1:], [units.get(h, "1") for h in header[1:]])
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+        yield record
+
+
+def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSeriesSet:
+    """Parse the CSV file at ``path`` (UTF-8) into a record of the data columns.
+
+    ``units`` optionally maps column labels to physical units; a
+    ``# units: a=kN,b=m/s^2`` comment line anywhere in the file serves the
+    same purpose (later lines win, the explicit argument wins over all).
+    Every cell must be finite (ParseError with its row) and the timestamps
+    uniform (SpacingError); the sample rate is inferred from the median
+    spacing.  The file is parsed by :func:`open_timeseries_csv`, and the
+    stream of its rows is filled into the record's matrix one block at a
+    time.
+    """
+    with open_timeseries_csv(path, units) as record:
+        if isinstance(record, TimeSeriesSet):
+            return record
+        values = np.empty((len(record), record.samples))
+        for lo, block in record.blocks():
+            values[:, lo : lo + block.shape[1]] = block
+        return TimeSeriesSet(record.start_time, record.sample_rate, values, record.labels, record.units)
 
 
 #: cells, the time column's included, that the record writer formats at once
@@ -757,7 +876,7 @@ def synchronize(response: TimeSeriesSet, force: TimeSeriesSet) -> None:
         raise AlignmentError(f"streams overlap for {max(t1 - t0, 0.0):.3f} s; need > 1 s")
 
 
-def window_span(record: TimeSeries | TimeSeriesSet, t0: float, t1: float) -> slice:
+def window_span(record: TimeSeries | TimeSeriesSet | RecordStream, t0: float, t1: float) -> slice:
     """Sample indices of the timestamps in [t0, t1] of ``record``'s time axis.
 
     A bound within 1e-12 s of a sample keeps it.  The index ends are
@@ -766,8 +885,7 @@ def window_span(record: TimeSeries | TimeSeriesSet, t0: float, t1: float) -> sli
     """
     if not t0 < t1:
         raise WindowError(f"empty window [{t0}, {t1}]")
-    start_time, sample_rate = record.start_time, record.sample_rate
-    n = record.values.shape[-1]
+    start_time, sample_rate, n = record.start_time, record.sample_rate, record.samples
     lo, hi = t0 - 1e-12, t1 + 1e-12
 
     def time(i: int) -> float:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import vibroident
 from vibroident import cli, timeseries
 from vibroident.cli import _atomic_write, config_hash, load_run_config, main
+from vibroident.errors import ParseError
 from vibroident.timeseries import TimeSeriesSet, parse_timeseries_csv, serialize_timeseries_csv
 
 MINI_PROGRAM = {
@@ -905,6 +906,65 @@ def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processe
             assert sorted(p.name for p in one.iterdir()) == sorted(p.name for p in three.iterdir())
             for path in one.iterdir():
                 assert path.read_bytes() == (three / path.name).read_bytes(), (program["kind"], path.name)
+
+
+def test_streamed_analysis_does_not_depend_on_the_split(workdir, simulated, record_io_processes, monkeypatch, tmp_path):
+    # analyze reads the response as a stream of blocks of rows from the
+    # parse's spill files: the outputs are the same bytes from one, two and
+    # four processes, and with every fork refused, although a range ends
+    # inside a block.  The record is split without lowering the threshold
+    response = simulated / "response.csv"
+    record = parse_timeseries_csv(response)
+    assert record.values.size + record.samples > timeseries._FORK_MIN_CELLS
+
+    def run(name):
+        out = tmp_path / name
+        assert main(["analyze", "-c", str(workdir / "cfg.json"), "--response", str(response),
+                     "--force", str(simulated / "force.csv"), "-o", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    record_io_processes(1)
+    serial = run("one")
+    for n in (2, 4):
+        forks = record_io_processes(n)
+        forks.clear()
+        with timeseries.open_timeseries_csv(response) as stream:
+            ends = [first + rows for _, first, rows in stream.ranges[:-1]]
+        assert len(ends) == n - 1 and any(end % timeseries._FILL_ROWS for end in ends)
+        assert run(f"split{n}") == serial and len(forks) == 3 * (n - 1)
+
+    def refuse():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert run("refused") == serial
+
+
+@pytest.mark.parametrize("kind", ["nan", "spacing", "bad_cell"])
+def test_streamed_response_error_names_the_parsed_row(workdir, simulated, record_io_processes, tmp_path, kind, capsys):
+    # a fault in the second worker's range of the response: analyze exits
+    # 3 with the row that parse_timeseries_csv reports, and writes nothing
+    lines = (simulated / "response.csv").read_text().split("\n")
+    k = 3 * len(lines) // 4
+    t, first, rest = lines[k].split(",", 2)
+    lines[k] = {
+        "nan": f"{t},nan,{rest}",
+        "spacing": f"{float(t) + 0.001!r},{first},{rest}",
+        "bad_cell": f"{t},oops,{rest}",
+    }[kind]
+    bad = tmp_path / "response.csv"
+    bad.write_text("\n".join(lines))
+    forks = record_io_processes(2)
+    with pytest.raises(ParseError) as parsed:
+        parse_timeseries_csv(bad)
+    assert parsed.value.row > len(lines) // 2
+    out = tmp_path / "out"
+    rc = main(["analyze", "-c", str(workdir / "cfg.json"), "--response", str(bad),
+               "--force", str(simulated / "force.csv"), "-o", str(out)])
+    assert rc == 3 and len(forks) == 2
+    err = capsys.readouterr().err
+    assert f"input error: row {parsed.value.row}: " in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fault", ["exit_1_after_all_bytes", "exit_1_after_half", "sigkill"])

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vibroident import timeseries
+from vibroident import dsp, timeseries
 from vibroident.errors import FitError, ForceEstimationError, WindowError
 from vibroident.cli import _contribution_csv, _deformation_figures, _load_text, _rbm_csv
 from vibroident.modal import frc_to_csv, linearity_rms, rigid_map, rigid_rows
@@ -156,13 +156,14 @@ class TestSteppedAnalysis:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("response_window, force_window, match", [
-        (0, 2, "phasor of channel 'TA_x' at 1.5 Hz is not finite"),
+        (0, 2, "force fit at 5.0 Hz is not finite"),
         (0, 0, "force fit at 1.5 Hz is not finite"),
+        (2, None, "phasor of channel 'TA_x' at 5.0 Hz is not finite"),
     ])
     def test_first_window_with_a_fault_raises(self, split_run, response_window, force_window, match):
         # a channel whose values overflow its window's sums, in the response
-        # and in the force: the windows are estimated in turn, each one's
-        # force before its response, so the first window with a fault raises
+        # and in the force: every force estimate comes before the response's
+        # stream, so a force with a fault raises first, in any window
         resp, force, prog, layout, policy = split_run
         windows = analysis_windows(prog, policy)
 
@@ -173,8 +174,10 @@ class TestSteppedAnalysis:
             values[0, span] = values[0, span] / np.abs(values[0, span]).max() * 1e308
             return record.with_values(values)
 
+        if force_window is not None:
+            force = overflow(force, force_window)
         with pytest.raises(FitError, match=match):
-            analyze(overflow(resp, response_window), overflow(force, force_window), prog, layout, policy)
+            analyze(overflow(resp, response_window), force, prog, layout, policy)
 
     def test_identify_reproduces_analysis(self, stepped_run):
         res, _, _, layout = stepped_run
@@ -442,6 +445,76 @@ class TestWindowFitWorkers:
         assert forks == []
 
 
+@pytest.fixture(scope="module")
+def long_stepped():
+    """The bundled stepped X program at its full length (441 s, 21 dwells
+    with 5 s rests), noise-free."""
+    return bundled_noise_free("stepped_x")
+
+
+def spied_projections(monkeypatch) -> list[list[tuple[int, int]]]:
+    """The (first sample, samples) of the kernels of each call of
+    :func:`~vibroident.dsp.project_blocks` from here on."""
+    calls = []
+    project = dsp.project_blocks
+
+    def spy(record, kernels):
+        calls.append([(a, len(k)) for a, k in kernels])
+        return project(record, kernels)
+
+    monkeypatch.setattr(dsp, "project_blocks", spy)
+    return calls
+
+
+class TestKernelCut:
+    """Each window's filtered kernel is kept on a cut support, and a window
+    whose cut could have dropped more than its bound is projected again
+    with its whole kernel."""
+
+    def test_kernels_cover_under_half_of_a_long_record(self, long_stepped, monkeypatch):
+        # measured 0.107 of the record, per window on average
+        resp, force, program, layout, _ = long_stepped
+        calls = spied_projections(monkeypatch)
+        analyze(resp, force, program, layout)
+        assert len(calls) == 1, "a noise-free bundled record needs no second pass"
+        assert sum(m for _, m in calls[0]) / (len(calls[0]) * resp.samples) < 0.5
+
+    def test_spike_far_from_a_window_is_read_again_by_its_whole_kernel(self, long_stepped, monkeypatch):
+        # one 1e9 cell in the rest gap after the 10 Hz dwell: every window
+        # more than 30 s from it is projected again with its whole kernel,
+        # and its phasors are those of the record filtered by filtfilt and
+        # projected by hann_basis.  The two paths round apart by up to
+        # 2.4e-15 of the window's largest phasor on this record, 2.0e-15
+        # from the whole kernel applied in one product
+        resp, force, program, layout, _ = long_stepped
+        policy = AnalysisPolicy()
+        schedule = list(program.stepped.schedule())
+        spike_t = 0.5 * (schedule[10][1] + schedule[11][0])
+        i = round((spike_t - resp.start_time) * resp.sample_rate)
+        values = resp.values.copy()
+        values[0, i] = 1e9
+        spiked = resp.with_values(values)
+        calls = spied_projections(monkeypatch)
+        res = analyze(spiked, force, program, layout, policy)
+
+        coeffs = dsp.design_bandpass(policy.filter_order, policy.f_low, policy.f_high, resp.sample_rate)
+        filtered = dsp.filtfilt(coeffs, spiked)
+        order = [spiked.labels.index(f"{sid}_{axis}") for sid, axis in res.channels]
+        far = [j for j, (_, t0, t1) in enumerate(analysis_windows(program, policy)) if t1 < spike_t - 30 or t0 > spike_t + 30]
+        # the second pass takes every window whose support misses the spike
+        missed = [j for j, (first, m) in enumerate(calls[0]) if not first <= i < first + m]
+        assert len(far) >= 10 and set(far) <= set(missed) and len(calls) == 2
+        assert calls[1] == [(0, resp.samples)] * len(missed)
+        for j in far:
+            f, t0, t1 = analysis_windows(program, policy)[j]
+            window = extract_window(filtered, t0, t1)
+            t = window.times()
+            omega = 2 * math.pi * f
+            basis = dsp.hann_basis(t, program.drive(t), omega, t0, t1)
+            uncut = (-basis.phasors(window.values) / dsp.filter_gain(coeffs, f) ** 2 / omega**2)[order]
+            assert np.max(np.abs(res.phasors[j] - uncut)) <= 5e-15 * np.max(np.abs(uncut)), f
+
+
 class TestChannelBlocks:
     """Each window's filtered kernel is applied to each raw channel row
     alone: a block of the channels gets the same bits as the whole record."""
@@ -464,25 +537,28 @@ class TestChannelBlocks:
         for est, ref in zip(part.force_estimates, whole.force_estimates, strict=True):
             assert est.generalized.tobytes() == ref.generalized.tobytes()
 
-    def test_peak_within_twelve_rows(self):
+    def test_peak_within_the_kept_kernels_and_twelve_rows(self, monkeypatch):
         # the benchmark's stepped X record (30 cycles per step, 0.5 s rests;
-        # 87 x 24,796): analyze's traced peak, one window's filtered
-        # kernels with their scratch, read 1.98 MB (10.0 rows of the
-        # record); filtered copies of a few channels held beside them
-        # would pass 12 rows
+        # 87 x 24,796): analyze's traced peak is the kernels it keeps on
+        # their cut supports (13.0 rows of the record) and one window's
+        # kernel being filtered and cut with its scratch (8.6 rows more);
+        # filtered copies of a few channels held beside them would pass
+        # 12 rows more
         resp, force, program, layout, _ = bundled_noise_free(
             "stepped_x", duration_per_step=None, cycles_per_step=30.0, rest_gap=0.5
         )
         n = resp.values.shape[1]
         analyze(resp, force, program, layout)   # once untraced: caches, such as the filter's operators
+        calls = spied_projections(monkeypatch)
         tracemalloc.start()
         try:
             analyze(resp, force, program, layout)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert n > 20_000
-        assert peak < 12 * n * 8, f"peak {peak / (8 * n):.1f} rows of {n} samples"
+        assert n > 20_000 and len(calls) == 1
+        kept = 2 * 8 * sum(m for _, m in calls[0])
+        assert peak < kept + 12 * n * 8, f"peak {(peak - kept) / (8 * n):.1f} rows beside the kernels"
 
     def test_analyze_holds_no_filtered_copy(self, small_setup):
         # a 60-channel x 60,000-sample record (29 MB), several times the

@@ -598,10 +598,10 @@ def test_parse_holds_no_copy_of_the_file(record_file, record_io_processes, n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_parse_holds_one_copy_of_the_record(tmp_path, record_io_processes, n):
     # a 24-channel x 60,000-sample record, an 11.5 MB matrix.  Each process
-    # spills its rows to a temp file before the matrix exists, so the matrix
-    # is the parse's one large allocation: about 1.17x with the finiteness
-    # check's mask, where holding the parsed rows beside it took 2.1x in one
-    # process and 1.6x over two
+    # spills its rows to a temp file before the matrix exists, and the
+    # matrix is filled from them one block at a time, so it is the parse's
+    # one large allocation: about 1.04x with the time column, where holding
+    # the parsed rows beside it took 2.1x in one process and 1.6x over two
     values = np.random.default_rng(4).standard_normal((24, 60_000))
     path = tmp_path / "record.csv"
     with open(path, "wb") as fh:
