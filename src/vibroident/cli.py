@@ -57,6 +57,7 @@ from .timeseries import (
     SensorLayout,
     load_layout,
     open_timeseries_csv,
+    # stays importable from here: the benchmark tracer wraps cli.parse_timeseries_csv
     parse_timeseries_csv,
     # stays importable from here: the benchmark tracer wraps cli.serialize_timeseries_csv
     serialize_timeseries_csv,
@@ -459,9 +460,9 @@ def cmd_analyze(args) -> int:
     strain = cfg["strain"] or {}
     with contextlib.ExitStack() as stack:
         try:
-            # the response stays in its parse's spill files, read as a stream
+            # both records stay in their parses' spill files, read as streams
             response = stack.enter_context(open_timeseries_csv(args.response))
-            force = parse_timeseries_csv(args.force)
+            force = stack.enter_context(open_timeseries_csv(args.force))
         except OSError as exc:
             raise ConfigError(f"cannot read input: {exc}") from exc
 

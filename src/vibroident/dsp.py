@@ -10,12 +10,18 @@ frequency and one estimator, which both of its records use:
 :func:`hann_basis` (:class:`HannBasis`), the Hann kernel's real and
 imaginary parts at the window's frequency, applied to rows, one product
 per row, and divided by the same projection of the program's drive.  The
-analysis filters a response window's kernel by :func:`filtfilt_transpose`,
-keeps it on the support that :func:`kernel_support` cuts, and applies
-every window's kernel to the raw rows in one pass over a stream of blocks
-of rows (:func:`project_blocks`).  :func:`fit_sine` is the one-row
-least-squares fit of a sinusoid at a given frequency, with its explicit
-residual.
+analysis applies each window's basis to the force record's raw rows, and
+its kernel filtered by :func:`filtfilt_transpose` and kept on the support
+that :func:`kernel_support` cuts to the response's, each record in one
+pass over a stream of blocks of rows (:func:`project_blocks`).
+
+:func:`fit_sine` is the one-row least-squares fit of a sinusoid at a
+given frequency, with its explicit residual.  It and its helpers
+(:class:`SineFit`, :func:`_phase_at`, :func:`_veltkamp`,
+:func:`_wrap_phase`, :func:`_basis` and the three parts of 2*pi), and
+:func:`filtfilt`, the filter applied to a record, are reached only by the
+tests, the acceptance criteria and the benchmark's tracer; the analysis
+reads the filter through its transpose.
 """
 
 from __future__ import annotations
@@ -462,13 +468,6 @@ class HannBasis:
     basis: np.ndarray
     reference: complex
 
-    def phasors(self, U) -> np.ndarray:
-        """Every row's projection divided by the reference's; a row whose
-        projection overflows gets non-finite values."""
-        with np.errstate(all="ignore"):
-            rows = _project(_rows(U), self.basis)
-            return (rows[:, 0] + 1j * rows[:, 1]) / self.reference
-
 
 def hann_basis(t, reference, omega: float, t0: float, t1: float) -> HannBasis:
     """The estimator of every analysis window: complex amplitudes at
@@ -478,17 +477,16 @@ def hann_basis(t, reference, omega: float, t0: float, t1: float) -> HannBasis:
 
     Each row and the reference are weighted by the window and projected
     onto exp(-i*omega*(t - t_c)), t_c the window's centre; a row's phasor
-    (:meth:`HannBasis.phasors`) is its projection divided by the
-    reference's.  A row that is the reference scaled by a gets a.  A
-    response to the drive gets the transfer function at about ``omega``:
-    in a stepped dwell the drive's one frequency, in a sweep window the
-    frequency it crosses, since the window's share of the chirp divides
-    out (spectral division, Mueller & Massarani, *J. Audio Eng. Soc.*
-    49(6), 2001; localised in time as in Pintelon & Schoukens, *System
-    Identification*, 2nd ed., 2012).  The window weighs its ends down, so
-    a dwell's start and stop leak little into it.  Rows that share ``t0``,
-    ``t1``, ``omega`` and a reference share one phase reference, whatever
-    their sample rate.
+    is its projection divided by the reference's.  A row that is the
+    reference scaled by a gets a.  A response to the drive gets the
+    transfer function at about ``omega``: in a stepped dwell the drive's
+    one frequency, in a sweep window the frequency it crosses, since the
+    window's share of the chirp divides out (spectral division, Mueller &
+    Massarani, *J. Audio Eng. Soc.* 49(6), 2001; localised in time as in
+    Pintelon & Schoukens, *System Identification*, 2nd ed., 2012).  The
+    window weighs its ends down, so a dwell's start and stop leak little
+    into it.  Rows that share ``t0``, ``t1``, ``omega`` and a reference
+    share one phase reference, whatever their sample rate.
 
     FitError unless the samples cover the window whole: no sample spacing
     may fit between an end of the window and the first or last sample.

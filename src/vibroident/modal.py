@@ -4,16 +4,15 @@ Everything downstream of the per-channel phasors: force-amplitude
 estimation, force-normalized FRC construction with group averaging,
 least-squares rigid-body motion, SDOF amplification matching for the
 damping ratio, linearity comparison, and the bending-strain estimate.
-The force rows of a window are read through the window's one estimator
-(:func:`~vibroident.dsp.hann_basis`), the same one its response rows go
-through.
+The force estimate maps one window's force phasors, which the analysis
+reads from the force record through the window's one basis
+(:func:`~vibroident.dsp.hann_basis`), as it reads the response's.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NoReturn
@@ -26,7 +25,6 @@ from .errors import (
     BuildError,
     ComparisonError,
     DomainError,
-    FitError,
     ForceEstimationError,
     GeometryError,
     InfinityError,
@@ -36,7 +34,7 @@ from .errors import (
 )
 from .simulator.model import DOF_NAMES, influence_matrix
 from .simulator.sensors import AXIS_NAMES
-from .timeseries import SensorLayout, TimeSeriesSet, _freeze
+from .timeseries import SensorLayout, _freeze
 
 GENERALIZED_AXES = DOF_NAMES
 
@@ -65,42 +63,29 @@ class ForceEstimate:
 
 
 def estimate_force_amplitude(
-    force: TimeSeriesSet,
+    labels,
+    phasors: np.ndarray,
     geometry: dict[str, tuple[np.ndarray, np.ndarray]],
     f: float,
-    estimator,
 ) -> ForceEstimate:
     """The generalized force of the channels named by ``geometry``: each
-    channel's phasor times the
+    channel's phasor (kN) times the
     :func:`~vibroident.simulator.model.influence_matrix` row of its
     (location, direction), summed in geometry order.
 
-    ``estimator(t)`` builds the window's one basis on the samples ``t``
-    (:func:`~vibroident.dsp.hann_basis` in the analysis); its
-    ``phasors(U)`` (:meth:`~vibroident.dsp.HannBasis.phasors`) are the
-    rows' complex amplitudes (kN).
-    ForceEstimationError names the first channel, in geometry order, that
-    is missing or whose estimate fails.
+    ``phasors`` holds one window's complex amplitude of each channel that
+    ``labels`` names.  ForceEstimationError names the first channel, in
+    geometry order, that ``labels`` lacks.
     """
-    labels = list(geometry)
-    index = {label: c for c, label in enumerate(force.labels)}
-    # the channels before the first missing one are estimated, and their
-    # errors raised, first
-    present = list(itertools.takewhile(index.__contains__, labels))
-    phasors = np.zeros(0, dtype=complex)
-    if present:
-        U = force.values[[index[label] for label in present]]
-        try:
-            basis = estimator(force.times())
-        except FitError as exc:
-            raise ForceEstimationError(f"estimate failed on channel {present[0]!r}: {exc}") from exc
-        phasors = basis.phasors(U)
-    if len(present) < len(labels):
-        raise ForceEstimationError(f"force channel {labels[len(present)]!r} missing")
-    pairs = np.reshape([geometry[label] for label in labels], (-1, 2, 3))
+    index = {label: c for c, label in enumerate(labels)}
+    missing = [label for label in geometry if label not in index]
+    if missing:
+        raise ForceEstimationError(f"force channel {missing[0]!r} missing")
+    pairs = np.reshape(list(geometry.values()), (-1, 2, 3))
     rows = influence_matrix(pairs[:, 0], pairs[:, 1])
+    picked = np.asarray(phasors)[[index[label] for label in geometry]]
     with np.errstate(all="ignore"):   # NaN where an amplitude overflows
-        generalized = np.sum(phasors[:, None] * rows, axis=0)
+        generalized = np.sum(picked[:, None] * rows, axis=0)
     return ForceEstimate(frequency_hz=f, generalized=generalized)
 
 

@@ -1,10 +1,10 @@
 """End-to-end analysis: records in, identified dynamics out.
 
 Two steps.  :func:`analyze` reads each dwell (or sweep crossing) through
-one estimator, the window's basis: on the native-rate force records, and,
+one estimator, the window's basis: on the native-rate force record, and,
 filtered by the transpose of the band-pass filter and cut to the support
-where its weight lies, on the raw response, which it reads once as a
-stream of blocks of rows, so that a parsed response never becomes a
+where its weight lies, on the raw response.  It reads each record once as
+a stream of blocks of rows, so that neither parsed record becomes a
 matrix.  :func:`identify` turns that frequencies x channels phasor matrix
 and the forces into the force-scaled FRCs, rigid-body motion, natural
 frequency, damping, amplification and strain; it runs as well on phasors
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dsp, modal
-from .errors import FitError, ParseError, WindowError
+from .errors import FitError, ForceEstimationError, ParseError, WindowError
 from .modal import (
     GENERALIZED_AXES,
     DampingEstimate,
@@ -28,6 +28,7 @@ from .modal import (
 )
 from .simulator.excitation import ExcitationProgram
 from .simulator.sensors import AXIS_NAMES
+# extract_window stays importable from here: the benchmark tracer wraps pipeline.extract_window
 from .timeseries import RecordStream, SensorLayout, TimeSeriesSet, extract_window, window_span
 
 #: rigid-motion FRC axis measured for each excited DOF
@@ -153,21 +154,22 @@ KERNEL_CUT = 1e-20
 CUT_BOUND = 1e-16
 
 
-def _estimator(program: ExcitationProgram, f: float, t0: float, t1: float):
-    """The window's one basis, for its force rows and its response rows."""
-    omega = 2.0 * math.pi * f
-    return lambda t: dsp.hann_basis(t, program.drive(t), omega, t0, t1)
+def _window_basis(record, program: ExcitationProgram, f: float, t0: float, t1: float) -> tuple[slice, dsp.HannBasis]:
+    """The window's index span on ``record``'s time axis
+    (:func:`~vibroident.timeseries.window_span`) and its one basis there,
+    relative to the program's drive, for the force and the response alike."""
+    span = window_span(record, t0, t1)
+    rate = record.sample_rate
+    # the span's own times, as extract_window would give them, with no copy of the window
+    t = (record.start_time + span.start / rate) + np.arange(span.stop - span.start) / rate
+    return span, dsp.hann_basis(t, program.drive(t), 2.0 * math.pi * f, t0, t1)
 
 
 def _response_kernel(response, coeffs, program, f: float, t0: float, t1: float) -> tuple[complex, np.ndarray]:
     """The reference of the window's basis on the response, and its (n, 2)
     kernel zero-embedded in the record's length and filtered by the
     transpose of the band-pass filter."""
-    span = window_span(response, t0, t1)
-    rate = response.sample_rate
-    # extract_window(response, t0, t1).times(), with no copy of the window
-    t = (response.start_time + span.start / rate) + np.arange(span.stop - span.start) / rate
-    basis = _estimator(program, f, t0, t1)(t)
+    span, basis = _window_basis(response, program, f, t0, t1)
     kernel = np.zeros((2, response.samples))
     kernel[:, span] = basis.basis.T
     # <filtfilt(x), k> = <x, filtfilt_transpose(k)>: the raw rows read the
@@ -175,9 +177,16 @@ def _response_kernel(response, coeffs, program, f: float, t0: float, t1: float) 
     return basis.reference, dsp.filtfilt_transpose(coeffs, kernel).T
 
 
+def _phasors(sums: np.ndarray, references) -> np.ndarray:
+    """(windows, rows) phasors: :func:`~vibroident.dsp.project_blocks`' sums
+    over each window's reference, non-finite where the sums overflow."""
+    with np.errstate(all="ignore"):
+        return (sums[..., 0] + 1j * sums[..., 1]).T / np.array(references, dtype=complex)[:, None]
+
+
 def analyze(
     response: TimeSeriesSet | RecordStream,
-    force: TimeSeriesSet,
+    force: TimeSeriesSet | RecordStream,
     program: ExcitationProgram,
     layout: SensorLayout,
     policy: AnalysisPolicy = AnalysisPolicy(),
@@ -194,32 +203,35 @@ def analyze(
     alike.  A response to the drive reads its transfer function times the
     force, and every channel of the window shares one phase reference.
 
-    Every force estimate comes before any response estimate, window by
-    window (:func:`~vibroident.modal.estimate_force_amplitude`).  Then each
-    window's basis on its index span in the response
-    (:func:`~vibroident.timeseries.window_span`) is zero-embedded in the
-    record's length and filtered by
+    Both records are read alike, each in one pass over its blocks of rows
+    (:func:`~vibroident.dsp.project_blocks`), a record in memory or a
+    :class:`~vibroident.timeseries.RecordStream` of a parse's spill files,
+    of which no channels x samples matrix is made.  A window's basis lies
+    on its index span (:func:`~vibroident.timeseries.window_span`) of the
+    record's own time axis.  The force's kernels are its bases, and each
+    window's force phasors map to its force estimate
+    (:func:`~vibroident.modal.estimate_force_amplitude`), all before the
+    response's pass.  Each window's basis on the response is zero-embedded
+    in the record's length and filtered by
     :func:`~vibroident.dsp.filtfilt_transpose`: applied to the raw rows,
     it reads what the basis reads from the rows filtered by
-    :func:`~vibroident.dsp.filtfilt`, so no filtered row is made.  Each
-    filtered kernel is kept on its cut support
-    (:func:`~vibroident.dsp.kernel_support`, ``KERNEL_CUT``), and one pass
-    over the response's blocks of rows (:func:`~vibroident.dsp.project_blocks`)
-    reads every window's phasors; ``response`` is a record in memory or a
-    :class:`~vibroident.timeseries.RecordStream` of a parse's spill files,
-    and no channels x samples matrix is made of the latter.  After the
-    pass, a window whose dropped weight times the largest |value| of the
-    blocks outside its support exceeds ``CUT_BOUND`` of its largest
-    phasor, or is not finite, is projected again with its whole kernel by
-    a second pass.  A row never shares a product with another, so no
-    phasor depends on the other channels.
+    :func:`~vibroident.dsp.filtfilt`, so no filtered row is made, and is
+    kept on its cut support (:func:`~vibroident.dsp.kernel_support`,
+    ``KERNEL_CUT``).  After the response's pass, a window whose dropped
+    weight times the largest |value| of the blocks outside its support
+    exceeds ``CUT_BOUND`` of its largest phasor, or is not finite, is
+    projected again with its whole kernel by a second pass.  A row never
+    shares a product with another, so no phasor depends on the other
+    channels.
 
-    An estimate that is not finite raises FitError (exit code 4): the
-    first window's force with one, in the force's turn, else the first
-    window's response, whose error names the first channel that has one.  A window that the force or response
-    record does not cover whole raises ForceEstimationError or FitError.
-    A record that lacks the z column of a strain station raises
-    ParseError before any window is estimated.
+    A window that a record does not cover whole raises FitError, on the
+    force as ForceEstimationError naming the first force channel; a force
+    record that lacks a force point's channel raises ForceEstimationError
+    naming it.  An estimate that is not finite raises FitError (exit code
+    4): the first window's force with one, else the first window's
+    response, whose error names the first channel that has one.  A record
+    that lacks the z column of a strain station raises ParseError before
+    any window is estimated.
 
     The filter gain and the -1/omega^2 that takes acceleration to
     displacement are evaluated at f.  Every window is estimated in this
@@ -234,11 +246,15 @@ def analyze(
     coeffs = dsp.design_bandpass(policy.filter_order, policy.f_low, policy.f_high, response.sample_rate)
 
     geometry = {fp.id: (fp.location, fp.direction) for fp in program.force_points}
+    try:
+        bases = [_window_basis(force, program, *window) for window in windows]
+    except FitError as exc:
+        raise ForceEstimationError(f"estimate failed on channel {next(iter(geometry))!r}: {exc}") from exc
+    # the force's kernels are its bases: its Hann projection has no filter
+    sums = dsp.project_blocks(force, [(span.start, basis.basis) for span, basis in bases])[0]
     forces, force_estimates = [], []
-    for f, t0, t1 in windows:
-        est = modal.estimate_force_amplitude(
-            extract_window(force, t0, t1), geometry, f, _estimator(program, f, t0, t1)
-        )
+    for (f, _, _), phasors in zip(windows, _phasors(sums, [basis.reference for _, basis in bases])):
+        est = modal.estimate_force_amplitude(force.labels, phasors, geometry, f)
         scale = est.torque if dof == "YAW" else est.resultant
         if not np.all(np.isfinite([*est.generalized, scale])):
             # as below, only a record whose values overflow the estimate's
@@ -246,6 +262,7 @@ def analyze(
             raise FitError(f"force fit at {f} Hz is not finite")
         forces.append(scale)
         force_estimates.append(est)
+    del bases   # the force's kernels, before the response's are filtered
 
     references, kernels, dropped = [], [], []
     for window in windows:
@@ -269,9 +286,7 @@ def analyze(
         sums[:, redo] = dsp.project_blocks(response, whole)[0]
 
     rows = []
-    for (f, _, _), reference, s in zip(windows, references, sums.transpose(1, 0, 2)):
-        with np.errstate(all="ignore"):
-            row = (s[:, 0] + 1j * s[:, 1]) / reference
+    for (f, _, _), row in zip(windows, _phasors(sums, references)):
         if not np.all(np.isfinite(row)):
             # only a record whose values overflow the estimate's sums gets here
             label = response.labels[int(np.argmin(np.isfinite(row)))]

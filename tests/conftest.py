@@ -5,11 +5,22 @@ import itertools
 import os
 import signal
 
+import numpy as np
 import pytest
 
 from vibroident import timeseries
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool, str]] = []
+
+
+def hann_phasors(basis, U) -> np.ndarray:
+    """Each row of ``U`` projected onto a window's
+    :class:`~vibroident.dsp.HannBasis`, one product per row, over the
+    basis's reference: the phasors that the basis reads in one product.  A
+    row whose projection overflows gets non-finite values."""
+    with np.errstate(all="ignore"):
+        rows = np.matmul(np.atleast_2d(U)[:, None, :], basis.basis)[:, 0]
+        return (rows[:, 0] + 1j * rows[:, 1]) / basis.reference
 
 
 @pytest.fixture

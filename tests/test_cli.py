@@ -908,19 +908,30 @@ def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processe
                 assert path.read_bytes() == (three / path.name).read_bytes(), (program["kind"], path.name)
 
 
-def test_streamed_analysis_does_not_depend_on_the_split(workdir, simulated, record_io_processes, monkeypatch, tmp_path):
-    # analyze reads the response as a stream of blocks of rows from the
-    # parse's spill files: the outputs are the same bytes from one, two and
-    # four processes, and with every fork refused, although a range ends
-    # inside a block.  The record is split without lowering the threshold
-    response = simulated / "response.csv"
-    record = parse_timeseries_csv(response)
+@pytest.fixture(scope="module")
+def simulated_long_force(workdir):
+    """(config, simulate output directory) of MINI_PROGRAM with its force
+    record at 1,024 Hz: 5 x 66,561 cells, above the parse's fork threshold."""
+    cfg = workdir / "cfg_long_force.json"
+    cfg.write_text(json.dumps({"program": str(workdir / "mini_program.json"), "seed": 11, "force_rate": 1024.0}))
+    out = workdir / "sim_long_force"
+    assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 0
+    return cfg, out
+
+
+def assert_analysis_does_not_depend_on_the_split(cfg, sim, streamed, record_io_processes, monkeypatch, tmp_path):
+    """analyze's outputs are the same bytes from one, two and four
+    processes, and with every fork refused, although a range of the
+    ``streamed`` record ends inside a block.  The record is above the
+    parse's fork threshold."""
+    path = sim / f"{streamed}.csv"
+    record = parse_timeseries_csv(path)
     assert record.values.size + record.samples > timeseries._FORK_MIN_CELLS
 
     def run(name):
         out = tmp_path / name
-        assert main(["analyze", "-c", str(workdir / "cfg.json"), "--response", str(response),
-                     "--force", str(simulated / "force.csv"), "-o", str(out)]) == 0
+        assert main(["analyze", "-c", str(cfg), "--response", str(sim / "response.csv"),
+                     "--force", str(sim / "force.csv"), "-o", str(out)]) == 0
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
     record_io_processes(1)
@@ -928,9 +939,10 @@ def test_streamed_analysis_does_not_depend_on_the_split(workdir, simulated, reco
     for n in (2, 4):
         forks = record_io_processes(n)
         forks.clear()
-        with timeseries.open_timeseries_csv(response) as stream:
+        with timeseries.open_timeseries_csv(path) as stream:
             ends = [first + rows for _, first, rows in stream.ranges[:-1]]
         assert len(ends) == n - 1 and any(end % timeseries._FILL_ROWS for end in ends)
+        # this parse, and analyze's parses of the response and the force
         assert run(f"split{n}") == serial and len(forks) == 3 * (n - 1)
 
     def refuse():
@@ -940,11 +952,26 @@ def test_streamed_analysis_does_not_depend_on_the_split(workdir, simulated, reco
     assert run("refused") == serial
 
 
-@pytest.mark.parametrize("kind", ["nan", "spacing", "bad_cell"])
-def test_streamed_response_error_names_the_parsed_row(workdir, simulated, record_io_processes, tmp_path, kind, capsys):
-    # a fault in the second worker's range of the response: analyze exits
-    # 3 with the row that parse_timeseries_csv reports, and writes nothing
-    lines = (simulated / "response.csv").read_text().split("\n")
+def test_streamed_analysis_does_not_depend_on_the_split(workdir, simulated, record_io_processes, monkeypatch, tmp_path):
+    # analyze reads the response as a stream of blocks of rows from the
+    # parse's spill files
+    assert_analysis_does_not_depend_on_the_split(
+        workdir / "cfg.json", simulated, "response", record_io_processes, monkeypatch, tmp_path
+    )
+
+
+def test_streamed_force_does_not_depend_on_the_split(simulated_long_force, record_io_processes, monkeypatch, tmp_path):
+    # the force is read as the response is, a stream of blocks of rows
+    assert_analysis_does_not_depend_on_the_split(
+        *simulated_long_force, "force", record_io_processes, monkeypatch, tmp_path
+    )
+
+
+def assert_streamed_error_names_the_parsed_row(cfg, sim, streamed, kind, record_io_processes, tmp_path, capsys):
+    """A fault three quarters into the ``streamed`` record, in the second
+    worker's range: analyze exits 3 with the row that
+    parse_timeseries_csv reports, and writes nothing."""
+    lines = (sim / f"{streamed}.csv").read_text().split("\n")
     k = 3 * len(lines) // 4
     t, first, rest = lines[k].split(",", 2)
     lines[k] = {
@@ -952,19 +979,35 @@ def test_streamed_response_error_names_the_parsed_row(workdir, simulated, record
         "spacing": f"{float(t) + 0.001!r},{first},{rest}",
         "bad_cell": f"{t},oops,{rest}",
     }[kind]
-    bad = tmp_path / "response.csv"
-    bad.write_text("\n".join(lines))
+    paths = {"response": sim / "response.csv", "force": sim / "force.csv"}
+    paths[streamed] = tmp_path / f"{streamed}.csv"
+    paths[streamed].write_text("\n".join(lines))
     forks = record_io_processes(2)
     with pytest.raises(ParseError) as parsed:
-        parse_timeseries_csv(bad)
+        parse_timeseries_csv(paths[streamed])
     assert parsed.value.row > len(lines) // 2
     out = tmp_path / "out"
-    rc = main(["analyze", "-c", str(workdir / "cfg.json"), "--response", str(bad),
-               "--force", str(simulated / "force.csv"), "-o", str(out)])
-    assert rc == 3 and len(forks) == 2
+    rc = main(["analyze", "-c", str(cfg), "--response", str(paths["response"]),
+               "--force", str(paths["force"]), "-o", str(out)])
+    # this parse, and analyze's parses up to the faulty record's
+    assert rc == 3 and len(forks) == {"response": 2, "force": 3}[streamed]
     err = capsys.readouterr().err
     assert f"input error: row {parsed.value.row}: " in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["nan", "spacing", "bad_cell"])
+def test_streamed_response_error_names_the_parsed_row(workdir, simulated, record_io_processes, tmp_path, kind, capsys):
+    assert_streamed_error_names_the_parsed_row(
+        workdir / "cfg.json", simulated, "response", kind, record_io_processes, tmp_path, capsys
+    )
+
+
+@pytest.mark.parametrize("kind", ["nan", "spacing", "bad_cell"])
+def test_streamed_force_error_names_the_parsed_row(simulated_long_force, record_io_processes, tmp_path, kind, capsys):
+    assert_streamed_error_names_the_parsed_row(
+        *simulated_long_force, "force", kind, record_io_processes, tmp_path, capsys
+    )
 
 
 @pytest.mark.parametrize("fault", ["exit_1_after_all_bytes", "exit_1_after_half", "sigkill"])
