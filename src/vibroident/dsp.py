@@ -9,11 +9,13 @@ Every analysis window, a stepped dwell or a sweep crossing, has one
 frequency and one estimator, which both of its records use:
 :func:`hann_basis` (:class:`HannBasis`), the Hann kernel's real and
 imaginary parts at the window's frequency, applied to rows, one product
-per row, and divided by the same projection of the program's drive.  The
-analysis applies each window's basis to the force record's raw rows, and
-its kernel filtered by :func:`filtfilt_transpose` and kept on the support
-that :func:`kernel_support` cuts to the response's, each record in one
-pass over a stream of blocks of rows (:func:`project_blocks`).
+per row, and divided by the same projection of the program's drive.
+:func:`window_phasors` reads every window of a record through it: each
+window's basis on the record's own time axis, for the response filtered
+by :func:`filtfilt_transpose`, cut to its support (:func:`kernel_support`,
+``KERNEL_CUT``), then one pass over the record's stream of blocks of rows
+(:func:`project_blocks`), and a second pass with the whole kernel for a
+window past ``CUT_BOUND``.
 
 :func:`fit_sine` is the one-row least-squares fit of a sinusoid at a
 given frequency, with its explicit residual.  It and its helpers
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import DesignError, FilterError, FitError
 from .recurrence import block_operators, carry
-from .timeseries import TimeSeries, TimeSeriesSet
+from .timeseries import TimeSeries, TimeSeriesSet, window_span
 
 
 @dataclass(frozen=True)
@@ -327,6 +329,18 @@ def filtfilt_transpose(coeffs: FilterCoefficients, rows) -> np.ndarray:
     return out
 
 
+#: a window's kernel is kept on the shortest index range outside which its
+#: weight is at most this share of the whole (:func:`kernel_support`).
+#: The bundled programs' lowest windows, whose accelerations are small
+#: beside the rest of the record, need 1e-19 to stay within ``CUT_BOUND``;
+#: each decade lower widens a support by about 2 s at the 1 Hz corner
+KERNEL_CUT = 1e-20
+#: the most a cut may drop, as a share of its window's largest phasor: its
+#: dropped weight times the largest |value| of the blocks outside its
+#: support.  A window past it is projected again with its whole kernel
+CUT_BOUND = 1e-16
+
+
 def kernel_support(kernel: np.ndarray, share: float) -> tuple[int, int, float]:
     """The shortest index range [a, b) of an (n, 2) ``kernel`` outside which
     its weight, the sum of |k| = hypot of its two columns, is at most
@@ -502,3 +516,65 @@ def hann_basis(t, reference, omega: float, t0: float, t1: float) -> HannBasis:
     with np.errstate(all="ignore"):
         ref = _project(_rows(reference), basis)[0]
     return HannBasis(basis, complex(ref[0], ref[1]))
+
+
+def window_phasors(record, drive, windows, coeffs: FilterCoefficients | None = None) -> np.ndarray:
+    """The (windows, rows) phasors of every row of ``record`` in each
+    ``(f, t0, t1)`` window, relative to ``drive``, the program's unit drive
+    as a function of time, through the window's :func:`hann_basis` at
+    2*pi*f on its index span (:func:`~vibroident.timeseries.window_span`)
+    of the record's own time axis.
+
+    With ``coeffs``, each basis is zero-embedded in the record's length and
+    filtered by :func:`filtfilt_transpose`: applied to the raw rows, it
+    reads what the basis reads from the rows filtered by :func:`filtfilt`,
+    so no filtered row is made.  Each kernel is kept on its cut support
+    (:func:`kernel_support`, ``KERNEL_CUT``), and every window is read in
+    one pass over the record's blocks of rows (:func:`project_blocks`), a
+    record in memory or a :class:`~vibroident.timeseries.RecordStream`.  A
+    window whose dropped weight times the largest |value| of the blocks
+    outside its support exceeds ``CUT_BOUND`` of its largest phasor, or
+    that is not finite, is projected again with its whole kernel by a
+    second pass.  A row never shares a product with another, so no phasor
+    depends on the other rows.  A phasor is not finite only where the
+    record's values overflow its sums.  FitError if the record does not
+    cover a window whole, before any row is read.
+    """
+
+    def kernel(f: float, t0: float, t1: float) -> tuple[complex, int, np.ndarray]:
+        """The window's reference, and its kernel and that kernel's first sample."""
+        span = window_span(record, t0, t1)
+        rate = record.sample_rate
+        # the span's own times, as extract_window would give them, with no copy of the window
+        t = (record.start_time + span.start / rate) + np.arange(span.stop - span.start) / rate
+        basis = hann_basis(t, drive(t), 2.0 * math.pi * f, t0, t1)
+        if coeffs is None:
+            return basis.reference, span.start, basis.basis
+        whole = np.zeros((2, record.samples))
+        whole[:, span] = basis.basis.T
+        # <filtfilt(x), k> = <x, filtfilt_transpose(k)>: the raw rows read the
+        # kernel filtered in place of themselves
+        return basis.reference, 0, filtfilt_transpose(coeffs, whole).T
+
+    # each helper copies its kernel out of the filter's padded scratch,
+    # which is freed before the next window's kernel is built
+    def cut(window) -> tuple[complex, tuple[int, np.ndarray], float]:
+        reference, first, k = kernel(*window)
+        a, b, dropped = kernel_support(k, KERNEL_CUT)
+        return reference, (first + a, k[a:b].copy()), dropped
+
+    def whole(window) -> tuple[int, np.ndarray]:
+        _, first, k = kernel(*window)
+        return first, k.copy()
+
+    references, kernels, dropped = zip(*map(cut, windows))
+    sums, peaks = project_blocks(record, kernels)
+    lo, hi, peak = peaks.T
+    with np.errstate(all="ignore"):
+        # the largest |value| of the blocks that hold a sample outside each support
+        outside = [np.max(peak[(lo < a) | (hi > a + len(k))], initial=0.0) for a, k in kernels]
+        bound = CUT_BOUND * np.max(np.hypot(sums[..., 0], sums[..., 1]), axis=0)
+        redo = [j for j, weight in enumerate(dropped) if not weight * outside[j] <= bound[j]]
+        if redo:
+            sums[:, redo] = project_blocks(record, [whole(windows[j]) for j in redo])[0]
+        return (sums[..., 0] + 1j * sums[..., 1]).T / np.array(references, dtype=complex)[:, None]

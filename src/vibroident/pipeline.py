@@ -1,14 +1,14 @@
 """End-to-end analysis: records in, identified dynamics out.
 
 Two steps.  :func:`analyze` reads each dwell (or sweep crossing) through
-one estimator, the window's basis: on the native-rate force record, and,
-filtered by the transpose of the band-pass filter and cut to the support
-where its weight lies, on the raw response.  It reads each record once as
-a stream of blocks of rows, so that neither parsed record becomes a
-matrix.  :func:`identify` turns that frequencies x channels phasor matrix
-and the forces into the force-scaled FRCs, rigid-body motion, natural
-frequency, damping, amplification and strain; it runs as well on phasors
-from any other source, such as the exact steady-state response.
+one estimator, the window's basis (:func:`~vibroident.dsp.window_phasors`):
+on the native-rate force record, and, filtered by the transpose of the
+band-pass filter, on the raw response.  It reads each record as a stream
+of blocks of rows, so that neither parsed record becomes a matrix.
+:func:`identify` turns that frequencies x channels phasor matrix and the
+forces into the force-scaled FRCs, rigid-body motion, natural frequency,
+damping, amplification and strain; it runs as well on phasors from any
+other source, such as the exact steady-state response.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .modal import (
 from .simulator.excitation import ExcitationProgram
 from .simulator.sensors import AXIS_NAMES
 # extract_window stays importable from here: the benchmark tracer wraps pipeline.extract_window
-from .timeseries import RecordStream, SensorLayout, TimeSeriesSet, extract_window, window_span
+from .timeseries import RecordStream, SensorLayout, TimeSeriesSet, extract_window
 
 #: rigid-motion FRC axis measured for each excited DOF
 EXCITED_AXIS = {"X": "dx", "Y": "dy", "Z": "dz", "YAW": "rz"}
@@ -142,48 +142,6 @@ def analysis_windows(program: ExcitationProgram, policy: AnalysisPolicy) -> list
     return out
 
 
-#: a response kernel is kept on the shortest index range outside which its
-#: weight is at most this share of the whole (:func:`~vibroident.dsp.kernel_support`).
-#: The bundled programs' lowest windows, whose accelerations are small
-#: beside the rest of the record, need 1e-19 to stay within ``CUT_BOUND``;
-#: each decade lower widens a support by about 2 s at the 1 Hz corner
-KERNEL_CUT = 1e-20
-#: the most a cut may drop, as a share of its window's largest phasor: its
-#: dropped weight times the largest |value| of the blocks outside its
-#: support.  A window past it is projected again with its whole kernel
-CUT_BOUND = 1e-16
-
-
-def _window_basis(record, program: ExcitationProgram, f: float, t0: float, t1: float) -> tuple[slice, dsp.HannBasis]:
-    """The window's index span on ``record``'s time axis
-    (:func:`~vibroident.timeseries.window_span`) and its one basis there,
-    relative to the program's drive, for the force and the response alike."""
-    span = window_span(record, t0, t1)
-    rate = record.sample_rate
-    # the span's own times, as extract_window would give them, with no copy of the window
-    t = (record.start_time + span.start / rate) + np.arange(span.stop - span.start) / rate
-    return span, dsp.hann_basis(t, program.drive(t), 2.0 * math.pi * f, t0, t1)
-
-
-def _response_kernel(response, coeffs, program, f: float, t0: float, t1: float) -> tuple[complex, np.ndarray]:
-    """The reference of the window's basis on the response, and its (n, 2)
-    kernel zero-embedded in the record's length and filtered by the
-    transpose of the band-pass filter."""
-    span, basis = _window_basis(response, program, f, t0, t1)
-    kernel = np.zeros((2, response.samples))
-    kernel[:, span] = basis.basis.T
-    # <filtfilt(x), k> = <x, filtfilt_transpose(k)>: the raw rows read the
-    # kernel filtered in place of themselves
-    return basis.reference, dsp.filtfilt_transpose(coeffs, kernel).T
-
-
-def _phasors(sums: np.ndarray, references) -> np.ndarray:
-    """(windows, rows) phasors: :func:`~vibroident.dsp.project_blocks`' sums
-    over each window's reference, non-finite where the sums overflow."""
-    with np.errstate(all="ignore"):
-        return (sums[..., 0] + 1j * sums[..., 1]).T / np.array(references, dtype=complex)[:, None]
-
-
 def analyze(
     response: TimeSeriesSet | RecordStream,
     force: TimeSeriesSet | RecordStream,
@@ -203,26 +161,14 @@ def analyze(
     alike.  A response to the drive reads its transfer function times the
     force, and every channel of the window shares one phase reference.
 
-    Both records are read alike, each in one pass over its blocks of rows
-    (:func:`~vibroident.dsp.project_blocks`), a record in memory or a
+    Both records are read alike by :func:`~vibroident.dsp.window_phasors`,
+    each in one pass over its blocks of rows, a record in memory or a
     :class:`~vibroident.timeseries.RecordStream` of a parse's spill files,
-    of which no channels x samples matrix is made.  A window's basis lies
-    on its index span (:func:`~vibroident.timeseries.window_span`) of the
-    record's own time axis.  The force's kernels are its bases, and each
-    window's force phasors map to its force estimate
+    of which no channels x samples matrix is made: the force with no
+    filter, each window's force phasors mapped to its force estimate
     (:func:`~vibroident.modal.estimate_force_amplitude`), all before the
-    response's pass.  Each window's basis on the response is zero-embedded
-    in the record's length and filtered by
-    :func:`~vibroident.dsp.filtfilt_transpose`: applied to the raw rows,
-    it reads what the basis reads from the rows filtered by
-    :func:`~vibroident.dsp.filtfilt`, so no filtered row is made, and is
-    kept on its cut support (:func:`~vibroident.dsp.kernel_support`,
-    ``KERNEL_CUT``).  After the response's pass, a window whose dropped
-    weight times the largest |value| of the blocks outside its support
-    exceeds ``CUT_BOUND`` of its largest phasor, or is not finite, is
-    projected again with its whole kernel by a second pass.  A row never
-    shares a product with another, so no phasor depends on the other
-    channels.
+    response's pass; the response through the band-pass's transpose, so
+    that its raw rows read what the filtered rows would.
 
     A window that a record does not cover whole raises FitError, on the
     force as ForceEstimationError naming the first force channel; a force
@@ -247,13 +193,12 @@ def analyze(
 
     geometry = {fp.id: (fp.location, fp.direction) for fp in program.force_points}
     try:
-        bases = [_window_basis(force, program, *window) for window in windows]
+        # the force's estimator has no filter
+        force_phasors = dsp.window_phasors(force, program.drive, windows)
     except FitError as exc:
         raise ForceEstimationError(f"estimate failed on channel {next(iter(geometry))!r}: {exc}") from exc
-    # the force's kernels are its bases: its Hann projection has no filter
-    sums = dsp.project_blocks(force, [(span.start, basis.basis) for span, basis in bases])[0]
     forces, force_estimates = [], []
-    for (f, _, _), phasors in zip(windows, _phasors(sums, [basis.reference for _, basis in bases])):
+    for (f, _, _), phasors in zip(windows, force_phasors):
         est = modal.estimate_force_amplitude(force.labels, phasors, geometry, f)
         scale = est.torque if dof == "YAW" else est.resultant
         if not np.all(np.isfinite([*est.generalized, scale])):
@@ -262,31 +207,9 @@ def analyze(
             raise FitError(f"force fit at {f} Hz is not finite")
         forces.append(scale)
         force_estimates.append(est)
-    del bases   # the force's kernels, before the response's are filtered
-
-    references, kernels, dropped = [], [], []
-    for window in windows:
-        reference, kernel = _response_kernel(response, coeffs, program, *window)
-        a, b, weight = dsp.kernel_support(kernel, KERNEL_CUT)
-        references.append(reference)
-        kernels.append((a, kernel[a:b].copy()))
-        dropped.append(weight)
-        del kernel   # the whole-length kernel, before the next one is filtered
-    sums, peaks = dsp.project_blocks(response, kernels)
-    first, end, peak = peaks.T
-    redo = []
-    with np.errstate(all="ignore"):
-        for j, (a, k) in enumerate(kernels):
-            # the largest |value| of the blocks that hold a sample outside the support
-            outside = np.max(peak[(first < a) | (end > a + len(k))], initial=0.0)
-            if not dropped[j] * outside <= CUT_BOUND * np.max(np.hypot(*sums[:, j].T)):
-                redo.append(j)
-    if redo:
-        whole = [(0, _response_kernel(response, coeffs, program, *windows[j])[1].copy()) for j in redo]
-        sums[:, redo] = dsp.project_blocks(response, whole)[0]
 
     rows = []
-    for (f, _, _), row in zip(windows, _phasors(sums, references)):
+    for (f, _, _), row in zip(windows, dsp.window_phasors(response, program.drive, windows, coeffs)):
         if not np.all(np.isfinite(row)):
             # only a record whose values overflow the estimate's sums gets here
             label = response.labels[int(np.argmin(np.isfinite(row)))]

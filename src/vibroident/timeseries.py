@@ -17,7 +17,6 @@ the file in bounded pieces, so its text is never held whole.
 
 from __future__ import annotations
 
-import array
 import contextlib
 import functools
 import io
@@ -414,20 +413,28 @@ def _data_row_lineno(path, k: int) -> int:
         return next(itertools.islice(lines, k + 1, None))[0]
 
 
-def _parse_cells(rows, ncol: int) -> np.ndarray:
-    """Cell-by-cell conversion of ``(line number, end, line)`` rows, raising
-    ParseError at the first short row or unparsable cell."""
-    data = array.array("d")
-    for lineno, _, line in rows:
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != ncol:
-            raise ParseError(f"row {lineno}: expected {ncol} cells, got {len(cells)}", row=lineno)
-        for cell in cells:
+def _bad_row(path, ncol: int) -> ParseError:
+    """The ParseError of the first data row that ``np.loadtxt``, the
+    parse's one grammar, does not read alone as ``ncol`` cells, with its
+    line number and, where one does not parse, its first such cell."""
+    with contextlib.closing(_content_lines(path)) as content:
+        for lineno, _, line in itertools.islice(content, 1, None):
             try:
-                data.append(float(cell))
+                cells = np.loadtxt([line], delimiter=",", ndmin=2).shape[1]
             except ValueError:
-                raise ParseError(f"row {lineno}: cannot parse {cell!r}", row=lineno) from None
-    return np.array(data, dtype=float).reshape(-1, ncol)
+                cell = next((c.strip() for c in line.split(",") if not _reads(c)), line)
+                return ParseError(f"row {lineno}: cannot parse {cell!r}", row=lineno)
+            if cells != ncol:
+                return ParseError(f"row {lineno}: expected {ncol} cells, got {cells}", row=lineno)
+    return ParseError("data rows do not parse")
+
+
+def _reads(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``cell`` alone as one value."""
+    try:
+        return bool(cell.strip()) and np.loadtxt([cell], delimiter=",", comments=None).size == 1
+    except ValueError:
+        return False
 
 
 #: most data lines that go to one ``np.loadtxt`` call, and rows per block
@@ -599,8 +606,7 @@ def _spilled_axis(path, spills, ncol: int, file_units: dict[str, str]) -> tuple[
 def open_timeseries_csv(path, units: dict[str, str] | None = None):
     """Parse the CSV file at ``path`` (UTF-8) for a stream of its rows: yields
     a :class:`RecordStream`, whose blocks are read while the ``with`` block
-    is open, or a :class:`TimeSeriesSet` where the cell-by-cell re-scan
-    read the file.  Units, checks and errors are those of
+    is open.  Units, checks and errors are those of
     :func:`parse_timeseries_csv`, all raised before this yields.
 
     The file is never held whole: the header is found by reading from the
@@ -613,33 +619,27 @@ def open_timeseries_csv(path, units: dict[str, str] | None = None):
     pieces.  A range whose worker failed is parsed again here
     (:func:`_forked`).  This process then reads the time columns alone and
     checks them; the channels' rows stay in the spill files.  A range that
-    does not parse sends the whole file to a cell-by-cell re-scan in this
-    process, which reports the exact row or accepts what ``float()``
-    accepts; the file is read a second time, on that re-scan or to find a
-    row number, on the error paths only.  OSError if a temp file cannot be
-    made or reads short.
+    does not parse sends the file to a re-scan in this process that gives
+    each data line to ``np.loadtxt`` alone, the same grammar, to name the
+    first row that does not parse (ParseError); the file is read a second
+    time, on that re-scan or to find a row number, on the error paths only.
+    OSError if a temp file cannot be made or reads short.
     """
     header, file_units, ranges = _data_ranges(path)
     ncol = len(header)
     with contextlib.ExitStack() as stack:
+        mine = stack.enter_context(tempfile.TemporaryFile())
         try:
-            mine = stack.enter_context(tempfile.TemporaryFile())
             spills = stack.enter_context(_forked(ranges, functools.partial(_spill_range, path, ncol), mine))
         except ValueError:
-            # re-scan: report the exact row, or accept what float() accepts
-            file_units = {}
-            with contextlib.closing(_content_lines(path, file_units)) as content:
-                rows = _parse_cells(itertools.islice(content, 1, None), ncol)
-            ok = np.isfinite(rows).all(axis=1)
-            start_time, rate = _time_axis(path, rows[:, 0], len(rows) if ok.all() else int(np.argmin(ok)))
-            record = functools.partial(TimeSeriesSet, start_time, rate, rows[:, 1:].T)
-        else:
-            mine.seek(0)
-            start_time, rate, spilled = _spilled_axis(path, [mine, *spills], ncol, file_units)
-            record = functools.partial(RecordStream, start_time, rate, ranges=spilled)
+            raise _bad_row(path, ncol) from None
+        mine.seek(0)
+        start_time, rate, spilled = _spilled_axis(path, [mine, *spills], ncol, file_units)
         units = {**file_units, **(units or {})}
         try:
-            record = record(header[1:], [units.get(h, "1") for h in header[1:]])
+            record = RecordStream(
+                start_time, rate, header[1:], [units.get(h, "1") for h in header[1:]], spilled
+            )
         except ValueError as exc:
             raise ParseError(str(exc)) from None
         yield record
@@ -658,8 +658,6 @@ def parse_timeseries_csv(path, units: dict[str, str] | None = None) -> TimeSerie
     time.
     """
     with open_timeseries_csv(path, units) as record:
-        if isinstance(record, TimeSeriesSet):
-            return record
         values = np.empty((len(record), record.samples))
         for lo, block in record.blocks():
             values[:, lo : lo + block.shape[1]] = block

@@ -27,8 +27,9 @@ def hann_phasors(basis, U) -> np.ndarray:
 def record_io_processes(monkeypatch):
     """``use(n)`` makes record writing and parsing split every record,
     however small, over ``n`` processes, as on a machine with ``n`` usable
-    CPUs (``use(1)``: one process).  Returns the list that gets one entry
-    per forked worker."""
+    CPUs (``use(1)``: one process); ``use(n, every_record=False)`` splits
+    only a record at or above the shipped ``_FORK_MIN_CELLS``.  Returns the
+    list that gets one entry per forked worker."""
     if not hasattr(os, "fork"):
         pytest.skip("record I/O workers need os.fork")
     forks = []
@@ -38,8 +39,9 @@ def record_io_processes(monkeypatch):
         forks.append(1)
         return fork()
 
-    def use(n):
-        monkeypatch.setattr(timeseries, "_FORK_MIN_CELLS", 0)
+    def use(n, every_record=True):
+        if every_record:
+            monkeypatch.setattr(timeseries, "_FORK_MIN_CELLS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         monkeypatch.setattr(os, "fork", counting_fork)
         return forks

@@ -911,9 +911,11 @@ def test_outputs_do_not_depend_on_the_record_io_process_count(record_io_processe
 @pytest.fixture(scope="module")
 def simulated_long_force(workdir):
     """(config, simulate output directory) of MINI_PROGRAM with its force
-    record at 1,024 Hz: 5 x 66,561 cells, above the parse's fork threshold."""
+    record at 2,048 Hz: 5 x 133,121 cells, above the parse's fork
+    threshold also as the parse estimates it from the record's first rows,
+    which start at rest (at 1,024 Hz, 332,805 cells read as 293,243)."""
     cfg = workdir / "cfg_long_force.json"
-    cfg.write_text(json.dumps({"program": str(workdir / "mini_program.json"), "seed": 11, "force_rate": 1024.0}))
+    cfg.write_text(json.dumps({"program": str(workdir / "mini_program.json"), "seed": 11, "force_rate": 2048.0}))
     out = workdir / "sim_long_force"
     assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 0
     return cfg, out
@@ -923,10 +925,14 @@ def assert_analysis_does_not_depend_on_the_split(cfg, sim, streamed, record_io_p
     """analyze's outputs are the same bytes from one, two and four
     processes, and with every fork refused, although a range of the
     ``streamed`` record ends inside a block.  The record is above the
-    parse's fork threshold."""
+    parse's shipped fork threshold, at which it is split."""
     path = sim / f"{streamed}.csv"
-    record = parse_timeseries_csv(path)
-    assert record.values.size + record.samples > timeseries._FORK_MIN_CELLS
+    cells = {}
+    for name in ("response", "force"):
+        record = parse_timeseries_csv(sim / f"{name}.csv")
+        cells[name] = record.values.size + record.samples
+    assert cells[streamed] > timeseries._FORK_MIN_CELLS
+    split = sum(c >= timeseries._FORK_MIN_CELLS for c in cells.values())
 
     def run(name):
         out = tmp_path / name
@@ -934,16 +940,16 @@ def assert_analysis_does_not_depend_on_the_split(cfg, sim, streamed, record_io_p
                      "--force", str(sim / "force.csv"), "-o", str(out)]) == 0
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
-    record_io_processes(1)
+    record_io_processes(1, every_record=False)
     serial = run("one")
     for n in (2, 4):
-        forks = record_io_processes(n)
+        forks = record_io_processes(n, every_record=False)
         forks.clear()
         with timeseries.open_timeseries_csv(path) as stream:
             ends = [first + rows for _, first, rows in stream.ranges[:-1]]
         assert len(ends) == n - 1 and any(end % timeseries._FILL_ROWS for end in ends)
-        # this parse, and analyze's parses of the response and the force
-        assert run(f"split{n}") == serial and len(forks) == 3 * (n - 1)
+        # this parse, and analyze's parses of each record above the threshold
+        assert run(f"split{n}") == serial and len(forks) == (1 + split) * (n - 1)
 
     def refuse():
         raise OSError("fork refused")
@@ -978,6 +984,8 @@ def assert_streamed_error_names_the_parsed_row(cfg, sim, streamed, kind, record_
         "nan": f"{t},nan,{rest}",
         "spacing": f"{float(t) + 0.001!r},{first},{rest}",
         "bad_cell": f"{t},oops,{rest}",
+        # float() reads it as 10; np.loadtxt, the parse's one grammar, does not
+        "underscore_cell": f"{t},1_0,{rest}",
     }[kind]
     paths = {"response": sim / "response.csv", "force": sim / "force.csv"}
     paths[streamed] = tmp_path / f"{streamed}.csv"
@@ -1003,7 +1011,7 @@ def test_streamed_response_error_names_the_parsed_row(workdir, simulated, record
     )
 
 
-@pytest.mark.parametrize("kind", ["nan", "spacing", "bad_cell"])
+@pytest.mark.parametrize("kind", ["nan", "spacing", "bad_cell", "underscore_cell"])
 def test_streamed_force_error_names_the_parsed_row(simulated_long_force, record_io_processes, tmp_path, kind, capsys):
     assert_streamed_error_names_the_parsed_row(
         *simulated_long_force, "force", kind, record_io_processes, tmp_path, capsys

@@ -464,7 +464,7 @@ class TestFitSinesDrift:
 
     @pytest.mark.parametrize("offset", sorted(RATIO_CHANGE))
     @pytest.mark.parametrize("cycles", [3.2, 6.0, 20.0])
-    def test_drift_omega_tracks_an_offset_drive(self, cycles, offset):
+    def test_hann_basis_tracks_an_offset_drive(self, cycles, offset):
         # four response rows and a force row at 1e-4 noise of their
         # amplitude, at one drive frequency off the nominal one: the rows
         # over the force read at the nominal omega stay close to the same

@@ -1,13 +1,12 @@
 import math
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import hann_phasors
-from vibroident import dsp, modal, pipeline, timeseries
+from vibroident import dsp, modal, timeseries
 from vibroident.errors import FitError, ForceEstimationError, WindowError
 from vibroident.cli import _contribution_csv, _deformation_figures, _load_text, _rbm_csv
 from vibroident.modal import frc_to_csv, linearity_rms, rigid_map, rigid_rows
@@ -627,27 +626,18 @@ class TestChannelBlocks:
 
 def chain_phasors(values, f, t0, t1, filtered=True, rate=200.0):
     """Rows of a record that starts at 0 s, read through analyze's own
-    chain against a unit sine drive at ``f``: the window's basis on the
-    record (``pipeline._window_basis``) and, for a response
+    chain (:func:`~vibroident.dsp.window_phasors`) against a unit sine
+    drive at ``f``: the window's basis on the record and, for a response
     (``filtered``), its kernel filtered by the transpose of the default
-    band-pass (``pipeline._response_kernel``) and cut
-    (:func:`~vibroident.dsp.kernel_support`); then projected over the
-    record's blocks of rows (:func:`~vibroident.dsp.project_blocks`) and
-    divided by the basis's reference.  |H(f)|^2 is not divided out."""
+    band-pass, cut, projected over the record's blocks of rows with the
+    cut's bound checked, and divided by the basis's reference.  |H(f)|^2
+    is not divided out."""
     values = np.atleast_2d(values)
     record = timeseries.TimeSeriesSet(
         0.0, rate, values, tuple(f"u{i}" for i in range(len(values))), ("m/s^2",) * len(values)
     )
-    program = SimpleNamespace(drive=lambda t: np.sin(2 * np.pi * f * t))
-    if filtered:
-        coeffs = dsp.design_bandpass(5, 1.0, 25.0, rate)
-        reference, kernel = pipeline._response_kernel(record, coeffs, program, f, t0, t1)
-        a, b, _ = dsp.kernel_support(kernel, pipeline.KERNEL_CUT)
-        kernels = [(a, kernel[a:b])]
-    else:
-        span, basis = pipeline._window_basis(record, program, f, t0, t1)
-        reference, kernels = basis.reference, [(span.start, basis.basis)]
-    return pipeline._phasors(dsp.project_blocks(record, kernels)[0], [reference])[0]
+    coeffs = dsp.design_bandpass(5, 1.0, 25.0, rate) if filtered else None
+    return dsp.window_phasors(record, lambda t: np.sin(2 * np.pi * f * t), [(f, t0, t1)], coeffs)[0]
 
 
 class TestAcceptanceCasesThroughTheChain:

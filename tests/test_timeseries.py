@@ -301,11 +301,13 @@ class TestParseEdges:
         assert exc.value.row == 6
 
     def test_cells_loadtxt_rejects_but_float_accepts(self, record_file):
-        # "1_0" fails np.loadtxt; the cell-by-cell re-scan reads every row
-        text = "# units: a=kN\nt,a\n0,1_0\n\n0.5,2\n1.0,3\n"
-        ts = parse_timeseries_csv(record_file(text))["a"]
-        assert np.array_equal(ts.values, [10.0, 2.0, 3.0])
-        assert ts.unit == "kN" and ts.sample_rate == 2.0
+        # float() reads "1_0" as 10 and "١٢" as 12; the parse has one
+        # grammar, np.loadtxt's, so the re-scan names their row
+        for cell in ("1_0", "١٢"):
+            text = f"# units: a=kN\nt,a\n0,{cell}\n\n0.5,2\n1.0,3\n"
+            with pytest.raises(ParseError, match=f"row 3: cannot parse '{cell}'") as exc:
+                parse_timeseries_csv(record_file(text))
+            assert exc.value.row == 3
 
     def test_units_comment_after_data_applies(self, record_file):
         ts = parse_timeseries_csv(record_file("t,a\n0,0\n0.5,1\n# units: a=kN\n"))["a"]
@@ -411,6 +413,22 @@ def parse_outcome(path):
 class TestRecordIOWorkers:
     """A record written or parsed over forked workers is the same, byte for
     byte, as in one process, on every path."""
+
+    @pytest.mark.parametrize("share, workers", [(0.95, 0), (1.05, 3)])
+    def test_fork_threshold_at_its_shipped_value(self, record_file, record_io_processes, share, workers):
+        # with 4 CPUs reported and the threshold as shipped, a record 5 %
+        # below it is written and parsed in one process, and one 5 % above
+        # it over four, with the same bytes either way
+        rows = round(share * timeseries._FORK_MIN_CELLS / 5)
+        values = np.random.default_rng(7).standard_normal((4, rows))
+        tss = TimeSeriesSet(0.0, 200.0, values, ("a", "b", "c", "d"), ("kN",) * 4)
+        record_io_processes(1, every_record=False)
+        text = serialize_timeseries_csv(tss)
+        path = record_file(text)
+        serial = parse_timeseries_csv(path).values.tobytes()
+        forks = record_io_processes(4, every_record=False)
+        assert serialize_timeseries_csv(tss) == text and len(forks) == workers
+        assert parse_timeseries_csv(path).values.tobytes() == serial and len(forks) == 2 * workers
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_writer_bytes_match_one_process(self, record_io_processes, n):
